@@ -82,14 +82,12 @@ def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndar
 def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
                     ensemble: PathEnsemble, times: np.ndarray) -> np.ndarray:
     """Per-path payoff collected at the given per-path times (0..horizon)."""
-    out = np.empty(len(ensemble))
-    z0 = payoff.value_at_start(chain)
-    for i in range(len(ensemble)):
-        t = int(times[i])
-        if t == 0:
-            out[i] = z0
-        else:
-            out[i] = payoff.values(chain, t)[ensemble.state_indices_at(t)[i]]
+    times = np.asarray(times)
+    out = np.full(len(ensemble), payoff.value_at_start(chain))
+    for t in range(1, chain.horizon + 1):
+        at_t = times == t
+        if at_t.any():
+            out[at_t] = payoff.values(chain, t)[ensemble.state_indices_at(t)[at_t]]
     return out
 
 

@@ -2,9 +2,11 @@
 the regression system through the stopping circuits, classical solves, and the
 smoothness-driven parameter schedules.
 
-Coefficient solves use a pivoted factorization (no explicit inverse), and the
-circuit chain is rebuilt from the horizon down at every time step with no
-memoization, so ledger totals carry the quadratic backward-pass structure."""
+Coefficient solves use a pivoted factorization (no explicit inverse). Every
+estimated entry bills the circuit chain rebuilt from the horizon down, so
+ledger totals carry the quadratic backward-pass structure; the simulation
+itself evaluates each entry on its value law and memoizes the per-step
+tables."""
 from __future__ import annotations
 
 import json
@@ -123,11 +125,13 @@ def _entry_streams(seed, count: int):
 
 def _basis_product_variable(sampling: SamplingOracle, circuits: StoppingCircuits,
                             t: int, j: int, k: int) -> QmcVariable:
-    rows = circuits.quantized_basis_rows(t)
+    law = sampling.step_law(t)
+    rows = circuits.basis_table(t)
     values = np.asarray(circuits.fmt.quantize(rows[:, j] * rows[:, k]))
     oracle = FunctionOracle(name=f"basis_product[t={t},{j},{k}]", fmt=circuits.fmt,
-                            raw_values=values, query_cost={"basis": 2})
-    return QmcVariable(sampling=sampling, oracle=oracle)
+                            raw_values=values, query_cost={"basis": 2},
+                            labels=law.labels)
+    return QmcVariable(sampling=sampling, oracle=oracle, masses=law.masses)
 
 
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,

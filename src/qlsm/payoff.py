@@ -3,6 +3,7 @@ the moment quantities feeding the truncation-error schedules."""
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,19 +20,23 @@ class PayoffSpec:
 
     The same step function serves every step; step 0 is the scalar value at
     the chain's start point, cached eagerly on first binding to a chain.
-    Grid evaluations are cached per (chain, step).
+    Grid evaluations are cached per (chain, step), held only while the chain
+    is alive.
     """
 
     step_function: StepFunction
     label: str = "payoff"
     uniform_bound: float | None = None
     truncation_level: float | None = None
-    _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _grid_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     def values(self, chain: MarkovChainSpec, t: int) -> np.ndarray:
         """Payoff on the step-t grid (t=0 gives a single-entry array)."""
-        key = (chain, t)
-        cached = self._grid_cache.get(key)
+        steps = self._grid_cache.get(chain)
+        if steps is None:
+            steps = self._grid_cache[chain] = {}
+        cached = steps.get(t)
         if cached is not None:
             return cached
         if t == 0:
@@ -44,7 +49,7 @@ class PayoffSpec:
         if np.any(vals < 0):
             raise ValueError(f"payoff '{self.label}' is negative at step {t}")
         vals.setflags(write=False)
-        self._grid_cache[key] = vals
+        steps[t] = vals
         return vals
 
     def value_at_start(self, chain: MarkovChainSpec) -> float:

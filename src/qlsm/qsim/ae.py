@@ -62,10 +62,18 @@ class EstimationOperator:
     """The preparation 'A': chain preparation followed by one rotation.
 
     Exposes the exact flagged probability for the analytic mode and bills its
-    per-application cost into the ledger."""
+    per-application cost into the ledger. masses weighs the rows of the
+    rotation oracle's value table (derived from the path probabilities when
+    omitted)."""
 
     sampling: SamplingOracle
     rotation: ControlledRotation | None = None
+    masses: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.masses is None and self.rotation is not None:
+            oracle = self.rotation.oracle
+            self.masses = self.sampling.masses(oracle.labels, oracle.values.size)
 
     def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
         state = self.sampling.prepare(ledger)
@@ -76,7 +84,7 @@ class EstimationOperator:
     def good_probability(self) -> float:
         if self.rotation is None:
             return 0.0
-        return self.rotation.good_amplitude_squared(self.sampling.ensemble.probabilities)
+        return self.rotation.good_amplitude_squared(self.masses)
 
     def bill_applications(self, ledger: QueryLedger | None, count: int) -> None:
         if ledger is None:

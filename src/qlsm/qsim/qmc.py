@@ -4,7 +4,9 @@ The estimator centers the variable at a rough sampled median, splits the
 centered variable into its positive and negative parts, covers each part by
 dyadic value intervals, runs interval-conditioned amplitude estimation per
 piece with median amplification, and reassembles the mean. Oracle use is
-billed exactly; estimates are sampled from exact outcome distributions."""
+billed exactly; estimates are sampled from exact outcome distributions.
+Every step reads the variable's law (value table and row masses); paths are
+only drawn, for the rough center."""
 from __future__ import annotations
 
 import math
@@ -25,23 +27,43 @@ _MAX_AE_QUERIES = 1 << 30
 
 @dataclass(eq=False)
 class QmcVariable:
-    """A real random variable presented as chain sampling plus a path oracle."""
+    """A real random variable presented as chain sampling plus a path oracle.
+
+    Its law is the oracle's value table with masses[k] the probability of row
+    k (the path probabilities when the oracle has no labels); estimation
+    reads the law and touches paths only to draw them."""
 
     sampling: SamplingOracle
     oracle: FunctionOracle
+    masses: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.masses is None:
+            self.masses = self.sampling.masses(self.oracle.labels, self.oracle.values.size)
 
     @property
     def horizon(self) -> int:
         return self.sampling.chain.horizon
 
+    def exact_moments(self) -> tuple[float, float]:
+        """Exact mean and variance.
+
+        A one-valued variable is weighed over the paths, so its mean carries
+        the rounding of the total path probability whether it is given as a
+        table or per path; the zero-variance shortcut in qmontecarlo, which
+        ledger totals depend on, then fires alike for both."""
+        values, masses = self.oracle.values, self.masses
+        support = values[masses > 0.0]
+        if support.size and support.min() == support.max():
+            values, masses = support[0], self.sampling.ensemble.probabilities
+        mean = float(np.sum(masses * values))
+        return mean, float(np.sum(masses * (values - mean) ** 2))
+
     def exact_mean(self) -> float:
-        return float(np.sum(self.sampling.ensemble.probabilities * self.oracle.values))
+        return self.exact_moments()[0]
 
     def exact_variance(self) -> float:
-        p = self.sampling.ensemble.probabilities
-        v = self.oracle.values
-        mean = float(np.sum(p * v))
-        return float(np.sum(p * (v - mean) ** 2))
+        return self.exact_moments()[1]
 
 
 @dataclass(frozen=True)
@@ -143,11 +165,10 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
 
     sampling = variable.sampling
     oracle = variable.oracle
-    probs = sampling.ensemble.probabilities
-    values = oracle.values
-    exact_mean = float(np.sum(probs * values))
-    exact_var = float(np.sum(probs * (values - exact_mean) ** 2))
-    raw_mean = float(np.sum(probs * oracle.raw_values))
+    masses = variable.masses
+    support = masses > 0.0
+    exact_mean, exact_var = variable.exact_moments()
+    raw_mean = float(np.sum(masses * oracle.raw_values))
     if abs(exact_mean - raw_mean) > epsilon / 100.0:
         raise Overflow(
             f"fixed-point rounding shifts the mean by {abs(exact_mean - raw_mean):.3e}, "
@@ -168,7 +189,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         # Constant variable: a single sample is exact.
         idx = sampling.measure(1, rng, ledger)
         oracle.bill(ledger, applications=1)
-        report.estimate = float(values[idx[0]])
+        report.estimate = float(oracle.at_paths(idx)[0])
         report.center = report.estimate
         _finalize_cost(report, variable, weights)
         if caller_ledger is not None:
@@ -178,15 +199,15 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     # Rough center: median of sampled values, itself exactly representable.
     idx = sampling.measure(repetitions, rng, ledger)
     oracle.bill(ledger, applications=repetitions)
-    center = float(np.sort(values[idx])[(repetitions - 1) // 2])
+    center = float(np.sort(oracle.at_paths(idx))[(repetitions - 1) // 2])
     report.center = center
 
     wide = FixedPointFormat(oracle.fmt.int_bits + 1, oracle.fmt.frac_bits)
-    shifted = values - center  # both representable at the widened format
+    shifted = oracle.values - center  # both representable at the widened format
     parts = []
-    if float(np.max(shifted)) > 0.0:
+    if float(np.max(shifted[support])) > 0.0:
         parts.append(("positive", np.maximum(shifted, 0.0), +1.0))
-    if float(np.min(shifted)) < 0.0:
+    if float(np.min(shifted[support])) < 0.0:
         parts.append(("negative", np.maximum(-shifted, 0.0), -1.0))
 
     budget = 0.99 * epsilon
@@ -194,8 +215,9 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     for part_name, part_values, part_sign in parts:
         part_oracle = FunctionOracle(name=f"{oracle.name}|{part_name}", fmt=wide,
                                      raw_values=part_values,
-                                     query_cost=dict(oracle.query_cost))
-        top = float(np.max(part_oracle.values))
+                                     query_cost=dict(oracle.query_cost),
+                                     labels=oracle.labels)
+        top = float(np.max(part_oracle.values[support]))
         tops = _part_boundaries(wide, sigma, top)
         low = 0.0
         for high in tops:
@@ -210,7 +232,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
         queries = _queries_for(per_amp_budget, amp_cap)
         rotation = ControlledRotation(oracle=part_oracle, low=low, high=high)
-        operator = EstimationOperator(sampling=sampling, rotation=rotation)
+        operator = EstimationOperator(sampling=sampling, rotation=rotation, masses=masses)
         draws = draw_ae_estimates(operator, queries, repetitions, rng, ledger)
         amp_estimate = float(np.median(draws))
         estimate += part_sign * high * amp_estimate

@@ -3,7 +3,9 @@ and expose the stopped payoff as a function oracle.
 
 All register updates are XOR writes of values computed in shared fixed-point
 arithmetic, so a forward pass followed by the mirrored inverse pass restores
-every ancilla to zero bit-exactly."""
+every ancilla to zero bit-exactly. Estimation reads each stopped payoff's law
+off the same recursion run on per-step tables; the register replay is the
+reference it is tested against."""
 from __future__ import annotations
 
 import math
@@ -70,29 +72,47 @@ class StoppingCircuits:
             int(t): np.asarray(self.fmt.quantize(np.asarray(c, dtype=float)))
             for t, c in self.coefficients.items()
         }
-        self._payoff_path_values: dict[int, np.ndarray] = {}
-        self._basis_path_rows: dict[int, np.ndarray] = {}
+        self._tables: dict[tuple[str, int], np.ndarray] = {}
+        self._stopped_laws: dict[int, tuple] = {}
 
     # -- shared fixed-point arithmetic ---------------------------------------
+    # Tables have one row per step-t state that occurs on some path (the rows
+    # of sampling.step_law(t)); coefficients are fixed once loaded, so each is
+    # computed once. The quantized_* views gather them along the paths.
+
+    def _memo(self, kind: str, t: int, build) -> np.ndarray:
+        table = self._tables.get((kind, t))
+        if table is None:
+            table = self._tables[(kind, t)] = build()
+        return table
+
+    def payoff_table(self, t: int) -> np.ndarray:
+        states = self.sampling.step_law(t).states
+        return self._memo("payoff", t, lambda: np.asarray(
+            self.fmt.quantize(self.payoff.values(self.chain, t)[states])))
+
+    def basis_table(self, t: int) -> np.ndarray:
+        states = self.sampling.step_law(t).states
+        return self._memo("basis", t, lambda: np.asarray(
+            self.fmt.quantize(self.basis.evaluate(t, self.chain.grid(t))[states])))
+
+    def score_table(self, t: int) -> np.ndarray:
+        """Quantized score standing in for the continuation value."""
+        if t not in self.coefficients:
+            raise QlsmError(f"no coefficient vector loaded for step {t}")
+        return self._memo("score", t, lambda: self.fixed_dot(self.basis_table(t),
+                                                             self.coefficients[t]))
 
     def quantized_payoff(self, t: int) -> np.ndarray:
         """Per-path quantized payoff at step t."""
-        vals = self._payoff_path_values.get(t)
-        if vals is None:
-            grid_vals = self.payoff.values(self.chain, t)
-            per_path = grid_vals[self.sampling.ensemble.state_indices_at(t)]
-            vals = np.asarray(self.fmt.quantize(per_path))
-            self._payoff_path_values[t] = vals
-        return vals
+        return self.payoff_table(t)[self.sampling.step_law(t).labels]
 
     def quantized_basis_rows(self, t: int) -> np.ndarray:
-        rows = self._basis_path_rows.get(t)
-        if rows is None:
-            mat = self.basis.evaluate(t, self.chain.grid(t))
-            per_path = mat[self.sampling.ensemble.state_indices_at(t)]
-            rows = np.asarray(self.fmt.quantize(per_path))
-            self._basis_path_rows[t] = rows
-        return rows
+        return self.basis_table(t)[self.sampling.step_law(t).labels]
+
+    def quantized_scores(self, t: int) -> np.ndarray:
+        """Per-path quantized score at step t."""
+        return self.score_table(t)[self.sampling.step_law(t).labels]
 
     def fixed_dot(self, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Left-to-right multiply-accumulate, quantizing after every op."""
@@ -101,12 +121,6 @@ class StoppingCircuits:
             term = np.asarray(self.fmt.quantize(rows[:, k] * coef[k]))
             acc = np.asarray(self.fmt.quantize(acc + term))
         return acc
-
-    def quantized_scores(self, t: int) -> np.ndarray:
-        """Per-path quantized score standing in for the continuation value."""
-        if t not in self.coefficients:
-            raise QlsmError(f"no coefficient vector loaded for step {t}")
-        return self.fixed_dot(self.quantized_basis_rows(t), self.coefficients[t])
 
     # -- circuit applications -------------------------------------------------
 
@@ -189,7 +203,8 @@ class StoppingCircuits:
     # -- estimation hooks ------------------------------------------------------
 
     def stopped_payoff_values(self, t: int, member: int) -> np.ndarray:
-        """Per-path value left in the product register by one composed run."""
+        """Per-path value left in the product register by one composed run:
+        the register-replay reference for the law that variable() builds."""
         state = HybridState.prepared(self.sampling.ensemble)
         self.composed(state, t, member)
         values = state.register_values(product_register(t, member))
@@ -201,18 +216,60 @@ class StoppingCircuits:
 
     def variable(self, t: int, member: int) -> QmcVariable:
         """The stopped-payoff product as an estimable random variable whose
-        oracle bills one composed-circuit application per query."""
-        values = self.stopped_payoff_values(t, member)
+        oracle bills one composed-circuit application per query.
+
+        Its law comes from the stop-time recursion of classical_stop_times;
+        stopped_payoff_values replays the same values through the registers."""
+        if not 0 <= member < self.basis.size:
+            raise QlsmError(f"basis member {member} out of range 0..{self.basis.size - 1}")
+        labels, masses, payoff, prev_rows = self._stopped_law(t)
+        factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev_rows, member]
         oracle = FunctionOracle(
             name=f"stopped_payoff[t={t},m={member}]", fmt=self.fmt,
-            raw_values=values, query_cost=self.composed_cost(t))
-        return QmcVariable(sampling=self.sampling, oracle=oracle)
+            raw_values=self.fmt.quantize(payoff * factor),
+            query_cost=self.composed_cost(t), labels=labels)
+        return QmcVariable(sampling=self.sampling, oracle=oracle, masses=masses)
+
+    def _stop_rows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per path, its first stop at or after t as a row of the payoff tables
+        of steps t..horizon stacked in order, plus the step of every row."""
+        T = self.chain.horizon
+        if not 1 <= t <= T:
+            raise QlsmError(f"step {t} out of range 1..{T}")
+        sizes = [self.sampling.step_law(u).states.size for u in range(t, T + 1)]
+        offsets = np.cumsum([0] + sizes[:-1])
+        rows = offsets[-1] + self.sampling.step_law(T).labels
+        for u in range(T - 1, t - 1, -1):
+            labels = self.sampling.step_law(u).labels
+            stop = self.payoff_table(u) >= self.score_table(u)
+            rows = np.where(stop[labels], offsets[u - t] + labels, rows)
+        return rows, np.repeat(np.arange(t, T + 1), sizes)
+
+    def _stopped_law(self, t: int) -> tuple:
+        """The paths lumped by what the stopped payoff at t reads: the payoff
+        at the stop time and the state at t-1. Returns per-path labels, the
+        row masses, and per row the payoff and the step t-1 basis-table row;
+        shared by every basis member."""
+        law = self._stopped_laws.get(t)
+        if law is None:
+            rows, _ = self._stop_rows(t)
+            payoff = np.concatenate([self.payoff_table(u)
+                                     for u in range(t, self.chain.horizon + 1)])
+            width, prev_labels = 1, 0
+            if t > 1:
+                prev = self.sampling.step_law(t - 1)
+                width, prev_labels = prev.states.size, prev.labels
+            keys = rows * width + prev_labels
+            present = np.flatnonzero(np.bincount(keys, minlength=payoff.size * width))
+            index = np.zeros(payoff.size * width, dtype=np.int64)
+            index[present] = np.arange(present.size)
+            labels = index[keys]
+            masses = self.sampling.masses(labels, present.size)
+            law = (labels, masses, payoff[present // width], present % width)
+            self._stopped_laws[t] = law
+        return law
 
     def classical_stop_times(self, t: int) -> np.ndarray:
         """Per-path stop times from the same recursion run forward classically."""
-        T = self.chain.horizon
-        tau = np.full(len(self.sampling.ensemble), T, dtype=np.int64)
-        for u in range(T - 1, t - 1, -1):
-            stop_here = self.quantized_payoff(u) >= self.quantized_scores(u)
-            tau = np.where(stop_here, u, tau)
-        return tau
+        rows, steps = self._stop_rows(t)
+        return steps[rows]

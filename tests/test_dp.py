@@ -128,6 +128,13 @@ class TestStoppingTimes:
             collected = payoff_at_times(chain, payoff, ens, times[:, 0])
             got = float(np.sum(ens.probabilities * collected))
             assert got == pytest.approx(table.value0, abs=1e-12)
+            for start in (0, 1):
+                # Path-by-path reference: same arithmetic, so equal exactly.
+                reference = [payoff.value_at_start(chain) if tau == 0 else
+                             payoff.values(chain, tau)[ens.indices[i, tau - 1]]
+                             for i, tau in enumerate(times[:, start])]
+                np.testing.assert_array_equal(
+                    payoff_at_times(chain, payoff, ens, times[:, start]), reference)
 
 
 class TestContinuationUnderRule:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -43,6 +44,16 @@ class TestOptionPayoffs:
         chain = small_chain()
         pay = put_payoff(1.0)
         assert pay.values(chain, 1) is pay.values(chain, 1)
+
+    def test_cache_releases_collected_chains(self):
+        pay = put_payoff(1.0)
+        chain = small_chain()
+        pay.values(chain, 1)
+        pay.value_at_start(chain)
+        assert len(pay._grid_cache) == 1
+        del chain
+        gc.collect()
+        assert len(pay._grid_cache) == 0
 
     def test_start_value(self):
         chain = small_chain()

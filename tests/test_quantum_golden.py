@@ -1,0 +1,50 @@
+"""Per-seed byte identity of quantum run reports.
+
+The digests pin ``run_quantum_lsm(...).to_json()`` for fixed instances and
+seeds: estimates, Gram and target entries, coefficients and the full ledger
+snapshot. A change that only makes the simulator faster must leave every
+digest as it is. They were recorded with numpy 2.4 on x86-64; a different
+numpy or BLAS build may round the classical solves differently.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from qlsm.basis import hermite_basis
+from qlsm.chain import discretize_brownian
+from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
+from qlsm.payoff import PayoffSpec, put_payoff
+
+
+def basket_put(t, pts):
+    return np.maximum(0.0, 1.0 - pts.mean(axis=1))
+
+
+def criterion6_instance():
+    """1-d Brownian chain, T=3, n=8, Hermite degree 2, put K=1 (512 paths)."""
+    return (discretize_brownian(1, 3, 8, 2.2), put_payoff(1.0),
+            hermite_basis(1, 2, 3, 4.0))
+
+
+def basket_instance():
+    """2-d Brownian chain, T=3, n=3, Hermite degree 2, basket put (729 paths)."""
+    return (discretize_brownian(2, 3, 3, 2.2), PayoffSpec(step_function=basket_put),
+            hermite_basis(2, 2, 3, 4.0))
+
+
+GOLDEN = [
+    (criterion6_instance, 1, "3945bd331140553196e427c36336f7a12d701613682823b38455bac768388347"),
+    (criterion6_instance, 2, "d817f77048cd3f66f1bb4ca159d736cf0297b4ed1f56342d2557eb0ea9d6dd6c"),
+    (basket_instance, 1, "fc24562583e6df51d4aa91097770bd9ea7c25abc3aab6f2cb2e60a4c00cf6c4a"),
+    (basket_instance, 2, "b2cd40b7b1ff30f7ab82bc5271d8bd58135ce490c10cb45e7616064689613558"),
+]
+
+
+@pytest.mark.parametrize("build, seed, digest", GOLDEN,
+                         ids=[f"{b.__name__}-seed{s}" for b, s, _ in GOLDEN])
+def test_report_digest(build, seed, digest):
+    chain, payoff, basis = build()
+    run = run_quantum_lsm(chain, payoff, basis, 0.05, 0.1,
+                          sigma_min_lower=oracle_sigma_min(basis, chain), seed=seed)
+    assert hashlib.sha256(run.to_json().encode()).hexdigest() == digest
