@@ -164,12 +164,9 @@ def indicator_basis(chain: MarkovChainSpec) -> BasisSpec:
     grids = {t: chain.grid(t) for t in range(1, chain.horizon + 1)}
 
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        grid = grids[int(t)]
-        out = np.zeros((points.shape[0], size))
-        for i, p in enumerate(points):
-            j = int(np.argmin(np.linalg.norm(grid - p[None, :], axis=1)))
-            out[i, j] = 1.0
-        return out
+        # Nearest grid slot per point; argmin keeps the first slot on ties.
+        dist = np.linalg.norm(points[:, None, :] - grids[int(t)][None], axis=2)
+        return np.eye(size)[dist.argmin(axis=1)]
 
     return BasisSpec(kind=KIND_GENERIC, size=size, horizon=chain.horizon, evaluator=evaluator)
 

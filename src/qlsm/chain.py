@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -114,6 +115,12 @@ class MarkovChainSpec:
         if not 1 <= t <= self.horizon - 1:
             raise ValueError(f"transition step {t} out of range")
         return self.transitions[t - 1]
+
+    @cached_property
+    def row_cdfs(self) -> tuple[np.ndarray, ...]:
+        """Row-wise cumulative sums of each transition matrix, computed on
+        first use and kept for the chain's lifetime; entry t-1 is step t's."""
+        return tuple(_readonly(np.cumsum(P, axis=1)) for P in self.transitions)
 
     def path_space_size(self) -> int:
         size = 1
@@ -233,11 +240,32 @@ def _sample_index_matrix(chain: MarkovChainSpec, count: int, rng: np.random.Gene
     out[:, 0] = np.searchsorted(cum, rng.random(count), side="right")
     np.clip(out[:, 0], 0, chain.n_states(1) - 1, out=out[:, 0])
     for t in range(1, chain.horizon):
-        cum_rows = np.cumsum(chain.transition(t), axis=1)[out[:, t - 1]]
         u = rng.random(count)
-        out[:, t] = (cum_rows < u[:, None]).sum(axis=1)
+        out[:, t] = _count_below(chain.row_cdfs[t - 1], out[:, t - 1], u)
         np.clip(out[:, t], 0, chain.n_states(t + 1) - 1, out=out[:, t])
     return out
+
+
+def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per path i, how many entries of the non-decreasing row cdf[rows[i]]
+    are below u[i], by a branchless binary search (ceil(log2(n+1)) gathers).
+
+    Probes past the row end read its last entry, so a count of n may come out
+    larger; callers clip to n-1 either way. Comparing cdf entries with u,
+    never u shifted by a row offset, keeps every draw bit-identical to
+    counting over the full row.
+    """
+    n = cdf.shape[1]
+    flat = cdf.ravel()
+    before = rows * n - 1           # flat index of entry -1 of each row
+    last = before + n
+    pos = np.zeros(rows.shape[0], dtype=np.int64)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = np.minimum(before + pos + step, last)
+        pos += step * (flat[probe] < u)
+        step >>= 1
+    return pos
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,13 +156,6 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
     )
 
 
-def run_classical_lsm_fixed_gram(chain: MarkovChainSpec, payoff: PayoffSpec,
-                                 basis: BasisSpec, path_count: int, seed) -> LsmRun:
-    """Variant with the closed-form Gram matrix; only targets are sampled."""
-    return run_classical_lsm(chain, payoff, basis, path_count, seed,
-                             gram_mode="closed_form")
-
-
 def classical_cost_units(run: LsmRun, sample_step: float = 1.0, payoff_query: float = 1.0,
                          basis_query: float = 1.0) -> float:
     """Oracle-cost total of a run under the given per-query weights."""

@@ -306,6 +306,25 @@ class TestGramMachinery:
         mat = basis.evaluate(1, chain.grid(1))
         np.testing.assert_array_equal(mat, np.eye(2))
 
+    def test_indicator_basis_matches_point_loop(self):
+        # Integer coordinates make equal distances exact, so ties occur; the
+        # first nearest slot wins, as in the point-by-point loop.
+        rng = np.random.Generator(np.random.Philox(4))
+        grid = rng.integers(-3, 4, size=(6, 2)).astype(float)
+        chain = MarkovChainSpec(dimension=2, horizon=1, initial_state=[0.0, 0.0],
+                                grids=(grid,), initial_distribution=np.full(6, 1 / 6),
+                                transitions=())
+        points = np.vstack([rng.integers(-4, 5, size=(40, 2)).astype(float),
+                            (grid[0] + grid[1]) / 2])
+        expected = np.zeros((points.shape[0], 6))
+        tied = 0
+        for i, p in enumerate(points):
+            dist = np.linalg.norm(grid - p[None, :], axis=1)
+            expected[i, int(np.argmin(dist))] = 1.0
+            tied += np.count_nonzero(dist == dist.min()) > 1
+        assert tied
+        np.testing.assert_array_equal(indicator_basis(chain).evaluate(1, points), expected)
+
     def test_sup_norm_bound(self):
         chain = discretize_brownian(1, 3, 21, 4.0)
         basis = hermite_basis(1, 2, 3, 100.0)

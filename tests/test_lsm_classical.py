@@ -9,7 +9,7 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import exact_approximation_error, snell_envelope
 from qlsm.errors import SingularGram
 from qlsm.lsm_classical import (choose_sample_count, classical_cost_units,
-                                run_classical_lsm, run_classical_lsm_fixed_gram)
+                                run_classical_lsm)
 from qlsm.payoff import put_payoff, table_payoff
 
 
@@ -111,7 +111,8 @@ class TestFixedGramVariant:
         payoff = put_payoff(1.0)
         basis = hermite_basis(1, 2, 3, 50.0)
         sampled = run_classical_lsm(chain, payoff, basis, 60_000, seed=8)
-        fixed = run_classical_lsm_fixed_gram(chain, payoff, basis, 60_000, seed=8)
+        fixed = run_classical_lsm(chain, payoff, basis, 60_000, seed=8,
+                                  gram_mode="closed_form")
         assert abs(sampled.estimate - fixed.estimate) <= 0.05
         np.testing.assert_array_equal(fixed.gram_matrices[1], np.eye(basis.size))
 
@@ -119,7 +120,7 @@ class TestFixedGramVariant:
         chain = discretize_gbm(1, 2, 33, 5.0)
         payoff = put_payoff(1.0)
         basis = gbm_basis(1, 1, 2, 1e9)
-        run = run_classical_lsm_fixed_gram(chain, payoff, basis, 5000, seed=9)
+        run = run_classical_lsm(chain, payoff, basis, 5000, seed=9, gram_mode="closed_form")
         expected_gram = np.array([[1.0, 1.0], [1.0, math.e]])
         np.testing.assert_allclose(run.gram_matrices[1], expected_gram)
         np.testing.assert_allclose(run.gram_matrices[1] @ run.coefficients[1],
@@ -135,8 +136,8 @@ class TestFixedGramVariant:
     def test_generic_kind_rejected(self):
         chain, payoff = put_instance()
         with pytest.raises(ValueError, match="closed-form"):
-            run_classical_lsm_fixed_gram(chain, payoff, monomial_basis(1, 1, 3),
-                                         100, seed=0)
+            run_classical_lsm(chain, payoff, monomial_basis(1, 1, 3), 100, seed=0,
+                              gram_mode="closed_form")
 
 
 class TestStatisticalBehaviour:
