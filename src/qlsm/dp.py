@@ -1,10 +1,12 @@
 """Exact dynamic-programming oracle: value tables by backward induction,
 optimal stopping times, and exact least-squares projections of continuation
-values. Ground truth for every estimate elsewhere in the package."""
+values. Ground truth for every estimate elsewhere in the package, and home
+of the stop rule that the classical sampler and the stopping circuits share:
+stop_decision, CoefficientRule's fixed-point scores and first_stops."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,29 +40,118 @@ class SnellTable:
         return float(self.continuation[0][0])
 
 
+def stop_decision(payoff_values: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per-state stop mask: stop where the payoff is at least the score, so
+    ties stop."""
+    return np.asarray(payoff_values) >= np.asarray(scores)
+
+
+def first_stops(sizes: Sequence[int], labels: Sequence[np.ndarray],
+                stop_mask: Callable[[int, np.ndarray], np.ndarray]
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """Per-path first stops tau_k = k if the path's state stops at step k,
+    else tau_{k+1}; the last step always stops. labels[k] maps each path to a
+    row of step k's sizes[k]-row tables; stop_mask(k, later) gives step k's
+    per-state mask once `later`, the first stops after k, is known. Yields
+    (k, rows) from the last step back, rows indexing the step tables stacked
+    in step order."""
+    offsets = np.cumsum([0, *sizes[:-1]])
+    last = len(sizes) - 1
+    rows = offsets[last] + labels[last]
+    yield last, rows
+    for k in range(last - 1, -1, -1):
+        here = labels[k]
+        rows = np.where(stop_mask(k, rows)[here], offsets[k] + here, rows)
+        yield k, rows
+
+
+def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
+    """first_stops along paths given by their (N, T) grid indices, with
+    stop_mask(t, later) giving step t's mask. Returns the (N, T) stop times
+    (column t-1 holds tau_t) and the first stops after step 0 as rows of the
+    step 1..T tables stacked in order."""
+    T = chain.horizon
+    sizes = [chain.n_states(t) for t in range(1, T + 1)]
+    steps = np.repeat(np.arange(1, T + 1), sizes)
+    taus = np.empty(idx.shape, dtype=np.int64)
+    for k, rows in first_stops(sizes, idx.T, lambda k, later: stop_mask(k + 1, later)):
+        taus[:, k] = steps[rows]
+    return taus, rows
+
+
+OPTIMAL_RULE = "optimal"
+
+
+@dataclass(frozen=True, eq=False)
+class CoefficientRule:
+    """Stop-or-continue rule driven by linear scores against a basis.
+
+    coefficients maps step t (1..horizon-1) to the weight vector whose dot
+    product with the basis row plays the continuation estimate in
+    stop_decision. With a quantizer, scores are the stopping circuits'
+    fixed-point multiply-accumulate (rounded inputs, summed left to right,
+    rounding after every multiply and add) and payoffs are rounded too, so
+    the rule reproduces the circuits' decisions bit for bit.
+    """
+
+    basis: BasisSpec
+    coefficients: Mapping[int, np.ndarray]
+    quantize: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def row_scores(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Score of each basis row (one row per state) at step t."""
+        coef = np.asarray(self.coefficients[t], dtype=float)
+        if self.quantize is None:
+            return rows @ coef
+        q = self.quantize
+        rows, coef = q(rows), q(coef)
+        acc = np.zeros(rows.shape[0])
+        for k in range(rows.shape[1]):
+            acc = q(acc + q(rows[:, k] * coef[k]))
+        return acc
+
+    def scores(self, chain: MarkovChainSpec, t: int) -> np.ndarray:
+        return self.row_scores(t, self.basis.evaluate(t, chain.grid(t)))
+
+    def stop_mask(self, chain: MarkovChainSpec, payoff: PayoffSpec, t: int) -> np.ndarray:
+        z = payoff.values(chain, t)
+        return stop_decision(z if self.quantize is None else self.quantize(z),
+                             self.scores(chain, t))
+
+
+def _expected_next(chain: MarkovChainSpec, t: int, values: np.ndarray) -> np.ndarray:
+    """E[values at step t+1 | state at step t], per state (one entry at t=0)."""
+    if t == 0:
+        return np.array([float(chain.initial_distribution @ values)])
+    return chain.transition(t) @ values
+
+
+def _induction(chain: MarkovChainSpec, payoff: PayoffSpec, rule, down_to: int):
+    """Per-step values, continuation values and stop masks of a rule, by
+    backward induction from the horizon down to step down_to."""
+    T = chain.horizon
+    values: list[np.ndarray] = [None] * (T + 1)
+    continuation: list[np.ndarray] = [None] * T
+    stop: list[np.ndarray] = [None] * (T + 1)
+    values[T] = payoff.values(chain, T).copy()
+    stop[T] = np.ones(values[T].shape[0], dtype=bool)
+    for t in range(T - 1, down_to - 1, -1):
+        cont = continuation[t] = _expected_next(chain, t, values[t + 1])
+        z = payoff.values(chain, t)
+        if rule == OPTIMAL_RULE:
+            stop[t] = stop_decision(z, cont)
+        else:
+            stop[t] = rule.stop_mask(chain, payoff, t)
+        values[t] = np.where(stop[t], z, cont)
+    return values, continuation, stop
+
+
 def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> SnellTable:
     """Exact value table; stops on ties (payoff >= continuation)."""
     if chain.path_space_size() > cap:
         raise CapExceeded(f"path space {chain.path_space_size()} exceeds cap {cap}")
-    T = chain.horizon
-    values: list[np.ndarray] = [None] * (T + 1)
-    continuation: list[np.ndarray] = [None] * T
-    stop: list[np.ndarray] = [None] * (T + 1)
-    z_T = payoff.values(chain, T)
-    values[T] = z_T.copy()
-    stop[T] = np.ones(z_T.shape[0], dtype=bool)
-    for t in range(T - 1, 0, -1):
-        cont = chain.transition(t) @ values[t + 1]
-        z_t = payoff.values(chain, t)
-        stop[t] = z_t >= cont
-        values[t] = np.where(stop[t], z_t, cont)
-        continuation[t] = cont
-    cont0 = float(chain.initial_distribution @ values[1])
-    z0 = payoff.value_at_start(chain)
-    stop[0] = np.array([z0 >= cont0])
-    values[0] = np.array([max(z0, cont0)])
-    continuation[0] = np.array([cont0])
+    values, continuation, stop = _induction(chain, payoff, OPTIMAL_RULE, 0)
     return SnellTable(chain=chain, payoff=payoff, values=tuple(values),
                       continuation=tuple(continuation), stop=tuple(stop))
 
@@ -68,15 +159,9 @@ def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
 def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
     """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
     along path i under the table's decisions."""
-    T = table.chain.horizon
-    n = len(ensemble)
-    out = np.empty((n, T + 1), dtype=np.int64)
-    out[:, T] = T
-    for t in range(T - 1, 0, -1):
-        stop_here = table.stop[t][ensemble.state_indices_at(t)]
-        out[:, t] = np.where(stop_here, t, out[:, t + 1])
-    out[:, 0] = 0 if bool(table.stop[0][0]) else out[:, 1]
-    return out
+    taus, _ = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
+    tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
+    return np.column_stack([tau0, taus])
 
 
 def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
@@ -91,62 +176,17 @@ def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientRule:
-    """Stop-or-continue rule driven by linear scores against a basis.
-
-    coefficients maps step t (1..horizon-1) to the weight vector whose dot
-    product with the basis row plays the continuation estimate in the
-    tie-stops comparison. An optional quantizer is applied to both payoff
-    values and scores before comparing, so fixed-point pipelines can be
-    reproduced exactly.
-    """
-
-    basis: BasisSpec
-    coefficients: Mapping[int, np.ndarray]
-    quantize: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def scores(self, chain: MarkovChainSpec, t: int) -> np.ndarray:
-        mat = self.basis.evaluate(t, chain.grid(t))
-        coef = np.asarray(self.coefficients[t], dtype=float)
-        if self.quantize is None:
-            return mat @ coef
-        return self.quantize(np.sum(self.quantize(mat) * self.quantize(coef)[None, :], axis=1))
-
-    def stop_mask(self, chain: MarkovChainSpec, payoff: PayoffSpec, t: int) -> np.ndarray:
-        z = payoff.values(chain, t)
-        if self.quantize is not None:
-            z = self.quantize(z)
-        return z >= self.scores(chain, t)
-
-
-OPTIMAL_RULE = "optimal"
-
-
 def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
                         rule, t: int) -> np.ndarray:
     """Exact E[payoff at the rule's stop time after t | state at t], per state.
 
-    rule is either the string "optimal" (stop times from the exact table) or
-    a CoefficientRule. t ranges over 0..horizon-1; t=0 gives one value.
+    rule is either the string "optimal" (the exact table's decisions) or a
+    CoefficientRule. t ranges over 0..horizon-1; t=0 gives one value.
     """
-    T = chain.horizon
-    if not 0 <= t <= T - 1:
+    if not 0 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 0..horizon-1")
-    if rule == OPTIMAL_RULE:
-        table = snell_envelope(chain, payoff)
-        if t == 0:
-            return np.array([table.continuation0])
-        return table.continuation[t].copy()
-    values = payoff.values(chain, T).copy()
-    for u in range(T - 1, t, -1):
-        cont = chain.transition(u) @ values
-        z_u = payoff.values(chain, u)
-        stop_here = rule.stop_mask(chain, payoff, u)
-        values = np.where(stop_here, z_u, cont)
-    if t == 0:
-        return np.array([float(chain.initial_distribution @ values)])
-    return chain.transition(t) @ values
+    values = _induction(chain, payoff, rule, t + 1)[0]
+    return _expected_next(chain, t, values[t + 1])
 
 
 def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Classical least-squares Monte Carlo: one sampled path set, per-step
-regressions, backward stopping-time recursion, and the sample-count schedule.
+regressions, the dp first-stop recursion along the sampled paths, and the
+sample-count schedule.
 
 Regression coefficients come from a pivoted factorization solve; the matrix
 inverse is never formed, even where a textbook statement would compute it."""
@@ -13,6 +14,7 @@ import numpy as np
 
 from .basis import BasisSpec, closed_form_gram
 from .chain import MarkovChainSpec, sample_paths
+from .dp import CoefficientRule, path_stop_times
 from .errors import SingularGram
 from .payoff import PayoffSpec
 
@@ -44,8 +46,9 @@ class LsmRun:
 
     def recompute_stopping_times(self) -> np.ndarray:
         """Re-run the per-path recursion from the stored coefficients."""
-        return _backward_recursion(self.chain, self.payoff, self.basis,
-                                   self.path_indices, self.coefficients)[0]
+        rule = CoefficientRule(self.basis, self.coefficients)
+        return path_stop_times(self.chain, self.path_indices,
+                               lambda t, later: rule.stop_mask(self.chain, self.payoff, t))[0]
 
     def to_json(self) -> str:
         doc = {
@@ -71,30 +74,6 @@ def choose_sample_count(basis_size: int, accuracy: float, failure: float) -> int
     return math.ceil(m * m / (2.0 * accuracy * accuracy) * math.log(6.0 * m * m / failure))
 
 
-def _payoff_matrix(chain: MarkovChainSpec, payoff: PayoffSpec, idx: np.ndarray) -> np.ndarray:
-    """(N, T) payoff values along sampled paths; columns are steps 1..T."""
-    cols = [payoff.values(chain, t)[idx[:, t - 1]] for t in range(1, chain.horizon + 1)]
-    return np.column_stack(cols)
-
-
-def _backward_recursion(chain, payoff, basis, idx, coefficients):
-    """Stopping times and collected payoffs from fixed coefficient vectors."""
-    N, T = idx.shape
-    z = _payoff_matrix(chain, payoff, idx)
-    tau = np.full(N, T, dtype=np.int64)
-    collected = z[:, T - 1].copy()
-    taus = np.empty((N, T), dtype=np.int64)
-    taus[:, T - 1] = T
-    for t in range(T - 1, 0, -1):
-        scores = basis.evaluate(t, chain.grid(t)) @ coefficients[t]
-        per_path = scores[idx[:, t - 1]]
-        stop_here = z[:, t - 1] >= per_path
-        tau = np.where(stop_here, t, tau)
-        collected = np.where(stop_here, z[:, t - 1], collected)
-        taus[:, t - 1] = tau
-    return taus, collected
-
-
 def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                       path_count: int, seed, gram_mode: str = "sampled") -> LsmRun:
     """One run over a single sampled path set.
@@ -109,42 +88,35 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
     if gram_mode == "sampled" and path_count < m:
         raise ValueError("need at least as many paths as basis functions")
     idx = sample_paths(chain, path_count, seed)
-    z = _payoff_matrix(chain, payoff, idx)
-    basis_rows = {t: basis.evaluate(t, chain.grid(t)) for t in range(1, T)}
+    z = np.concatenate([payoff.values(chain, t) for t in range(1, T + 1)])
 
     grams: dict[int, np.ndarray] = {}
-    for t in range(1, T):
-        if gram_mode == "closed_form":
-            mat = closed_form_gram(basis, t)
-            if mat is None:
-                raise ValueError(f"basis kind {basis.kind!r} has no closed-form Gram")
-            grams[t] = mat
-        elif gram_mode == "sampled":
-            rows = basis_rows[t][idx[:, t - 1]]
-            grams[t] = rows.T @ rows / path_count
-        else:
-            raise ValueError(f"unknown gram_mode {gram_mode!r}")
-
     targets: dict[int, np.ndarray] = {}
     coefficients: dict[int, np.ndarray] = {}
-    taus = np.empty((path_count, T), dtype=np.int64)
-    taus[:, T - 1] = T
-    collected = z[:, T - 1].copy()
-    for t in range(T - 1, 0, -1):
-        rows = basis_rows[t][idx[:, t - 1]]
-        rhs = rows.T @ collected / path_count
-        gram = grams[t]
+    rule = CoefficientRule(basis, coefficients)
+
+    def regress(t: int, later: np.ndarray) -> np.ndarray:
+        """Fit step t on the payoffs collected at the first stops after t."""
+        rows = basis.evaluate(t, chain.grid(t))[idx[:, t - 1]]
+        if gram_mode == "closed_form":
+            gram = closed_form_gram(basis, t)
+            if gram is None:
+                raise ValueError(f"basis kind {basis.kind!r} has no closed-form Gram")
+        elif gram_mode == "sampled":
+            gram = rows.T @ rows / path_count
+        else:
+            raise ValueError(f"unknown gram_mode {gram_mode!r}")
+        rhs = rows.T @ z[later] / path_count
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals[-1] <= _SINGULAR_REL_TOL * max(1.0, svals[0]):
             raise SingularGram(t, float(svals[-1]))
-        coef = np.linalg.solve(gram, rhs)
-        targets[t] = rhs
-        coefficients[t] = coef
-        stop_here = z[:, t - 1] >= rows @ coef
-        collected = np.where(stop_here, z[:, t - 1], collected)
-        taus[:, t - 1] = np.where(stop_here, t, taus[:, t])
+        grams[t], targets[t] = gram, rhs
+        coefficients[t] = np.linalg.solve(gram, rhs)
+        return rule.stop_mask(chain, payoff, t)
+
+    taus, stops = path_stop_times(chain, idx, regress)
     z0 = payoff.value_at_start(chain)
-    estimate = max(z0, float(collected.mean()))
+    estimate = max(z0, float(z[stops].mean()))
 
     basis_queries = path_count * (T - 1) * m * (2 if gram_mode == "sampled" else 1)
     return LsmRun(

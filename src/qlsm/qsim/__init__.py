@@ -8,8 +8,7 @@ from .fixed_point import (DEFAULT_FRAC_BITS, DEFAULT_INT_BITS, FixedPoint,
                           FixedPointFormat, decode_fixed, encode_fixed)
 from .ledger import CostWeights, QueryLedger
 from .oracles import (ControlledRotation, FunctionOracle, SamplingOracle,
-                      controlled_rotation, function_oracle,
-                      grid_function_oracle, sampling_oracle)
+                      function_oracle, sampling_oracle)
 from .qmc import (EstimationReport, PieceRecord, QmcVariable,
                   median_repetitions, qmontecarlo)
 from .state import HybridState
@@ -20,7 +19,6 @@ __all__ = [
     "DEFAULT_FRAC_BITS", "DEFAULT_INT_BITS", "FixedPoint", "FixedPointFormat",
     "decode_fixed", "encode_fixed", "CostWeights", "QueryLedger",
     "ControlledRotation", "FunctionOracle", "SamplingOracle",
-    "controlled_rotation", "function_oracle", "grid_function_oracle",
-    "sampling_oracle", "EstimationReport", "PieceRecord", "QmcVariable",
+    "function_oracle", "sampling_oracle", "EstimationReport", "PieceRecord", "QmcVariable",
     "median_repetitions", "qmontecarlo", "HybridState",
 ]

@@ -146,14 +146,6 @@ def function_oracle(name: str, values: np.ndarray, fmt: FixedPointFormat,
                           query_cost={kind: queries_per_application})
 
 
-def grid_function_oracle(name: str, chain: MarkovChainSpec, ensemble: PathEnsemble,
-                         step: int, grid_values: np.ndarray, fmt: FixedPointFormat,
-                         kind: str) -> FunctionOracle:
-    """Oracle for a per-grid-point function read along each path at one step."""
-    per_path = np.asarray(grid_values, dtype=float)[ensemble.state_indices_at(step)]
-    return function_oracle(name, per_path, fmt, kind=kind)
-
-
 @dataclass(eq=False)
 class ControlledRotation:
     """Rotates the flag qubit by value/high for paths whose oracle value lies
@@ -189,7 +181,3 @@ class ControlledRotation:
         if ledger is not None:
             ledger.add_rotations(1)
         self.oracle.bill(ledger, applications=2)
-
-
-def controlled_rotation(oracle: FunctionOracle, low: float, high: float) -> ControlledRotation:
-    return ControlledRotation(oracle=oracle, low=low, high=high)

@@ -3,12 +3,14 @@ and expose the stopped payoff as a function oracle.
 
 All register updates are XOR writes of values computed in shared fixed-point
 arithmetic, so a forward pass followed by the mirrored inverse pass restores
-every ancilla to zero bit-exactly. Estimation reads each stopped payoff's law
-off the same recursion run on per-step tables; the register replay is the
-reference it is tested against."""
+every ancilla to zero bit-exactly. Scores are dp.CoefficientRule's fixed-point
+scores and estimation reads each stopped payoff's law off dp.first_stops run
+on per-step tables; the register replay is the reference it is tested
+against."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .chain import MarkovChainSpec
+from .dp import CoefficientRule, first_stops, stop_decision
 from .errors import QlsmError
 from .payoff import PayoffSpec
 from .qsim.fixed_point import FixedPointFormat
@@ -54,8 +57,9 @@ def _dispatch_payoff_queries(horizon: int) -> int:
 class StoppingCircuits:
     """Circuit family for one chain/payoff/basis triple and loaded coefficients.
 
-    Coefficients are quantized on load; the same rounding routine drives every
-    comparison so classical replays of the recursion match bit-exactly.
+    Coefficients are quantized on load; scores come from the CoefficientRule
+    with the format's rounding, so classical replays of the recursion and the
+    exact rule value match the circuits bit-exactly.
     """
 
     chain: MarkovChainSpec
@@ -72,6 +76,7 @@ class StoppingCircuits:
             int(t): np.asarray(self.fmt.quantize(np.asarray(c, dtype=float)))
             for t, c in self.coefficients.items()
         }
+        self.rule = CoefficientRule(self.basis, self.coefficients, quantize=self.fmt.quantize)
         self._tables: dict[tuple[str, int], np.ndarray] = {}
         self._stopped_laws: dict[int, tuple] = {}
 
@@ -97,11 +102,11 @@ class StoppingCircuits:
             self.fmt.quantize(self.basis.evaluate(t, self.chain.grid(t))[states])))
 
     def score_table(self, t: int) -> np.ndarray:
-        """Quantized score standing in for the continuation value."""
+        """Quantized score standing in for the continuation value: the rule's
+        scores on the step's present states."""
         if t not in self.coefficients:
             raise QlsmError(f"no coefficient vector loaded for step {t}")
-        return self._memo("score", t, lambda: self.fixed_dot(self.basis_table(t),
-                                                             self.coefficients[t]))
+        return self._memo("score", t, lambda: self.rule.row_scores(t, self.basis_table(t)))
 
     def quantized_payoff(self, t: int) -> np.ndarray:
         """Per-path quantized payoff at step t."""
@@ -113,14 +118,6 @@ class StoppingCircuits:
     def quantized_scores(self, t: int) -> np.ndarray:
         """Per-path quantized score at step t."""
         return self.score_table(t)[self.sampling.step_law(t).labels]
-
-    def fixed_dot(self, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """Left-to-right multiply-accumulate, quantizing after every op."""
-        acc = np.zeros(rows.shape[0])
-        for k in range(rows.shape[1]):
-            term = np.asarray(self.fmt.quantize(rows[:, k] * coef[k]))
-            acc = np.asarray(self.fmt.quantize(acc + term))
-        return acc
 
     # -- circuit applications -------------------------------------------------
 
@@ -236,13 +233,11 @@ class StoppingCircuits:
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
-        sizes = [self.sampling.step_law(u).states.size for u in range(t, T + 1)]
-        offsets = np.cumsum([0] + sizes[:-1])
-        rows = offsets[-1] + self.sampling.step_law(T).labels
-        for u in range(T - 1, t - 1, -1):
-            labels = self.sampling.step_law(u).labels
-            stop = self.payoff_table(u) >= self.score_table(u)
-            rows = np.where(stop[labels], offsets[u - t] + labels, rows)
+        laws = [self.sampling.step_law(u) for u in range(t, T + 1)]
+        sizes = [law.states.size for law in laws]
+        recursion = first_stops(sizes, [law.labels for law in laws], lambda k, later:
+                                stop_decision(self.payoff_table(t + k), self.score_table(t + k)))
+        _, rows = deque(recursion, maxlen=1).pop()
         return rows, np.repeat(np.arange(t, T + 1), sizes)
 
     def _stopped_law(self, t: int) -> tuple:

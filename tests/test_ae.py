@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qlsm.chain import MarkovChainSpec
-from qlsm.qsim import (EstimationOperator, QueryLedger, ae_outcome_distribution,
-                       amplitude_estimation, controlled_rotation, draw_ae_estimates,
-                       function_oracle, sampling_oracle, statevector_ae_distribution)
+from qlsm.qsim import (ControlledRotation, EstimationOperator, QueryLedger,
+                       ae_outcome_distribution, amplitude_estimation,
+                       draw_ae_estimates, function_oracle, sampling_oracle,
+                       statevector_ae_distribution)
 from qlsm.qsim.fixed_point import FixedPointFormat
 
 
@@ -16,7 +17,7 @@ def operator_with_amplitude(a: float) -> EstimationOperator:
     sampling = sampling_oracle(chain)
     fmt = FixedPointFormat(4, 20)
     values = fmt.quantize(np.array([a, a]))
-    rot = controlled_rotation(function_oracle("h", values, fmt), 0.0, 1.0)
+    rot = ControlledRotation(oracle=function_oracle("h", values, fmt), low=0.0, high=1.0)
     return EstimationOperator(sampling=sampling, rotation=rot)
 
 

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlsm.basis import constant_basis, indicator_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
-                     exact_approximation_error, optimal_stopping_times,
-                     payoff_at_times, snell_envelope, weighted_l2_norm)
+                     exact_approximation_error, first_stops,
+                     optimal_stopping_times, payoff_at_times, snell_envelope,
+                     weighted_l2_norm)
 from qlsm.errors import CapExceeded, SingularGram
 from qlsm.payoff import constant_payoff, table_payoff
 
@@ -137,6 +139,42 @@ class TestStoppingTimes:
                     payoff_at_times(chain, payoff, ens, times[:, start]), reference)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
+       n_states=st.integers(1, 4))
+def test_first_stops_matches_path_loop(seed, horizon, n_states):
+    # Payoffs and scores on a quarter grid, so payoff == score is common and
+    # every tie must stop.
+    rng = np.random.Generator(np.random.Philox(seed))
+    chain = random_chain(rng, horizon, n_states)
+    payoff = table_payoff({t: rng.integers(0, 4, size=n_states) / 4.0
+                           for t in range(1, horizon + 1)}, 0.0)
+    rule = CoefficientRule(monomial_basis(1, 1, horizon),
+                           {t: np.array([rng.integers(0, 4) / 4.0, 0.0])
+                            for t in range(1, horizon)})
+    ens = enumerate_paths(chain)
+    z = {t: payoff.values(chain, t) for t in range(1, horizon + 1)}
+    score = {t: rule.scores(chain, t) for t in range(1, horizon)}
+    sizes = [chain.n_states(t) for t in range(1, horizon + 1)]
+    stacked_z = np.concatenate([z[t] for t in range(1, horizon + 1)])
+    labels = [ens.state_indices_at(t) for t in range(1, horizon + 1)]
+    seen = []
+    for k, rows in first_stops(sizes, labels,
+                               lambda k, later: rule.stop_mask(chain, payoff, k + 1)):
+        t = k + 1
+        seen.append(t)
+        for i in range(len(ens)):
+            tau = horizon
+            for u in range(horizon - 1, t - 1, -1):
+                state = ens.indices[i, u - 1]
+                if z[u][state] >= score[u][state]:
+                    tau = u
+            state = ens.indices[i, tau - 1]
+            assert rows[i] == sum(sizes[:tau - 1]) + state
+            assert stacked_z[rows[i]] == z[tau][state]
+    assert seen == list(range(horizon, 0, -1))
+
+
 class TestContinuationUnderRule:
     def test_rule_matches_path_enumeration(self):
         # Independent oracle: stop times evaluated path by path from step 2 on,
@@ -170,7 +208,7 @@ class TestContinuationUnderRule:
         table = snell_envelope(chain, payoff)
         for t in (0, 1, 2):
             got = continuation_values(chain, payoff, "optimal", t)
-            np.testing.assert_allclose(got, table.continuation[t], atol=1e-14)
+            np.testing.assert_array_equal(got, table.continuation[t])
 
 
 class TestApproximationError:

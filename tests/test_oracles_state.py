@@ -4,8 +4,8 @@ import pytest
 from qlsm.chain import MarkovChainSpec
 from qlsm.errors import Overflow
 from qlsm.payoff import put_payoff
-from qlsm.qsim import (ControlledRotation, FixedPointFormat, QueryLedger,
-                       function_oracle, grid_function_oracle, sampling_oracle)
+from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
+                       QueryLedger, function_oracle, sampling_oracle)
 
 
 def uniform_chain():
@@ -63,8 +63,9 @@ class TestFunctionOracle:
         oracle_chain = sampling_oracle(chain)
         pay = put_payoff(1.0)
         fmt = FixedPointFormat()
-        orc = grid_function_oracle("z", chain, oracle_chain.ensemble, 2,
-                                   pay.values(chain, 2), fmt, kind="payoff")
+        per_path = pay.values(chain, 2)[oracle_chain.ensemble.state_indices_at(2)]
+        orc = FunctionOracle(name="z", fmt=fmt, raw_values=per_path,
+                             query_cost={"payoff": 1})
         state = oracle_chain.prepare()
         orc.apply(state, "z2")
         expected = fmt.quantize(pay.values(chain, 2)[oracle_chain.ensemble.state_indices_at(2)])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian
+from qlsm.dp import CoefficientRule
 from qlsm.payoff import table_payoff
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, qmontecarlo, sampling_oracle)
@@ -74,6 +75,35 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
             np.testing.assert_array_equal(law_values.view(np.int64), replay.view(np.int64))
             assert abs(var.masses.sum() - 1.0) <= 1e-15
             assert (var.masses > 0.0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**chains)
+def test_rule_scores_are_the_circuit_scores(seed, dim, n_states, horizon):
+    # One fixed-point score: the rule's multiply-accumulate on the whole grid,
+    # read at the present states, is the circuits' score table bit for bit,
+    # equals a scalar replay that rounds after every multiply and add, and
+    # both make the same stop decisions.
+    circ = random_circuits(seed, dim, n_states, horizon)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    coefficients = {t: rng.normal(scale=2.0, size=circ.basis.size)
+                    for t in range(1, horizon)}
+    circ = StoppingCircuits(chain=circ.chain, payoff=circ.payoff, basis=circ.basis,
+                            coefficients=coefficients, fmt=FMT)
+    rule = CoefficientRule(circ.basis, coefficients, quantize=FMT.quantize)
+    for t in range(1, horizon):
+        states = circ.sampling.step_law(t).states
+        rows = circ.basis.evaluate(t, circ.chain.grid(t))
+        for state, score in zip(states, circ.score_table(t)):
+            acc = 0.0
+            for k in range(circ.basis.size):
+                acc = FMT.quantize(acc + FMT.quantize(FMT.quantize(rows[state, k])
+                                                      * FMT.quantize(coefficients[t][k])))
+            assert acc == score
+        np.testing.assert_array_equal(rule.scores(circ.chain, t)[states].view(np.int64),
+                                      circ.score_table(t).view(np.int64))
+        np.testing.assert_array_equal(rule.stop_mask(circ.chain, circ.payoff, t)[states],
+                                      circ.payoff_table(t) >= circ.score_table(t))
 
 
 @settings(max_examples=40, deadline=None)
