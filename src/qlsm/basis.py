@@ -11,14 +11,14 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc, gammaln
 
-from .chain import MarkovChainSpec, image_measure, sample_paths
+from .chain import MarkovChainSpec, image_measure
 from .errors import SingularGram
 
 KIND_GENERIC = "generic"
 KIND_HERMITE = "hermite-truncated"
 KIND_GBM = "gbm-monomial-truncated"
 
-DEFAULT_GRAM_CAP = 1 << 20
+_SINGULAR_REL_TOL = 1e-12
 
 
 def hermite(order: int, x):
@@ -180,38 +180,31 @@ def vandermonde_gram(degree: int, dim: int, t: float) -> np.ndarray:
     return out
 
 
-def closed_form_gram(basis: BasisSpec, t: float) -> np.ndarray | None:
-    """Exact untruncated Gram matrix at step t, when the kind has one."""
+def closed_form_gram(basis: BasisSpec, t: float) -> np.ndarray:
+    """Exact untruncated Gram matrix at step t; raises for kinds without one."""
     if basis.kind == KIND_HERMITE:
         return np.eye(basis.size)
     if basis.kind == KIND_GBM:
         dim = len(basis.multi_indices[0])
         return vandermonde_gram(basis.degree, dim, t)
-    return None
+    raise ValueError(f"basis kind {basis.kind!r} has no closed-form Gram")
 
 
-@dataclass(frozen=True)
-class GramResult:
-    matrix: np.ndarray
-    mode: str  # "exact" or "sampled"
+def gram_matrix(basis: BasisSpec, chain: MarkovChainSpec, t: int) -> np.ndarray:
+    """Exact Gram matrix of the basis under the step-t marginal, summed over
+    the step-t grid."""
+    measure = image_measure(chain, t)
+    mat = basis.evaluate(t, measure.points)
+    return (mat * measure.masses[:, None]).T @ mat
 
 
-def gram_matrix(basis: BasisSpec, chain: MarkovChainSpec, t: int,
-                cap: int = DEFAULT_GRAM_CAP, seed=None, samples: int = 100_000) -> GramResult:
-    """Gram matrix of the basis under the step-t marginal.
-
-    Exact summation over the grid when it fits under the cap, otherwise a
-    seeded Monte Carlo estimate; the mode used is recorded in the result.
-    """
-    if chain.n_states(t) <= cap:
-        measure = image_measure(chain, t)
-        mat = basis.evaluate(t, measure.points)
-        gram = (mat * measure.masses[:, None]).T @ mat
-        return GramResult(matrix=gram, mode="exact")
-    idx = sample_paths(chain, samples, seed)[:, t - 1]
-    pts = chain.grid(t)[idx]
-    mat = basis.evaluate(t, pts)
-    return GramResult(matrix=mat.T @ mat / samples, mode="sampled")
+def solve_gram(gram: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
+    """Regression coefficients gram^-1 rhs by a pivoted solve; raises
+    SingularGram for step t when sigma_min <= 1e-12 * max(1, sigma_max)."""
+    svals = np.linalg.svd(gram, compute_uv=False)
+    if svals[-1] <= _SINGULAR_REL_TOL * max(1.0, svals[0]):
+        raise SingularGram(t, float(svals[-1]))
+    return np.linalg.solve(gram, rhs)
 
 
 def l2_norm_bound(basis: BasisSpec, chain: MarkovChainSpec) -> float:
@@ -239,7 +232,7 @@ def validate_linear_independence(basis: BasisSpec, chain: MarkovChainSpec,
     """Smallest sigma_min of the exact per-step Gram matrices; raises when 0."""
     worst = math.inf
     for t in range(1, chain.horizon):
-        gram = gram_matrix(basis, chain, t).matrix
+        gram = gram_matrix(basis, chain, t)
         smin = float(np.linalg.svd(gram, compute_uv=False)[-1])
         if smin <= tol:
             raise SingularGram(t, smin)

@@ -188,11 +188,10 @@ class PathEnsemble(Sequence):
         for i in range(len(self)):
             yield self[i]
 
-    def states_at(self, t: int) -> np.ndarray:
-        """(n_paths, d) array of step-t states along every path."""
-        return self.chain.grid(t)[self.indices[:, t - 1]]
-
     def state_indices_at(self, t: int) -> np.ndarray:
+        """Step-t grid index along every path, for t in 1..horizon."""
+        if not 1 <= t <= self.chain.horizon:
+            raise ValueError(f"step {t} out of range 1..{self.chain.horizon}")
         return self.indices[:, t - 1]
 
 

@@ -413,7 +413,7 @@ def _instantiated_error_bound_checks(config: ExperimentConfig) -> list[dict]:
     horizon, m = chain.horizon, basis.size
     bound_r = payoff.bound_for(chain)
     ell = l2_norm_bound(basis, chain) if horizon > 1 else 1.0
-    sigma_min = oracle_sigma_min(basis, chain) if horizon > 1 else 1.0
+    sigma_min = oracle_sigma_min(basis, chain)
     eps = min(config.epsilon, sigma_min / 2.0)
 
     approx_err = 0.0

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, closed_form_gram
+from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
 from .dp import CoefficientRule, path_stop_times
-from .errors import SingularGram
 from .payoff import PayoffSpec
-
-_SINGULAR_REL_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -100,18 +97,13 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
         rows = basis.evaluate(t, chain.grid(t))[idx[:, t - 1]]
         if gram_mode == "closed_form":
             gram = closed_form_gram(basis, t)
-            if gram is None:
-                raise ValueError(f"basis kind {basis.kind!r} has no closed-form Gram")
         elif gram_mode == "sampled":
             gram = rows.T @ rows / path_count
         else:
             raise ValueError(f"unknown gram_mode {gram_mode!r}")
         rhs = rows.T @ z[later] / path_count
-        svals = np.linalg.svd(gram, compute_uv=False)
-        if svals[-1] <= _SINGULAR_REL_TOL * max(1.0, svals[0]):
-            raise SingularGram(t, float(svals[-1]))
         grams[t], targets[t] = gram, rhs
-        coefficients[t] = np.linalg.solve(gram, rhs)
+        coefficients[t] = solve_gram(gram, rhs, t)
         return rule.stop_mask(chain, payoff, t)
 
     taus, stops = path_stop_times(chain, idx, regress)

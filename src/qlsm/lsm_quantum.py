@@ -13,21 +13,20 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .basis import (BasisSpec, closed_form_gram, gram_matrix, sup_norm_bound,
-                    vandermonde_gram, vandermonde_sigma_min_bound)
+from .basis import (BasisSpec, closed_form_gram, gram_matrix, solve_gram,
+                    sup_norm_bound, vandermonde_gram, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
-from .errors import ScheduleViolation, SingularGram
+from .errors import ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
 from .qsim.oracles import FunctionOracle, SamplingOracle, sampling_oracle
 from .qsim.qmc import QmcVariable, qmontecarlo
 from .stopping_circuits import StoppingCircuits
-
-_SINGULAR_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     a real deployment must supply this bound as an input)."""
     worst = math.inf
     for t in range(1, chain.horizon):
-        gram = gram_matrix(basis, chain, t).matrix
+        gram = gram_matrix(basis, chain, t)
         worst = min(worst, float(np.linalg.svd(gram, compute_uv=False)[-1]))
     return worst if worst < math.inf else 1.0
 
@@ -155,7 +154,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             raise ScheduleViolation(
                 "sigma_min_lower is required (or enable sigma_min_oracle, which "
                 "reads it off the exact Gram and is not free information)")
-        sigma_min_lower = oracle_sigma_min(basis, chain) if T > 1 else 1.0
+        sigma_min_lower = oracle_sigma_min(basis, chain)
         notes.append("sigma_min_lower computed by exact-Gram SVD (oracle mode)")
     if sigma_min_lower <= 0:
         raise ScheduleViolation("sigma_min_lower must be positive")
@@ -195,13 +194,10 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
         elif gram_mode == "identity":
             grams[t] = np.eye(m)
         elif gram_mode == "closed_form":
-            mat = closed_form_gram(basis, t)
-            if mat is None:
-                raise ValueError(f"basis kind {basis.kind!r} has no closed-form Gram")
-            grams[t] = mat
+            grams[t] = closed_form_gram(basis, t)
         else:
             raise ValueError(f"unknown gram_mode {gram_mode!r}")
-        exact_grams[t] = gram_matrix(basis, chain, t).matrix
+        exact_grams[t] = gram_matrix(basis, chain, t)
 
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
@@ -220,11 +216,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             b_est[member] = rep.estimate
         targets[t - 1] = b_est
         exact_targets[t - 1] = b_exact
-        gram = grams[t - 1]
-        svals = np.linalg.svd(gram, compute_uv=False)
-        if svals[-1] <= _SINGULAR_REL_TOL * max(1.0, svals[0]):
-            raise SingularGram(t - 1, float(svals[-1]))
-        coefficients[t - 1] = np.asarray(fmt.quantize(np.linalg.solve(gram, b_est)))
+        coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))
 
     circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
                                 coefficients=coefficients, fmt=fmt, sampling=sampling)
@@ -277,6 +269,31 @@ def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
     return math.exp(min(log_req, 700.0))
 
 
+def _truncated_run(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
+                   epsilon: float, delta: float, seed, power: float,
+                   truncation_level: float | None, requirement: Callable[..., float],
+                   sigma_min_lower: float, gram_mode: str,
+                   fmt: FixedPointFormat | None, weights: CostWeights) -> QuantumLsmRun:
+    """Run on the payoff clamped at beta and record the cube radius against
+    the schedule's requirement, which reads the unclamped payoff's tails;
+    a radius below it adds a note and warns the caller of the public run."""
+    lam = basis.cube_radius
+    beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
+    clamped = truncate(payoff, beta)
+    r_coeff = truncation_error_coefficient(payoff, chain, power)
+    required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree,
+                           epsilon, r_coeff, power)
+    run = run_quantum_lsm(chain, clamped, basis, epsilon, delta,
+                          sigma_min_lower=sigma_min_lower, seed=seed,
+                          gram_mode=gram_mode, fmt=fmt, weights=weights)
+    run.lambda_used = lam
+    run.lambda_required = required
+    if lam < required:
+        run.notes.append(f"cube radius {lam} below the schedule requirement {required:.3g}")
+        warnings.warn(run.notes[-1], stacklevel=3)
+    return run
+
+
 def run_quantum_lsm_brownian(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                              epsilon: float, delta: float, seed=None, *,
                              power: float = 4.0, truncation_level: float | None = None,
@@ -286,21 +303,10 @@ def run_quantum_lsm_brownian(chain: MarkovChainSpec, payoff: PayoffSpec, basis: 
     Hermite basis and clamped payoffs; skips Gram estimation entirely."""
     if basis.kind != "hermite-truncated":
         raise ValueError("the identity-Gram run needs a truncated Hermite basis")
-    lam = basis.cube_radius
-    beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
-    clamped = truncate(payoff, beta)
-    r_coeff = truncation_error_coefficient(payoff, chain, power)
-    required = brownian_lambda_requirement(chain.horizon, basis.size, chain.dimension,
-                                           basis.degree, epsilon, r_coeff, power)
-    run = run_quantum_lsm(chain, clamped, basis, epsilon, delta,
-                          sigma_min_lower=1.0, seed=seed, gram_mode="identity",
-                          fmt=fmt, weights=weights)
-    run.lambda_used = lam
-    run.lambda_required = required
-    if lam < required:
-        run.notes.append(f"cube radius {lam} below the schedule requirement {required:.3g}")
-        warnings.warn(run.notes[-1], stacklevel=2)
-    return run
+    return _truncated_run(chain, payoff, basis, epsilon, delta, seed, power,
+                          truncation_level, brownian_lambda_requirement,
+                          sigma_min_lower=1.0, gram_mode="identity", fmt=fmt,
+                          weights=weights)
 
 
 def run_quantum_lsm_gbm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
@@ -313,9 +319,6 @@ def run_quantum_lsm_gbm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: Basis
     and is cross-checked against its analytic bound."""
     if basis.kind != "gbm-monomial-truncated":
         raise ValueError("the closed-form-Gram run needs the scaled-monomial basis")
-    lam = basis.cube_radius
-    beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
-    clamped = truncate(payoff, beta)
     sigma_min = math.inf
     for t in range(1, chain.horizon):
         mat = vandermonde_gram(basis.degree, chain.dimension, t)
@@ -327,18 +330,10 @@ def run_quantum_lsm_gbm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: Basis
         sigma_min = min(sigma_min, smin)
     if chain.horizon == 1:
         sigma_min = 1.0
-    r_coeff = truncation_error_coefficient(payoff, chain, power)
-    required = gbm_lambda_requirement(chain.horizon, basis.size, chain.dimension,
-                                      basis.degree, epsilon, r_coeff, power)
-    run = run_quantum_lsm(chain, clamped, basis, epsilon, delta,
-                          sigma_min_lower=sigma_min, seed=seed,
-                          gram_mode="closed_form", fmt=fmt, weights=weights)
-    run.lambda_used = lam
-    run.lambda_required = required
-    if lam < required:
-        run.notes.append(f"cube radius {lam} below the schedule requirement {required:.3g}")
-        warnings.warn(run.notes[-1], stacklevel=2)
-    return run
+    return _truncated_run(chain, payoff, basis, epsilon, delta, seed, power,
+                          truncation_level, gbm_lambda_requirement,
+                          sigma_min_lower=sigma_min, gram_mode="closed_form", fmt=fmt,
+                          weights=weights)
 
 
 @dataclass(frozen=True)

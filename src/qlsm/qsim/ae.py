@@ -1,8 +1,9 @@
 """Phase-estimation amplitude estimation.
 
-The default mode evaluates the exact outcome distribution on the two
-dimensional invariant subspace of the Grover operator and samples from it;
-a full statevector mode reproduces the same distribution for cross-checks."""
+The sampler draws outcomes from the exact outcome distribution on the two
+dimensional invariant subspace of the Grover operator. A full statevector
+simulation of the same distribution stays as the reference tests compare
+against."""
 from __future__ import annotations
 
 import math
@@ -49,89 +50,47 @@ def ae_outcome_distribution(amplitude: float, queries: int):
     return estimates, probs, y
 
 
-@dataclass(frozen=True)
-class AEOutcome:
-    estimate: float
-    outcome: int
-    estimates: np.ndarray
-    probabilities: np.ndarray
-
-
 @dataclass(eq=False)
 class EstimationOperator:
     """The preparation 'A': chain preparation followed by one rotation.
 
-    Exposes the exact flagged probability for the analytic mode and bills its
-    per-application cost into the ledger. masses weighs the rows of the
-    rotation oracle's value table (derived from the path probabilities when
-    omitted)."""
+    Exposes the exact flagged probability the sampler draws from. masses
+    weighs the rows of the rotation oracle's value table (derived from the
+    path probabilities when omitted)."""
 
     sampling: SamplingOracle
-    rotation: ControlledRotation | None = None
+    rotation: ControlledRotation
     masses: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.masses is None and self.rotation is not None:
+        if self.masses is None:
             oracle = self.rotation.oracle
             self.masses = self.sampling.masses(oracle.labels, oracle.values.size)
 
     def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
         state = self.sampling.prepare(ledger)
-        if self.rotation is not None:
-            self.rotation.apply(state, ledger)
+        self.rotation.apply(state, ledger)
         return state
 
     def good_probability(self) -> float:
-        if self.rotation is None:
-            return 0.0
         return self.rotation.good_amplitude_squared(self.masses)
-
-    def bill_applications(self, ledger: QueryLedger | None, count: int) -> None:
-        if ledger is None:
-            return
-        ledger.add_state_preparations(count)
-        if self.rotation is not None:
-            ledger.add_rotations(count)
-            self.rotation.oracle.bill(ledger, applications=2 * count)
-
-
-def _bill_ae(operator: EstimationOperator, ledger: QueryLedger | None, queries: int,
-             repetitions: int = 1) -> None:
-    # One initial preparation plus two per Grover application, per repetition.
-    if ledger is None:
-        return
-    ledger.add_grover(queries * repetitions)
-    operator.bill_applications(ledger, (2 * queries + 1) * repetitions)
-
-
-def amplitude_estimation(operator: EstimationOperator, queries: int,
-                         rng: np.random.Generator,
-                         ledger: QueryLedger | None = None,
-                         mode: str = "analytic") -> AEOutcome:
-    """One sampled amplitude-estimation outcome with its full distribution."""
-    amplitude = operator.good_probability()
-    if mode == "analytic":
-        estimates, probs, _ = ae_outcome_distribution(amplitude, queries)
-    elif mode == "statevector":
-        state = operator.prepare(None)
-        system, mask = _embed(state)
-        probs = statevector_ae_distribution(system, mask, queries)
-        estimates = np.sin(np.pi * np.arange(queries) / queries) ** 2
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    _bill_ae(operator, ledger, queries)
-    outcome = int(rng.choice(len(probs), p=probs))
-    return AEOutcome(estimate=float(estimates[outcome]), outcome=outcome,
-                     estimates=estimates, probabilities=probs)
 
 
 def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: int,
                       rng: np.random.Generator,
                       ledger: QueryLedger | None = None) -> np.ndarray:
-    """Independent repeated outcomes from the analytic distribution."""
+    """Independent repeated M-query outcomes from the analytic distribution.
+
+    Bills M Grover applications per repetition and, for each, one initial
+    preparation plus two per Grover application, each with its rotation."""
     amplitude = operator.good_probability()
     estimates, probs, _ = ae_outcome_distribution(amplitude, queries)
-    _bill_ae(operator, ledger, queries, repetitions)
+    if ledger is not None:
+        applications = (2 * queries + 1) * repetitions
+        ledger.add_grover(queries * repetitions)
+        ledger.add_state_preparations(applications)
+        ledger.add_rotations(applications)
+        operator.rotation.oracle.bill(ledger, applications=2 * applications)
     picks = rng.choice(len(probs), p=probs, size=repetitions)
     return estimates[picks]
 
@@ -164,7 +123,7 @@ def statevector_ae_distribution(system: np.ndarray, good_mask: np.ndarray,
     dim = system.size
     n_qubits = math.ceil(math.log2(dim)) + int(math.log2(queries))
     if n_qubits > _STATEVECTOR_QUBIT_CAP:
-        raise ValueError(f"statevector mode capped at {_STATEVECTOR_QUBIT_CAP} qubits")
+        raise ValueError(f"statevector simulation capped at {_STATEVECTOR_QUBIT_CAP} qubits")
     norm = np.linalg.norm(system)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("system state must be normalized")

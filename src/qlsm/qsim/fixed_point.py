@@ -115,12 +115,3 @@ class FixedPoint:
         frac = sum(b << (fmt.frac_bits - j) for j, b in enumerate(fraction, start=1))
         magnitude = (whole << fmt.frac_bits) | frac
         return cls(fmt=fmt, sign=0 if magnitude == 0 else sign, magnitude=magnitude)
-
-
-def encode_fixed(value: float, int_bits: int = DEFAULT_INT_BITS,
-                 frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
-    return FixedPointFormat(int_bits=int_bits, frac_bits=frac_bits).encode(value)
-
-
-def decode_fixed(number: FixedPoint) -> float:
-    return number.decode()

@@ -140,12 +140,6 @@ class FunctionOracle:
         self.bill(ledger)
 
 
-def function_oracle(name: str, values: np.ndarray, fmt: FixedPointFormat,
-                    kind: str = "payoff", queries_per_application: int = 1) -> FunctionOracle:
-    return FunctionOracle(name=name, fmt=fmt, raw_values=values,
-                          query_cost={kind: queries_per_application})
-
-
 @dataclass(eq=False)
 class ControlledRotation:
     """Rotates the flag qubit by value/high for paths whose oracle value lies

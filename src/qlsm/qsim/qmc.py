@@ -46,16 +46,12 @@ class QmcVariable:
         return self.sampling.chain.horizon
 
     def exact_moments(self) -> tuple[float, float]:
-        """Exact mean and variance.
-
-        A one-valued variable is weighed over the paths, so its mean carries
-        the rounding of the total path probability whether it is given as a
-        table or per path; the zero-variance shortcut in qmontecarlo, which
-        ledger totals depend on, then fires alike for both."""
+        """Exact mean and variance; a variable with one value on its support
+        has that value as its mean and variance exactly 0."""
         values, masses = self.oracle.values, self.masses
         support = values[masses > 0.0]
         if support.size and support.min() == support.max():
-            values, masses = support[0], self.sampling.ensemble.probabilities
+            return float(support[0]), 0.0
         mean = float(np.sum(masses * values))
         return mean, float(np.sum(masses * (values - mean) ** 2))
 

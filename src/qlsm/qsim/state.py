@@ -83,9 +83,6 @@ class HybridState:
     def set_rotation(self, zero_amp: np.ndarray, one_amp: np.ndarray) -> None:
         self.rotation = np.column_stack([zero_amp, one_amp])
 
-    def clear_rotation(self) -> None:
-        self.rotation = None
-
     def good_probability(self) -> float:
         """Squared weight of the rotation qubit's |1> branch."""
         if self.rotation is None:

@@ -25,8 +25,8 @@ from qlsm.harness.experiments import run_scaling
 from qlsm.lsm_classical import choose_sample_count, run_classical_lsm
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
 from qlsm.payoff import put_payoff, table_payoff
-from qlsm.qsim import (FixedPointFormat, QmcVariable, ae_outcome_distribution,
-                       function_oracle, qmontecarlo, sampling_oracle,
+from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
+                       ae_outcome_distribution, qmontecarlo, sampling_oracle,
                        statevector_ae_distribution)
 from qlsm.stopping_circuits import StoppingCircuits, product_register
 
@@ -171,8 +171,9 @@ def _four_path_variable(values):
         grids=(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])),
         initial_distribution=[0.5, 0.5],
         transitions=(np.full((2, 2), 0.5),))
-    oracle = function_oracle("h", np.asarray(values, dtype=float),
-                             FixedPointFormat(), kind="payoff")
+    oracle = FunctionOracle(name="h", fmt=FixedPointFormat(),
+                            raw_values=np.asarray(values, dtype=float),
+                            query_cost={"payoff": 1})
     return QmcVariable(sampling=sampling_oracle(chain), oracle=oracle)
 
 

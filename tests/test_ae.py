@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qlsm.chain import MarkovChainSpec
-from qlsm.qsim import (ControlledRotation, EstimationOperator, QueryLedger,
-                       ae_outcome_distribution, amplitude_estimation,
-                       draw_ae_estimates, function_oracle, sampling_oracle,
-                       statevector_ae_distribution)
+from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
+                       QueryLedger, ae_outcome_distribution, draw_ae_estimates,
+                       sampling_oracle, statevector_ae_distribution)
+from qlsm.qsim.ae import _embed
 from qlsm.qsim.fixed_point import FixedPointFormat
 
 
@@ -17,7 +17,8 @@ def operator_with_amplitude(a: float) -> EstimationOperator:
     sampling = sampling_oracle(chain)
     fmt = FixedPointFormat(4, 20)
     values = fmt.quantize(np.array([a, a]))
-    rot = ControlledRotation(oracle=function_oracle("h", values, fmt), low=0.0, high=1.0)
+    oracle = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
+    rot = ControlledRotation(oracle=oracle, low=0.0, high=1.0)
     return EstimationOperator(sampling=sampling, rotation=rot)
 
 
@@ -75,24 +76,27 @@ class TestStatevectorCrossCheck:
             statevector_ae_distribution(system, np.zeros(2**10, bool), 16)
 
     def test_hybrid_operator_statevector_mode(self):
+        # The prepared hybrid state, simulated as a dense Grover circuit, has
+        # the outcome law the analytic sampler draws from.
         op = operator_with_amplitude(0.37)
-        rng = np.random.Generator(np.random.Philox(1))
-        analytic = amplitude_estimation(op, 8, rng, mode="analytic")
-        sv = amplitude_estimation(op, 8, rng, mode="statevector")
-        np.testing.assert_allclose(analytic.probabilities, sv.probabilities,
-                                   atol=1e-9)
+        system, mask = _embed(op.prepare(None))
+        sv = statevector_ae_distribution(system, mask, 8)
+        _, analytic, _ = ae_outcome_distribution(op.good_probability(), 8)
+        np.testing.assert_allclose(analytic, sv, atol=1e-9)
 
 
 class TestSamplingAndLedger:
     def test_ledger_accounting(self):
         op = operator_with_amplitude(0.5)
-        ledger = QueryLedger()
-        rng = np.random.Generator(np.random.Philox(3))
-        amplitude_estimation(op, 16, rng, ledger=ledger)
-        assert ledger.grover_applications == 16
-        assert ledger.state_preparations == 2 * 16 + 1
-        assert ledger.rotations == 2 * 16 + 1
-        assert ledger.function_queries["h"] == 2 * (2 * 16 + 1)
+        for repetitions in (1, 5):
+            ledger = QueryLedger()
+            rng = np.random.Generator(np.random.Philox(3))
+            draws = draw_ae_estimates(op, 16, repetitions, rng, ledger=ledger)
+            assert draws.shape == (repetitions,)
+            assert ledger.grover_applications == 16 * repetitions
+            assert ledger.state_preparations == (2 * 16 + 1) * repetitions
+            assert ledger.rotations == (2 * 16 + 1) * repetitions
+            assert ledger.function_queries["h"] == 2 * (2 * 16 + 1) * repetitions
 
     def test_repeated_draws_marginal(self):
         op = operator_with_amplitude(0.25)
@@ -103,6 +107,6 @@ class TestSamplingAndLedger:
     def test_degenerate_draws_exact(self):
         rng = np.random.Generator(np.random.Philox(7))
         op = operator_with_amplitude(0.0)
-        assert amplitude_estimation(op, 8, rng).estimate == 0.0
+        assert draw_ae_estimates(op, 8, 1, rng)[0] == 0.0
         op = operator_with_amplitude(1.0)
-        assert amplitude_estimation(op, 8, rng).estimate == 1.0
+        assert draw_ae_estimates(op, 8, 1, rng)[0] == 1.0

@@ -88,7 +88,7 @@ class TestHermiteBasis:
         lam = 7.5
         basis = hermite_basis(1, 2, 3, lam)
         for t in (1, 2):
-            gram = gram_matrix(basis, chain, t).matrix
+            gram = gram_matrix(basis, chain, t)
             dev = np.linalg.norm(gram - np.eye(basis.size), 2)
             bound = hermite_gram_identity_bound(2, 1, t, lam)
             assert dev <= bound
@@ -133,13 +133,15 @@ class TestGbmBasis:
         assert got == pytest.approx(one[1, 2] * one[2, 1], rel=1e-12)
 
     def test_generic_has_no_closed_form(self):
-        assert closed_form_gram(constant_basis(2), 1.0) is None
-        assert closed_form_gram(monomial_basis(1, 2, 2), 1.0) is None
+        with pytest.raises(ValueError, match="no closed-form Gram"):
+            closed_form_gram(constant_basis(2), 1.0)
+        with pytest.raises(ValueError, match="no closed-form Gram"):
+            closed_form_gram(monomial_basis(1, 2, 2), 1.0)
 
     def test_grid_gram_converges_to_closed_form(self):
         chain = discretize_gbm(1, 2, 301, 8.0)
         basis = gbm_basis(1, 2, 2, 1e9)
-        got = gram_matrix(basis, chain, 1).matrix
+        got = gram_matrix(basis, chain, 1)
         np.testing.assert_allclose(got, closed_form_gram(basis, 1.0), rtol=0.05)
 
 
@@ -277,14 +279,6 @@ class TestGramMachinery:
         indices = hermite_multi_indices(2, 2)
         assert len(indices) == 6
         assert all(sum(k) <= 2 for k in indices)
-
-    def test_sampled_mode_recorded(self):
-        chain = discretize_brownian(1, 2, 9, 3.0)
-        basis = monomial_basis(1, 1, 2)
-        res = gram_matrix(basis, chain, 1, cap=4, seed=0, samples=20_000)
-        assert res.mode == "sampled"
-        exact = gram_matrix(basis, chain, 1).matrix
-        np.testing.assert_allclose(res.matrix, exact, atol=0.05)
 
     def test_linear_dependence_detected(self):
         chain = MarkovChainSpec(

@@ -96,6 +96,14 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_paths(two_state_fair_chain(), cap=3)
 
+    def test_state_indices_step_range(self):
+        ens = enumerate_paths(single_path_chain())
+        for t in (1, 2, 3):
+            np.testing.assert_array_equal(ens.state_indices_at(t), [0])
+        for t in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                ens.state_indices_at(t)
+
 
 class TestSampling:
     def test_single_path_any_seed(self):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlsm.errors import Overflow
-from qlsm.qsim.fixed_point import (FixedPoint, FixedPointFormat, decode_fixed,
-                                   encode_fixed)
+from qlsm.qsim.fixed_point import FixedPoint, FixedPointFormat
 
 
 class TestFormat:
@@ -35,10 +34,10 @@ class TestEncodeDecode:
         assert fp.decode() == -(3.0 + 0.25)
 
     def test_round_trip_bits(self):
-        fp = encode_fixed(-2.625, 3, 4)
+        fp = FixedPointFormat(3, 4).encode(-2.625)
         again = FixedPoint.from_bit_strings(fp.integer_bits(), fp.fraction_bits(),
                                             fp.sign, fp.fmt)
-        assert again.decode() == decode_fixed(fp) == -2.625
+        assert again.decode() == fp.decode() == -2.625
 
     def test_round_to_nearest(self):
         fmt = FixedPointFormat(2, 2)
@@ -48,9 +47,9 @@ class TestEncodeDecode:
 
     def test_overflow(self):
         with pytest.raises(Overflow):
-            encode_fixed(4.0, 2, 2)
+            FixedPointFormat(2, 2).encode(4.0)
         with pytest.raises(Overflow):
-            encode_fixed(float("nan"), 2, 2)
+            FixedPointFormat(2, 2).encode(float("nan"))
 
     @given(st.integers(min_value=-(2**10 - 1), max_value=2**10 - 1))
     def test_identity_on_representable(self, raw):

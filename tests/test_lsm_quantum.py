@@ -168,9 +168,11 @@ class TestModelVariants:
         chain = discretize_brownian(1, 2, 9, 3.5)
         payoff = put_payoff(1.0)
         basis = hermite_basis(1, 1, 2, 20.0)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="cube radius") as caught:
             run = run_quantum_lsm_brownian(chain, payoff, basis, 0.05, 0.2,
                                            seed=5, power=4.0)
+        # The cube-radius warning points at the caller's line.
+        assert [w.filename for w in caught if "cube radius" in str(w.message)] == [__file__]
         assert run.gram_mode == "identity"
         assert all("basis_product" not in name
                    for name in run.ledger.function_queries)

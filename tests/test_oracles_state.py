@@ -5,7 +5,7 @@ from qlsm.chain import MarkovChainSpec
 from qlsm.errors import Overflow
 from qlsm.payoff import put_payoff
 from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
-                       QueryLedger, function_oracle, sampling_oracle)
+                       QueryLedger, sampling_oracle)
 
 
 def uniform_chain():
@@ -51,7 +51,7 @@ class TestFunctionOracle:
         oracle_chain = sampling_oracle(uniform_chain())
         fmt = FixedPointFormat()
         values = np.array([0.25, 1.5, -0.75, 0.0])
-        orc = function_oracle("h", values, fmt)
+        orc = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
         state = oracle_chain.prepare()
         orc.apply(state, "reg")
         np.testing.assert_array_equal(state.register_values("reg"), values)
@@ -73,11 +73,13 @@ class TestFunctionOracle:
 
     def test_overflow_lists_points(self):
         with pytest.raises(Overflow, match="offending"):
-            function_oracle("big", np.array([1.0, 5.0e6]), FixedPointFormat(8, 8))
+            FunctionOracle(name="big", fmt=FixedPointFormat(8, 8),
+                           raw_values=np.array([1.0, 5.0e6]))
 
     def test_query_billing(self):
         ledger = QueryLedger()
-        orc = function_oracle("h", np.zeros(4), FixedPointFormat(), kind="payoff")
+        orc = FunctionOracle(name="h", fmt=FixedPointFormat(), raw_values=np.zeros(4),
+                             query_cost={"payoff": 1})
         state = sampling_oracle(uniform_chain()).prepare()
         orc.apply(state, "reg", ledger)
         assert ledger.function_queries["h"] == 1
@@ -98,7 +100,9 @@ class TestFunctionOracle:
 class TestControlledRotation:
     def make(self, values, low, high):
         chain = sampling_oracle(uniform_chain())
-        orc = function_oracle("h", np.asarray(values, dtype=float), FixedPointFormat())
+        orc = FunctionOracle(name="h", fmt=FixedPointFormat(),
+                             raw_values=np.asarray(values, dtype=float),
+                             query_cost={"payoff": 1})
         return chain, ControlledRotation(oracle=orc, low=low, high=high)
 
     def test_full_rotation_at_upper_endpoint(self):

@@ -5,7 +5,7 @@ import pytest
 
 from qlsm.chain import MarkovChainSpec
 from qlsm.errors import Overflow, VarianceExceeded
-from qlsm.qsim import (FixedPointFormat, QmcVariable, function_oracle,
+from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
                        median_repetitions, qmontecarlo, sampling_oracle)
 
 
@@ -21,8 +21,8 @@ def variable_from_values(values, fmt=None, chain=None):
     chain = chain or uniform_chain()
     sampling = sampling_oracle(chain)
     fmt = fmt or FixedPointFormat()
-    oracle = function_oracle("h", np.asarray(values, dtype=float), fmt,
-                             kind="payoff")
+    oracle = FunctionOracle(name="h", fmt=fmt, raw_values=np.asarray(values, dtype=float),
+                            query_cost={"payoff": 1})
     return QmcVariable(sampling=sampling, oracle=oracle)
 
 

@@ -36,8 +36,8 @@ def basket_instance():
 GOLDEN = [
     (criterion6_instance, 1, "3945bd331140553196e427c36336f7a12d701613682823b38455bac768388347"),
     (criterion6_instance, 2, "d817f77048cd3f66f1bb4ca159d736cf0297b4ed1f56342d2557eb0ea9d6dd6c"),
-    (basket_instance, 1, "fc24562583e6df51d4aa91097770bd9ea7c25abc3aab6f2cb2e60a4c00cf6c4a"),
-    (basket_instance, 2, "b2cd40b7b1ff30f7ab82bc5271d8bd58135ce490c10cb45e7616064689613558"),
+    (basket_instance, 1, "da467ec10059ec14850c01bcb0d58752a877e648020e06c34a8a178cf2a6b1ab"),
+    (basket_instance, 2, "23e760d976a3f1344f27ead756246bcd68f178768bff2b6818bfd623eb336d14"),
 ]
 
 

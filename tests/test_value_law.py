@@ -168,17 +168,21 @@ def test_register_writes_expand_through_labels(entry, seed, dim, n_states, horiz
 
 
 def test_constant_law_shortcut_matches_per_path():
-    # 512 paths whose probabilities sum to exactly 1.0 pairwise but not when
-    # accumulated in path order: a one-row law must still take the same
-    # zero-variance branch as its per-path expansion.
-    sampling = sampling_oracle(discretize_brownian(1, 3, 8, 2.2))
-    probs = sampling.ensemble.probabilities
-    assert float(np.sum(probs)) != float(np.bincount(np.zeros(probs.size, int), probs)[0])
-    oracle = FunctionOracle(name="one", fmt=FMT, raw_values=np.array([1.0]),
-                            query_cost={"basis": 2}, labels=np.zeros(probs.size, int))
-    var = QmcVariable(sampling=sampling, oracle=oracle)
-    law_rep = qmontecarlo(var, 0.05, 0.1, 1.0, 3)
-    path_rep = qmontecarlo(per_path(var), 0.05, 0.1, 1.0, 3)
-    assert law_rep.exact_variance == path_rep.exact_variance
-    assert law_rep.ledger.snapshot() == path_rep.ledger.snapshot()
-    assert law_rep.estimate == path_rep.estimate == 1.0
+    # A one-valued variable takes the one-sample zero-variance branch, billing
+    # one preparation, however its masses round: the 512 criterion-6 path
+    # probabilities sum to exactly 1.0 in path order but not lumped into one
+    # row, and the 729 probabilities of the 2-d basket chain in neither order.
+    for chain in (discretize_brownian(1, 3, 8, 2.2), discretize_brownian(2, 3, 3, 2.2)):
+        sampling = sampling_oracle(chain)
+        probs = sampling.ensemble.probabilities
+        lumped = float(np.bincount(np.zeros(probs.size, int), probs)[0])
+        assert {float(np.sum(probs)), lumped} != {1.0}
+        oracle = FunctionOracle(name="one", fmt=FMT, raw_values=np.array([1.0]),
+                                query_cost={"basis": 2}, labels=np.zeros(probs.size, int))
+        var = QmcVariable(sampling=sampling, oracle=oracle)
+        law_rep = qmontecarlo(var, 0.05, 0.1, 1.0, 3)
+        path_rep = qmontecarlo(per_path(var), 0.05, 0.1, 1.0, 3)
+        assert law_rep.exact_variance == path_rep.exact_variance == 0.0
+        assert law_rep.ledger.snapshot() == path_rep.ledger.snapshot()
+        assert law_rep.ledger.state_preparations == 1 and not law_rep.pieces
+        assert law_rep.estimate == path_rep.estimate == law_rep.exact_mean == 1.0
