@@ -2,7 +2,8 @@
 optimal stopping times, and exact least-squares projections of continuation
 values. Ground truth for every estimate elsewhere in the package, and home
 of the stop rule that the classical sampler and the stopping circuits share:
-stop_decision, CoefficientRule's fixed-point scores and first_stops."""
+stop_decision, CoefficientRule's fixed-point scores, first_stops along paths
+and first_stop_law, its forward counterpart on laws."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,9 +11,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BasisSpec, gram_matrix, solve_gram
 from .chain import DEFAULT_ENUMERATION_CAP, MarkovChainSpec, PathEnsemble, image_measure
-from .errors import CapExceeded, SingularGram
+from .errors import CapExceeded
 from .payoff import PayoffSpec
 
 
@@ -77,6 +78,24 @@ def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
     for k, rows in first_stops(sizes, idx.T, lambda k, later: stop_mask(k + 1, later)):
         taus[:, k] = steps[rows]
     return taus, rows
+
+
+def first_stop_law(start: np.ndarray, kernels: Sequence[np.ndarray],
+                   stop_masks: Sequence[np.ndarray]) -> np.ndarray:
+    """first_stops on laws instead of paths: the joint masses of the first
+    stop and a start row. start[r, x] is the mass of start row r jointly with
+    state x at the first step; kernels[k] moves step k's states to step k+1's
+    and stop_masks[k] is step k's per-state mask; the last step always stops.
+    The mass alive at a step stops there through diag(stop) and moves on
+    through diag(continue) @ kernel. Returns the masses at stop_row * rows +
+    start_row, stop_row indexing the steps' states stacked in step order."""
+    alive = np.asarray(start, dtype=float)
+    stopped = []
+    for kernel, stop in zip(kernels, stop_masks):
+        stopped.append(np.where(stop, alive, 0.0).T)
+        alive = np.where(stop, 0.0, alive) @ kernel
+    stopped.append(alive.T)
+    return np.concatenate(stopped).ravel()
 
 
 OPTIMAL_RULE = "optimal"
@@ -200,18 +219,13 @@ def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> floa
 def exact_approximation_error(chain: MarkovChainSpec, payoff: PayoffSpec,
                               basis: BasisSpec, t: int, rule=OPTIMAL_RULE) -> float:
     """Residual L2(marginal) norm of the best linear fit to the continuation
-    values at step t, solved exactly by weighted normal equations."""
+    values at step t: the exact Gram and basis.solve_gram, whose singular
+    check the LSM runs share."""
     if not 1 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 1..horizon-1")
     target = continuation_values(chain, payoff, rule, t)
     measure = image_measure(chain, t)
     mat = basis.evaluate(t, measure.points)
-    weighted = mat * measure.masses[:, None]
-    gram = weighted.T @ mat
-    rhs = weighted.T @ target
-    smin = float(np.linalg.svd(gram, compute_uv=False)[-1])
-    if smin <= 1e-13 * max(1.0, float(np.abs(gram).max())):
-        raise SingularGram(t, smin)
-    coef = np.linalg.solve(gram, rhs)
-    resid = mat @ coef - target
+    rhs = (mat * measure.masses[:, None]).T @ target
+    resid = mat @ solve_gram(gram_matrix(basis, chain, t), rhs, t) - target
     return float(np.sqrt(np.sum(measure.masses * resid * resid)))

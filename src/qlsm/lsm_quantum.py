@@ -5,8 +5,8 @@ smoothness-driven parameter schedules.
 Coefficient solves use a pivoted factorization (no explicit inverse). Every
 estimated entry bills the circuit chain rebuilt from the horizon down, so
 ledger totals carry the quadratic backward-pass structure; the simulation
-itself evaluates each entry on its value law and memoizes the per-step
-tables."""
+itself evaluates each entry on its value law, computed from the chain without
+enumerating paths, and memoizes the per-step tables."""
 from __future__ import annotations
 
 import json
@@ -20,11 +20,11 @@ import numpy as np
 from .basis import (BasisSpec, closed_form_gram, gram_matrix, solve_gram,
                     sup_norm_bound, vandermonde_gram, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
-from .errors import ScheduleViolation
+from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
-from .qsim.oracles import FunctionOracle, SamplingOracle, sampling_oracle
+from .qsim.oracles import FunctionOracle, SamplingOracle
 from .qsim.qmc import QmcVariable, qmontecarlo
 from .stopping_circuits import StoppingCircuits
 
@@ -128,8 +128,7 @@ def _basis_product_variable(sampling: SamplingOracle, circuits: StoppingCircuits
     rows = circuits.basis_table(t)
     values = np.asarray(circuits.fmt.quantize(rows[:, j] * rows[:, k]))
     oracle = FunctionOracle(name=f"basis_product[t={t},{j},{k}]", fmt=circuits.fmt,
-                            raw_values=values, query_cost={"basis": 2},
-                            labels=law.labels)
+                            raw_values=values, query_cost={"basis": 2})
     return QmcVariable(sampling=sampling, oracle=oracle, masses=law.masses)
 
 
@@ -172,7 +171,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                       "normalization does not apply", stacklevel=2)
 
     schedule = EstimationSchedule(epsilon=epsilon, delta=delta, horizon=T, basis_size=m)
-    sampling = sampling_oracle(chain)
+    sampling = SamplingOracle(chain)
     streams = _entry_streams(seed, (T - 1) * m * m + (T - 1) * m + 1)
 
     circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
@@ -326,7 +325,8 @@ def run_quantum_lsm_gbm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: Basis
         sharp, simple = vandermonde_sigma_min_bound(max(basis.degree, 1),
                                                     chain.dimension, t)
         if 1.0 / smin > min(sharp, simple) * (1.0 + 1e-9):
-            raise AssertionError("closed-form sigma_min violates its analytic bound")
+            raise QlsmError(f"closed-form sigma_min {smin:.6g} at step {t} violates its "
+                            f"analytic bound 1/sigma_min <= {min(sharp, simple):.6g}")
         sigma_min = min(sigma_min, smin)
     if chain.horizon == 1:
         sigma_min = 1.0

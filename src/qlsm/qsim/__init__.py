@@ -5,7 +5,7 @@ from .ae import (EstimationOperator, ae_outcome_distribution, draw_ae_estimates,
                  statevector_ae_distribution)
 from .fixed_point import DEFAULT_FRAC_BITS, DEFAULT_INT_BITS, FixedPoint, FixedPointFormat
 from .ledger import CostWeights, QueryLedger
-from .oracles import ControlledRotation, FunctionOracle, SamplingOracle, sampling_oracle
+from .oracles import ControlledRotation, FunctionOracle, SamplingOracle
 from .qmc import (EstimationReport, PieceRecord, QmcVariable,
                   median_repetitions, qmontecarlo)
 from .state import HybridState
@@ -16,6 +16,6 @@ __all__ = [
     "DEFAULT_FRAC_BITS", "DEFAULT_INT_BITS", "FixedPoint", "FixedPointFormat",
     "CostWeights", "QueryLedger",
     "ControlledRotation", "FunctionOracle", "SamplingOracle",
-    "sampling_oracle", "EstimationReport", "PieceRecord", "QmcVariable",
+    "EstimationReport", "PieceRecord", "QmcVariable",
     "median_repetitions", "qmontecarlo", "HybridState",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,25 +55,21 @@ def ae_outcome_distribution(amplitude: float, queries: int):
 class EstimationOperator:
     """The preparation 'A': chain preparation followed by one rotation.
 
-    Exposes the exact flagged probability the sampler draws from. masses
-    weighs the rows of the rotation oracle's value table (derived from the
-    path probabilities when omitted)."""
+    Exposes the exact flagged probability the sampler draws from, with masses
+    weighing the rows of the rotation oracle's value table."""
 
     sampling: SamplingOracle
     rotation: ControlledRotation
-    masses: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.masses is None:
-            oracle = self.rotation.oracle
-            self.masses = self.sampling.masses(oracle.labels, oracle.values.size)
+    masses: np.ndarray
 
     def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
         state = self.sampling.prepare(ledger)
         self.rotation.apply(state, ledger)
         return state
 
-    def good_probability(self) -> float:
+    @cached_property
+    def amplitude(self) -> float:
+        """The flagged probability a that AE estimates, computed once."""
         return self.rotation.good_amplitude_squared(self.masses)
 
 
@@ -83,8 +80,7 @@ def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: i
 
     Bills M Grover applications per repetition and, for each, one initial
     preparation plus two per Grover application, each with its rotation."""
-    amplitude = operator.good_probability()
-    estimates, probs, _ = ae_outcome_distribution(amplitude, queries)
+    estimates, probs, _ = ae_outcome_distribution(operator.amplitude, queries)
     if ledger is not None:
         applications = (2 * queries + 1) * repetitions
         ledger.add_grover(queries * repetitions)

@@ -1,10 +1,11 @@
 """Oracle objects: chain state preparation, reversible function queries, and
 interval-conditioned controlled rotations.
 
-A function oracle holds a value table plus an optional per-path label array
-that maps each path to its row; estimation then works on the table and the
-row masses (the variable's law) and expands to paths only for register
-writes."""
+A function oracle holds a value table, one row per atom of the variable's
+law; estimation works on the table and the masses of its rows, which come
+from the chain (step marginals and dynamic programs on it), never from paths.
+The path superposition is enumerated only when a state is prepared, for the
+register replay, which writes tables with one row per path."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..chain import DEFAULT_ENUMERATION_CAP, MarkovChainSpec, PathEnsemble, enumerate_paths
+from ..chain import MarkovChainSpec, PathEnsemble, enumerate_paths, image_measure
 from ..errors import Overflow
 from .fixed_point import FixedPointFormat
 from .ledger import QueryLedger
@@ -21,11 +22,10 @@ from .state import HybridState
 
 
 class StepLaw(NamedTuple):
-    """The step-t marginal of a path ensemble: the grid indices that occur on
-    some path, each path's row among them, and the probability of each row."""
+    """The step-t marginal of the chain: the grid indices with positive mass
+    and their masses."""
 
     states: np.ndarray
-    labels: np.ndarray
     masses: np.ndarray
 
 
@@ -35,68 +35,52 @@ class SamplingOracle:
     (cost model: horizon sampling steps)."""
 
     chain: MarkovChainSpec
-    ensemble: PathEnsemble
     _step_laws: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def ensemble(self) -> PathEnsemble:
+        """Every path, enumerated on first use; only register replays read it."""
+        return enumerate_paths(self.chain)
 
     def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
         if ledger is not None:
             ledger.add_state_preparations(1)
         return HybridState.prepared(self.ensemble)
 
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        cum = np.cumsum(self.ensemble.probabilities)
-        return cum / cum[-1]
-
-    def measure(self, count: int, rng: np.random.Generator,
+    def measure(self, masses: np.ndarray, count: int, rng: np.random.Generator,
                 ledger: QueryLedger | None = None) -> np.ndarray:
-        """Computational-basis samples of prepared states; one prep per shot."""
+        """Rows of a law drawn from its masses: computational-basis samples of
+        prepared states, read through the law's oracle; one prep per shot."""
         if ledger is not None:
             ledger.add_state_preparations(count)
-        draws = np.searchsorted(self._cdf, rng.random(count), side="right")
-        return np.clip(draws, 0, len(self.ensemble) - 1)
-
-    def masses(self, labels: np.ndarray | None, rows: int) -> np.ndarray:
-        """Probability of each of `rows` table rows under a path labelling;
-        the path probabilities themselves when labels is None."""
-        probs = self.ensemble.probabilities
-        if labels is None:
-            return probs
-        return np.bincount(labels, weights=probs, minlength=rows)
+        cum = np.cumsum(masses)
+        draws = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
+        return np.clip(draws, 0, cum.size - 1)
 
     def step_law(self, t: int) -> StepLaw:
-        """The step-t marginal of the ensemble, computed once per step."""
+        """The step-t marginal, computed once per step."""
         law = self._step_laws.get(t)
         if law is None:
-            idx = self.ensemble.state_indices_at(t)
-            counts = np.bincount(idx, minlength=self.chain.n_states(t))
-            states = np.flatnonzero(counts)
-            labels = idx if states.size == counts.size else np.searchsorted(states, idx)
-            law = StepLaw(states, labels, self.masses(labels, states.size))
-            self._step_laws[t] = law
+            masses = image_measure(self.chain, t).masses
+            states = np.flatnonzero(masses > 0.0)
+            law = self._step_laws[t] = StepLaw(states, masses[states])
         return law
-
-
-def sampling_oracle(chain: MarkovChainSpec,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> SamplingOracle:
-    return SamplingOracle(chain=chain, ensemble=enumerate_paths(chain, cap))
 
 
 @dataclass(eq=False)
 class FunctionOracle:
-    """Reversible XOR-write of a per-path function value at fixed precision.
+    """Reversible XOR-write of a function value at fixed precision.
 
-    The path with label i carries values[labels[i]]; without labels there is
-    one value per path. query_cost describes what one application bills, as
-    {kind: count} with kinds "payoff"/"basis" (weighted later) or an explicit
-    name.
+    values has one row per atom of the function's law; a register write
+    needs one row per path of the prepared state. query_cost describes what
+    one application bills, as {kind: count} with kinds "payoff"/"basis"
+    (weighted later) or an explicit name.
     """
 
     name: str
     fmt: FixedPointFormat
     raw_values: np.ndarray
     query_cost: dict = field(default_factory=dict)
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.raw_values = np.asarray(self.raw_values, dtype=float)
@@ -105,7 +89,7 @@ class FunctionOracle:
             idx = np.nonzero(bad)[0][:8]
             raise Overflow(
                 f"function '{self.name}' not representable at "
-                f"({self.fmt.int_bits},{self.fmt.frac_bits}); offending path "
+                f"({self.fmt.int_bits},{self.fmt.frac_bits}); offending row "
                 f"indices {idx.tolist()} values {self.raw_values[idx].tolist()}"
             )
         self.values = np.asarray(self.fmt.quantize(self.raw_values))
@@ -114,15 +98,6 @@ class FunctionOracle:
     def bits(self) -> np.ndarray:
         """Bit images of the value table; only register writes need them."""
         return self.fmt.to_bits(self.values)
-
-    def along_paths(self, table: np.ndarray) -> np.ndarray:
-        """Expand a per-row array to one entry per path."""
-        return table if self.labels is None else table[self.labels]
-
-    def at_paths(self, paths: np.ndarray) -> np.ndarray:
-        """Values carried by the given path indices."""
-        rows = paths if self.labels is None else self.labels[paths]
-        return self.values[rows]
 
     def bill(self, ledger: QueryLedger | None, applications: int = 1) -> None:
         if ledger is None:
@@ -136,7 +111,7 @@ class FunctionOracle:
     def apply(self, state: HybridState, register: str,
               ledger: QueryLedger | None = None) -> None:
         """XOR the value image into the register; self-inverse."""
-        state.xor_register(register, self.along_paths(self.bits), self.fmt)
+        state.xor_register(register, self.bits, self.fmt)
         self.bill(ledger)
 
 
@@ -169,8 +144,7 @@ class ControlledRotation:
 
     def apply(self, state: HybridState, ledger: QueryLedger | None = None) -> None:
         mask = self.in_interval()
-        ratio = np.where(mask, self.oracle.values / self.high, 0.0)
-        ratio = self.oracle.along_paths(np.clip(ratio, 0.0, 1.0))
+        ratio = np.clip(np.where(mask, self.oracle.values / self.high, 0.0), 0.0, 1.0)
         state.set_rotation(np.sqrt(1.0 - ratio), np.sqrt(ratio))
         if ledger is not None:
             ledger.add_rotations(1)

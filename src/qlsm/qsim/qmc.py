@@ -5,8 +5,8 @@ centered variable into its positive and negative parts, covers each part by
 dyadic value intervals, runs interval-conditioned amplitude estimation per
 piece with median amplification, and reassembles the mean. Oracle use is
 billed exactly; estimates are sampled from exact outcome distributions.
-Every step reads the variable's law (value table and row masses); paths are
-only drawn, for the rough center."""
+Every step reads the variable's law, a value table and the masses of its
+rows; the rough center draws rows of that law."""
 from __future__ import annotations
 
 import math
@@ -27,19 +27,14 @@ _MAX_AE_QUERIES = 1 << 30
 
 @dataclass(eq=False)
 class QmcVariable:
-    """A real random variable presented as chain sampling plus a path oracle.
+    """A real random variable presented as chain sampling plus an oracle.
 
-    Its law is the oracle's value table with masses[k] the probability of row
-    k (the path probabilities when the oracle has no labels); estimation
-    reads the law and touches paths only to draw them."""
+    Its law is the oracle's value table with masses[k] the probability of
+    row k; estimation reads only the law."""
 
     sampling: SamplingOracle
     oracle: FunctionOracle
-    masses: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.masses is None:
-            self.masses = self.sampling.masses(self.oracle.labels, self.oracle.values.size)
+    masses: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -183,9 +178,9 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
                               exact_mean=exact_mean, exact_variance=exact_var)
     if exact_var == 0.0:
         # Constant variable: a single sample is exact.
-        idx = sampling.measure(1, rng, ledger)
+        rows = sampling.measure(masses, 1, rng, ledger)
         oracle.bill(ledger, applications=1)
-        report.estimate = float(oracle.at_paths(idx)[0])
+        report.estimate = float(oracle.values[rows[0]])
         report.center = report.estimate
         _finalize_cost(report, variable, weights)
         if caller_ledger is not None:
@@ -193,9 +188,9 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         return report
 
     # Rough center: median of sampled values, itself exactly representable.
-    idx = sampling.measure(repetitions, rng, ledger)
+    rows = sampling.measure(masses, repetitions, rng, ledger)
     oracle.bill(ledger, applications=repetitions)
-    center = float(np.sort(oracle.at_paths(idx))[(repetitions - 1) // 2])
+    center = float(np.sort(oracle.values[rows])[(repetitions - 1) // 2])
     report.center = center
 
     wide = FixedPointFormat(oracle.fmt.int_bits + 1, oracle.fmt.frac_bits)
@@ -211,8 +206,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     for part_name, part_values, part_sign in parts:
         part_oracle = FunctionOracle(name=f"{oracle.name}|{part_name}", fmt=wide,
                                      raw_values=part_values,
-                                     query_cost=dict(oracle.query_cost),
-                                     labels=oracle.labels)
+                                     query_cost=dict(oracle.query_cost))
         top = float(np.max(part_oracle.values[support]))
         tops = _part_boundaries(wide, sigma, top)
         low = 0.0
@@ -234,7 +228,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         estimate += part_sign * high * amp_estimate
         report.pieces.append(PieceRecord(
             part=part_name, low=low, high=high, queries=queries,
-            amplitude=operator.good_probability(), estimate=amp_estimate,
+            amplitude=operator.amplitude, estimate=amp_estimate,
             budget=per_amp_budget))
 
     report.estimate = float(estimate)

@@ -4,13 +4,13 @@ and expose the stopped payoff as a function oracle.
 All register updates are XOR writes of values computed in shared fixed-point
 arithmetic, so a forward pass followed by the mirrored inverse pass restores
 every ancilla to zero bit-exactly. Scores are dp.CoefficientRule's fixed-point
-scores and estimation reads each stopped payoff's law off dp.first_stops run
-on per-step tables; the register replay is the reference it is tested
-against."""
+scores. Estimation reads each stopped payoff's law off dp.first_stop_law,
+which pushes a step marginal through the chain's kernels and the per-step
+stop masks, so no path is enumerated; the register replay over the
+enumerated paths is the reference it is tested against."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -18,12 +18,12 @@ import numpy as np
 
 from .basis import BasisSpec
 from .chain import MarkovChainSpec
-from .dp import CoefficientRule, first_stops, stop_decision
+from .dp import CoefficientRule, first_stop_law, path_stop_times, stop_decision
 from .errors import QlsmError
 from .payoff import PayoffSpec
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import QueryLedger
-from .qsim.oracles import FunctionOracle, SamplingOracle, sampling_oracle
+from .qsim.oracles import FunctionOracle, SamplingOracle
 from .qsim.qmc import QmcVariable
 from .qsim.state import HybridState
 
@@ -71,7 +71,7 @@ class StoppingCircuits:
 
     def __post_init__(self):
         if self.sampling is None:
-            self.sampling = sampling_oracle(self.chain)
+            self.sampling = SamplingOracle(self.chain)
         self.coefficients = {
             int(t): np.asarray(self.fmt.quantize(np.asarray(c, dtype=float)))
             for t, c in self.coefficients.items()
@@ -81,9 +81,10 @@ class StoppingCircuits:
         self._stopped_laws: dict[int, tuple] = {}
 
     # -- shared fixed-point arithmetic ---------------------------------------
-    # Tables have one row per step-t state that occurs on some path (the rows
-    # of sampling.step_law(t)); coefficients are fixed once loaded, so each is
-    # computed once. The quantized_* views gather them along the paths.
+    # Tables have one row per step-t state of positive mass (the rows of
+    # sampling.step_law(t)); coefficients are fixed once loaded, so each is
+    # computed once. The quantized_* views gather them along the enumerated
+    # paths for the register replay.
 
     def _memo(self, kind: str, t: int, build) -> np.ndarray:
         table = self._tables.get((kind, t))
@@ -108,16 +109,25 @@ class StoppingCircuits:
             raise QlsmError(f"no coefficient vector loaded for step {t}")
         return self._memo("score", t, lambda: self.rule.row_scores(t, self.basis_table(t)))
 
+    def _stop_mask(self, t: int) -> np.ndarray:
+        """Stop decision of each present state at step t < horizon."""
+        return stop_decision(self.payoff_table(t), self.score_table(t))
+
+    def _path_rows(self, t: int) -> np.ndarray:
+        """Each enumerated path's row of the step-t tables."""
+        return np.searchsorted(self.sampling.step_law(t).states,
+                               self.sampling.ensemble.state_indices_at(t))
+
     def quantized_payoff(self, t: int) -> np.ndarray:
         """Per-path quantized payoff at step t."""
-        return self.payoff_table(t)[self.sampling.step_law(t).labels]
+        return self.payoff_table(t)[self._path_rows(t)]
 
     def quantized_basis_rows(self, t: int) -> np.ndarray:
-        return self.basis_table(t)[self.sampling.step_law(t).labels]
+        return self.basis_table(t)[self._path_rows(t)]
 
     def quantized_scores(self, t: int) -> np.ndarray:
         """Per-path quantized score at step t."""
-        return self.score_table(t)[self.sampling.step_law(t).labels]
+        return self.score_table(t)[self._path_rows(t)]
 
     # -- circuit applications -------------------------------------------------
 
@@ -215,56 +225,60 @@ class StoppingCircuits:
         """The stopped-payoff product as an estimable random variable whose
         oracle bills one composed-circuit application per query.
 
-        Its law comes from the stop-time recursion of classical_stop_times;
-        stopped_payoff_values replays the same values through the registers."""
+        Its law is _stopped_law(t); stopped_payoff_values replays the same
+        values through the registers."""
         if not 0 <= member < self.basis.size:
             raise QlsmError(f"basis member {member} out of range 0..{self.basis.size - 1}")
-        labels, masses, payoff, prev_rows = self._stopped_law(t)
+        _, masses, payoff, prev_rows = self._stopped_law(t)
         factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev_rows, member]
         oracle = FunctionOracle(
             name=f"stopped_payoff[t={t},m={member}]", fmt=self.fmt,
             raw_values=self.fmt.quantize(payoff * factor),
-            query_cost=self.composed_cost(t), labels=labels)
+            query_cost=self.composed_cost(t))
         return QmcVariable(sampling=self.sampling, oracle=oracle, masses=masses)
 
-    def _stop_rows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per path, its first stop at or after t as a row of the payoff tables
-        of steps t..horizon stacked in order, plus the step of every row."""
+    def _stopped_law(self, t: int) -> tuple:
+        """The law of what the stopped payoff at t reads, shared by every
+        basis member: dp.first_stop_law pushes the step t-1 marginal through
+        the kernels between present states. Rows are the positive-mass keys
+        stop_row * width + prev, ascending, stop_row indexing the payoff
+        tables of steps t..horizon stacked in order and prev the step t-1
+        tables (width 1 at t=1). Returns the keys, their masses, and per row
+        the payoff at the stop and the step t-1 row."""
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
-        laws = [self.sampling.step_law(u) for u in range(t, T + 1)]
-        sizes = [law.states.size for law in laws]
-        recursion = first_stops(sizes, [law.labels for law in laws], lambda k, later:
-                                stop_decision(self.payoff_table(t + k), self.score_table(t + k)))
-        _, rows = deque(recursion, maxlen=1).pop()
-        return rows, np.repeat(np.arange(t, T + 1), sizes)
-
-    def _stopped_law(self, t: int) -> tuple:
-        """The paths lumped by what the stopped payoff at t reads: the payoff
-        at the stop time and the state at t-1. Returns per-path labels, the
-        row masses, and per row the payoff and the step t-1 basis-table row;
-        shared by every basis member."""
         law = self._stopped_laws.get(t)
         if law is None:
-            rows, _ = self._stop_rows(t)
-            payoff = np.concatenate([self.payoff_table(u)
-                                     for u in range(t, self.chain.horizon + 1)])
-            width, prev_labels = 1, 0
-            if t > 1:
+            states = [self.sampling.step_law(u).states for u in range(t, T + 1)]
+            if t == 1:
+                start = self.chain.initial_distribution[states[0]][None, :]
+            else:
                 prev = self.sampling.step_law(t - 1)
-                width, prev_labels = prev.states.size, prev.labels
-            keys = rows * width + prev_labels
-            present = np.flatnonzero(np.bincount(keys, minlength=payoff.size * width))
-            index = np.zeros(payoff.size * width, dtype=np.int64)
-            index[present] = np.arange(present.size)
-            labels = index[keys]
-            masses = self.sampling.masses(labels, present.size)
-            law = (labels, masses, payoff[present // width], present % width)
+                start = prev.masses[:, None] * self.chain.transition(t - 1)[
+                    np.ix_(prev.states, states[0])]
+            kernels = [self.chain.transition(u)[np.ix_(here, after)]
+                       for u, here, after in zip(range(t, T), states, states[1:])]
+            masses = first_stop_law(start, kernels, [self._stop_mask(u) for u in range(t, T)])
+            keys = np.flatnonzero(masses > 0.0)
+            payoff = np.concatenate([self.payoff_table(u) for u in range(t, T + 1)])
+            law = keys, masses[keys], payoff[keys // len(start)], keys % len(start)
             self._stopped_laws[t] = law
         return law
 
     def classical_stop_times(self, t: int) -> np.ndarray:
-        """Per-path stop times from the same recursion run forward classically."""
-        rows, steps = self._stop_rows(t)
-        return steps[rows]
+        """Per-path stop times tau_t by dp.path_stop_times on the enumerated
+        paths: the per-path reference for _stopped_law. tau_t reads only the
+        masks of steps t..horizon, so earlier steps get none."""
+        T = self.chain.horizon
+        if not 1 <= t <= T:
+            raise QlsmError(f"step {t} out of range 1..{T}")
+
+        def grid_mask(u: int, later) -> np.ndarray:
+            mask = np.zeros(self.chain.n_states(u), dtype=bool)
+            if u >= t:
+                mask[self.sampling.step_law(u).states] = self._stop_mask(u)
+            return mask
+
+        taus, _ = path_stop_times(self.chain, self.sampling.ensemble.indices, grid_mask)
+        return taus[:, t - 1]

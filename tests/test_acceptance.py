@@ -26,7 +26,7 @@ from qlsm.lsm_classical import choose_sample_count, run_classical_lsm
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
 from qlsm.payoff import put_payoff, table_payoff
 from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
-                       ae_outcome_distribution, qmontecarlo, sampling_oracle,
+                       ae_outcome_distribution, qmontecarlo, SamplingOracle,
                        statevector_ae_distribution)
 from qlsm.stopping_circuits import StoppingCircuits, product_register
 
@@ -174,7 +174,9 @@ def _four_path_variable(values):
     oracle = FunctionOracle(name="h", fmt=FixedPointFormat(),
                             raw_values=np.asarray(values, dtype=float),
                             query_cost={"payoff": 1})
-    return QmcVariable(sampling=sampling_oracle(chain), oracle=oracle)
+    sampling = SamplingOracle(chain)
+    return QmcVariable(sampling=sampling, oracle=oracle,
+                       masses=sampling.ensemble.probabilities)
 
 
 def test_criterion_4_mean_estimation_failure_rates():

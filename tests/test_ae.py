@@ -3,8 +3,8 @@ import pytest
 
 from qlsm.chain import MarkovChainSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
-                       QueryLedger, ae_outcome_distribution, draw_ae_estimates,
-                       sampling_oracle, statevector_ae_distribution)
+                       QueryLedger, SamplingOracle, ae_outcome_distribution,
+                       draw_ae_estimates, statevector_ae_distribution)
 from qlsm.qsim.ae import _embed
 from qlsm.qsim.fixed_point import FixedPointFormat
 
@@ -14,12 +14,13 @@ def operator_with_amplitude(a: float) -> EstimationOperator:
         dimension=1, horizon=1, initial_state=[0.0],
         grids=(np.array([[0.0], [1.0]]),),
         initial_distribution=[0.75, 0.25], transitions=())
-    sampling = sampling_oracle(chain)
+    sampling = SamplingOracle(chain)
     fmt = FixedPointFormat(4, 20)
     values = fmt.quantize(np.array([a, a]))
     oracle = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
     rot = ControlledRotation(oracle=oracle, low=0.0, high=1.0)
-    return EstimationOperator(sampling=sampling, rotation=rot)
+    return EstimationOperator(sampling=sampling, rotation=rot,
+                              masses=sampling.ensemble.probabilities)
 
 
 class TestAnalyticDistribution:
@@ -81,7 +82,7 @@ class TestStatevectorCrossCheck:
         op = operator_with_amplitude(0.37)
         system, mask = _embed(op.prepare(None))
         sv = statevector_ae_distribution(system, mask, 8)
-        _, analytic, _ = ae_outcome_distribution(op.good_probability(), 8)
+        _, analytic, _ = ae_outcome_distribution(op.amplitude, 8)
         np.testing.assert_allclose(analytic, sv, atol=1e-9)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlsm.basis import constant_basis, indicator_basis, monomial_basis
+from qlsm.basis import (constant_basis, gram_matrix, indicator_basis, monomial_basis,
+                        solve_gram)
 from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
                      exact_approximation_error, first_stops,
@@ -246,6 +247,24 @@ class TestApproximationError:
         basis = monomial_basis(1, 3, 2)  # four functions on two points
         with pytest.raises(SingularGram):
             exact_approximation_error(chain, payoff, basis, 1)
+
+    def test_singular_verdict_is_solve_gram_verdict(self):
+        # Two step-1 states 1.5e-6 apart put the degree-1 Gram's sigma_min
+        # near 5.6e-13: not singular by a 1e-13 * max|A_ij| test, singular by
+        # solve_gram's 1e-12 * max(1, sigma_max). The approximation error
+        # gives solve_gram's verdict.
+        chain = MarkovChainSpec(
+            dimension=1, horizon=2, initial_state=[0.0],
+            grids=(np.array([[0.0], [1.5e-6]]), np.array([[0.0], [1.0]])),
+            initial_distribution=[0.5, 0.5], transitions=(np.full((2, 2), 0.5),))
+        basis = monomial_basis(1, 1, 2)
+        gram = gram_matrix(basis, chain, 1)
+        smin = np.linalg.svd(gram, compute_uv=False)[-1]
+        assert 1e-13 * np.abs(gram).max() < smin <= 1e-12
+        with pytest.raises(SingularGram):
+            solve_gram(gram, np.ones(2), 1)
+        with pytest.raises(SingularGram):
+            exact_approximation_error(chain, constant_payoff(0.3), basis, 1)
 
 
 class TestErrorPropagation:

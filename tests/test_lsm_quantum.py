@@ -5,8 +5,9 @@ import pytest
 
 from qlsm.basis import constant_basis, gbm_basis, hermite_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
-from qlsm.dp import exact_approximation_error, snell_envelope
-from qlsm.errors import ScheduleViolation
+from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
+                     snell_envelope)
+from qlsm.errors import QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, run_quantum_lsm,
                               run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
@@ -90,6 +91,24 @@ class TestGenericRuns:
                               sigma_min_lower=1.0, seed=1)
         assert run.estimate == pytest.approx(0.7)
         assert run.final_payoff_estimate <= 0.2
+
+    def test_run_past_the_enumeration_cap_enumerates_no_path(self, monkeypatch):
+        # 8^7 = 2,097,152 paths, twice the enumeration cap. Every law comes
+        # from the chain, so the run completes with enumeration refused.
+        from qlsm.qsim import FixedPointFormat
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quantum run enumerated paths")
+
+        monkeypatch.setattr("qlsm.qsim.oracles.enumerate_paths", refuse)
+        monkeypatch.setattr("qlsm.chain.enumerate_paths", refuse)
+        chain = discretize_brownian(1, 7, 8, 2.2)
+        assert chain.path_space_size() == 2_097_152
+        payoff, basis = put_payoff(1.0), constant_basis(7)
+        run = run_quantum_lsm(chain, payoff, basis, 0.05, 0.1, sigma_min_lower=1.0, seed=4)
+        rule = CoefficientRule(basis, run.coefficients, quantize=FixedPointFormat().quantize)
+        exact = float(continuation_values(chain, payoff, rule, 0)[0])
+        assert abs(run.final_payoff_estimate - exact) <= 0.05
 
     def test_backward_resolve_targets(self):
         from qlsm.chain import enumerate_paths
@@ -248,6 +267,13 @@ class TestModelVariants:
                      for t in (1,))
         assert abs(run.estimate - table.value0) <= 0.05 + approx
         assert run.gram_matrices[1].shape == (4, 4)
+
+    def test_gbm_sigma_min_bound_violation_is_typed(self, monkeypatch):
+        monkeypatch.setattr("qlsm.lsm_quantum.vandermonde_sigma_min_bound",
+                            lambda degree, dim, t: (1e-9, 1e-9))
+        with pytest.raises(QlsmError, match="analytic bound"):
+            run_quantum_lsm_gbm(discretize_gbm(1, 2, 17, 4.0), put_payoff(1.0),
+                                gbm_basis(1, 1, 2, 1e6), 0.05, 0.2, seed=6)
 
     def test_gbm_requires_monomials(self):
         chain = discretize_gbm(1, 2, 9, 3.0)

@@ -5,7 +5,7 @@ from qlsm.chain import MarkovChainSpec
 from qlsm.errors import Overflow
 from qlsm.payoff import put_payoff
 from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
-                       QueryLedger, sampling_oracle)
+                       QueryLedger, SamplingOracle)
 
 
 def uniform_chain():
@@ -24,31 +24,36 @@ def single_chain():
 
 class TestSamplingOracle:
     def test_single_path_amplitude_one(self):
-        state = sampling_oracle(single_chain()).prepare()
+        state = SamplingOracle(single_chain()).prepare()
         np.testing.assert_allclose(state.amplitudes, [1.0])
 
     def test_uniform_amplitudes(self):
-        state = sampling_oracle(uniform_chain()).prepare()
+        state = SamplingOracle(uniform_chain()).prepare()
         np.testing.assert_allclose(np.abs(state.amplitudes), 0.5)
         state.check_normalized()
 
     def test_prepare_bills_one_application(self):
         ledger = QueryLedger()
-        sampling_oracle(uniform_chain()).prepare(ledger)
+        SamplingOracle(uniform_chain()).prepare(ledger)
         assert ledger.state_preparations == 1
 
     def test_measurement_matches_classical_sampling(self):
-        oracle = sampling_oracle(uniform_chain())
+        # Rows of a law come up with their masses, a zero-mass row never;
+        # every shot bills one preparation.
+        oracle = SamplingOracle(uniform_chain())
+        masses = np.array([0.1, 0.0, 0.6, 0.3])
         rng = np.random.Generator(np.random.Philox(0))
-        draws = oracle.measure(10_000, rng)
+        ledger = QueryLedger()
+        draws = oracle.measure(masses, 10_000, rng, ledger)
         freq = np.bincount(draws, minlength=4) / 10_000
-        tv = 0.5 * np.abs(freq - oracle.ensemble.probabilities).sum()
-        assert tv <= 0.02
+        assert freq[1] == 0.0
+        assert 0.5 * np.abs(freq - masses).sum() <= 0.02
+        assert ledger.state_preparations == 10_000
 
 
 class TestFunctionOracle:
     def test_write_then_clear(self):
-        oracle_chain = sampling_oracle(uniform_chain())
+        oracle_chain = SamplingOracle(uniform_chain())
         fmt = FixedPointFormat()
         values = np.array([0.25, 1.5, -0.75, 0.0])
         orc = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
@@ -60,7 +65,7 @@ class TestFunctionOracle:
 
     def test_matches_payoff_module_bit_exact(self):
         chain = uniform_chain()
-        oracle_chain = sampling_oracle(chain)
+        oracle_chain = SamplingOracle(chain)
         pay = put_payoff(1.0)
         fmt = FixedPointFormat()
         per_path = pay.values(chain, 2)[oracle_chain.ensemble.state_indices_at(2)]
@@ -80,7 +85,7 @@ class TestFunctionOracle:
         ledger = QueryLedger()
         orc = FunctionOracle(name="h", fmt=FixedPointFormat(), raw_values=np.zeros(4),
                              query_cost={"payoff": 1})
-        state = sampling_oracle(uniform_chain()).prepare()
+        state = SamplingOracle(uniform_chain()).prepare()
         orc.apply(state, "reg", ledger)
         assert ledger.function_queries["h"] == 1
         assert ledger.queries_of_kind("payoff") == 1
@@ -99,7 +104,7 @@ class TestFunctionOracle:
 
 class TestControlledRotation:
     def make(self, values, low, high):
-        chain = sampling_oracle(uniform_chain())
+        chain = SamplingOracle(uniform_chain())
         orc = FunctionOracle(name="h", fmt=FixedPointFormat(),
                              raw_values=np.asarray(values, dtype=float),
                              query_cost={"payoff": 1})

@@ -6,7 +6,7 @@ import pytest
 from qlsm.chain import MarkovChainSpec
 from qlsm.errors import Overflow, VarianceExceeded
 from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
-                       median_repetitions, qmontecarlo, sampling_oracle)
+                       SamplingOracle, median_repetitions, qmontecarlo)
 
 
 def uniform_chain(permutation=None):
@@ -19,11 +19,12 @@ def uniform_chain(permutation=None):
 
 def variable_from_values(values, fmt=None, chain=None):
     chain = chain or uniform_chain()
-    sampling = sampling_oracle(chain)
+    sampling = SamplingOracle(chain)
     fmt = fmt or FixedPointFormat()
     oracle = FunctionOracle(name="h", fmt=fmt, raw_values=np.asarray(values, dtype=float),
                             query_cost={"payoff": 1})
-    return QmcVariable(sampling=sampling, oracle=oracle)
+    return QmcVariable(sampling=sampling, oracle=oracle,
+                       masses=sampling.ensemble.probabilities)
 
 
 class TestBasics:

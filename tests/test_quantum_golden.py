@@ -34,8 +34,8 @@ def basket_instance():
 
 
 GOLDEN = [
-    (criterion6_instance, 1, "3945bd331140553196e427c36336f7a12d701613682823b38455bac768388347"),
-    (criterion6_instance, 2, "d817f77048cd3f66f1bb4ca159d736cf0297b4ed1f56342d2557eb0ea9d6dd6c"),
+    (criterion6_instance, 1, "77acaf641ae711b5c13d6659c5eea07ea8db633eff7318a85759d8df6a9c543b"),
+    (criterion6_instance, 2, "fde6798d4bc959cd7cbbd8a987c7f408ecda3d0a125a16243dfcfa39ac913cb5"),
     (basket_instance, 1, "da467ec10059ec14850c01bcb0d58752a877e648020e06c34a8a178cf2a6b1ab"),
     (basket_instance, 2, "23e760d976a3f1344f27ead756246bcd68f178768bff2b6818bfd623eb336d14"),
 ]

@@ -1,9 +1,12 @@
 """Value laws against their per-path references on random small chains.
 
-Estimation reads each entry's law: a value table, a per-path label array and
-row masses. The register replay of the composed circuit and the one-value-
-per-path oracle stay as references; every law must reproduce them exactly.
+Estimation reads each entry's law: a value table and the masses of its rows,
+computed from the chain by dynamic programs, never from enumerated paths.
+The register replay of the composed circuit over the enumerated paths stays
+as the reference; every law must reproduce it exactly.
 """
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian
 from qlsm.dp import CoefficientRule
 from qlsm.payoff import table_payoff
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
-                       FunctionOracle, QmcVariable, qmontecarlo, sampling_oracle)
+                       FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
 from qlsm.stopping_circuits import StoppingCircuits
 
 FMT = FixedPointFormat()
@@ -45,13 +48,34 @@ def random_circuits(seed, dim, n_states, horizon):
                             coefficients=coefficients, fmt=FMT)
 
 
-def per_path(var):
-    """The same variable with one value per path and no labels."""
-    oracle = var.oracle
-    expanded = FunctionOracle(name=oracle.name, fmt=oracle.fmt,
-                              raw_values=oracle.values[oracle.labels],
-                              query_cost=dict(oracle.query_cost))
-    return QmcVariable(sampling=var.sampling, oracle=expanded)
+def per_path(circ, t, member):
+    """The stopped payoff at (t, member) as a per-path variable: the register
+    replay's values with the path probabilities as masses."""
+    oracle = FunctionOracle(name=f"stopped_payoff[t={t},m={member}]", fmt=FMT,
+                            raw_values=circ.stopped_payoff_values(t, member),
+                            query_cost=circ.composed_cost(t))
+    return QmcVariable(sampling=circ.sampling, oracle=oracle,
+                       masses=circ.sampling.ensemble.probabilities)
+
+
+def path_keys(circ, t):
+    """Each path's row key in the stopped law at t: its stop row among the
+    present states of steps t..horizon stacked in order, times the number of
+    present states at t-1, plus its row among those (one row at t=1)."""
+    T = circ.chain.horizon
+    ens = circ.sampling.ensemble
+    tau = circ.classical_stop_times(t)
+    stop_rows = np.empty(len(ens), dtype=np.int64)
+    offset = 0
+    for u in range(t, T + 1):
+        states = circ.sampling.step_law(u).states
+        at = tau == u
+        stop_rows[at] = offset + np.searchsorted(states, ens.state_indices_at(u)[at])
+        offset += states.size
+    if t == 1:
+        return stop_rows
+    prev = circ.sampling.step_law(t - 1).states
+    return stop_rows * prev.size + np.searchsorted(prev, ens.state_indices_at(t - 1))
 
 
 def plan(report):
@@ -65,16 +89,24 @@ chains = dict(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
 @settings(max_examples=40, deadline=None)
 @given(**chains)
 def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon):
+    # The DP law is the replay lumped by (stop row, state at t-1): the same
+    # support, every path of a row carrying the row's value bit for bit,
+    # signed zeros included, and masses summing the path probabilities.
     circ = random_circuits(seed, dim, n_states, horizon)
+    probs = circ.sampling.ensemble.probabilities
     for t in range(1, horizon + 1):
+        support, inverse = np.unique(path_keys(circ, t), return_inverse=True)
+        keys, masses, _, _ = circ._stopped_law(t)
+        np.testing.assert_array_equal(keys, support)
+        np.testing.assert_allclose(masses, np.bincount(inverse, probs), rtol=0, atol=1e-14)
+        assert abs(masses.sum() - 1.0) <= 1e-15
+        assert (masses > 0.0).all()
         for member in range(circ.basis.size):
             var = circ.variable(t, member)
-            law_values = var.oracle.values[var.oracle.labels]
             replay = circ.stopped_payoff_values(t, member)
-            # Bit-for-bit, signed zeros included.
-            np.testing.assert_array_equal(law_values.view(np.int64), replay.view(np.int64))
-            assert abs(var.masses.sum() - 1.0) <= 1e-15
-            assert (var.masses > 0.0).all()
+            np.testing.assert_array_equal(var.oracle.values[inverse].view(np.int64),
+                                          replay.view(np.int64))
+            assert var.masses is masses
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,31 +141,57 @@ def test_rule_scores_are_the_circuit_scores(seed, dim, n_states, horizon):
 @settings(max_examples=40, deadline=None)
 @given(**chains)
 def test_step_law_gathers_per_path_tables(seed, dim, n_states, horizon):
+    # The step law is the marginal of the chain: the states some path visits
+    # with their summed path probabilities, and the per-path views gather
+    # its tables.
     circ = random_circuits(seed, dim, n_states, horizon)
     ens = circ.sampling.ensemble
     for t in range(1, horizon + 1):
         law = circ.sampling.step_law(t)
         idx = ens.state_indices_at(t)
-        np.testing.assert_array_equal(law.states[law.labels], idx)
-        np.testing.assert_array_equal(
-            np.bincount(idx, ens.probabilities, minlength=circ.chain.n_states(t))[law.states],
-            law.masses)
+        np.testing.assert_array_equal(law.states, np.flatnonzero(np.bincount(idx)))
+        np.testing.assert_allclose(
+            law.masses, np.bincount(idx, ens.probabilities)[law.states], rtol=0, atol=1e-14)
         rows = FMT.quantize(circ.basis.evaluate(t, circ.chain.grid(t))[idx])
         np.testing.assert_array_equal(circ.quantized_basis_rows(t), rows)
+
+
+@dataclass(eq=False)
+class PinnedSampling(SamplingOracle):
+    """Draws and bills as usual but reports one fixed row every shot, so the
+    rough center is that row's value and the generator stays in step."""
+
+    row: int = 0
+
+    def measure(self, masses, count, rng, ledger=None):
+        super().measure(masses, count, rng, ledger)
+        return np.full(count, self.row)
+
+
+def pinned(var, center):
+    """var with its rough center fixed at `center`, a value of its support."""
+    row = int(np.flatnonzero((var.oracle.values == center) & (var.masses > 0.0))[0])
+    return QmcVariable(sampling=PinnedSampling(var.sampling.chain, row=row),
+                       oracle=var.oracle, masses=var.masses)
 
 
 @settings(max_examples=25, deadline=None)
 @given(entry=st.integers(0, 2**16), **chains)
 def test_qmontecarlo_on_law_matches_per_path(entry, seed, dim, n_states, horizon):
+    # Law rows and paths are drawn differently for the rough center, so it
+    # is fixed here; from there the ledger, the piece plan and the
+    # amplitudes must agree.
     circ = random_circuits(seed, dim, n_states, horizon)
-    t = 1 + entry % horizon
-    var = circ.variable(t, entry % circ.basis.size)
-    reference = per_path(var)
+    t, member = 1 + entry % horizon, entry % circ.basis.size
+    var = circ.variable(t, member)
+    reference = per_path(circ, t, member)
     sigma = 1.1 * np.sqrt(reference.exact_variance()) + 1e-3
-    law_rep = qmontecarlo(var, 0.05, 0.2, sigma, entry)
-    path_rep = qmontecarlo(reference, 0.05, 0.2, sigma, entry)
+    support = var.oracle.values[var.masses > 0.0]
+    center = float(support[entry % support.size])
+    law_rep = qmontecarlo(pinned(var, center), 0.05, 0.2, sigma, entry)
+    path_rep = qmontecarlo(pinned(reference, center), 0.05, 0.2, sigma, entry)
     assert law_rep.ledger.snapshot() == path_rep.ledger.snapshot()
-    assert law_rep.center == path_rep.center
+    assert law_rep.center == path_rep.center == center
     assert plan(law_rep) == plan(path_rep)
     assert law_rep.exact_mean == pytest.approx(path_rep.exact_mean, abs=1e-12)
     for a, b in zip(law_rep.pieces, path_rep.pieces):
@@ -141,30 +199,30 @@ def test_qmontecarlo_on_law_matches_per_path(entry, seed, dim, n_states, horizon
 
 
 def abs_operator(var, high):
-    """Preparation plus a rotation by |value| / high, through var's labels."""
-    oracle = FunctionOracle(name="abs", fmt=FMT, raw_values=np.abs(var.oracle.values),
-                            labels=var.oracle.labels)
-    return EstimationOperator(sampling=var.sampling,
+    """Preparation plus a rotation by |value| / high, weighed by var's masses."""
+    oracle = FunctionOracle(name="abs", fmt=FMT, raw_values=np.abs(var.oracle.values))
+    return EstimationOperator(sampling=var.sampling, masses=var.masses,
                               rotation=ControlledRotation(oracle=oracle, low=0.0, high=high))
 
 
 @settings(max_examples=20, deadline=None)
 @given(entry=st.integers(0, 2**16), **chains)
-def test_register_writes_expand_through_labels(entry, seed, dim, n_states, horizon):
+def test_register_writes_match_law_rows(entry, seed, dim, n_states, horizon):
+    # The replay oracle writes each path its law row's bits, and the rotated
+    # path state flags the probability the law's operator computes.
     circ = random_circuits(seed, dim, n_states, horizon)
-    var = circ.variable(1 + entry % horizon, entry % circ.basis.size)
-    reference = per_path(var)
+    t, member = 1 + entry % horizon, entry % circ.basis.size
+    var = circ.variable(t, member)
+    reference = per_path(circ, t, member)
+    _, inverse = np.unique(path_keys(circ, t), return_inverse=True)
     state = circ.sampling.prepare()
-    var.oracle.apply(state, "law")
     reference.oracle.apply(state, "path")
-    np.testing.assert_array_equal(state.register_bits("law"), state.register_bits("path"))
+    np.testing.assert_array_equal(state.register_bits("path"), var.oracle.bits[inverse])
 
     high = float(np.max(np.abs(var.oracle.values))) + 1.0
     law_op, path_op = abs_operator(var, high), abs_operator(reference, high)
-    assert law_op.good_probability() == pytest.approx(path_op.good_probability(), abs=1e-14)
-    law_state, path_state = law_op.prepare(), path_op.prepare()
-    np.testing.assert_array_equal(law_state.rotation, path_state.rotation)
-    assert law_state.good_probability() == pytest.approx(law_op.good_probability(), abs=1e-14)
+    assert law_op.amplitude == pytest.approx(path_op.amplitude, abs=1e-14)
+    assert path_op.prepare().good_probability() == pytest.approx(law_op.amplitude, abs=1e-14)
 
 
 def test_constant_law_shortcut_matches_per_path():
@@ -173,15 +231,16 @@ def test_constant_law_shortcut_matches_per_path():
     # probabilities sum to exactly 1.0 in path order but not lumped into one
     # row, and the 729 probabilities of the 2-d basket chain in neither order.
     for chain in (discretize_brownian(1, 3, 8, 2.2), discretize_brownian(2, 3, 3, 2.2)):
-        sampling = sampling_oracle(chain)
+        sampling = SamplingOracle(chain)
         probs = sampling.ensemble.probabilities
-        lumped = float(np.bincount(np.zeros(probs.size, int), probs)[0])
-        assert {float(np.sum(probs)), lumped} != {1.0}
-        oracle = FunctionOracle(name="one", fmt=FMT, raw_values=np.array([1.0]),
-                                query_cost={"basis": 2}, labels=np.zeros(probs.size, int))
-        var = QmcVariable(sampling=sampling, oracle=oracle)
-        law_rep = qmontecarlo(var, 0.05, 0.1, 1.0, 3)
-        path_rep = qmontecarlo(per_path(var), 0.05, 0.1, 1.0, 3)
+        lumped = np.bincount(np.zeros(probs.size, int), probs)
+        assert {float(np.sum(probs)), float(lumped[0])} != {1.0}
+        law = QmcVariable(sampling=sampling, masses=lumped, oracle=FunctionOracle(
+            name="one", fmt=FMT, raw_values=np.array([1.0]), query_cost={"basis": 2}))
+        paths = QmcVariable(sampling=sampling, masses=probs, oracle=FunctionOracle(
+            name="one", fmt=FMT, raw_values=np.ones(probs.size), query_cost={"basis": 2}))
+        law_rep = qmontecarlo(law, 0.05, 0.1, 1.0, 3)
+        path_rep = qmontecarlo(paths, 0.05, 0.1, 1.0, 3)
         assert law_rep.exact_variance == path_rep.exact_variance == 0.0
         assert law_rep.ledger.snapshot() == path_rep.ledger.snapshot()
         assert law_rep.ledger.state_preparations == 1 and not law_rep.pieces
