@@ -12,7 +12,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .basis import BasisSpec, gram_matrix, solve_gram
-from .chain import DEFAULT_ENUMERATION_CAP, MarkovChainSpec, PathEnsemble, image_measure
+from .chain import MarkovChainSpec, PathEnsemble, image_measure
 from .errors import CapExceeded
 from .payoff import PayoffSpec
 
@@ -166,9 +166,12 @@ def _induction(chain: MarkovChainSpec, payoff: PayoffSpec, rule, down_to: int):
 
 
 def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> SnellTable:
-    """Exact value table; stops on ties (payoff >= continuation)."""
-    if chain.path_space_size() > cap:
+                   cap: int | None = None) -> SnellTable:
+    """Exact value table; stops on ties (payoff >= continuation).
+
+    The induction costs T * n^2 and enumerates no path, so by default any
+    chain is accepted; cap, when given, bounds the chain's path count."""
+    if cap is not None and chain.path_space_size() > cap:
         raise CapExceeded(f"path space {chain.path_space_size()} exceeds cap {cap}")
     values, continuation, stop = _induction(chain, payoff, OPTIMAL_RULE, 0)
     return SnellTable(chain=chain, payoff=payoff, values=tuple(values),

@@ -18,7 +18,7 @@ from ..chain import enumerate_paths
 from ..dp import (CoefficientRule, continuation_values, exact_approximation_error,
                   optimal_stopping_times, payoff_at_times, snell_envelope,
                   weighted_l2_norm)
-from ..errors import CapExceeded, ConfigError
+from ..errors import ConfigError
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
 from ..lsm_quantum import run_quantum_lsm
 from ..qsim.fixed_point import FixedPointFormat
@@ -75,17 +75,10 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
     basis = config.build_basis()
     report = ExperimentReport(kind="price", config=config)
 
-    oracle_value = None
-    try:
-        table = snell_envelope(chain, payoff)
-        oracle_value = table.value0
-    except CapExceeded:
-        table = None
-    report.exact_value = oracle_value
+    table = snell_envelope(chain, payoff)
+    exact = report.exact_value = table.value0
 
     if config.algorithm == "oracle":
-        if table is None:
-            raise ConfigError("oracle run needs the chain under the enumeration cap")
         report.summary = {
             "value": table.value0,
             "continuation0": table.continuation0,
@@ -107,9 +100,8 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
                     run, weights.sample_step, weights.payoff_query, weights.basis_query),
                 "paths": n_paths,
             }
-            if oracle_value is not None:
-                row["abs_error"] = abs(run.estimate - oracle_value)
-                failures["classical"] += row["abs_error"] > config.epsilon
+            row["abs_error"] = abs(run.estimate - exact)
+            failures["classical"] += row["abs_error"] > config.epsilon
             report.rows.append(row)
         if config.algorithm in ("quantum", "both"):
             run = run_quantum_lsm(
@@ -121,9 +113,8 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
                 "cost_units": run.ledger.total_units(chain.horizon, weights),
                 "grover": run.ledger.grover_applications,
             }
-            if oracle_value is not None:
-                row["abs_error"] = abs(run.estimate - oracle_value)
-                failures["quantum"] += row["abs_error"] > config.epsilon
+            row["abs_error"] = abs(run.estimate - exact)
+            failures["quantum"] += row["abs_error"] > config.epsilon
             report.rows.append(row)
 
     for algo in ("classical", "quantum"):
@@ -134,8 +125,7 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
                 "mean_estimate": float(ests.mean()),
                 "std_estimate": float(ests.std()),
                 "mean_cost_units": float(np.mean([r["cost_units"] for r in rows])),
-                "exceed_epsilon_rate": failures[algo] / len(rows)
-                if oracle_value is not None else None,
+                "exceed_epsilon_rate": failures[algo] / len(rows),
             }
     if chain.diagnostics is not None:
         report.summary["discretization"] = [
@@ -406,10 +396,7 @@ def _instantiated_error_bound_checks(config: ExperimentConfig) -> list[dict]:
     chain = config.build_chain()
     payoff = config.build_payoff()
     basis = config.build_basis()
-    try:
-        table = snell_envelope(chain, payoff)
-    except CapExceeded:
-        return rows
+    table = snell_envelope(chain, payoff)
     horizon, m = chain.horizon, basis.size
     bound_r = payoff.bound_for(chain)
     ell = l2_norm_bound(basis, chain) if horizon > 1 else 1.0

@@ -1,14 +1,19 @@
 """Phase-estimation amplitude estimation.
 
 The sampler draws outcomes from the exact outcome distribution on the two
-dimensional invariant subspace of the Grover operator. A full statevector
-simulation of the same distribution stays as the reference tests compare
+dimensional invariant subspace of the Grover operator: an equal mixture of
+two Fejer kernels centred at +-theta M / pi (mod M). It enumerates each
+kernel's masses in a fixed window of offsets around its peak and reaches the
+rest of the kernel by rejection sampling, so one draw costs the same time
+and memory at every query count M. The dense M-outcome distribution and a
+full statevector simulation of it stay as the references tests compare
 against."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +22,13 @@ from .oracles import ControlledRotation, SamplingOracle
 from .state import HybridState
 
 _STATEVECTOR_QUBIT_CAP = 12
+# Offsets |j| <= _WINDOW around a kernel's peak are enumerated exactly.
+_WINDOW = 64
+
+
+def _check_queries(queries: int) -> None:
+    if queries < 2 or queries & (queries - 1):
+        raise ValueError("queries must be a power of two, at least 2")
 
 
 def _phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
@@ -37,8 +49,7 @@ def ae_outcome_distribution(amplitude: float, queries: int):
     Outcomes y = 0..M-1 map to estimates sin^2(pi y / M); probabilities are
     the exact two-eigenphase phase-estimation weights.
     """
-    if queries < 2 or queries & (queries - 1):
-        raise ValueError("queries must be a power of two, at least 2")
+    _check_queries(queries)
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
     theta = math.asin(math.sqrt(amplitude))
@@ -73,22 +84,100 @@ class EstimationOperator:
         return self.rotation.good_amplitude_squared(self.masses)
 
 
+class _Branch(NamedTuple):
+    """Window of one Fejer branch: peak = floor + frac, outcomes
+    (floor + j) mod M for the window offsets j, their kernel masses, and the
+    tail mass the window leaves."""
+
+    floor: int
+    frac: float
+    outcomes: np.ndarray
+    masses: np.ndarray
+    tail: float
+
+
+def _branch_law(phase: float, queries: int, sign: int) -> _Branch:
+    """The branch sign=-1 peaks at c = phase * M, the branch sign=+1 at -c.
+
+    Window masses are the dense law's own kernel entries; the tail mass is
+    zero when the window covers every outcome."""
+    peak = -sign * phase * queries
+    floor = math.floor(peak)
+    offsets = np.arange(max(-_WINDOW, 1 - queries // 2), min(_WINDOW, queries // 2) + 1)
+    outcomes = np.mod(floor + offsets, queries)
+    masses = _phase_kernel(phase + sign * outcomes / queries, queries)
+    tail = 0.0 if offsets.size == queries else max(0.0, 1.0 - float(masses.sum()))
+    return _Branch(floor, peak - floor, outcomes, masses, tail)
+
+
+def _sample_tail(floor: int, frac: float, queries: int, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """count outcomes from one branch's kernel conditioned off its window.
+
+    Offsets j in W+1..M/2 and -(M/2-1)..-(W+1) sit at distance r = |j - frac|
+    from the peak and carry mass sin^2(pi frac) / (M sin(pi r / M))^2, which
+    is at most sin^2(pi frac) / (4 r^2) since M sin(pi r / M) >= 2 r for
+    r <= M/2. Proposals r come from the continuous 1/r^2 law by its inverse
+    CDF; the cell [r_j - 1/2, r_j + 1/2] holding r names the offset j, whose
+    proposal mass is proportional to 1/(r_j^2 - 1/4) >= 1/r_j^2. Accepting
+    with probability 4 (r_j^2 - 1/4) / (M sin(pi r_j / M))^2 <= 1 leaves
+    draws with the kernel's conditional law; about 40% or more are kept."""
+    half = queries // 2
+    right_lo, right_hi = _WINDOW + 0.5 - frac, half + 0.5 - frac
+    left_lo, left_hi = _WINDOW + 0.5 + frac, half - 0.5 + frac
+    right_mass = 1.0 / right_lo - 1.0 / right_hi
+    total = right_mass + 1.0 / left_lo - 1.0 / left_hi
+    out = np.empty(count, dtype=np.int64)
+    pending = np.arange(count)
+    while pending.size:
+        v = rng.random(pending.size) * total
+        right = v < right_mass
+        r = np.where(right, 1.0 / (1.0 / right_lo - v),
+                     1.0 / (1.0 / left_lo - (v - right_mass)))
+        k = np.where(right, np.clip(np.rint(r + frac), _WINDOW + 1, half),
+                     np.clip(np.rint(r - frac), _WINDOW + 1, half - 1)).astype(np.int64)
+        offset = np.where(right, k, -k)
+        dist = np.abs(offset - frac)
+        accept = rng.random(pending.size) * (queries * np.sin(np.pi * dist / queries)) ** 2 \
+            < 4.0 * (dist * dist - 0.25)
+        out[pending[accept]] = np.mod(floor + offset[accept], queries)
+        pending = pending[~accept]
+    return out
+
+
 def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: int,
                       rng: np.random.Generator,
                       ledger: QueryLedger | None = None) -> np.ndarray:
     """Independent repeated M-query outcomes from the analytic distribution.
 
-    Bills M Grover applications per repetition and, for each, one initial
-    preparation plus two per Grover application, each with its rotation."""
-    estimates, probs, _ = ae_outcome_distribution(operator.amplitude, queries)
+    Each draw picks, with one uniform, a window outcome of either kernel
+    branch or one branch's tail; tail picks are rejection-sampled by
+    `_sample_tail`. The law equals `ae_outcome_distribution`'s, and time and
+    memory do not depend on M. Bills M Grover applications per repetition
+    and, for each, one initial preparation plus two per Grover application,
+    each with its rotation."""
+    _check_queries(queries)
     if ledger is not None:
         applications = (2 * queries + 1) * repetitions
         ledger.add_grover(queries * repetitions)
         ledger.add_state_preparations(applications)
         ledger.add_rotations(applications)
         operator.rotation.oracle.bill(ledger, applications=2 * applications)
-    picks = rng.choice(len(probs), p=probs, size=repetitions)
-    return estimates[picks]
+    phase = math.asin(math.sqrt(operator.amplitude)) / math.pi
+    branches = [_branch_law(phase, queries, sign) for sign in (-1, 1)]
+    # Rows: each branch's window outcomes, then that branch's tail (-1).
+    cdf = np.cumsum(np.concatenate([np.append(b.masses, b.tail) for b in branches]))
+    # u in (0, cdf[-1]] with side="left" never lands on a zero-mass row.
+    u = (1.0 - rng.random(repetitions)) * cdf[-1]
+    picks = np.searchsorted(cdf, u, side="left")
+    outcomes = np.concatenate([np.append(b.outcomes, -1) for b in branches])[picks]
+    tail_row = -1
+    for b in branches:
+        tail_row += b.outcomes.size + 1
+        in_tail = np.flatnonzero(picks == tail_row)
+        if in_tail.size:
+            outcomes[in_tail] = _sample_tail(b.floor, b.frac, queries, in_tail.size, rng)
+    return np.sin(np.pi * outcomes / queries) ** 2
 
 
 def _embed(state: HybridState) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +202,7 @@ def statevector_ae_distribution(system: np.ndarray, good_mask: np.ndarray,
     register, applies the inverse Fourier transform and returns the phase
     register's measurement distribution.
     """
-    if queries < 2 or queries & (queries - 1):
-        raise ValueError("queries must be a power of two, at least 2")
+    _check_queries(queries)
     system = np.asarray(system, dtype=complex)
     dim = system.size
     n_qubits = math.ceil(math.log2(dim)) + int(math.log2(queries))

@@ -22,6 +22,7 @@ from .ledger import CostWeights, QueryLedger
 from .oracles import ControlledRotation, FunctionOracle, SamplingOracle
 
 MEDIAN_REPETITION_CONSTANT = 18.0
+# Bounds the ledger cost of one AE call; sampling memory does not grow with M.
 _MAX_AE_QUERIES = 1 << 30
 
 

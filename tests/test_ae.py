@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from qlsm.chain import MarkovChainSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
                        QueryLedger, SamplingOracle, ae_outcome_distribution,
                        draw_ae_estimates, statevector_ae_distribution)
-from qlsm.qsim.ae import _embed
+from qlsm.qsim.ae import _WINDOW, _branch_law, _embed, _phase_kernel, _sample_tail
 from qlsm.qsim.fixed_point import FixedPointFormat
 
 
@@ -111,3 +116,125 @@ class TestSamplingAndLedger:
         assert draw_ae_estimates(op, 8, 1, rng)[0] == 0.0
         op = operator_with_amplitude(1.0)
         assert draw_ae_estimates(op, 8, 1, rng)[0] == 1.0
+
+
+def dense_branches(amplitude: float, queries: int):
+    """The two unnormalized Fejer kernels ae_outcome_distribution mixes:
+    the sign=-1 branch peaks at theta M / pi, the sign=+1 branch at -theta M / pi."""
+    phase = math.asin(math.sqrt(amplitude)) / math.pi
+    y = np.arange(queries)
+    return {sign: _phase_kernel(phase + sign * y / queries, queries) for sign in (-1, 1)}
+
+
+def branch_laws(amplitude: float, queries: int):
+    phase = math.asin(math.sqrt(amplitude)) / math.pi
+    return {sign: _branch_law(phase, queries, sign) for sign in (-1, 1)}
+
+
+def amplitude_grid(queries: int) -> list:
+    """0, 1, a few generic values, and sin^2(pi k / M) exactly and 1e-15 off."""
+    grid = [0.0, 1.0, 0.3, 1e-9, 0.999]
+    for k in sorted({1, 3, queries // 4, queries // 2 - 1, queries // 2}):
+        on_grid = float(np.sin(np.pi * k / queries) ** 2)
+        grid += [a for a in (on_grid - 1e-15, on_grid, on_grid + 1e-15) if 0.0 <= a <= 1.0]
+    return grid
+
+
+GRID_CASES = [(a, m) for m in (2, 8, 128, 256, 1024, 1 << 14)
+              for a in amplitude_grid(m)]
+
+
+def check_window_law(amplitude: float, queries: int):
+    """Window masses are the dense entries, tails the dense tail masses, and
+    where the window covers every outcome the mixture is the dense law."""
+    dense = dense_branches(amplitude, queries)
+    laws = branch_laws(amplitude, queries)
+    _, probs, _ = ae_outcome_distribution(amplitude, queries)
+    mixture = 0.5 * (dense[-1] + dense[1])
+    np.testing.assert_array_equal(probs, mixture / mixture.sum())
+    law = np.zeros(queries)
+    for sign, branch in laws.items():
+        assert np.unique(branch.outcomes).size == branch.outcomes.size
+        assert np.max(np.abs(branch.masses - dense[sign][branch.outcomes])) <= 1e-15
+        off_window = np.ones(queries, dtype=bool)
+        off_window[branch.outcomes] = False
+        # Each exact kernel sums to 1. The dense +1 branch evaluates
+        # phase + y/M near 1, so its sum drifts from 1 by up to ~M * 4e-16;
+        # the sampler's tail (1 - window) may differ from the dense tail by
+        # that drift and no more.
+        drift = abs(dense[sign].sum() - 1.0)
+        assert drift <= queries * 1e-15
+        assert abs(branch.tail - dense[sign][off_window].sum()) <= 1e-12 + drift
+        np.add.at(law, branch.outcomes, branch.masses)
+    if queries <= 2 * _WINDOW + 1:
+        assert laws[-1].tail == laws[1].tail == 0.0
+        assert 0.5 * np.abs(law / law.sum() - probs).sum() < 1e-12
+
+
+def pooled_chisquare_pvalue(counts: np.ndarray, probs: np.ndarray, bins: int = 50) -> float:
+    """Pearson test after merging consecutive cells into ~equal-mass bins."""
+    probs = probs / probs.sum()
+    start = np.cumsum(probs) - probs
+    ids = np.minimum((start * bins).astype(np.int64), bins - 1)
+    observed = np.bincount(ids, weights=counts, minlength=bins)
+    expected = np.bincount(ids, weights=probs, minlength=bins) * counts.sum()
+    keep = expected > 0
+    return stats.chisquare(observed[keep], expected[keep]).pvalue
+
+
+class TestWindowedSampler:
+    @pytest.mark.parametrize("amplitude, queries", GRID_CASES)
+    def test_window_law_matches_dense(self, amplitude, queries):
+        check_window_law(amplitude, queries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 14))
+    def test_window_law_matches_dense_random(self, amplitude, log_queries):
+        check_window_law(amplitude, 1 << log_queries)
+
+    def test_tail_draws_follow_dense_conditional_tail(self):
+        # Every grid branch whose tail the sampler can reach: 1e5 tail-only
+        # draws against the dense kernel restricted off the window.
+        rng = np.random.Generator(np.random.Philox(11))
+        tested = 0
+        for amplitude, queries in GRID_CASES:
+            dense = dense_branches(amplitude, queries)
+            for sign, branch in branch_laws(amplitude, queries).items():
+                if branch.tail == 0.0:
+                    continue
+                off_window = np.ones(queries, dtype=bool)
+                off_window[branch.outcomes] = False
+                draws = _sample_tail(branch.floor, branch.frac, queries, 100_000, rng)
+                assert off_window[draws].all()
+                counts = np.bincount(draws, minlength=queries)[off_window]
+                p = pooled_chisquare_pvalue(counts, dense[sign][off_window])
+                assert p > 1e-3, (amplitude, queries, sign, p)
+                tested += 1
+        assert tested >= 20
+
+    def test_draws_follow_dense_law(self):
+        # End to end: estimates fold y and M - y together, so compare the
+        # folded outcome k = min(y, M - y) with the folded dense law.
+        op = operator_with_amplitude(0.3)
+        queries = 1024
+        draws = draw_ae_estimates(op, queries, 200_000, np.random.Generator(np.random.Philox(4)))
+        folded = np.rint(np.arcsin(np.sqrt(draws)) * queries / np.pi).astype(np.int64)
+        _, probs, y = ae_outcome_distribution(op.amplitude, queries)
+        folded_probs = np.bincount(np.minimum(y, queries - y), weights=probs)
+        counts = np.bincount(folded, minlength=folded_probs.size)
+        assert pooled_chisquare_pvalue(counts, folded_probs) > 1e-3
+
+    def test_peak_memory_flat_in_queries(self):
+        # The dense law would need 32 B per outcome: 32 GB at M = 2^30.
+        op = operator_with_amplitude(0.37)
+        rng = np.random.Generator(np.random.Philox(6))
+        op.amplitude  # computed once, outside the measurement
+        for log_queries in range(10, 31, 4):
+            tracemalloc.start()
+            try:
+                draws = draw_ae_estimates(op, 1 << log_queries, 117, rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert draws.shape == (117,)
+            assert peak < 1 << 20, (log_queries, peak)

@@ -76,6 +76,21 @@ class TestPriceRuns:
         for row in report.rows:
             assert row["estimate"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_price_past_the_enumeration_cap_reports_errors(self):
+        # 8^7 = 2,097,152 paths, twice the enumeration cap: the oracle's
+        # induction enumerates nothing, so every row carries its error.
+        cfg = reference_config(horizon=7, grid_size=8, grid_radius=2.2, trials=1,
+                               basis=BasisConfig(kind="constant").__dict__,
+                               path_count=2000)
+        assert cfg.build_chain().path_space_size() == 2_097_152
+        report = run_price(cfg)
+        assert math.isfinite(report.exact_value)
+        assert {row["algorithm"] for row in report.rows} == {"classical", "quantum"}
+        for row in report.rows:
+            assert row["abs_error"] == abs(row["estimate"] - report.exact_value)
+        for algo in ("classical", "quantum"):
+            assert report.summary[algo]["exceed_epsilon_rate"] in (0.0, 1.0)
+
     def test_determinism_byte_identical(self):
         cfg = reference_config(trials=2)
         a = run_price(cfg).to_json()

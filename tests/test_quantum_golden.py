@@ -34,10 +34,10 @@ def basket_instance():
 
 
 GOLDEN = [
-    (criterion6_instance, 1, "77acaf641ae711b5c13d6659c5eea07ea8db633eff7318a85759d8df6a9c543b"),
-    (criterion6_instance, 2, "fde6798d4bc959cd7cbbd8a987c7f408ecda3d0a125a16243dfcfa39ac913cb5"),
-    (basket_instance, 1, "da467ec10059ec14850c01bcb0d58752a877e648020e06c34a8a178cf2a6b1ab"),
-    (basket_instance, 2, "23e760d976a3f1344f27ead756246bcd68f178768bff2b6818bfd623eb336d14"),
+    (criterion6_instance, 1, "2f1eef5cbfddcdaca40caef2350238c8c87cf531add4ceee75e7f777a03b26c2"),
+    (criterion6_instance, 2, "60dd870259afb672654c3757e05d705123f5ab19153a794b8c64e8b23514f23b"),
+    (basket_instance, 1, "a432b3d6345de039359ffbf7df42334df900d42353a90f546bdddd1e40eb5d9a"),
+    (basket_instance, 2, "3406e90fc5d7ac3cd4350197fe0554d0d455d374828432d04a0b454dbb48b7d5"),
 ]
 
 
