@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, gammaln
 
 from .chain import MarkovChainSpec, image_measure
 from .errors import SingularGram
@@ -48,7 +47,7 @@ def _hermite_rows(max_order: int, x: np.ndarray) -> np.ndarray:
 
 def _log_hermite_normalizer(order: int) -> float:
     # log of 1/sqrt(order! * 2^order); log-space keeps large orders finite.
-    return -0.5 * (gammaln(order + 1) + order * math.log(2.0))
+    return -0.5 * (math.lgamma(order + 1) + order * math.log(2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +260,14 @@ def hermite_tail_bound(k: int, l: int, cube_radius: float) -> tuple[float, float
         raise ValueError("cube_radius must be positive")
     lam = float(cube_radius)
     if k == l:
-        exact = (math.exp(gammaln(k + 1) + k * math.log(2.0)) * (math.sqrt(math.pi) / 2.0)
-                 * erfc(lam)
+        exact = (math.exp(math.lgamma(k + 1) + k * math.log(2.0)) * (math.sqrt(math.pi) / 2.0)
+                 * math.erfc(lam)
                  + math.exp(-lam * lam) * _hermite_sum_identity(k, lam))
     else:
         exact = math.exp(-lam * lam) * math.sqrt(
             _hermite_sum_identity(l, lam) * _hermite_sum_identity(k - 1, lam))
     log_simple = ((2 + (k + l) / 2.0) * math.log(2.0)
-                  + 0.5 * (gammaln(k + 2) + gammaln(l + 2))
+                  + 0.5 * (math.lgamma(k + 2) + math.lgamma(l + 2))
                   + (math.sqrt(2.0 * (k + 1)) + math.sqrt(2.0 * (l + 1))) * lam
                   - lam * lam)
     return float(exact), float(math.exp(log_simple))

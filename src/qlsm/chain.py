@@ -10,13 +10,13 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import CapExceeded
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
 _ROW_TOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -80,26 +80,33 @@ class MarkovChainSpec:
             grids.append(g)
         object.__setattr__(self, "grids", tuple(grids))
         init = _readonly(self.initial_distribution)
-        self._check_distribution(init, self.grids[0].shape[0], "initial distribution")
+        if init.shape != (self.n_states(1),):
+            raise ValueError("initial distribution has wrong length")
+        self._check_rows(init[None, :], "initial distribution")
         object.__setattr__(self, "initial_distribution", init)
         mats = []
         for t, P in enumerate(self.transitions, start=1):
             P = _readonly(P)
             if P.shape != (self.n_states(t), self.n_states(t + 1)):
                 raise ValueError(f"transition {t}->{t + 1} has wrong shape {P.shape}")
-            for i, row in enumerate(P):
-                self._check_distribution(row, P.shape[1], f"transition {t}->{t + 1} row {i}")
+            self._check_rows(P, f"transition {t}->{t + 1} row {{row}}")
             mats.append(P)
         object.__setattr__(self, "transitions", tuple(mats))
 
     @staticmethod
-    def _check_distribution(p: np.ndarray, n: int, what: str):
-        if p.shape != (n,):
-            raise ValueError(f"{what} has wrong length")
-        if np.any(p < 0):
+    def _check_rows(mat: np.ndarray, what: str):
+        """Check every row of mat is a distribution, all rows at once; the
+        error names the first bad row through what's {row} field."""
+        sums = mat.sum(axis=1)
+        negative = np.any(mat < 0, axis=1)
+        bad = negative | (np.abs(sums - 1.0) > _ROW_TOL)
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        what = what.format(row=row)
+        if negative[row]:
             raise ValueError(f"{what} has negative entries")
-        if abs(float(p.sum()) - 1.0) > _ROW_TOL:
-            raise ValueError(f"{what} does not sum to 1 (off by {p.sum() - 1.0:.2e})")
+        raise ValueError(f"{what} does not sum to 1 (off by {sums[row] - 1.0:.2e})")
 
     def grid(self, t: int) -> np.ndarray:
         """Grid of step t, for t in 1..horizon."""
@@ -291,6 +298,12 @@ def marginal_moment(chain: MarkovChainSpec, t: int, order: int, coord: int = 0) 
     return float(np.sum(measure.masses * measure.points[:, coord] ** order))
 
 
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF by erfc, accurate in both tails: the upper tail
+    1 - CDF(z) is _normal_cdf(-z), with no cancellation."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
 def _gaussian_bin(grid: np.ndarray, means: np.ndarray, sd: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-point binning of N(mean, sd^2) onto a uniform grid.
 
@@ -299,7 +312,8 @@ def _gaussian_bin(grid: np.ndarray, means: np.ndarray, sd: float) -> tuple[np.nd
     """
     h = grid[1] - grid[0] if grid.size > 1 else 2.0 * (abs(grid[0]) + 1.0)
     edges = np.concatenate([[grid[0] - h / 2], (grid[:-1] + grid[1:]) / 2, [grid[-1] + h / 2]])
-    cdf = ndtr((edges[None, :] - means[:, None]) / sd)
+    z = (edges[None, :] - means[:, None]) / sd
+    cdf = np.array([_normal_cdf(v) for v in z.ravel().tolist()]).reshape(z.shape)
     probs = np.diff(cdf, axis=1)
     np.clip(probs, 0.0, None, out=probs)
     kept = probs.sum(axis=1)
@@ -346,7 +360,7 @@ def _brownian_diagnostics(grids, init, mats, dropped, support_radius, grid_size)
         # Conservative per-step quantization + truncation estimate, compounded.
         edge = support_radius * math.sqrt(t) + h / 2
         zbar = edge / math.sqrt(t)
-        tail2 = 2 * t * ((1 - ndtr(zbar)) + zbar * math.exp(-zbar * zbar / 2) / math.sqrt(2 * math.pi))
+        tail2 = 2 * t * (_normal_cdf(-zbar) + zbar * math.exp(-zbar * zbar / 2) / math.sqrt(2 * math.pi))
         per_step = h * math.sqrt(2 * t / math.pi) + h * h / 4 + tail2 + max(dropped) * 2 * t
         tol = 2.0 * t * per_step
         out.append(StepDiagnostics(step=t, mean_error=abs(mean),
@@ -392,8 +406,8 @@ def _gbm_diagnostics(grids1, init, mats, dropped) -> tuple[StepDiagnostics, ...]
         # |d/dw e^{w-t/2}| peaks at the upper grid edge; tails are exact normal
         # integrals of e^{w-t/2} beyond the outer edges.
         quant = math.exp(edge - t / 2) * h / 2
-        upper = math.exp(0.0) * (1 - ndtr((edge - t) / math.sqrt(t)))
-        lower = ndtr((-edge - t) / math.sqrt(t))
+        upper = _normal_cdf((t - edge) / math.sqrt(t))
+        lower = _normal_cdf((-edge - t) / math.sqrt(t))
         per_step = quant + upper + lower + max(dropped) * math.exp(edge - t / 2)
         tol = 2.0 * t * per_step
         out.append(StepDiagnostics(step=t, mean_error=abs(mean - 1.0),

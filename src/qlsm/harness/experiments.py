@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound,
                      vandermonde_gram, vandermonde_sigma_min_bound)
@@ -210,9 +209,19 @@ def _check(name: str, lhs: float, rhs: float, note: str = "") -> dict:
 
 
 def _hermite_weighted_integral(k: int, l: int, lower: float) -> float:
-    val, _ = quad(lambda x: hermite(k, x) * hermite(l, x) * math.exp(-x * x),
-                  lower, np.inf, limit=200)
-    return val
+    """Integral of H_k H_l e^{-x^2} over [lower, inf), in closed form.
+
+    Expands H_k H_l = sum_j 2^j j! C(k,j) C(l,j) H_{k+l-2j}; the tail of
+    H_m e^{-x^2} is H_{m-1}(lower) e^{-lower^2} for m >= 1 (Rodrigues'
+    formula) and sqrt(pi)/2 erfc(lower) for m = 0.
+    """
+    total = 0.0
+    for j in range(min(k, l) + 1):
+        m = k + l - 2 * j
+        tail = (hermite(m - 1, lower) * math.exp(-lower * lower) if m
+                else math.sqrt(math.pi) / 2.0 * math.erfc(lower))
+        total += 2**j * math.factorial(j) * math.comb(k, j) * math.comb(l, j) * tail
+    return total
 
 
 def _gauss_hermite_gram(k: int, l: int) -> float:
@@ -229,10 +238,9 @@ def _lognormal_moment(order: int, t: float) -> float:
 
 
 def _lognormal_tail_integral(k: int, lam: float, t: float) -> float:
-    val, _ = quad(lambda u: math.exp(k * u - (u + t / 2) ** 2 / (2 * t))
-                  / math.sqrt(2 * math.pi * t),
-                  math.log(lam), np.inf, limit=200)
-    return val
+    """E[x^k; x > lam] for x = e^u, u ~ N(-t/2, t), in closed form."""
+    return (math.exp(t * k * (k - 1) / 2.0)
+            * 0.5 * math.erfc((math.log(lam) + t / 2.0 - k * t) / math.sqrt(2.0 * t)))
 
 
 def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
@@ -253,8 +261,8 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
     rows.append(_check("hermite-orthonormality(normalized)", worst, 1e-8))
 
     # One-sided Hermite tail integrals against both bound forms. The exact
-    # form is tight at k=l=0, so the comparison carries the quadrature
-    # oracle's own tolerance.
+    # form is tight at k=1, l=0, so the comparison allows for the rounding
+    # of both closed forms.
     slack = 1e-7
     for lam in (2.0, 4.0, 6.0):
         worst_exact, worst_simple, worst_order = -math.inf, -math.inf, -math.inf
@@ -266,9 +274,9 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
                 worst_simple = max(worst_simple, integral - simple_form * (1 + slack))
                 worst_order = max(worst_order, exact_form - simple_form)
         rows.append(_check(f"hermite-tail<=exact-form(lam={lam})", worst_exact, 1e-30,
-                           note="quadrature slack 1e-7 relative"))
+                           note="rounding slack 1e-7 relative"))
         rows.append(_check(f"hermite-tail<=simplified(lam={lam})", worst_simple, 1e-30,
-                           note="quadrature slack 1e-7 relative"))
+                           note="rounding slack 1e-7 relative"))
         rows.append(_check(f"exact-form<=simplified(lam={lam})", worst_order, 0.0))
 
     # Vandermonde-power sigma_min bounds against dense SVD.

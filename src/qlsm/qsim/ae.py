@@ -43,6 +43,20 @@ def _phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
     return out
 
 
+def _branch_masses(phase: float, outcomes: np.ndarray, queries: int, sign: int) -> np.ndarray:
+    """Kernel masses of one Fejer branch at outcomes in 0..M-1.
+
+    The branch sign=-1 (eigenphase +theta) sits at offset phase - y/M from
+    outcome y, the branch sign=+1 (eigenphase -theta) at phase + y/M. Both
+    are evaluated as phase - k/M for the k = -sign*y (mod M) that puts the
+    offset in (-1/2, 1/2 + 1/M], so near the kernel's peak at offset 0 it is
+    formed without cancellation. Taken as phase + y/M, the offsets near 1 at
+    the -theta peak would cost the branch about M * 1.1e-16 of its unit mass."""
+    centre = math.floor(phase * queries) - queries // 2
+    k = np.mod(-sign * outcomes - centre, queries) + centre
+    return _phase_kernel(phase - k / queries, queries)
+
+
 def ae_outcome_distribution(amplitude: float, queries: int):
     """(estimates, probabilities, outcomes) of M-query amplitude estimation.
 
@@ -54,9 +68,8 @@ def ae_outcome_distribution(amplitude: float, queries: int):
         raise ValueError("amplitude must lie in [0, 1]")
     theta = math.asin(math.sqrt(amplitude))
     y = np.arange(queries)
-    plus = _phase_kernel(theta / math.pi - y / queries, queries)
-    minus = _phase_kernel(theta / math.pi + y / queries, queries)
-    probs = 0.5 * (plus + minus)
+    probs = 0.5 * (_branch_masses(theta / math.pi, y, queries, -1)
+                   + _branch_masses(theta / math.pi, y, queries, 1))
     probs = probs / probs.sum()
     estimates = np.sin(np.pi * y / queries) ** 2
     return estimates, probs, y
@@ -105,7 +118,7 @@ def _branch_law(phase: float, queries: int, sign: int) -> _Branch:
     floor = math.floor(peak)
     offsets = np.arange(max(-_WINDOW, 1 - queries // 2), min(_WINDOW, queries // 2) + 1)
     outcomes = np.mod(floor + offsets, queries)
-    masses = _phase_kernel(phase + sign * outcomes / queries, queries)
+    masses = _branch_masses(phase, outcomes, queries, sign)
     tail = 0.0 if offsets.size == queries else max(0.0, 1.0 - float(masses.sum()))
     return _Branch(floor, peak - floor, outcomes, masses, tail)
 

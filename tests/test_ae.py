@@ -10,7 +10,8 @@ from qlsm.chain import MarkovChainSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
                        QueryLedger, SamplingOracle, ae_outcome_distribution,
                        draw_ae_estimates, statevector_ae_distribution)
-from qlsm.qsim.ae import _WINDOW, _branch_law, _embed, _phase_kernel, _sample_tail
+from qlsm.qsim.ae import (_WINDOW, _branch_law, _branch_masses, _embed, _phase_kernel,
+                          _sample_tail)
 from qlsm.qsim.fixed_point import FixedPointFormat
 
 
@@ -56,6 +57,28 @@ class TestAnalyticDistribution:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             ae_outcome_distribution(0.5, 12)
+
+    def test_each_branch_sums_to_one(self):
+        # Offsets near +-1 (phase + y/M close to 1 on the -theta branch) used
+        # to cost the branch up to 6.6e-12 of its unit mass at M = 2^14.
+        queries = 1 << 14
+        y = np.arange(queries)
+        amplitudes = np.concatenate([np.linspace(0.0, 1.0, 296), [1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12]])
+        for a in amplitudes:
+            phase = math.asin(math.sqrt(a)) / math.pi
+            for sign in (-1, 1):
+                masses = _branch_masses(phase, y, queries, sign)
+                assert abs(masses.sum() - 1.0) <= 1e-14, (a, sign)
+                naive = _phase_kernel(phase + sign * y / queries, queries)
+                np.testing.assert_allclose(masses, naive, rtol=1e-9, atol=1e-15)
+
+    def test_law_mirror_symmetric(self):
+        # The -theta branch at y is the +theta branch at M - y, bit for bit.
+        for queries in (2, 16, 1 << 14):
+            y = np.arange(queries)
+            for a in np.linspace(0.0, 1.0, 41):
+                _, probs, _ = ae_outcome_distribution(float(a), queries)
+                np.testing.assert_array_equal(probs, probs[np.mod(-y, queries)])
 
 
 class TestStatevectorCrossCheck:
@@ -123,7 +146,7 @@ def dense_branches(amplitude: float, queries: int):
     the sign=-1 branch peaks at theta M / pi, the sign=+1 branch at -theta M / pi."""
     phase = math.asin(math.sqrt(amplitude)) / math.pi
     y = np.arange(queries)
-    return {sign: _phase_kernel(phase + sign * y / queries, queries) for sign in (-1, 1)}
+    return {sign: _branch_masses(phase, y, queries, sign) for sign in (-1, 1)}
 
 
 def branch_laws(amplitude: float, queries: int):
@@ -158,12 +181,10 @@ def check_window_law(amplitude: float, queries: int):
         assert np.max(np.abs(branch.masses - dense[sign][branch.outcomes])) <= 1e-15
         off_window = np.ones(queries, dtype=bool)
         off_window[branch.outcomes] = False
-        # Each exact kernel sums to 1. The dense +1 branch evaluates
-        # phase + y/M near 1, so its sum drifts from 1 by up to ~M * 4e-16;
-        # the sampler's tail (1 - window) may differ from the dense tail by
-        # that drift and no more.
+        # Each exact kernel sums to 1 up to rounding; the sampler's tail
+        # (1 - window) may differ from the dense tail by that drift and no more.
         drift = abs(dense[sign].sum() - 1.0)
-        assert drift <= queries * 1e-15
+        assert drift <= 1e-14
         assert abs(branch.tail - dense[sign][off_window].sum()) <= 1e-12 + drift
         np.add.at(law, branch.outcomes, branch.masses)
     if queries <= 2 * _WINDOW + 1:

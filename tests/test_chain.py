@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-from qlsm.chain import (MarkovChainSpec, discretize_brownian, discretize_gbm,
-                        enumerate_paths, image_measure, marginal_moment,
-                        sample_path, sample_paths)
+from qlsm.chain import (MarkovChainSpec, _normal_cdf, discretize_brownian,
+                        discretize_gbm, enumerate_paths, image_measure,
+                        marginal_moment, sample_path, sample_paths)
 from qlsm.errors import CapExceeded
 
 
@@ -41,11 +43,37 @@ class TestValidation:
                             grids=(np.array([[0.0], [1.0]]),),
                             initial_distribution=[1.5, -0.5], transitions=())
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ([0.7, 0.25, 0.25, 0.25], r"^transition 1->2 row 2 does not sum to 1 \(off by 4\.50e-01\)$"),
+        ([-0.1, 0.35, 0.5, 0.25], r"^transition 1->2 row 2 has negative entries$"),
+    ])
+    def test_first_bad_row_named(self, bad_row, message):
+        # Rows 2 and 3 are bad; the error names row 2, as a row-by-row scan would.
+        P = np.full((5, 4), 0.25)
+        P[2] = bad_row
+        P[3] = [0.5, 0.5, 0.5, -0.5]
+        with pytest.raises(ValueError, match=message):
+            MarkovChainSpec(dimension=1, horizon=2, initial_state=[0.0],
+                            grids=(np.zeros((5, 1)), np.zeros((4, 1))),
+                            initial_distribution=np.full(5, 0.2), transitions=(P,))
+
+    def test_initial_distribution_message(self):
+        with pytest.raises(ValueError, match="^initial distribution does not sum to 1"):
+            MarkovChainSpec(dimension=1, horizon=1, initial_state=[0.0],
+                            grids=(np.zeros((2, 1)),), initial_distribution=[0.5, 0.6],
+                            transitions=())
+
     def test_grid_shape_checked(self):
         with pytest.raises(ValueError):
             MarkovChainSpec(dimension=2, horizon=1, initial_state=[0.0, 0.0],
                             grids=(np.array([[0.0]]),),
                             initial_distribution=[1.0], transitions=())
+
+
+class TestNormalCdf:
+    @given(st.floats(-8.0, 8.0))
+    def test_matches_scipy_ndtr(self, z):
+        assert _normal_cdf(z) == pytest.approx(float(ndtr(z)), rel=1e-13, abs=0.0)
 
 
 class TestEnumerate:

@@ -1,13 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import qlsm
+from qlsm.basis import hermite
 from qlsm.errors import ConfigError
 from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, main
 from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
-from qlsm.harness.experiments import (dump_oracle, run_price, run_scaling,
+from qlsm.harness.experiments import (_hermite_weighted_integral, _lognormal_tail_integral,
+                                      dump_oracle, run_price, run_scaling,
                                       validate_bounds)
 
 
@@ -145,6 +154,30 @@ class TestValidateBounds:
             assert row["margin"] == pytest.approx(row["rhs"] - row["lhs"])
 
 
+class TestClosedFormTails:
+    """The closed-form tail integrals validate_bounds uses, against quadrature
+    with only a relative tolerance (the default absolute one, 1.5e-8, is
+    above several of these integrals)."""
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
+    def test_hermite_tail_matches_quad(self, lam):
+        for k in range(7):
+            for l in range(7):
+                val, _ = quad(lambda x: hermite(k, x) * hermite(l, x) * math.exp(-x * x),
+                              lam, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+                assert _hermite_weighted_integral(k, l, lam) == pytest.approx(val, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_lognormal_tail_matches_quad(self, t):
+        for k in range(5):
+            for factor in (1.05, math.e):
+                lam = math.exp(t * (k - 0.5)) * factor
+                val, _ = quad(lambda u: math.exp(k * u - (u + t / 2) ** 2 / (2 * t))
+                              / math.sqrt(2 * math.pi * t),
+                              math.log(lam), np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+                assert _lognormal_tail_integral(k, lam, t) == pytest.approx(val, rel=1e-10, abs=0.0)
+
+
 class TestDumpOracle:
     def test_collected_matches_value(self):
         report = dump_oracle(reference_config())
@@ -212,3 +245,32 @@ class TestCli:
         a = (tmp_path / "a" / "price.json").read_text()
         b = (tmp_path / "b" / "price.json").read_text()
         assert a == b
+
+
+class TestRuntimeWithoutScipy:
+    def test_every_module_and_command_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only. With sys.modules["scipy"] = None
+        # any "import scipy..." raises, so an import of it anywhere on these
+        # paths fails the run.
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "cli_reference.json"
+        script = textwrap.dedent(f"""
+            import importlib, pkgutil, sys
+            sys.modules["scipy"] = None
+            import qlsm
+            for info in pkgutil.walk_packages(qlsm.__path__, "qlsm."):
+                importlib.import_module(info.name)
+            from qlsm.harness.cli import main
+            codes = [main(["price", "--config", {str(config)!r}, "--out", {str(tmp_path / "price")!r}]),
+                     main(["validate-bounds", "--strict", "--out", {str(tmp_path / "bounds")!r}])]
+            print("exit codes", codes)
+            sys.exit(max(codes))
+        """)
+        src = str(Path(qlsm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "exit codes [0, 0]" in done.stdout
+        assert (tmp_path / "price" / "price.json").exists()
+        assert (tmp_path / "bounds" / "bounds.json").exists()
