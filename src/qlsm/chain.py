@@ -26,10 +26,18 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself, made read-only; for arrays just built that nothing else holds."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _readonly(arr) -> np.ndarray:
+    """A read-only float array: a read-only float input is kept as it is,
+    anything a caller could still write to is copied first."""
+    if isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable:
+        return arr
+    return _frozen(np.array(arr, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +135,17 @@ class MarkovChainSpec:
     def row_cdfs(self) -> tuple[np.ndarray, ...]:
         """Row-wise cumulative sums of each transition matrix, computed on
         first use and kept for the chain's lifetime; entry t-1 is step t's."""
-        return tuple(_readonly(np.cumsum(P, axis=1)) for P in self.transitions)
+        return tuple(_frozen(np.cumsum(P, axis=1)) for P in self.transitions)
+
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, ...]:
+        """Marginal law of each step's state, entry t-1 for step t: the
+        initial distribution pushed left to right through the transitions,
+        computed on first use and kept for the chain's lifetime."""
+        laws = [self.initial_distribution]
+        for P in self.transitions:
+            laws.append(_frozen(laws[-1] @ P))
+        return tuple(laws)
 
     def path_space_size(self) -> int:
         size = 1
@@ -284,12 +302,7 @@ class DiscreteMeasure:
 
 def image_measure(chain: MarkovChainSpec, t: int) -> DiscreteMeasure:
     """Marginal law of the step-t state."""
-    if not 1 <= t <= chain.horizon:
-        raise ValueError(f"step {t} out of range 1..{chain.horizon}")
-    mass = chain.initial_distribution
-    for u in range(1, t):
-        mass = mass @ chain.transition(u)
-    return DiscreteMeasure(points=chain.grid(t), masses=mass)
+    return DiscreteMeasure(points=chain.grid(t), masses=chain.marginals[t - 1])
 
 
 def marginal_moment(chain: MarkovChainSpec, t: int, order: int, coord: int = 0) -> float:
@@ -333,6 +346,19 @@ def _kron_power(mat: np.ndarray, dim: int) -> np.ndarray:
     for _ in range(dim - 1):
         out = np.kron(out, mat)
     return out
+
+
+def _product_chain(dim: int, grids1, init1: np.ndarray, mats1, initial_state: np.ndarray,
+                   diagnostics) -> MarkovChainSpec:
+    """Chain of dim independent copies of a 1-d chain: product grids and
+    Kronecker powers of its initial law and transitions, frozen as built."""
+    return MarkovChainSpec(
+        dimension=dim, horizon=len(grids1), initial_state=initial_state,
+        grids=tuple(_frozen(_product_points(g, dim)) for g in grids1),
+        initial_distribution=_frozen(_kron_power(init1, dim)),
+        transitions=tuple(_frozen(_kron_power(P, dim)) for P in mats1),
+        diagnostics=diagnostics,
+    )
 
 
 def _brownian_1d_parts(horizon: int, grid_size: int, support_radius: float):
@@ -382,15 +408,7 @@ def discretize_brownian(dim: int, horizon: int, grid_size: int,
         raise ValueError("support_radius must be positive")
     grids1, init1, mats1, dropped = _brownian_1d_parts(horizon, grid_size, support_radius)
     diag = _brownian_diagnostics(grids1, init1, mats1, dropped, support_radius, grid_size)
-    grids = tuple(_product_points(g, dim) for g in grids1)
-    init = init1
-    for _ in range(dim - 1):
-        init = np.kron(init, init1)
-    mats = tuple(_kron_power(P, dim) for P in mats1)
-    return MarkovChainSpec(
-        dimension=dim, horizon=horizon, initial_state=np.zeros(dim),
-        grids=grids, initial_distribution=init, transitions=mats, diagnostics=diag,
-    )
+    return _product_chain(dim, grids1, init1, mats1, np.zeros(dim), diag)
 
 
 def _gbm_diagnostics(grids1, init, mats, dropped) -> tuple[StepDiagnostics, ...]:
@@ -429,23 +447,11 @@ def discretize_gbm(dim: int, horizon: int, grid_size: int,
         raise ValueError("support_radius must be positive")
     if grid_size == 1:
         # Degenerate single-point chain pinned at 1.
-        grids = tuple(np.ones((1, dim)) for _ in range(horizon))
-        init = np.ones(1)
-        mats = tuple(np.ones((1, 1)) for _ in range(horizon - 1))
         diag = tuple(StepDiagnostics(t, 0.0, abs(math.exp(t) - 1.0), 0.0, abs(math.exp(t) - 1.0) + 1e-12)
                      for t in range(1, horizon + 1))
-        return MarkovChainSpec(dimension=dim, horizon=horizon, initial_state=np.ones(dim),
-                               grids=grids, initial_distribution=init, transitions=mats,
-                               diagnostics=diag)
+        return _product_chain(dim, [np.ones(1) for _ in range(horizon)], np.ones(1),
+                              [np.ones((1, 1)) for _ in range(horizon - 1)], np.ones(dim), diag)
     grids1, init1, mats1, dropped = _brownian_1d_parts(horizon, grid_size, support_radius)
     diag = _gbm_diagnostics(grids1, init1, mats1, dropped)
     gbm_grids1 = [np.exp(g - t / 2) for t, g in zip(range(1, horizon + 1), grids1)]
-    grids = tuple(_product_points(g, dim) for g in gbm_grids1)
-    init = init1
-    for _ in range(dim - 1):
-        init = np.kron(init, init1)
-    mats = tuple(_kron_power(P, dim) for P in mats1)
-    return MarkovChainSpec(
-        dimension=dim, horizon=horizon, initial_state=np.ones(dim),
-        grids=grids, initial_distribution=init, transitions=mats, diagnostics=diag,
-    )
+    return _product_chain(dim, gbm_grids1, init1, mats1, np.ones(dim), diag)

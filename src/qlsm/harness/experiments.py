@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound,
-                     vandermonde_gram, vandermonde_sigma_min_bound)
-from ..chain import enumerate_paths
+from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound, l2_norm_bound,
+                     monomial_basis, vandermonde_gram, vandermonde_sigma_min_bound)
+from ..chain import MarkovChainSpec, enumerate_paths
 from ..dp import (CoefficientRule, continuation_values, exact_approximation_error,
                   optimal_stopping_times, payoff_at_times, snell_envelope,
                   weighted_l2_norm)
 from ..errors import ConfigError
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
-from ..lsm_quantum import run_quantum_lsm
+from ..lsm_quantum import oracle_sigma_min, run_quantum_lsm
+from ..payoff import table_payoff
 from ..qsim.fixed_point import FixedPointFormat
 from .config import ExperimentConfig
 
@@ -157,8 +158,6 @@ def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> Experime
     payoff = config.build_payoff()
     basis = config.build_basis()
     weights = config.cost_weights()
-    from ..lsm_quantum import oracle_sigma_min
-
     sigma_min = (config.sigma_min_lower if config.sigma_min_lower is not None
                  else oracle_sigma_min(basis, chain))
     for eps in epsilon_grid:
@@ -351,8 +350,6 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _random_small_chain(rng: np.random.Generator, horizon: int, n_states: int):
-    from ..chain import MarkovChainSpec
-
     grids = tuple(np.sort(rng.uniform(-1.5, 1.5, size=(n_states, 1)), axis=0)
                   for _ in range(horizon))
     init = rng.dirichlet(np.ones(n_states))
@@ -365,9 +362,6 @@ def _random_small_chain(rng: np.random.Generator, horizon: int, n_states: int):
 def _stopping_error_propagation_failures(config: ExperimentConfig,
                                          rng: np.random.Generator,
                                          instances: int = 20) -> int:
-    from ..basis import monomial_basis
-    from ..payoff import table_payoff
-
     failures = 0
     for _ in range(instances):
         horizon = int(rng.integers(2, 5))
@@ -397,9 +391,6 @@ def _stopping_error_propagation_failures(config: ExperimentConfig,
 
 
 def _instantiated_error_bound_checks(config: ExperimentConfig) -> list[dict]:
-    from ..basis import l2_norm_bound
-    from ..lsm_quantum import oracle_sigma_min
-
     rows = []
     chain = config.build_chain()
     payoff = config.build_payoff()

@@ -18,13 +18,14 @@ from typing import Callable
 import numpy as np
 
 from .basis import (BasisSpec, closed_form_gram, gram_matrix, solve_gram,
-                    sup_norm_bound, vandermonde_gram, vandermonde_sigma_min_bound)
+                    sup_norm_bound, validate_linear_independence, vandermonde_gram,
+                    vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
-from .qsim.oracles import FunctionOracle, SamplingOracle
+from .qsim.oracles import FunctionOracle
 from .qsim.qmc import QmcVariable, qmontecarlo
 from .stopping_circuits import StoppingCircuits
 
@@ -108,11 +109,9 @@ class QuantumLsmRun:
 
 def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     """Exact min over steps of sigma_min of the grid Gram (oracle-side info:
-    a real deployment must supply this bound as an input)."""
-    worst = math.inf
-    for t in range(1, chain.horizon):
-        gram = gram_matrix(basis, chain, t)
-        worst = min(worst, float(np.linalg.svd(gram, compute_uv=False)[-1]))
+    a real deployment must supply this bound as an input); 1 when there is
+    no step to regress at."""
+    worst = validate_linear_independence(basis, chain, tol=-math.inf)
     return worst if worst < math.inf else 1.0
 
 
@@ -122,14 +121,13 @@ def _entry_streams(seed, count: int):
     return iter(seed.spawn(count))
 
 
-def _basis_product_variable(sampling: SamplingOracle, circuits: StoppingCircuits,
-                            t: int, j: int, k: int) -> QmcVariable:
-    law = sampling.step_law(t)
+def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) -> QmcVariable:
     rows = circuits.basis_table(t)
     values = np.asarray(circuits.fmt.quantize(rows[:, j] * rows[:, k]))
     oracle = FunctionOracle(name=f"basis_product[t={t},{j},{k}]", fmt=circuits.fmt,
                             raw_values=values, query_cost={"basis": 2})
-    return QmcVariable(sampling=sampling, oracle=oracle, masses=law.masses)
+    return QmcVariable(sampling=circuits.sampling, oracle=oracle,
+                       masses=circuits.chain.marginals[t - 1])
 
 
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
@@ -140,8 +138,9 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                     weights: CostWeights = CostWeights(),
                     ledger: QueryLedger | None = None) -> QuantumLsmRun:
     """Whole-pipeline run: estimated (or closed-form) Gram matrices, backward
-    per-entry estimation of the regression targets through freshly rebuilt
-    stopping circuits at every time step, classical solves, final estimate."""
+    per-entry estimation of the regression targets through one set of
+    stopping circuits that reads the coefficients fitted so far, classical
+    solves, final estimate."""
     T = chain.horizon
     m = basis.size
     fmt = fmt or FixedPointFormat()
@@ -171,11 +170,12 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                       "normalization does not apply", stacklevel=2)
 
     schedule = EstimationSchedule(epsilon=epsilon, delta=delta, horizon=T, basis_size=m)
-    sampling = SamplingOracle(chain)
     streams = _entry_streams(seed, (T - 1) * m * m + (T - 1) * m + 1)
-
+    # The backward pass fills coefficients in step by step; the circuits read
+    # the dict as it stands, so every phase shares their memoized tables.
+    coefficients: dict[int, np.ndarray] = {}
     circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
-                                coefficients={}, fmt=fmt, sampling=sampling)
+                                coefficients=coefficients, fmt=fmt)
 
     grams: dict[int, np.ndarray] = {}
     exact_grams: dict[int, np.ndarray] = {}
@@ -184,7 +184,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             mat = np.empty((m, m))
             for j in range(m):
                 for k in range(m):
-                    var = _basis_product_variable(sampling, circuits, t, j, k)
+                    var = _basis_product_variable(circuits, t, j, k)
                     rep = qmontecarlo(var, schedule.gram_accuracy, schedule.gram_failure,
                                       sup_b * sup_b, next(streams), ledger=ledger,
                                       weights=weights)
@@ -200,11 +200,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
-    coefficients: dict[int, np.ndarray] = {}
     for t in range(T, 1, -1):
-        circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
-                                    coefficients=coefficients, fmt=fmt,
-                                    sampling=sampling)
         b_est = np.empty(m)
         b_exact = np.empty(m)
         for member in range(m):
@@ -217,8 +213,6 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
         exact_targets[t - 1] = b_exact
         coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))
 
-    circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
-                                coefficients=coefficients, fmt=fmt, sampling=sampling)
     final_var = circuits.variable(1, 0)
     rep = qmontecarlo(final_var, epsilon, delta / 2.0, R, next(streams),
                       ledger=ledger, weights=weights)

@@ -10,23 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from ..chain import MarkovChainSpec, PathEnsemble, enumerate_paths, image_measure
+from ..chain import MarkovChainSpec, PathEnsemble, enumerate_paths
 from ..errors import Overflow
 from .fixed_point import FixedPointFormat
 from .ledger import QueryLedger
 from .state import HybridState
-
-
-class StepLaw(NamedTuple):
-    """The step-t marginal of the chain: the grid indices with positive mass
-    and their masses."""
-
-    states: np.ndarray
-    masses: np.ndarray
 
 
 @dataclass(eq=False)
@@ -35,7 +26,6 @@ class SamplingOracle:
     (cost model: horizon sampling steps)."""
 
     chain: MarkovChainSpec
-    _step_laws: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
@@ -56,15 +46,6 @@ class SamplingOracle:
         cum = np.cumsum(masses)
         draws = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
         return np.clip(draws, 0, cum.size - 1)
-
-    def step_law(self, t: int) -> StepLaw:
-        """The step-t marginal, computed once per step."""
-        law = self._step_laws.get(t)
-        if law is None:
-            masses = image_measure(self.chain, t).masses
-            states = np.flatnonzero(masses > 0.0)
-            law = self._step_laws[t] = StepLaw(states, masses[states])
-        return law
 
 
 @dataclass(eq=False)

@@ -4,10 +4,11 @@ and expose the stopped payoff as a function oracle.
 All register updates are XOR writes of values computed in shared fixed-point
 arithmetic, so a forward pass followed by the mirrored inverse pass restores
 every ancilla to zero bit-exactly. Scores are dp.CoefficientRule's fixed-point
-scores. Estimation reads each stopped payoff's law off dp.first_stop_law,
-which pushes a step marginal through the chain's kernels and the per-step
-stop masks, so no path is enumerated; the register replay over the
-enumerated paths is the reference it is tested against."""
+scores. Every per-step table has one row per grid state. Estimation reads
+each stopped payoff's law off dp.first_stop_law, which pushes a step marginal
+through the chain's transition matrices and the per-step stop masks, so no
+path is enumerated; the register replay over the enumerated paths is the
+reference it is tested against."""
 from __future__ import annotations
 
 import math
@@ -55,11 +56,14 @@ def _dispatch_payoff_queries(horizon: int) -> int:
 
 @dataclass(eq=False)
 class StoppingCircuits:
-    """Circuit family for one chain/payoff/basis triple and loaded coefficients.
+    """Circuit family for one chain/payoff/basis triple and its coefficients.
 
-    Coefficients are quantized on load; scores come from the CoefficientRule
-    with the format's rounding, so classical replays of the recursion and the
-    exact rule value match the circuits bit-exactly.
+    coefficients maps each step to its weight vector and is read as it is,
+    so a backward pass may fill it in step by step, loading step t before
+    anything reads step t's scores. Scores come from the CoefficientRule
+    with the format's rounding (which rounds the coefficients too), so
+    classical replays of the recursion and the exact rule value match the
+    circuits bit-exactly.
     """
 
     chain: MarkovChainSpec
@@ -67,24 +71,19 @@ class StoppingCircuits:
     basis: BasisSpec
     coefficients: Mapping[int, np.ndarray]
     fmt: FixedPointFormat = field(default_factory=FixedPointFormat)
-    sampling: SamplingOracle | None = None
 
     def __post_init__(self):
-        if self.sampling is None:
-            self.sampling = SamplingOracle(self.chain)
-        self.coefficients = {
-            int(t): np.asarray(self.fmt.quantize(np.asarray(c, dtype=float)))
-            for t, c in self.coefficients.items()
-        }
+        self.sampling = SamplingOracle(self.chain)
         self.rule = CoefficientRule(self.basis, self.coefficients, quantize=self.fmt.quantize)
         self._tables: dict[tuple[str, int], np.ndarray] = {}
         self._stopped_laws: dict[int, tuple] = {}
 
     # -- shared fixed-point arithmetic ---------------------------------------
-    # Tables have one row per step-t state of positive mass (the rows of
-    # sampling.step_law(t)); coefficients are fixed once loaded, so each is
-    # computed once. The quantized_* views gather them along the enumerated
-    # paths for the register replay.
+    # Tables have one row per step-t grid state and hold 0 at states of zero
+    # marginal mass, so rounding and overflow checks see only states some
+    # path visits; a step's coefficients never change once loaded, so each
+    # table is computed once. The quantized_* views gather them along the
+    # enumerated paths for the register replay.
 
     def _memo(self, kind: str, t: int, build) -> np.ndarray:
         table = self._tables.get((kind, t))
@@ -92,42 +91,39 @@ class StoppingCircuits:
             table = self._tables[(kind, t)] = build()
         return table
 
+    def _visited(self, t: int) -> np.ndarray:
+        """The step-t states of positive marginal mass."""
+        return self.chain.marginals[t - 1] > 0.0
+
     def payoff_table(self, t: int) -> np.ndarray:
-        states = self.sampling.step_law(t).states
-        return self._memo("payoff", t, lambda: np.asarray(
-            self.fmt.quantize(self.payoff.values(self.chain, t)[states])))
+        return self._memo("payoff", t, lambda: np.asarray(self.fmt.quantize(
+            np.where(self._visited(t), self.payoff.values(self.chain, t), 0.0))))
 
     def basis_table(self, t: int) -> np.ndarray:
-        states = self.sampling.step_law(t).states
-        return self._memo("basis", t, lambda: np.asarray(
-            self.fmt.quantize(self.basis.evaluate(t, self.chain.grid(t))[states])))
+        return self._memo("basis", t, lambda: np.asarray(self.fmt.quantize(np.where(
+            self._visited(t)[:, None], self.basis.evaluate(t, self.chain.grid(t)), 0.0))))
 
     def score_table(self, t: int) -> np.ndarray:
         """Quantized score standing in for the continuation value: the rule's
-        scores on the step's present states."""
+        scores on the step's basis table."""
         if t not in self.coefficients:
             raise QlsmError(f"no coefficient vector loaded for step {t}")
         return self._memo("score", t, lambda: self.rule.row_scores(t, self.basis_table(t)))
 
     def _stop_mask(self, t: int) -> np.ndarray:
-        """Stop decision of each present state at step t < horizon."""
+        """Stop decision of each step-t state, t < horizon."""
         return stop_decision(self.payoff_table(t), self.score_table(t))
-
-    def _path_rows(self, t: int) -> np.ndarray:
-        """Each enumerated path's row of the step-t tables."""
-        return np.searchsorted(self.sampling.step_law(t).states,
-                               self.sampling.ensemble.state_indices_at(t))
 
     def quantized_payoff(self, t: int) -> np.ndarray:
         """Per-path quantized payoff at step t."""
-        return self.payoff_table(t)[self._path_rows(t)]
+        return self.payoff_table(t)[self.sampling.ensemble.state_indices_at(t)]
 
     def quantized_basis_rows(self, t: int) -> np.ndarray:
-        return self.basis_table(t)[self._path_rows(t)]
+        return self.basis_table(t)[self.sampling.ensemble.state_indices_at(t)]
 
     def quantized_scores(self, t: int) -> np.ndarray:
         """Per-path quantized score at step t."""
-        return self.score_table(t)[self._path_rows(t)]
+        return self.score_table(t)[self.sampling.ensemble.state_indices_at(t)]
 
     # -- circuit applications -------------------------------------------------
 
@@ -240,26 +236,22 @@ class StoppingCircuits:
     def _stopped_law(self, t: int) -> tuple:
         """The law of what the stopped payoff at t reads, shared by every
         basis member: dp.first_stop_law pushes the step t-1 marginal through
-        the kernels between present states. Rows are the positive-mass keys
-        stop_row * width + prev, ascending, stop_row indexing the payoff
-        tables of steps t..horizon stacked in order and prev the step t-1
-        tables (width 1 at t=1). Returns the keys, their masses, and per row
-        the payoff at the stop and the step t-1 row."""
+        the chain's kernels. Rows are the positive-mass keys
+        stop_row * width + prev, ascending, stop_row indexing the grids of
+        steps t..horizon stacked in order and prev the step t-1 grid (width 1
+        at t=1). Returns the keys, their masses, and per row the payoff at the
+        stop and the step t-1 state."""
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
         law = self._stopped_laws.get(t)
         if law is None:
-            states = [self.sampling.step_law(u).states for u in range(t, T + 1)]
             if t == 1:
-                start = self.chain.initial_distribution[states[0]][None, :]
+                start = self.chain.initial_distribution[None, :]
             else:
-                prev = self.sampling.step_law(t - 1)
-                start = prev.masses[:, None] * self.chain.transition(t - 1)[
-                    np.ix_(prev.states, states[0])]
-            kernels = [self.chain.transition(u)[np.ix_(here, after)]
-                       for u, here, after in zip(range(t, T), states, states[1:])]
-            masses = first_stop_law(start, kernels, [self._stop_mask(u) for u in range(t, T)])
+                start = self.chain.marginals[t - 2][:, None] * self.chain.transition(t - 1)
+            masses = first_stop_law(start, [self.chain.transition(u) for u in range(t, T)],
+                                    [self._stop_mask(u) for u in range(t, T)])
             keys = np.flatnonzero(masses > 0.0)
             payoff = np.concatenate([self.payoff_table(u) for u in range(t, T + 1)])
             law = keys, masses[keys], payoff[keys // len(start)], keys % len(start)
@@ -273,12 +265,8 @@ class StoppingCircuits:
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
-
-        def grid_mask(u: int, later) -> np.ndarray:
-            mask = np.zeros(self.chain.n_states(u), dtype=bool)
-            if u >= t:
-                mask[self.sampling.step_law(u).states] = self._stop_mask(u)
-            return mask
-
-        taus, _ = path_stop_times(self.chain, self.sampling.ensemble.indices, grid_mask)
+        taus, _ = path_stop_times(
+            self.chain, self.sampling.ensemble.indices,
+            lambda u, later: self._stop_mask(u) if u >= t
+            else np.zeros(self.chain.n_states(u), dtype=bool))
         return taus[:, t - 1]

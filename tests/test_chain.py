@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestImageMeasure:
         with pytest.raises(ValueError):
             image_measure(two_state_fair_chain(), 3)
 
+    def test_marginals_are_cached_sequential_products(self):
+        # The initial distribution pushed left to right through P_1, P_2, ...
+        # bit for bit, read-only, built once and shared by image_measure.
+        chain = discretize_brownian(2, 4, 5, 2.2)
+        mass = chain.initial_distribution
+        for t in range(1, chain.horizon + 1):
+            if t > 1:
+                mass = mass @ chain.transition(t - 1)
+            law = chain.marginals[t - 1]
+            np.testing.assert_array_equal(law.view(np.int64), mass.view(np.int64))
+            assert not law.flags.writeable
+            assert image_measure(chain, t).masses is law
+        assert chain.marginals is chain.marginals
+        with pytest.raises(ValueError):
+            chain.marginals[0][0] = 0.0
+
 
 class TestBrownianDiscretization:
     def test_symmetric_mean_zero(self):
@@ -287,6 +304,51 @@ class TestGbmDiscretization:
         coarse = discretize_gbm(1, 1, 17, 5.0).diagnostics[0].mean_error
         fine = discretize_gbm(1, 1, 33, 5.0).diagnostics[0].mean_error
         assert fine < coarse / 1.8
+
+
+class TestArrayOwnership:
+    def test_caller_arrays_are_copied(self):
+        # Writable arrays a caller passes in are copied: mutating them after
+        # construction leaves the chain as it was built.
+        grid = np.array([[0.0], [1.0]])
+        init = np.array([0.25, 0.75])
+        P = np.array([[0.5, 0.5], [0.1, 0.9]])
+        start = np.array([0.0])
+        chain = MarkovChainSpec(dimension=1, horizon=2, initial_state=start,
+                                grids=(grid, grid), initial_distribution=init,
+                                transitions=(P,))
+        before = chain.to_json()
+        marginal = chain.marginals[1].copy()
+        for arr in (grid, init, P, start):
+            arr[...] = 7.0
+        assert chain.to_json() == before
+        np.testing.assert_array_equal(chain.marginals[1], marginal)
+        for arr in (chain.initial_state, *chain.grids, chain.initial_distribution,
+                    *chain.transitions, *chain.row_cdfs):
+            assert not arr.flags.writeable
+
+    def test_built_arrays_frozen_not_copied(self):
+        # discretize_brownian freezes the Kronecker powers it builds and the
+        # chain keeps them; row CDFs are frozen as computed. On the 3-d
+        # 12-point chain each dense transition is 23.9 MB: building the chain
+        # peaks near the two transitions it keeps (copying them needed four),
+        # and the first sampling call near the two row CDFs it caches plus the
+        # sampling work (copying each CDF needed a third).
+        dense = 1728 * 1728 * 8
+        tracemalloc.start()
+        try:
+            chain = discretize_brownian(3, 3, 12, 2.2)
+            built_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample_paths(chain, 100_000, 1)
+            sample_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert built_peak < 3 * dense
+        assert sample_peak < 2.5 * dense
+        for P in chain.transitions:
+            assert not P.flags.writeable
 
 
 class TestSerialization:

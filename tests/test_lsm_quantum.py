@@ -7,7 +7,7 @@ from qlsm.basis import constant_basis, gbm_basis, hermite_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope)
-from qlsm.errors import QlsmError, ScheduleViolation
+from qlsm.errors import Overflow, QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, run_quantum_lsm,
                               run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
@@ -109,6 +109,45 @@ class TestGenericRuns:
         rule = CoefficientRule(basis, run.coefficients, quantize=FixedPointFormat().quantize)
         exact = float(continuation_values(chain, payoff, rule, 0)[0])
         assert abs(run.final_payoff_estimate - exact) <= 0.05
+
+    def test_unvisited_state_stays_out_of_the_fixed_point_tables(self):
+        # The circuit tables hold 0 at grid states no path visits, so such a
+        # state's payoff may lie outside the fixed-point range; the same
+        # payoff overflows once the state carries mass.
+        def chain_with(init):
+            grid = np.array([[-1.0], [0.0], [1.0]])
+            P = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.8, 0.0]])
+            return MarkovChainSpec(dimension=1, horizon=3, initial_state=[0.0],
+                                   grids=(grid,) * 3, initial_distribution=init,
+                                   transitions=(P, P))
+
+        payoff = table_payoff({t: np.array([0.2, 0.5, 1000.0]) for t in (1, 2, 3)}, 0.0)
+        basis = monomial_basis(1, 1, 3)
+        unvisited = chain_with([0.5, 0.5, 0.0])
+        run = run_quantum_lsm(unvisited, payoff, basis, 0.05, 0.2,
+                              sigma_min_oracle=True, seed=2)
+        exact = snell_envelope(unvisited, payoff).value0
+        assert abs(run.estimate - exact) <= 0.3
+        with pytest.raises(Overflow, match="not representable"):
+            run_quantum_lsm(chain_with([0.4, 0.4, 0.2]), payoff, basis, 0.05, 0.2,
+                            sigma_min_oracle=True, seed=2)
+
+    @pytest.mark.parametrize("horizon", [4, 6])
+    def test_each_score_table_built_once(self, horizon, monkeypatch):
+        # One set of circuits serves the whole run, so each step's scores are
+        # computed once: horizon - 1 score tables, not one per later step.
+        steps = []
+        row_scores = CoefficientRule.row_scores
+
+        def counted(rule, t, rows):
+            steps.append(t)
+            return row_scores(rule, t, rows)
+
+        monkeypatch.setattr(CoefficientRule, "row_scores", counted)
+        chain = discretize_brownian(1, horizon, 3, 2.2)
+        run_quantum_lsm(chain, put_payoff(1.0), monomial_basis(1, 1, horizon), 0.05, 0.2,
+                        sigma_min_oracle=True, seed=0)
+        assert sorted(steps) == list(range(1, horizon))
 
     def test_backward_resolve_targets(self):
         from qlsm.chain import enumerate_paths

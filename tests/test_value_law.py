@@ -60,22 +60,25 @@ def per_path(circ, t, member):
 
 def path_keys(circ, t):
     """Each path's row key in the stopped law at t: its stop row among the
-    present states of steps t..horizon stacked in order, times the number of
-    present states at t-1, plus its row among those (one row at t=1)."""
+    grid states of steps t..horizon stacked in order, times the size of the
+    step t-1 grid, plus its state there (one row at t=1)."""
     T = circ.chain.horizon
     ens = circ.sampling.ensemble
     tau = circ.classical_stop_times(t)
     stop_rows = np.empty(len(ens), dtype=np.int64)
     offset = 0
     for u in range(t, T + 1):
-        states = circ.sampling.step_law(u).states
         at = tau == u
-        stop_rows[at] = offset + np.searchsorted(states, ens.state_indices_at(u)[at])
-        offset += states.size
+        stop_rows[at] = offset + ens.state_indices_at(u)[at]
+        offset += circ.chain.n_states(u)
     if t == 1:
         return stop_rows
-    prev = circ.sampling.step_law(t - 1).states
-    return stop_rows * prev.size + np.searchsorted(prev, ens.state_indices_at(t - 1))
+    return stop_rows * circ.chain.n_states(t - 1) + ens.state_indices_at(t - 1)
+
+
+def present_states(chain, t):
+    """The step-t grid states of positive marginal mass."""
+    return np.flatnonzero(chain.marginals[t - 1] > 0.0)
 
 
 def plan(report):
@@ -112,10 +115,10 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
 @settings(max_examples=40, deadline=None)
 @given(**chains)
 def test_rule_scores_are_the_circuit_scores(seed, dim, n_states, horizon):
-    # One fixed-point score: the rule's multiply-accumulate on the whole grid,
-    # read at the present states, is the circuits' score table bit for bit,
-    # equals a scalar replay that rounds after every multiply and add, and
-    # both make the same stop decisions.
+    # One fixed-point score: at the present states, the rule's
+    # multiply-accumulate on the whole grid is the circuits' score table bit
+    # for bit, equals a scalar replay that rounds after every multiply and
+    # add, and both make the same stop decisions.
     circ = random_circuits(seed, dim, n_states, horizon)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     coefficients = {t: rng.normal(scale=2.0, size=circ.basis.size)
@@ -124,34 +127,36 @@ def test_rule_scores_are_the_circuit_scores(seed, dim, n_states, horizon):
                             coefficients=coefficients, fmt=FMT)
     rule = CoefficientRule(circ.basis, coefficients, quantize=FMT.quantize)
     for t in range(1, horizon):
-        states = circ.sampling.step_law(t).states
+        states = present_states(circ.chain, t)
         rows = circ.basis.evaluate(t, circ.chain.grid(t))
-        for state, score in zip(states, circ.score_table(t)):
+        scores = circ.score_table(t)[states]
+        for state, score in zip(states, scores):
             acc = 0.0
             for k in range(circ.basis.size):
                 acc = FMT.quantize(acc + FMT.quantize(FMT.quantize(rows[state, k])
                                                       * FMT.quantize(coefficients[t][k])))
             assert acc == score
         np.testing.assert_array_equal(rule.scores(circ.chain, t)[states].view(np.int64),
-                                      circ.score_table(t).view(np.int64))
+                                      scores.view(np.int64))
         np.testing.assert_array_equal(rule.stop_mask(circ.chain, circ.payoff, t)[states],
-                                      circ.payoff_table(t) >= circ.score_table(t))
+                                      circ.payoff_table(t)[states] >= scores)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**chains)
 def test_step_law_gathers_per_path_tables(seed, dim, n_states, horizon):
-    # The step law is the marginal of the chain: the states some path visits
-    # with their summed path probabilities, and the per-path views gather
-    # its tables.
+    # The step law is the chain's marginal: its positive-mass states are the
+    # states some path visits, with their summed path probabilities, and the
+    # per-path views gather the grid tables.
     circ = random_circuits(seed, dim, n_states, horizon)
     ens = circ.sampling.ensemble
     for t in range(1, horizon + 1):
-        law = circ.sampling.step_law(t)
+        states = present_states(circ.chain, t)
         idx = ens.state_indices_at(t)
-        np.testing.assert_array_equal(law.states, np.flatnonzero(np.bincount(idx)))
-        np.testing.assert_allclose(
-            law.masses, np.bincount(idx, ens.probabilities)[law.states], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(states, np.flatnonzero(np.bincount(idx)))
+        np.testing.assert_allclose(circ.chain.marginals[t - 1][states],
+                                   np.bincount(idx, ens.probabilities)[states],
+                                   rtol=0, atol=1e-14)
         rows = FMT.quantize(circ.basis.evaluate(t, circ.chain.grid(t))[idx])
         np.testing.assert_array_equal(circ.quantized_basis_rows(t), rows)
 
