@@ -58,6 +58,14 @@ class MarkovChainSpec:
     Step 0 is the deterministic start point; steps 1..horizon carry a grid
     each, an initial distribution over the first grid and one transition
     matrix per consecutive pair of grids.
+
+    A chain of copies > 1 moves `copies` independent, identically
+    distributed coordinate blocks: initial_distribution and transitions hold
+    one block's law and kernels, the step-t states are the lexicographic
+    product of the blocks' states (first block most significant, as in
+    np.kron), and the full law and kernels are their Kronecker powers.
+    push, expect and sampling apply the factors one block at a time, so no
+    full kernel is stored; transition(t) builds one on request.
     """
 
     dimension: int
@@ -69,10 +77,13 @@ class MarkovChainSpec:
     diagnostics: tuple[StepDiagnostics, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    copies: int = 1
 
     def __post_init__(self):
         if self.dimension < 1 or self.horizon < 1:
             raise ValueError("dimension and horizon must be positive")
+        if self.copies < 1:
+            raise ValueError("copies must be a positive integer")
         if len(self.grids) != self.horizon:
             raise ValueError("need one grid per step 1..horizon")
         if len(self.transitions) != self.horizon - 1:
@@ -85,17 +96,23 @@ class MarkovChainSpec:
             g = _readonly(np.atleast_2d(g))
             if g.ndim != 2 or g.shape[1] != self.dimension or g.shape[0] < 1:
                 raise ValueError(f"grid at step {t} must have shape (n, {self.dimension})")
+            finite = np.isfinite(g).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"grid at step {t} row {int(np.argmin(finite))} "
+                                 "has non-finite entries")
             grids.append(g)
         object.__setattr__(self, "grids", tuple(grids))
+        c = self.copies
         init = _readonly(self.initial_distribution)
-        if init.shape != (self.n_states(1),):
+        if init.ndim != 1 or init.shape[0] ** c != self.n_states(1):
             raise ValueError("initial distribution has wrong length")
         self._check_rows(init[None, :], "initial distribution")
         object.__setattr__(self, "initial_distribution", init)
         mats = []
         for t, P in enumerate(self.transitions, start=1):
             P = _readonly(P)
-            if P.shape != (self.n_states(t), self.n_states(t + 1)):
+            if P.ndim != 2 or (P.shape[0] ** c, P.shape[1] ** c) != (
+                    self.n_states(t), self.n_states(t + 1)):
                 raise ValueError(f"transition {t}->{t + 1} has wrong shape {P.shape}")
             self._check_rows(P, f"transition {t}->{t + 1} row {{row}}")
             mats.append(P)
@@ -106,12 +123,15 @@ class MarkovChainSpec:
         """Check every row of mat is a distribution, all rows at once; the
         error names the first bad row through what's {row} field."""
         sums = mat.sum(axis=1)
+        finite = np.isfinite(mat).all(axis=1)
         negative = np.any(mat < 0, axis=1)
-        bad = negative | (np.abs(sums - 1.0) > _ROW_TOL)
+        bad = ~finite | negative | (np.abs(sums - 1.0) > _ROW_TOL)
         if not bad.any():
             return
         row = int(np.argmax(bad))
         what = what.format(row=row)
+        if not finite[row]:
+            raise ValueError(f"{what} has non-finite entries")
         if negative[row]:
             raise ValueError(f"{what} has negative entries")
         raise ValueError(f"{what} does not sum to 1 (off by {sums[row] - 1.0:.2e})")
@@ -125,16 +145,42 @@ class MarkovChainSpec:
     def n_states(self, t: int) -> int:
         return self.grid(t).shape[0]
 
-    def transition(self, t: int) -> np.ndarray:
-        """Transition matrix from step t to t+1, for t in 1..horizon-1."""
+    def _factor(self, t: int) -> np.ndarray:
+        """The stored transition matrix from step t to t+1."""
         if not 1 <= t <= self.horizon - 1:
             raise ValueError(f"transition step {t} out of range")
         return self.transitions[t - 1]
 
+    def transition(self, t: int) -> np.ndarray:
+        """Full transition matrix from step t to t+1, for t in 1..horizon-1.
+        With copies > 1 it is the factor's Kronecker power, built on every
+        call and not kept; push and expect apply it without building it."""
+        return _kron_power(self._factor(t), self.copies)
+
+    def push(self, t: int, mass: np.ndarray) -> np.ndarray:
+        """mass @ transition(t): laws over step t's states (last axis, any
+        leading batch axes) moved to step t+1, for t in 1..horizon-1."""
+        P = self._factor(t)
+        if self.copies == 1:
+            return mass @ P
+        return _apply_factor(mass, P, self.copies)
+
+    def expect(self, t: int, values: np.ndarray) -> np.ndarray:
+        """transition(t) @ values: E[values at step t+1 | state at step t],
+        per state, for t in 0..horizon-1; t=0 gives the one entry of the
+        start point."""
+        if t == 0:
+            return np.array([float(self.marginals[0] @ values)])
+        P = self._factor(t)
+        if self.copies == 1:
+            return P @ values
+        return _apply_factor(values, P.T, self.copies)
+
     @cached_property
     def row_cdfs(self) -> tuple[np.ndarray, ...]:
-        """Row-wise cumulative sums of each transition matrix, computed on
-        first use and kept for the chain's lifetime; entry t-1 is step t's."""
+        """Row-wise cumulative sums of each stored transition matrix (one
+        block's factor when copies > 1), computed on first use and kept for
+        the chain's lifetime; entry t-1 is step t's."""
         return tuple(_frozen(np.cumsum(P, axis=1)) for P in self.transitions)
 
     @cached_property
@@ -142,9 +188,9 @@ class MarkovChainSpec:
         """Marginal law of each step's state, entry t-1 for step t: the
         initial distribution pushed left to right through the transitions,
         computed on first use and kept for the chain's lifetime."""
-        laws = [self.initial_distribution]
-        for P in self.transitions:
-            laws.append(_frozen(laws[-1] @ P))
+        laws = [_frozen(_kron_power(self.initial_distribution, self.copies))]
+        for t in range(1, self.horizon):
+            laws.append(_frozen(self.push(t, laws[-1])))
         return tuple(laws)
 
     def path_space_size(self) -> int:
@@ -154,13 +200,15 @@ class MarkovChainSpec:
         return size
 
     def to_json(self) -> str:
+        """The chain with its full initial law and transition matrices, as
+        a chain of copies=1."""
         doc = {
             "dimension": self.dimension,
             "horizon": self.horizon,
             "initial_state": self.initial_state.tolist(),
             "grids": [g.tolist() for g in self.grids],
-            "initial_distribution": self.initial_distribution.tolist(),
-            "transitions": [P.tolist() for P in self.transitions],
+            "initial_distribution": self.marginals[0].tolist(),
+            "transitions": [self.transition(t).tolist() for t in range(1, self.horizon)],
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -226,7 +274,7 @@ def enumerate_paths(chain: MarkovChainSpec, cap: int = DEFAULT_ENUMERATION_CAP) 
         raise CapExceeded(
             f"path space has {chain.path_space_size()} elements, cap is {cap}"
         )
-    probs = chain.initial_distribution.copy()
+    probs = chain.marginals[0].copy()
     idx = np.arange(chain.n_states(1), dtype=np.int64)[:, None]
     keep = probs > 0.0
     idx, probs = idx[keep], probs[keep]
@@ -243,12 +291,25 @@ def enumerate_paths(chain: MarkovChainSpec, cap: int = DEFAULT_ENUMERATION_CAP) 
     return PathEnsemble(chain, idx, probs)
 
 
+def _step_factor(chain: MarkovChainSpec, t: int) -> np.ndarray:
+    """The stored kernel into step t+1: the initial law as one row at t=0."""
+    return chain.initial_distribution[None, :] if t == 0 else chain.transitions[t - 1]
+
+
 def sample_path(chain: MarkovChainSpec, seed) -> Path:
     """One seeded draw; identical seeds give identical paths."""
     ens_idx = _sample_index_matrix(chain, 1, _seeded_rng(seed))[0]
-    prob = float(chain.initial_distribution[ens_idx[0]])
-    for t in range(1, chain.horizon):
-        prob *= float(chain.transition(t)[ens_idx[t - 1], ens_idx[t]])
+    prob = 1.0
+    for t in range(chain.horizon):
+        factor = _step_factor(chain, t)
+        rows = (0,) * chain.copies if t == 0 else np.unravel_index(
+            ens_idx[t - 1], (factor.shape[0],) * chain.copies)
+        cols = np.unravel_index(ens_idx[t], (factor.shape[1],) * chain.copies)
+        # Block entries multiplied left to right, as np.kron forms the entry.
+        entry = 1.0
+        for r, j in zip(rows, cols):
+            entry *= float(factor[r, j])
+        prob *= entry
     states = np.stack([chain.grid(t)[ens_idx[t - 1]] for t in range(1, chain.horizon + 1)])
     return Path(states=states, probability=prob, indices=tuple(int(j) for j in ens_idx))
 
@@ -259,15 +320,51 @@ def sample_paths(chain: MarkovChainSpec, count: int, seed) -> np.ndarray:
 
 
 def _sample_index_matrix(chain: MarkovChainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform per path and step, inverted block by block on the stored
+    factor's row CDFs: a block's state is the count of CDF entries below u,
+    and u rescaled to (u - cdf_lo) / p, p the chosen entry, drives the next
+    block. This inverts the full Kronecker row, whose CDF runs through the
+    first block's entries in order, each scaled by the rest's row."""
     out = np.empty((count, chain.horizon), dtype=np.int64)
-    cum = np.cumsum(chain.initial_distribution)
-    out[:, 0] = np.searchsorted(cum, rng.random(count), side="right")
-    np.clip(out[:, 0], 0, chain.n_states(1) - 1, out=out[:, 0])
-    for t in range(1, chain.horizon):
+    init_cdf = np.cumsum(chain.initial_distribution)[None, :]
+    c = chain.copies
+    for t in range(chain.horizon):
         u = rng.random(count)
-        out[:, t] = _count_below(chain.row_cdfs[t - 1], out[:, t - 1], u)
-        np.clip(out[:, t], 0, chain.n_states(t + 1) - 1, out=out[:, t])
+        factor = _step_factor(chain, t)
+        cdf = init_cdf if t == 0 else chain.row_cdfs[t - 1]
+        n_in, n = cdf.shape
+        for k in range(c):
+            if t == 0:
+                rows = 0
+                j = np.searchsorted(cdf[0], u, side="right")
+            else:
+                rows = out[:, t - 1] // n_in ** (c - 1 - k) % n_in
+                j = _count_below(cdf, rows, u)
+            np.clip(j, 0, n - 1, out=j)
+            if k < c - 1:
+                _rescale_within(u, cdf, factor, rows, j)
+            if k == 0:
+                state = j
+            else:
+                state *= n
+                state += j
+            del rows, j  # not held through the next block's search
+        out[:, t] = state
     return out
+
+
+def _rescale_within(u: np.ndarray, cdf: np.ndarray, factor: np.ndarray, rows, j: np.ndarray):
+    """u -> (u - cdf[rows, j-1]) / factor[rows, j] in place: the position of
+    u within the chosen entry, a uniform for the next block."""
+    at = rows * cdf.shape[1] + j
+    lo = cdf.ravel().take(at - 1)
+    lo[j == 0] = 0.0
+    u -= lo
+    # The entry is 0 only where u passed the row's total and j was clipped;
+    # u = inf then clips the later blocks to their last state too, as the
+    # full row's inversion would.
+    with np.errstate(divide="ignore"):
+        u /= factor.ravel().take(at)
 
 
 def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -282,11 +379,12 @@ def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     n = cdf.shape[1]
     flat = cdf.ravel()
     before = rows * n - 1           # flat index of entry -1 of each row
-    last = before + n
     pos = np.zeros(rows.shape[0], dtype=np.int64)
     step = 1 << (n.bit_length() - 1)
     while step:
-        probe = np.minimum(before + pos + step, last)
+        probe = pos + step
+        np.minimum(probe, n, out=probe)
+        probe += before
         pos += step * (flat[probe] < u)
         step >>= 1
     return pos
@@ -348,16 +446,31 @@ def _kron_power(mat: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _apply_factor(x: np.ndarray, factor: np.ndarray, copies: int) -> np.ndarray:
+    """x @ kron(factor, ..., factor) (copies factors) over x's last axis, one
+    factor at a time: each pass contracts the leading block of the state
+    index and appends the new block last, so after copies passes the blocks
+    are back in order. Costs copies * n^(copies+1) per row of x instead of
+    n^(2 copies) (Van Loan, "The ubiquitous Kronecker product", 2000)."""
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, x.shape[-1])
+    for _ in range(copies):
+        x = np.matmul(x.reshape(x.shape[0], factor.shape[0], -1).transpose(0, 2, 1), factor)
+        x = x.reshape(x.shape[0], -1)
+    return x.reshape(*lead, -1)
+
+
 def _product_chain(dim: int, grids1, init1: np.ndarray, mats1, initial_state: np.ndarray,
                    diagnostics) -> MarkovChainSpec:
-    """Chain of dim independent copies of a 1-d chain: product grids and
-    Kronecker powers of its initial law and transitions, frozen as built."""
+    """Chain of dim independent copies of a 1-d chain: product grids, with
+    the 1-d initial law and transitions, frozen as built, as its factors."""
     return MarkovChainSpec(
         dimension=dim, horizon=len(grids1), initial_state=initial_state,
         grids=tuple(_frozen(_product_points(g, dim)) for g in grids1),
-        initial_distribution=_frozen(_kron_power(init1, dim)),
-        transitions=tuple(_frozen(_kron_power(P, dim)) for P in mats1),
-        diagnostics=diagnostics,
+        initial_distribution=_frozen(init1),
+        transitions=tuple(_frozen(P) for P in mats1),
+        diagnostics=diagnostics, copies=dim,
     )
 
 

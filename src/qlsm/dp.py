@@ -80,20 +80,21 @@ def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
     return taus, rows
 
 
-def first_stop_law(start: np.ndarray, kernels: Sequence[np.ndarray],
+def first_stop_law(chain: MarkovChainSpec, t: int, start: np.ndarray,
                    stop_masks: Sequence[np.ndarray]) -> np.ndarray:
     """first_stops on laws instead of paths: the joint masses of the first
-    stop and a start row. start[r, x] is the mass of start row r jointly with
-    state x at the first step; kernels[k] moves step k's states to step k+1's
-    and stop_masks[k] is step k's per-state mask; the last step always stops.
-    The mass alive at a step stops there through diag(stop) and moves on
-    through diag(continue) @ kernel. Returns the masses at stop_row * rows +
-    start_row, stop_row indexing the steps' states stacked in step order."""
+    stop at or after step t and a start row. start[r, x] is the mass of start
+    row r jointly with state x at step t; chain.push moves step k's states to
+    step k+1's and stop_masks[k - t] is step k's per-state mask; the last
+    step always stops. The mass alive at a step stops there through
+    diag(stop) and moves on through diag(continue) @ kernel. Returns the
+    masses at stop_row * rows + start_row, stop_row indexing the states of
+    steps t..horizon stacked in step order."""
     alive = np.asarray(start, dtype=float)
     stopped = []
-    for kernel, stop in zip(kernels, stop_masks):
+    for k, stop in enumerate(stop_masks, start=t):
         stopped.append(np.where(stop, alive, 0.0).T)
-        alive = np.where(stop, 0.0, alive) @ kernel
+        alive = chain.push(k, np.where(stop, 0.0, alive))
     stopped.append(alive.T)
     return np.concatenate(stopped).ravel()
 
@@ -138,13 +139,6 @@ class CoefficientRule:
                              self.scores(chain, t))
 
 
-def _expected_next(chain: MarkovChainSpec, t: int, values: np.ndarray) -> np.ndarray:
-    """E[values at step t+1 | state at step t], per state (one entry at t=0)."""
-    if t == 0:
-        return np.array([float(chain.initial_distribution @ values)])
-    return chain.transition(t) @ values
-
-
 def _induction(chain: MarkovChainSpec, payoff: PayoffSpec, rule, down_to: int):
     """Per-step values, continuation values and stop masks of a rule, by
     backward induction from the horizon down to step down_to."""
@@ -155,7 +149,7 @@ def _induction(chain: MarkovChainSpec, payoff: PayoffSpec, rule, down_to: int):
     values[T] = payoff.values(chain, T).copy()
     stop[T] = np.ones(values[T].shape[0], dtype=bool)
     for t in range(T - 1, down_to - 1, -1):
-        cont = continuation[t] = _expected_next(chain, t, values[t + 1])
+        cont = continuation[t] = chain.expect(t, values[t + 1])
         z = payoff.values(chain, t)
         if rule == OPTIMAL_RULE:
             stop[t] = stop_decision(z, cont)
@@ -208,7 +202,7 @@ def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
     if not 0 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 0..horizon-1")
     values = _induction(chain, payoff, rule, t + 1)[0]
-    return _expected_next(chain, t, values[t + 1])
+    return chain.expect(t, values[t + 1])
 
 
 def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:

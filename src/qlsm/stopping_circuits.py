@@ -6,7 +6,7 @@ arithmetic, so a forward pass followed by the mirrored inverse pass restores
 every ancilla to zero bit-exactly. Scores are dp.CoefficientRule's fixed-point
 scores. Every per-step table has one row per grid state. Estimation reads
 each stopped payoff's law off dp.first_stop_law, which pushes a step marginal
-through the chain's transition matrices and the per-step stop masks, so no
+through the chain's kernel (chain.push) and the per-step stop masks, so no
 path is enumerated; the register replay over the enumerated paths is the
 reference it is tested against."""
 from __future__ import annotations
@@ -235,8 +235,8 @@ class StoppingCircuits:
 
     def _stopped_law(self, t: int) -> tuple:
         """The law of what the stopped payoff at t reads, shared by every
-        basis member: dp.first_stop_law pushes the step t-1 marginal through
-        the chain's kernels. Rows are the positive-mass keys
+        basis member: dp.first_stop_law pushes the step t-1 marginal, joint
+        with the step t state, by chain.push. Rows are the positive-mass keys
         stop_row * width + prev, ascending, stop_row indexing the grids of
         steps t..horizon stacked in order and prev the step t-1 grid (width 1
         at t=1). Returns the keys, their masses, and per row the payoff at the
@@ -247,10 +247,10 @@ class StoppingCircuits:
         law = self._stopped_laws.get(t)
         if law is None:
             if t == 1:
-                start = self.chain.initial_distribution[None, :]
+                start = self.chain.marginals[0][None, :]
             else:
                 start = self.chain.marginals[t - 2][:, None] * self.chain.transition(t - 1)
-            masses = first_stop_law(start, [self.chain.transition(u) for u in range(t, T)],
+            masses = first_stop_law(self.chain, t, start,
                                     [self._stop_mask(u) for u in range(t, T)])
             keys = np.flatnonzero(masses > 0.0)
             payoff = np.concatenate([self.payoff_table(u) for u in range(t, T + 1)])

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -63,6 +64,28 @@ class TestValidation:
             MarkovChainSpec(dimension=1, horizon=1, initial_state=[0.0],
                             grids=(np.zeros((2, 1)),), initial_distribution=[0.5, 0.6],
                             transitions=())
+
+    @pytest.mark.parametrize("where, message", [
+        ("initial", r"^initial distribution has non-finite entries$"),
+        ("transition", r"^transition 1->2 row 1 has non-finite entries$"),
+        ("grid", r"^grid at step 2 row 1 has non-finite entries$"),
+    ])
+    def test_non_finite_entries_rejected(self, where, message):
+        # A NaN row passed the sum and sign checks: the chain then reported
+        # NaN marginals and sampling drew state 0 from it.
+        init = np.array([0.5, 0.5])
+        P = np.full((2, 2), 0.5)
+        grid2 = np.array([[0.0], [1.0]])
+        if where == "initial":
+            init = np.array([np.nan, np.nan])
+        elif where == "transition":
+            P[1] = np.nan
+        else:
+            grid2 = np.array([[0.0], [np.nan]])
+        with pytest.raises(ValueError, match=message):
+            MarkovChainSpec(dimension=1, horizon=2, initial_state=[0.0],
+                            grids=(np.array([[0.0], [1.0]]), grid2),
+                            initial_distribution=init, transitions=(P,))
 
     def test_grid_shape_checked(self):
         with pytest.raises(ValueError):
@@ -206,20 +229,31 @@ class TestImageMeasure:
             image_measure(two_state_fair_chain(), 3)
 
     def test_marginals_are_cached_sequential_products(self):
-        # The initial distribution pushed left to right through P_1, P_2, ...
-        # bit for bit, read-only, built once and shared by image_measure.
-        chain = discretize_brownian(2, 4, 5, 2.2)
-        mass = chain.initial_distribution
-        for t in range(1, chain.horizon + 1):
-            if t > 1:
-                mass = mass @ chain.transition(t - 1)
-            law = chain.marginals[t - 1]
-            np.testing.assert_array_equal(law.view(np.int64), mass.view(np.int64))
-            assert not law.flags.writeable
-            assert image_measure(chain, t).masses is law
-        assert chain.marginals is chain.marginals
-        with pytest.raises(ValueError):
-            chain.marginals[0][0] = 0.0
+        # The full initial law pushed left to right by chain.push bit for
+        # bit, read-only, built once and shared by image_measure. On a 1-d
+        # chain push is mass @ P_t itself; on a product chain it applies the
+        # stored factor block by block and stays within 1e-15 of the dense
+        # products.
+        for dim in (1, 2):
+            chain = discretize_brownian(dim, 4, 5, 2.2)
+            mass = dense = chain.marginals[0]
+            np.testing.assert_array_equal(
+                dense, functools.reduce(np.kron, [chain.initial_distribution] * dim))
+            for t in range(1, chain.horizon + 1):
+                if t > 1:
+                    mass = chain.push(t - 1, mass)
+                    dense = dense @ chain.transition(t - 1)
+                    if dim == 1:
+                        np.testing.assert_array_equal(mass.view(np.int64),
+                                                      (law @ chain.transitions[t - 2]).view(np.int64))
+                law = chain.marginals[t - 1]
+                np.testing.assert_array_equal(law.view(np.int64), mass.view(np.int64))
+                np.testing.assert_allclose(law, dense, rtol=0.0, atol=1e-15)
+                assert not law.flags.writeable
+                assert image_measure(chain, t).masses is law
+            assert chain.marginals is chain.marginals
+            with pytest.raises(ValueError):
+                chain.marginals[0][0] = 0.0
 
 
 class TestBrownianDiscretization:
@@ -328,13 +362,11 @@ class TestArrayOwnership:
             assert not arr.flags.writeable
 
     def test_built_arrays_frozen_not_copied(self):
-        # discretize_brownian freezes the Kronecker powers it builds and the
-        # chain keeps them; row CDFs are frozen as computed. On the 3-d
-        # 12-point chain each dense transition is 23.9 MB: building the chain
-        # peaks near the two transitions it keeps (copying them needed four),
-        # and the first sampling call near the two row CDFs it caches plus the
-        # sampling work (copying each CDF needed a third).
-        dense = 1728 * 1728 * 8
+        # discretize_brownian keeps the 1-d factors it builds, frozen, and no
+        # Kronecker power: on the 3-d 12-point chain a dense transition or
+        # row CDF would be 23.9 MB. Building the chain peaks under 1 MB, and
+        # the first sampling call, which caches the 12 x 12 row CDFs, under
+        # 10 MB above the chain (its output alone is 2.4 MB).
         tracemalloc.start()
         try:
             chain = discretize_brownian(3, 3, 12, 2.2)
@@ -345,9 +377,10 @@ class TestArrayOwnership:
             sample_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert built_peak < 3 * dense
-        assert sample_peak < 2.5 * dense
-        for P in chain.transitions:
+        assert built_peak < 2**20
+        assert sample_peak < 10 * 2**20
+        for P in (*chain.transitions, *chain.row_cdfs):
+            assert P.shape == (12, 12)
             assert not P.flags.writeable
 
 
