@@ -58,7 +58,9 @@ class EstimationSchedule:
 
 @dataclass(eq=False)
 class QuantumLsmRun:
-    """Full record of one simulated quantum run."""
+    """Full record of one simulated quantum run. entry_reports, left out of
+    to_json, give each estimated entry's budget, delta share, piece plan with
+    M per piece, and realized error against the exact mean."""
 
     chain: MarkovChainSpec
     payoff: PayoffSpec
@@ -83,6 +85,7 @@ class QuantumLsmRun:
     lambda_required: float | None = None
     lambda_used: float | None = None
     notes: list = field(default_factory=list)
+    entry_reports: dict = field(default_factory=dict)  # oracle name -> EstimationReport
 
     def to_json(self) -> str:
         doc = {
@@ -177,6 +180,13 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
                                 coefficients=coefficients, fmt=fmt)
 
+    entry_reports: dict = {}
+
+    def estimate(var: QmcVariable, accuracy: float, failure: float, sigma: float):
+        rep = entry_reports[var.oracle.name] = qmontecarlo(
+            var, accuracy, failure, sigma, next(streams), ledger=ledger, weights=weights)
+        return rep
+
     grams: dict[int, np.ndarray] = {}
     exact_grams: dict[int, np.ndarray] = {}
     for t in range(1, T):
@@ -184,11 +194,9 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             mat = np.empty((m, m))
             for j in range(m):
                 for k in range(m):
-                    var = _basis_product_variable(circuits, t, j, k)
-                    rep = qmontecarlo(var, schedule.gram_accuracy, schedule.gram_failure,
-                                      sup_b * sup_b, next(streams), ledger=ledger,
-                                      weights=weights)
-                    mat[j, k] = rep.estimate
+                    mat[j, k] = estimate(_basis_product_variable(circuits, t, j, k),
+                                         schedule.gram_accuracy, schedule.gram_failure,
+                                         sup_b * sup_b).estimate
             grams[t] = mat
         elif gram_mode == "identity":
             grams[t] = np.eye(m)
@@ -201,32 +209,26 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
     for t in range(T, 1, -1):
-        b_est = np.empty(m)
-        b_exact = np.empty(m)
+        b_est, b_exact = np.empty(m), np.empty(m)
         for member in range(m):
-            var = circuits.variable(t, member)
-            b_exact[member] = var.exact_mean()
-            rep = qmontecarlo(var, schedule.target_accuracy, schedule.target_failure,
-                              R * sup_b, next(streams), ledger=ledger, weights=weights)
-            b_est[member] = rep.estimate
+            rep = estimate(circuits.variable(t, member), schedule.target_accuracy,
+                           schedule.target_failure, R * sup_b)
+            b_est[member], b_exact[member] = rep.estimate, rep.exact_mean
         targets[t - 1] = b_est
         exact_targets[t - 1] = b_exact
         coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))
 
-    final_var = circuits.variable(1, 0)
-    rep = qmontecarlo(final_var, epsilon, delta / 2.0, R, next(streams),
-                      ledger=ledger, weights=weights)
-    z0 = payoff.value_at_start(chain)
-    estimate = max(z0, rep.estimate)
+    final = estimate(circuits.variable(1, 0), epsilon, delta / 2.0, R).estimate
 
     return QuantumLsmRun(
         chain=chain, payoff=payoff, basis=basis, epsilon=epsilon, delta=delta,
         schedule=schedule, sigma_min_lower=sigma_min_lower,
         sigma_min_oracle=sigma_min_oracle, gram_mode=gram_mode,
         gram_matrices=grams, targets=targets, coefficients=coefficients,
-        final_payoff_estimate=rep.estimate, estimate=estimate, ledger=ledger,
-        l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
+        final_payoff_estimate=final, estimate=max(payoff.value_at_start(chain), final),
+        ledger=ledger, l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
         exact_targets=exact_targets, exact_grams=exact_grams, notes=notes,
+        entry_reports=entry_reports,
     )
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,42 +33,36 @@ def _check_queries(queries: int) -> None:
 def _phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
     """|<y|phase>|^2 for an eigenphase offset delta (in turns), M outcomes."""
     delta = np.asarray(delta, dtype=float)
-    num = np.sin(np.pi * queries * delta) ** 2
-    den = queries**2 * np.sin(np.pi * delta) ** 2
-    frac = np.mod(delta, 1.0)
+    num = np.square(np.sin(np.pi * queries * delta))
+    den = queries**2 * np.square(np.sin(np.pi * delta))
+    frac = delta - np.floor(delta)  # np.mod(delta, 1.0) bit for bit, at a third of the cost
     on_grid = np.minimum(frac, 1.0 - frac) < 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(on_grid, 1.0, num / np.where(den == 0.0, 1.0, den))
-    return out
-
-
-def _branch_masses(phase: float, outcomes: np.ndarray, queries: int, sign: int) -> np.ndarray:
-    """Kernel masses of one Fejer branch at outcomes in 0..M-1.
-
-    The branch sign=-1 (eigenphase +theta) sits at offset phase - y/M from
-    outcome y, the branch sign=+1 (eigenphase -theta) at phase + y/M. Both
-    are evaluated as phase - k/M for the k = -sign*y (mod M) that puts the
-    offset in (-1/2, 1/2 + 1/M], so near the kernel's peak at offset 0 it is
-    formed without cancellation. Taken as phase + y/M, the offsets near 1 at
-    the -theta peak would cost the branch about M * 1.1e-16 of its unit mass."""
-    centre = math.floor(phase * queries) - queries // 2
-    k = np.mod(-sign * outcomes - centre, queries) + centre
-    return _phase_kernel(phase - k / queries, queries)
+    np.putmask(den, on_grid, 1.0)  # den is 0 only on the grid, within 1e-154 of delta = 0
+    num /= den
+    np.putmask(num, on_grid, 1.0)
+    return num
 
 
 def ae_outcome_distribution(amplitude: float, queries: int):
     """(estimates, probabilities, outcomes) of M-query amplitude estimation.
 
     Outcomes y = 0..M-1 map to estimates sin^2(pi y / M); probabilities are
-    the exact two-eigenphase phase-estimation weights.
+    the exact two-eigenphase phase-estimation weights, an equal mixture of
+    two kernels: the eigenphase +theta branch sits at offset phase - y/M from
+    outcome y, the -theta branch at phase + y/M. Both are evaluated as
+    phase - k/M for the k = +-y (mod M) that puts the offset in
+    (-1/2, 1/2 + 1/M], so near a kernel's peak at offset 0 it is formed
+    without cancellation. Taken as phase + y/M, the offsets near 1 at the
+    -theta peak would cost the branch about M * 1.1e-16 of its unit mass.
     """
     _check_queries(queries)
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
-    theta = math.asin(math.sqrt(amplitude))
+    phase = math.asin(math.sqrt(amplitude)) / math.pi
+    centre = math.floor(phase * queries) - queries // 2
     y = np.arange(queries)
-    probs = 0.5 * (_branch_masses(theta / math.pi, y, queries, -1)
-                   + _branch_masses(theta / math.pi, y, queries, 1))
+    k = np.mod([y - centre, -y - centre], queries) + centre
+    probs = 0.5 * _phase_kernel(phase - k / queries, queries).sum(axis=0)
     probs = probs / probs.sum()
     estimates = np.sin(np.pi * y / queries) ** 2
     return estimates, probs, y
@@ -97,30 +90,34 @@ class EstimationOperator:
         return self.rotation.good_amplitude_squared(self.masses)
 
 
-class _Branch(NamedTuple):
-    """Window of one Fejer branch: peak = floor + frac, outcomes
-    (floor + j) mod M for the window offsets j, their kernel masses, and the
-    tail mass the window leaves."""
+@lru_cache(maxsize=64)
+def _window(queries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only window offsets j and, for e = ceil(phase M) - floor(phase M),
+    the shifts (k - floor(phase M)) / M that `ae_outcome_distribution` takes
+    at outcomes (floor + j) mod M of both branches, and a 0 column for tails."""
+    half = queries // 2
+    offsets = np.arange(max(-_WINDOW, 1 - half), min(_WINDOW, half) + 1)
+    shifts = np.zeros((2, 2, offsets.size + 1))
+    shifts[:, :, :-1] = np.mod([[offsets + half, e - offsets + half] for e in (0, 1)],
+                               queries) - half
+    shifts /= queries
+    offsets.flags.writeable = shifts.flags.writeable = False
+    return offsets, shifts
 
-    floor: int
-    frac: float
-    outcomes: np.ndarray
-    masses: np.ndarray
-    tail: float
 
-
-def _branch_law(phase: float, queries: int, sign: int) -> _Branch:
-    """The branch sign=-1 peaks at c = phase * M, the branch sign=+1 at -c.
-
-    Window masses are the dense law's own kernel entries; the tail mass is
-    zero when the window covers every outcome."""
-    peak = -sign * phase * queries
-    floor = math.floor(peak)
-    offsets = np.arange(max(-_WINDOW, 1 - queries // 2), min(_WINDOW, queries // 2) + 1)
-    outcomes = np.mod(floor + offsets, queries)
-    masses = _branch_masses(phase, outcomes, queries, sign)
-    tail = 0.0 if offsets.size == queries else max(0.0, 1.0 - float(masses.sum()))
-    return _Branch(floor, peak - floor, outcomes, masses, tail)
+def _branch_windows(phase: float, queries: int):
+    """(floors, fracs, rows) of the branches peaking at c = phase * M (row 0)
+    and at -c (row 1), peak = floor + frac, from one kernel call: a row holds
+    the dense law's kernel masses at outcomes (floor + j) mod M for the window
+    offsets j, then the tail mass the window leaves, 0 if it covers all M."""
+    offsets, shifts = _window(queries)
+    peak = phase * queries
+    floors = (math.floor(peak), math.floor(-peak))
+    rows = _phase_kernel(phase - (shifts[-floors[1] - floors[0]] + floors[0] / queries), queries)
+    size = offsets.size
+    rows[:, size] = 0.0 if size == queries else [
+        max(0.0, 1.0 - float(rows[b, :size].sum())) for b in (0, 1)]
+    return floors, (peak - floors[0], -peak - floors[1]), rows
 
 
 def _sample_tail(floor: int, frac: float, queries: int, count: int,
@@ -145,11 +142,12 @@ def _sample_tail(floor: int, frac: float, queries: int, count: int,
     while pending.size:
         v = rng.random(pending.size) * total
         right = v < right_mass
-        r = np.where(right, 1.0 / (1.0 / right_lo - v),
-                     1.0 / (1.0 / left_lo - (v - right_mass)))
-        k = np.where(right, np.clip(np.rint(r + frac), _WINDOW + 1, half),
-                     np.clip(np.rint(r - frac), _WINDOW + 1, half - 1)).astype(np.int64)
-        offset = np.where(right, k, -k)
+        sign = np.where(right, 1.0, -1.0)
+        r = 1.0 / (np.where(right, 1.0 / right_lo, 1.0 / left_lo)
+                   - (v - np.where(right, 0.0, right_mass)))
+        k = np.minimum(np.maximum(np.rint(r + sign * frac), _WINDOW + 1),
+                       np.where(right, half, half - 1))
+        offset = (sign * k).astype(np.int64)
         dist = np.abs(offset - frac)
         accept = rng.random(pending.size) * (queries * np.sin(np.pi * dist / queries)) ** 2 \
             < 4.0 * (dist * dist - 0.25)
@@ -177,19 +175,22 @@ def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: i
         ledger.add_rotations(applications)
         operator.rotation.oracle.bill(ledger, applications=2 * applications)
     phase = math.asin(math.sqrt(operator.amplitude)) / math.pi
-    branches = [_branch_law(phase, queries, sign) for sign in (-1, 1)]
-    # Rows: each branch's window outcomes, then that branch's tail (-1).
-    cdf = np.cumsum(np.concatenate([np.append(b.masses, b.tail) for b in branches]))
+    floors, fracs, rows = _branch_windows(phase, queries)
+    # Rows: each branch's window outcomes, then that branch's tail.
+    cdf = np.cumsum(rows)
     # u in (0, cdf[-1]] with side="left" never lands on a zero-mass row.
     u = (1.0 - rng.random(repetitions)) * cdf[-1]
     picks = np.searchsorted(cdf, u, side="left")
-    outcomes = np.concatenate([np.append(b.outcomes, -1) for b in branches])[picks]
-    tail_row = -1
-    for b in branches:
-        tail_row += b.outcomes.size + 1
-        in_tail = np.flatnonzero(picks == tail_row)
-        if in_tail.size:
-            outcomes[in_tail] = _sample_tail(b.floor, b.frac, queries, in_tail.size, rng)
+    # Offsets run up from lo, so pick p is offset lo + p (branch 0) or lo + p - width.
+    width, lo = rows.shape[1], int(_window(queries)[0][0])
+    outcomes = np.mod(picks + np.where(picks < width, floors[0] + lo, floors[1] + lo - width),
+                      queries)
+    if width <= queries:  # the window leaves a tail
+        for branch in (0, 1):
+            in_tail = (picks == (branch + 1) * width - 1).nonzero()[0]
+            if in_tail.size:
+                outcomes[in_tail] = _sample_tail(floors[branch], fracs[branch], queries,
+                                                 in_tail.size, rng)
     return np.sin(np.pi * outcomes / queries) ** 2
 
 

@@ -38,27 +38,25 @@ class FixedPointFormat:
         """Round-to-nearest-even representable value; overflow is an error."""
         if not math.isfinite(value) or abs(value) > self.max_value:
             raise Overflow(f"{value!r} outside [-{self.max_value}, {self.max_value}]")
-        scaled = value * 2.0**self.frac_bits
-        magnitude = int(np.round(scaled))
-        sign = 1 if magnitude < 0 else 0
-        magnitude = abs(magnitude)
-        if magnitude > int(round(self.max_value * 2**self.frac_bits)):
-            raise Overflow(f"{value!r} rounds outside the representable range")
-        if magnitude == 0:
-            sign = 0
-        return FixedPoint(fmt=self, sign=sign, magnitude=magnitude)
+        # max_value is on the grid, so rounding cannot leave the range.
+        magnitude = int(np.round(value * 2.0**self.frac_bits))
+        return FixedPoint(fmt=self, sign=int(magnitude < 0), magnitude=abs(magnitude))
 
     def quantize(self, values):
         """decode(encode(v)) vectorized; raises listing any offending values."""
+        scale = 2.0**self.frac_bits
+        if isinstance(values, float) and abs(values) <= self.max_value:
+            return round(values * scale) / scale  # half to even; an int gives no -0.0
         arr = np.asarray(values, dtype=float)
-        bad = ~np.isfinite(arr) | (np.abs(arr) > self.max_value)
-        if np.any(bad):
+        if arr.size and not np.abs(arr).max() <= self.max_value:  # NaN fails too
+            bad = ~(np.abs(arr) <= self.max_value)
             raise Overflow(
                 f"values not representable at ({self.int_bits},{self.frac_bits}), "
                 f"widen the integer field: {np.asarray(values)[bad][:8].tolist()}"
             )
-        out = np.round(arr * 2.0**self.frac_bits) / 2.0**self.frac_bits
-        out = out + 0.0  # normalize -0.0
+        out = np.rint(arr * scale)
+        out /= scale
+        out += 0.0  # normalize -0.0
         return out if out.shape else float(out)
 
     def quantize_up(self, value: float) -> float:

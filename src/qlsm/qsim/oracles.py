@@ -45,7 +45,7 @@ class SamplingOracle:
             ledger.add_state_preparations(count)
         cum = np.cumsum(masses)
         draws = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
-        return np.clip(draws, 0, cum.size - 1)
+        return np.minimum(draws, cum.size - 1)
 
 
 @dataclass(eq=False)
@@ -65,15 +65,15 @@ class FunctionOracle:
 
     def __post_init__(self):
         self.raw_values = np.asarray(self.raw_values, dtype=float)
-        bad = np.abs(self.raw_values) > self.fmt.max_value
-        if np.any(bad):
-            idx = np.nonzero(bad)[0][:8]
+        try:
+            self.values = np.asarray(self.fmt.quantize(self.raw_values))
+        except Overflow:
+            idx = np.flatnonzero(~(np.abs(self.raw_values) <= self.fmt.max_value))[:8]
             raise Overflow(
                 f"function '{self.name}' not representable at "
                 f"({self.fmt.int_bits},{self.fmt.frac_bits}); offending row "
                 f"indices {idx.tolist()} values {self.raw_values[idx].tolist()}"
-            )
-        self.values = np.asarray(self.fmt.quantize(self.raw_values))
+            ) from None
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -108,8 +108,8 @@ class ControlledRotation:
 
     def __post_init__(self):
         fmt = self.oracle.fmt
-        self.low = float(np.asarray(fmt.quantize(self.low)))
-        self.high = float(np.asarray(fmt.quantize(self.high)))
+        self.low = float(fmt.quantize(self.low))
+        self.high = float(fmt.quantize(self.high))
         if not 0.0 <= self.low < self.high:
             raise ValueError(f"need 0 <= low < high, got [{self.low}, {self.high}]")
 
@@ -121,7 +121,7 @@ class ControlledRotation:
         """Exact flagged weight sum p(x) * value(x)/high over the interval,
         with p the mass of each row of the oracle's value table."""
         mask = self.in_interval()
-        return float(np.sum(probabilities[mask] * self.oracle.values[mask] / self.high))
+        return float((probabilities[mask] * self.oracle.values[mask] / self.high).sum())
 
     def apply(self, state: HybridState, ledger: QueryLedger | None = None) -> None:
         mask = self.in_interval()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import Overflow, VarianceExceeded
+from ..errors import Overflow, ScheduleViolation, VarianceExceeded
 from .ae import EstimationOperator, draw_ae_estimates
 from .fixed_point import FixedPointFormat
 from .ledger import CostWeights, QueryLedger
@@ -48,8 +48,8 @@ class QmcVariable:
         support = values[masses > 0.0]
         if support.size and support.min() == support.max():
             return float(support[0]), 0.0
-        mean = float(np.sum(masses * values))
-        return mean, float(np.sum(masses * (values - mean) ** 2))
+        mean = float((masses * values).sum())
+        return mean, float((masses * (values - mean) ** 2).sum())
 
     def exact_mean(self) -> float:
         return self.exact_moments()[0]
@@ -105,9 +105,15 @@ def _queries_for(budget: float, amp_cap: float) -> int:
     while 2.0 * math.pi * spread / m + math.pi**2 / m**2 > budget:
         m *= 2
         if m > _MAX_AE_QUERIES:
-            raise ValueError(f"accuracy budget {budget} needs more than "
-                             f"{_MAX_AE_QUERIES} amplitude-estimation queries")
+            raise ScheduleViolation(f"accuracy budget {budget:.3g} needs more than the cap of "
+                                    f"{_MAX_AE_QUERIES} amplitude-estimation queries")
     return m
+
+
+def _median(draws: np.ndarray) -> float:
+    """np.median bit for bit: the middle sorted draw, or (a + b) / 2 of two."""
+    ordered, mid = np.sort(draws), draws.size // 2
+    return float(ordered[mid] if draws.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def _part_boundaries(fmt: FixedPointFormat, sigma: float, top: float) -> list[float]:
@@ -155,12 +161,10 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     caller_ledger = ledger
     ledger = QueryLedger()
 
-    sampling = variable.sampling
-    oracle = variable.oracle
-    masses = variable.masses
+    sampling, oracle, masses = variable.sampling, variable.oracle, variable.masses
     support = masses > 0.0
     exact_mean, exact_var = variable.exact_moments()
-    raw_mean = float(np.sum(masses * oracle.raw_values))
+    raw_mean = float((masses * oracle.raw_values).sum())
     if abs(exact_mean - raw_mean) > epsilon / 100.0:
         raise Overflow(
             f"fixed-point rounding shifts the mean by {abs(exact_mean - raw_mean):.3e}, "
@@ -181,34 +185,29 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         # Constant variable: a single sample is exact.
         rows = sampling.measure(masses, 1, rng, ledger)
         oracle.bill(ledger, applications=1)
-        report.estimate = float(oracle.values[rows[0]])
-        report.center = report.estimate
-        _finalize_cost(report, variable, weights)
-        if caller_ledger is not None:
-            caller_ledger.merge(ledger)
-        return report
+        report.estimate = report.center = float(oracle.values[rows[0]])
+        return _finish(report, variable, weights, caller_ledger)
 
     # Rough center: median of sampled values, itself exactly representable.
     rows = sampling.measure(masses, repetitions, rng, ledger)
     oracle.bill(ledger, applications=repetitions)
-    center = float(np.sort(oracle.values[rows])[(repetitions - 1) // 2])
-    report.center = center
+    center = report.center = float(np.sort(oracle.values[rows])[(repetitions - 1) // 2])
 
     wide = FixedPointFormat(oracle.fmt.int_bits + 1, oracle.fmt.frac_bits)
-    shifted = oracle.values - center  # both representable at the widened format
+    shifted = oracle.values - center  # both representable at the widened format,
+    on_support = shifted[support]  # so a part's top on the support is its extreme shift
     parts = []
-    if float(np.max(shifted[support])) > 0.0:
-        parts.append(("positive", np.maximum(shifted, 0.0), +1.0))
-    if float(np.min(shifted[support])) < 0.0:
-        parts.append(("negative", np.maximum(-shifted, 0.0), -1.0))
+    if (top := float(on_support.max())) > 0.0:
+        parts.append(("positive", np.maximum(shifted, 0.0), +1.0, top))
+    if (top := -float(on_support.min())) > 0.0:
+        parts.append(("negative", np.maximum(-shifted, 0.0), -1.0, top))
 
     budget = 0.99 * epsilon
     piece_plans = []
-    for part_name, part_values, part_sign in parts:
+    for part_name, part_values, part_sign, top in parts:
         part_oracle = FunctionOracle(name=f"{oracle.name}|{part_name}", fmt=wide,
                                      raw_values=part_values,
                                      query_cost=dict(oracle.query_cost))
-        top = float(np.max(part_oracle.values[support]))
         tops = _part_boundaries(wide, sigma, top)
         low = 0.0
         for high in tops:
@@ -225,7 +224,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         rotation = ControlledRotation(oracle=part_oracle, low=low, high=high)
         operator = EstimationOperator(sampling=sampling, rotation=rotation, masses=masses)
         draws = draw_ae_estimates(operator, queries, repetitions, rng, ledger)
-        amp_estimate = float(np.median(draws))
+        amp_estimate = _median(draws)
         estimate += part_sign * high * amp_estimate
         report.pieces.append(PieceRecord(
             part=part_name, low=low, high=high, queries=queries,
@@ -233,17 +232,17 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
             budget=per_amp_budget))
 
     report.estimate = float(estimate)
-    _finalize_cost(report, variable, weights)
-    if caller_ledger is not None:
-        caller_ledger.merge(ledger)
-    return report
+    return _finish(report, variable, weights, caller_ledger)
 
 
-def _finalize_cost(report: EstimationReport, variable: QmcVariable,
-                   weights: CostWeights) -> None:
+def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,
+            caller_ledger: QueryLedger | None) -> EstimationReport:
     per_app = variable.horizon * weights.sample_step + sum(
         variable.oracle.query_cost.values())
     report.cost_reference = _cost_reference(report.sigma, report.epsilon,
                                             report.repetitions, per_app)
     total = report.ledger.total_units(variable.horizon, weights)
     report.cost_factor = total / report.cost_reference if report.cost_reference else None
+    if caller_ledger is not None:
+        caller_ledger.merge(report.ledger)
+    return report

@@ -3,16 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from qlsm.chain import MarkovChainSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
                        QueryLedger, SamplingOracle, ae_outcome_distribution,
                        draw_ae_estimates, statevector_ae_distribution)
-from qlsm.qsim.ae import (_WINDOW, _branch_law, _branch_masses, _embed, _phase_kernel,
-                          _sample_tail)
+from qlsm.qsim.ae import (_WINDOW, _branch_windows, _embed, _phase_kernel, _sample_tail,
+                          _window)
 from qlsm.qsim.fixed_point import FixedPointFormat
+
+import ae_reference
+from ae_reference import Branch
 
 
 def operator_with_amplitude(a: float) -> EstimationOperator:
@@ -67,7 +70,7 @@ class TestAnalyticDistribution:
         for a in amplitudes:
             phase = math.asin(math.sqrt(a)) / math.pi
             for sign in (-1, 1):
-                masses = _branch_masses(phase, y, queries, sign)
+                masses = kernel_branch(phase, y, queries, sign)
                 assert abs(masses.sum() - 1.0) <= 1e-14, (a, sign)
                 naive = _phase_kernel(phase + sign * y / queries, queries)
                 np.testing.assert_allclose(masses, naive, rtol=1e-9, atol=1e-15)
@@ -141,17 +144,31 @@ class TestSamplingAndLedger:
         assert draw_ae_estimates(op, 8, 1, rng)[0] == 1.0
 
 
+def kernel_branch(phase: float, outcomes: np.ndarray, queries: int, sign: int) -> np.ndarray:
+    """One Fejer branch at outcomes, evaluated as ae_outcome_distribution does:
+    at phase - k/M for the k = -sign * y (mod M) nearest the peak."""
+    centre = math.floor(phase * queries) - queries // 2
+    k = np.mod(-sign * outcomes - centre, queries) + centre
+    return _phase_kernel(phase - k / queries, queries)
+
+
 def dense_branches(amplitude: float, queries: int):
     """The two unnormalized Fejer kernels ae_outcome_distribution mixes:
     the sign=-1 branch peaks at theta M / pi, the sign=+1 branch at -theta M / pi."""
     phase = math.asin(math.sqrt(amplitude)) / math.pi
     y = np.arange(queries)
-    return {sign: _branch_masses(phase, y, queries, sign) for sign in (-1, 1)}
+    return {sign: kernel_branch(phase, y, queries, sign) for sign in (-1, 1)}
 
 
 def branch_laws(amplitude: float, queries: int):
+    """Each branch's window as the sampler sees it: row 0 of
+    `_branch_windows` is the sign=-1 branch, row 1 the sign=+1 branch."""
     phase = math.asin(math.sqrt(amplitude)) / math.pi
-    return {sign: _branch_law(phase, queries, sign) for sign in (-1, 1)}
+    floors, fracs, rows = _branch_windows(phase, queries)
+    offsets = _window(queries)[0]
+    return {sign: Branch(floors[row], fracs[row], np.mod(floors[row] + offsets, queries),
+                         rows[row, :-1], float(rows[row, -1]))
+            for row, sign in enumerate((-1, 1))}
 
 
 def amplitude_grid(queries: int) -> list:
@@ -259,3 +276,68 @@ class TestWindowedSampler:
                 tracemalloc.stop()
             assert draws.shape == (117,)
             assert peak < 1 << 20, (log_queries, peak)
+
+
+@st.composite
+def ae_cases(draw):
+    """(amplitude, M, repetitions, seed) with amplitudes 0, 1, grid points
+    sin^2(pi y / M) and arbitrary values in [0, 1]."""
+    queries = 1 << draw(st.integers(1, 30))
+    grid = st.integers(0, queries // 2).map(lambda y: math.sin(math.pi * y / queries) ** 2)
+    amplitude = draw(st.one_of(st.sampled_from([0.0, 1.0]), grid, st.floats(0.0, 1.0)))
+    return amplitude, queries, draw(st.integers(1, 200)), draw(st.integers(0, 2**63 - 1))
+
+
+class TestAgainstPerBranchReference:
+    """The two-row window sampler against the per-branch sampler it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ae_cases())
+    # A peak half-way between outcomes: seed 11 draws land in both tails.
+    @example((math.sin(math.pi * 1000.5 / 2**20) ** 2, 2**20, 200, 11))
+    def test_draws_state_and_ledger_match_reference(self, case):
+        amplitude, queries, repetitions, seed = case
+        op = operator_with_amplitude(0.5)
+        op.amplitude = amplitude  # exact, not rounded through the value table
+        runs = []
+        for draw in (ae_reference.draw_ae_estimates, draw_ae_estimates):
+            rng = np.random.Generator(np.random.Philox(seed))
+            ledger = QueryLedger()
+            draws = draw(op, queries, repetitions, rng, ledger)
+            runs.append((draws.view(np.int64).tolist(), repr(rng.bit_generator.state),
+                         ledger.snapshot()))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 30))
+    def test_windows_match_reference_branches(self, amplitude, log_queries):
+        queries = 1 << log_queries
+        phase = math.asin(math.sqrt(amplitude)) / math.pi
+        for sign, branch in branch_laws(amplitude, queries).items():
+            ref = ae_reference.branch_law(phase, queries, sign)
+            assert (branch.floor, branch.frac) == (ref.floor, ref.frac)
+            np.testing.assert_array_equal(branch.outcomes, ref.outcomes)
+            assert branch.masses.view(np.int64).tolist() == ref.masses.view(np.int64).tolist()
+            assert np.float64(branch.tail).view(np.int64) == np.float64(ref.tail).view(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=64), st.integers(1, 30))
+    def test_phase_kernel_matches_reference(self, deltas, log_queries):
+        # Offsets at and within rounding of the grid take the on_grid rule.
+        delta = np.array(deltas + [0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15, 1e-300, -5e-324])
+        queries = 1 << log_queries
+        new = _phase_kernel(delta, queries)
+        ref = ae_reference.phase_kernel(delta, queries)
+        assert new.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 30), st.floats(0.0, 1.0, exclude_max=True), st.integers(-2**30, 2**30),
+           st.integers(1, 2000), st.integers(0, 2**63 - 1))
+    def test_tail_sampler_matches_reference(self, log_queries, frac, floor, count, seed):
+        queries = 1 << log_queries
+        runs = []
+        for sample in (ae_reference.sample_tail, _sample_tail):
+            rng = np.random.Generator(np.random.Philox(seed))
+            runs.append((sample(floor, frac, queries, count, rng).tolist(),
+                         repr(rng.bit_generator.state)))
+        assert runs[0] == runs[1]

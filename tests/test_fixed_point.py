@@ -74,6 +74,69 @@ class TestEncodeDecode:
         assert fmt.quantize_up(1.25) == 1.25
 
 
+def _quantized_bits(quantize, value):
+    """The bit image of quantize(value) as an int, or "Overflow"."""
+    try:
+        out = quantize(value)
+    except Overflow:
+        return "Overflow"
+    return int(np.asarray(out, dtype=np.float64).reshape(-1)[0:1].view(np.int64)[0])
+
+
+def _scalar_and_array(fmt, value):
+    scalar = _quantized_bits(fmt.quantize, value)
+    array = _quantized_bits(lambda v: fmt.quantize(np.array([v])), value)
+    return scalar, array
+
+
+DEFAULT = FixedPointFormat()
+STEP = DEFAULT.resolution
+EDGE_VALUES = (
+    [(k + 0.5) * STEP for k in range(-6, 6)]  # ties at (k + 1/2) 2^-24, -0 ones too
+    + [(k + 0.5) * STEP for k in (2**31 - 1, -(2**31), 2**30 + 7, 12345)]
+    + [DEFAULT.max_value, -DEFAULT.max_value,
+       float(np.nextafter(DEFAULT.max_value, np.inf)),
+       -float(np.nextafter(DEFAULT.max_value, np.inf)),
+       DEFAULT.max_value + STEP / 2, 256.0, -256.0,
+       0.0, -0.0, -1e-300, 5e-324, -STEP / 4, 1.0, -1.0,
+       float("nan"), float("inf"), float("-inf")])
+
+
+class TestScalarPath:
+    """quantize(float) takes a scalar path; it must agree with the array
+    path bit for bit, sign of zero included, and raise on the same inputs."""
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_values_match_array_path(self, value):
+        scalar, array = _scalar_and_array(DEFAULT, value)
+        assert scalar == array
+        if scalar != "Overflow":
+            assert type(DEFAULT.quantize(value)) is float
+
+    def test_edge_values_round_as_expected(self):
+        assert DEFAULT.quantize(-STEP / 2) == 0.0  # tie to the even 0, as +0.0
+        assert np.signbit(DEFAULT.quantize(-STEP / 2)) == np.False_
+        assert DEFAULT.quantize(1.5 * STEP) == 2 * STEP
+        assert DEFAULT.quantize(2.5 * STEP) == 2 * STEP
+        for bad in (float("nan"), float("inf"), 256.0,
+                    float(np.nextafter(DEFAULT.max_value, np.inf))):
+            with pytest.raises(Overflow, match="widen the integer field"):
+                DEFAULT.quantize(bad)
+
+    @given(st.integers(-(2**33), 2**33), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+    def test_grid_and_ties_match_array_path(self, k, part):
+        value = (k + part) * STEP
+        assert _scalar_and_array(DEFAULT, value)[0] == _scalar_and_array(DEFAULT, value)[1]
+
+    @given(st.floats(allow_nan=True, allow_infinity=True),
+           st.integers(1, 20), st.integers(0, 32))
+    def test_any_float_matches_array_path(self, value, int_bits, frac_bits):
+        fmt = FixedPointFormat(int_bits, frac_bits)
+        scalar, array = _scalar_and_array(fmt, value)
+        assert scalar == array
+        assert _quantized_bits(fmt.quantize, np.float64(value)) == array
+
+
 class TestBitImages:
     def test_xor_involution(self):
         fmt = FixedPointFormat(4, 8)

@@ -239,6 +239,19 @@ class TestCli:
         doc = json.loads((tmp_path / "scaling.json").read_text())
         assert len(doc["rows"]) == 4
 
+    def test_query_cap_is_a_run_error(self, tmp_path, capsys):
+        # The README config at epsilon 1e-10 needs more AE queries than the cap.
+        config = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                             / "cli_reference.json").read_text())
+        config.update(algorithm="quantum", epsilon=1e-10, trials=1)
+        cfg_file = tmp_path / "cap.json"
+        cfg_file.write_text(json.dumps(config))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("run error: accuracy budget")
+        assert "amplitude-estimation queries" in err and "Traceback" not in err
+
     def test_seed_override_changes_report(self, tmp_path):
         main(["price", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "a")])
         main(["price", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "b")])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
-from qlsm.lsm_quantum import (EstimationSchedule, run_quantum_lsm,
+from qlsm.lsm_quantum import (EstimationSchedule, oracle_sigma_min, run_quantum_lsm,
                               run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
 from qlsm.payoff import put_payoff, table_payoff
+from qlsm.qsim import QueryLedger
 
 
 # Toy chains with payoff bounds below 1 trip the sensitivity-normalization
@@ -219,6 +221,42 @@ class TestGenericRuns:
         assert costs[0] < costs[1] < costs[2]
         assert 1.6 <= costs[1] / costs[0] <= 2.7
         assert 1.6 <= costs[2] / costs[1] <= 2.7
+
+
+    def test_entry_reports_explain_every_estimate(self):
+        # The criterion-6 instance: T = 3, m = 3.
+        chain = discretize_brownian(1, 3, 8, 2.2)
+        payoff = put_payoff(1.0)
+        basis = hermite_basis(1, 2, 3, 4.0)
+        sigma_min = oracle_sigma_min(basis, chain)
+        eps0 = sigma_min**2 / (4.0 * basis.size * payoff.bound_for(chain))
+        run = run_quantum_lsm(chain, payoff, basis, eps0, 0.2,
+                              sigma_min_lower=sigma_min, seed=7)
+        T, m = chain.horizon, basis.size
+        names = ({f"basis_product[t={t},{j},{k}]" for t in range(1, T)
+                  for j in range(m) for k in range(m)}
+                 | {f"stopped_payoff[t={t},m={i}]" for t in range(2, T + 1) for i in range(m)}
+                 | {"stopped_payoff[t=1,m=0]"})
+        assert len(names) == (T - 1) * m * m + (T - 1) * m + 1
+        assert set(run.entry_reports) == names
+        merged = QueryLedger()
+        for name, rep in run.entry_reports.items():
+            merged.merge(rep.ledger)
+            assert rep.error == abs(rep.estimate - rep.exact_mean)
+            # A constant entry is read off one sample; the rest run AE pieces.
+            assert rep.pieces or rep.exact_variance == 0.0
+            assert all(p.queries >= 2 for p in rep.pieces)
+        assert merged.snapshot() == run.ledger.snapshot()
+        sched = run.schedule
+        gram = run.entry_reports["basis_product[t=2,1,0]"]
+        assert (gram.epsilon, gram.delta) == (sched.gram_accuracy, sched.gram_failure)
+        assert gram.estimate == run.gram_matrices[2][1, 0]
+        target = run.entry_reports["stopped_payoff[t=3,m=2]"]
+        assert (target.epsilon, target.delta) == (sched.target_accuracy, sched.target_failure)
+        assert (target.estimate, target.exact_mean) == (run.targets[2][2], run.exact_targets[2][2])
+        final = run.entry_reports["stopped_payoff[t=1,m=0]"]
+        assert (final.estimate, final.delta) == (run.final_payoff_estimate, 0.1)
+        assert "entry_reports" not in json.loads(run.to_json())
 
 
 class TestModelVariants:

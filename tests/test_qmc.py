@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qlsm.chain import MarkovChainSpec
-from qlsm.errors import Overflow, VarianceExceeded
+from qlsm.errors import Overflow, ScheduleViolation, VarianceExceeded
 from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
                        SamplingOracle, median_repetitions, qmontecarlo)
+from qlsm.qsim.qmc import _median
 
 
 def uniform_chain(permutation=None):
@@ -144,3 +145,21 @@ class TestStructure:
         values = np.array([0.7, 0.1, 0.4, 0.2])
         rep = qmontecarlo(variable_from_values(values), 0.05, 0.1, 0.5, 2)
         assert rep.center in set(np.asarray(FixedPointFormat().quantize(values)))
+
+
+class TestQueryCap:
+    def test_query_cap_raises_schedule_violation(self):
+        var = variable_from_values([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ScheduleViolation, match=r"budget .* cap of 1073741824"):
+            qmontecarlo(var, 1e-12, 0.1, 1.0, 0)
+
+
+class TestSortMedian:
+    def test_matches_numpy_median_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        grid = np.sin(np.pi * np.arange(64) / 128) ** 2
+        for n in range(1, 201):
+            for draws in (rng.random(n), rng.choice(grid, n), rng.normal(size=n) * 1e-300,
+                          np.full(n, 0.3)):
+                assert np.float64(_median(draws)).view(np.int64) == \
+                    np.float64(np.median(draws)).view(np.int64), n
