@@ -16,6 +16,7 @@ from .errors import CapExceeded
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
 _ROW_TOL = 1e-12
+_GUIDE_BYTES = 4 << 20           # all of a chain's guide tables together
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -184,6 +185,14 @@ class MarkovChainSpec:
         return tuple(_frozen(np.cumsum(P, axis=1)) for P in self.transitions)
 
     @cached_property
+    def sampling_tables(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """Entry t: the CDF rows step t+1 is drawn from (the initial law's
+        as one row at t=0, then row_cdfs) and their _guide_table, the tables
+        sharing _GUIDE_BYTES; computed on first use and kept."""
+        cdfs = (_frozen(np.cumsum(self.initial_distribution)[None, :]), *self.row_cdfs)
+        return tuple((cdf, _guide_table(cdf, _GUIDE_BYTES // self.horizon)) for cdf in cdfs)
+
+    @cached_property
     def marginals(self) -> tuple[np.ndarray, ...]:
         """Marginal law of each step's state, entry t-1 for step t: the
         initial distribution pushed left to right through the transitions,
@@ -324,39 +333,63 @@ def _sample_index_matrix(chain: MarkovChainSpec, count: int, rng: np.random.Gene
     factor's row CDFs: a block's state is the count of CDF entries below u,
     and u rescaled to (u - cdf_lo) / p, p the chosen entry, drives the next
     block. This inverts the full Kronecker row, whose CDF runs through the
-    first block's entries in order, each scaled by the rest's row."""
+    first block's entries in order, each scaled by the rest's row. Each
+    block's coordinate at one step is the row of its search at the next.
+
+    Step 1 counts entries <= u, later steps entries < u, with u = 0 lifted
+    to the least positive double: that counts entries <= 0, so no leading
+    zero-mass entry is chosen."""
     out = np.empty((count, chain.horizon), dtype=np.int64)
-    init_cdf = np.cumsum(chain.initial_distribution)[None, :]
     c = chain.copies
+    coords = [0] * c
     for t in range(chain.horizon):
         u = rng.random(count)
+        if t:
+            np.maximum(u, 5e-324, out=u)  # the least positive double
         factor = _step_factor(chain, t)
-        cdf = init_cdf if t == 0 else chain.row_cdfs[t - 1]
-        n_in, n = cdf.shape
+        cdf, guide = chain.sampling_tables[t]
+        n = cdf.shape[1]
         for k in range(c):
-            if t == 0:
-                rows = 0
-                j = np.searchsorted(cdf[0], u, side="right")
-            else:
-                rows = out[:, t - 1] // n_in ** (c - 1 - k) % n_in
-                j = _count_below(cdf, rows, u)
-            np.clip(j, 0, n - 1, out=j)
+            rows = coords[k]
+            j = _invert(cdf, guide, rows, u, t == 0)
             if k < c - 1:
                 _rescale_within(u, cdf, factor, rows, j)
             if k == 0:
-                state = j
+                state = j.astype(np.int64)
             else:
                 state *= n
                 state += j
-            del rows, j  # not held through the next block's search
+            coords[k] = j
         out[:, t] = state
     return out
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray | None, rows, u: np.ndarray,
+            first: bool) -> np.ndarray:
+    """Per path i, the count of entries of cdf[rows[i]] <= u[i] (first
+    step) or < u[i] (later steps), clipped to n-1: one gather in the guide
+    table where u's bucket holds no entry, a search for the other draws,
+    or for all of them where there is no table."""
+    if guide is None:
+        j, hit = np.empty(u.size, dtype=np.intp), slice(None)
+    else:
+        buckets = guide.shape[1] - 1
+        at = np.fmin(u * buckets, buckets).astype(np.intp)
+        if not first:
+            at += np.multiply(rows, buckets + 1, dtype=np.intp)
+        j = guide.ravel().take(at)
+        hit = np.flatnonzero(j < 0)
+    found = (np.searchsorted(cdf[0], u[hit], side="right") if first
+             else _count_below(cdf, rows[hit], u[hit]))
+    j[hit] = np.minimum(found, cdf.shape[1] - 1)
+    return j
 
 
 def _rescale_within(u: np.ndarray, cdf: np.ndarray, factor: np.ndarray, rows, j: np.ndarray):
     """u -> (u - cdf[rows, j-1]) / factor[rows, j] in place: the position of
     u within the chosen entry, a uniform for the next block."""
-    at = rows * cdf.shape[1] + j
+    at = np.multiply(rows, cdf.shape[1], dtype=np.intp)
+    at += j
     lo = cdf.ravel().take(at - 1)
     lo[j == 0] = 0.0
     u -= lo
@@ -365,6 +398,31 @@ def _rescale_within(u: np.ndarray, cdf: np.ndarray, factor: np.ndarray, rows, j:
     # full row's inversion would.
     with np.errstate(divide="ignore"):
         u /= factor.ravel().take(at)
+
+
+def _guide_table(cdf: np.ndarray, budget: int) -> np.ndarray | None:
+    """Guide table of the non-decreasing rows of cdf (Chen & Asau 1974):
+    [0, 1) cut into G equal buckets, plus one for u >= 1, inf and NaN.
+    Entry [r, g] is -1 where an entry of cdf[r] falls in bucket g (always in
+    the last), else min(count of cdf[r] below g/G, n-1), the clipped count
+    of every u in it. G is the least power of two >= 16 n, halved until the
+    table fits in budget bytes; below 4 n, where over a quarter of the draws
+    could need a search, there is no table (None)."""
+    rows, n = cdf.shape
+    dtype = np.min_scalar_type(-n)  # holds -1 and n-1
+    buckets = 1 << (16 * n - 1).bit_length()
+    while buckets >= 4 * n and rows * (buckets + 1) * dtype.itemsize > budget:
+        buckets >>= 1
+    if buckets < 4 * n:
+        return None
+    # g/G and u*G are exact for G a power of two, so entry c < g/G exactly
+    # when its bucket floor(c*G) < g.
+    at = np.minimum(np.floor(cdf * buckets), buckets).astype(np.intp)
+    at += np.arange(rows)[:, None] * (buckets + 1)
+    held = np.bincount(at.ravel(), minlength=rows * (buckets + 1)).reshape(rows, buckets + 1)
+    held[:, -1] = 1  # the last bucket is always searched
+    table = np.where(held > 0, -1, np.minimum(np.cumsum(held, axis=1), n - 1))
+    return _frozen(table.astype(dtype))
 
 
 def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -378,7 +436,8 @@ def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     """
     n = cdf.shape[1]
     flat = cdf.ravel()
-    before = rows * n - 1           # flat index of entry -1 of each row
+    before = np.multiply(rows, n, dtype=np.intp)
+    before -= 1                     # flat index of entry -1 of each row
     pos = np.zeros(rows.shape[0], dtype=np.int64)
     step = 1 << (n.bit_length() - 1)
     while step:

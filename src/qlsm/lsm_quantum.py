@@ -126,9 +126,8 @@ def _entry_streams(seed, count: int):
 
 def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) -> QmcVariable:
     rows = circuits.basis_table(t)
-    values = np.asarray(circuits.fmt.quantize(rows[:, j] * rows[:, k]))
     oracle = FunctionOracle(name=f"basis_product[t={t},{j},{k}]", fmt=circuits.fmt,
-                            raw_values=values, query_cost={"basis": 2})
+                            raw_values=rows[:, j] * rows[:, k], query_cost={"basis": 2})
     return QmcVariable(sampling=circuits.sampling, oracle=oracle,
                        masses=circuits.chain.marginals[t - 1])
 

@@ -137,23 +137,28 @@ def _sample_tail(floor: int, frac: float, queries: int, count: int,
     left_lo, left_hi = _WINDOW + 0.5 + frac, half - 0.5 + frac
     right_mass = 1.0 / right_lo - 1.0 / right_hi
     total = right_mass + 1.0 / left_lo - 1.0 / left_hi
-    out = np.empty(count, dtype=np.int64)
-    pending = np.arange(count)
-    while pending.size:
-        v = rng.random(pending.size) * total
-        right = v < right_mass
-        sign = np.where(right, 1.0, -1.0)
-        r = 1.0 / (np.where(right, 1.0 / right_lo, 1.0 / left_lo)
-                   - (v - np.where(right, 0.0, right_mass)))
-        k = np.minimum(np.maximum(np.rint(r + sign * frac), _WINDOW + 1),
-                       np.where(right, half, half - 1))
-        offset = (sign * k).astype(np.int64)
-        dist = np.abs(offset - frac)
-        accept = rng.random(pending.size) * (queries * np.sin(np.pi * dist / queries)) ** 2 \
-            < 4.0 * (dist * dist - 0.25)
-        out[pending[accept]] = np.mod(floor + offset[accept], queries)
-        pending = pending[~accept]
-    return out
+    # A call draws a few outcomes, so each round works on Python floats from
+    # the same two rng.random arrays; only sin stays one vectorized call.
+    inv_right, inv_left, least = 1.0 / right_lo, 1.0 / left_lo, _WINDOW + 1
+    out = [0] * count
+    pending = list(range(count))
+    while pending:
+        offsets = [min(max(round(1.0 / (inv_right - v) + frac), least), half)
+                   if v < right_mass else
+                   -min(max(round(1.0 / (inv_left - (v - right_mass)) - frac), least), half - 1)
+                   for v in (rng.random(len(pending)) * total).tolist()]
+        dists = [abs(offset - frac) for offset in offsets]
+        sines = np.sin([math.pi * dist / queries for dist in dists]).tolist()
+        rejected = []
+        for i, offset, dist, sine, w in zip(pending, offsets, dists, sines,
+                                             rng.random(len(pending)).tolist()):
+            scale = queries * sine
+            if w * (scale * scale) < 4.0 * (dist * dist - 0.25):
+                out[i] = (floor + offset) % queries
+            else:
+                rejected.append(i)
+        pending = rejected
+    return np.array(out, dtype=np.int64)
 
 
 def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: int,

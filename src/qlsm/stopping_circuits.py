@@ -229,7 +229,7 @@ class StoppingCircuits:
         factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev_rows, member]
         oracle = FunctionOracle(
             name=f"stopped_payoff[t={t},m={member}]", fmt=self.fmt,
-            raw_values=self.fmt.quantize(payoff * factor),
+            raw_values=payoff * factor,
             query_cost=self.composed_cost(t))
         return QmcVariable(sampling=self.sampling, oracle=oracle, masses=masses)
 

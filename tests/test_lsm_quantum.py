@@ -9,11 +9,13 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
-from qlsm.lsm_quantum import (EstimationSchedule, oracle_sigma_min, run_quantum_lsm,
-                              run_quantum_lsm_brownian, run_quantum_lsm_gbm,
+from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, oracle_sigma_min,
+                              run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
 from qlsm.payoff import put_payoff, table_payoff
-from qlsm.qsim import QueryLedger
+from qlsm.qsim import FixedPointFormat, QueryLedger
+from qlsm.qsim.qmc import qmontecarlo
+from qlsm.stopping_circuits import StoppingCircuits
 
 
 # Toy chains with payoff bounds below 1 trip the sensitivity-normalization
@@ -133,6 +135,18 @@ class TestGenericRuns:
         with pytest.raises(Overflow, match="not representable"):
             run_quantum_lsm(chain_with([0.4, 0.4, 0.2]), payoff, basis, 0.05, 0.2,
                             sigma_min_oracle=True, seed=2)
+
+    def test_gram_entry_rounding_shift_is_checked(self):
+        # At 4 fraction bits the squared degree-1 Hermite member's table
+        # rounds its step-2 mean by 0.012, past epsilon/100: the Gram entry
+        # hands qmontecarlo the unrounded products, so its check sees it.
+        coarse = FixedPointFormat(8, 4)
+        circ = StoppingCircuits(chain=discretize_brownian(1, 3, 8, 2.2), payoff=put_payoff(1.0),
+                                basis=hermite_basis(1, 2, 3, 4.0), coefficients={}, fmt=coarse)
+        var = _basis_product_variable(circ, 2, 1, 1)
+        np.testing.assert_array_equal(var.oracle.values, coarse.quantize(var.oracle.raw_values))
+        with pytest.raises(Overflow, match="rounding shifts the mean"):
+            qmontecarlo(var, 0.05, 0.1, 8.0, 1)
 
     @pytest.mark.parametrize("horizon", [4, 6])
     def test_each_score_table_built_once(self, horizon, monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian
-from qlsm.errors import QlsmError
+from qlsm.errors import Overflow, QlsmError
 from qlsm.payoff import put_payoff, table_payoff
-from qlsm.qsim import HybridState, QueryLedger
+from qlsm.qsim import FixedPointFormat, HybridState, QueryLedger
+from qlsm.qsim.qmc import qmontecarlo
 from qlsm.stopping_circuits import StoppingCircuits, product_register
 
 
@@ -131,6 +132,21 @@ class TestStoppedPayoff:
         circ.step(state, 3)
         with pytest.raises(QlsmError, match="out of range"):
             circ.stopped_payoff(state, 3, 99)
+
+    def test_variable_rounding_shift_is_checked(self):
+        # At 4 fraction bits rounding payoff * basis factor moves this
+        # stopped-payoff mean by 0.019, past epsilon/100: the variable hands
+        # qmontecarlo the unrounded products, so its check sees the shift.
+        chain = two_state_chain(seed=1)
+        coarse = FixedPointFormat(8, 4)
+        circ = StoppingCircuits(chain=chain, payoff=put_payoff(1.5),
+                                basis=monomial_basis(1, 1, 3),
+                                coefficients=circuits_for(chain, seed=3).coefficients,
+                                fmt=coarse)
+        var = circ.variable(2, 1)
+        np.testing.assert_array_equal(var.oracle.values, coarse.quantize(var.oracle.raw_values))
+        with pytest.raises(Overflow, match="rounding shifts the mean"):
+            qmontecarlo(var, 0.05, 0.1, 8.0, 1)
 
 
 class TestComposed:
