@@ -167,14 +167,14 @@ class MarkovChainSpec:
         return _apply_factor(mass, P, self.copies)
 
     def expect(self, t: int, values: np.ndarray) -> np.ndarray:
-        """transition(t) @ values: E[values at step t+1 | state at step t],
-        per state, for t in 0..horizon-1; t=0 gives the one entry of the
-        start point."""
+        """values @ transition(t).T: E[values at step t+1 | state at step t]
+        per state, for t in 0..horizon-1, over values' last axis with any
+        leading batch axes; t=0 gives the one entry of the start point."""
         if t == 0:
-            return np.array([float(self.marginals[0] @ values)])
+            return np.asarray(values @ self.marginals[0], dtype=float)[..., None]
         P = self._factor(t)
         if self.copies == 1:
-            return P @ values
+            return (P @ values.T).T
         return _apply_factor(values, P.T, self.copies)
 
     @cached_property

@@ -2,8 +2,10 @@
 optimal stopping times, and exact least-squares projections of continuation
 values. Ground truth for every estimate elsewhere in the package, and home
 of the stop rule that the classical sampler and the stopping circuits share:
-stop_decision, CoefficientRule's fixed-point scores, first_stops along paths
-and first_stop_law, its forward counterpart on laws."""
+stop_decision, CoefficientRule's fixed-point scores and first_stops along
+paths. _induction is the one backward recursion: the exact values, the
+values of coefficient rules and the circuits' stopped-payoff laws all run
+it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -80,25 +82,6 @@ def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
     return taus, rows
 
 
-def first_stop_law(chain: MarkovChainSpec, t: int, start: np.ndarray,
-                   stop_masks: Sequence[np.ndarray]) -> np.ndarray:
-    """first_stops on laws instead of paths: the joint masses of the first
-    stop at or after step t and a start row. start[r, x] is the mass of start
-    row r jointly with state x at step t; chain.push moves step k's states to
-    step k+1's and stop_masks[k - t] is step k's per-state mask; the last
-    step always stops. The mass alive at a step stops there through
-    diag(stop) and moves on through diag(continue) @ kernel. Returns the
-    masses at stop_row * rows + start_row, stop_row indexing the states of
-    steps t..horizon stacked in step order."""
-    alive = np.asarray(start, dtype=float)
-    stopped = []
-    for k, stop in enumerate(stop_masks, start=t):
-        stopped.append(np.where(stop, alive, 0.0).T)
-        alive = chain.push(k, np.where(stop, 0.0, alive))
-    stopped.append(alive.T)
-    return np.concatenate(stopped).ravel()
-
-
 OPTIMAL_RULE = "optimal"
 
 
@@ -139,22 +122,27 @@ class CoefficientRule:
                              self.scores(chain, t))
 
 
-def _induction(chain: MarkovChainSpec, payoff: PayoffSpec, rule, down_to: int):
-    """Per-step values, continuation values and stop masks of a rule, by
-    backward induction from the horizon down to step down_to."""
+def _induction(chain: MarkovChainSpec, stop_values: Callable[[int], np.ndarray],
+               stop_mask: Callable[[int], np.ndarray] | None, down_to: int):
+    """The one backward induction of the stopping-time recursion (Longstaff
+    & Schwartz, RFS 2001), from the horizon down to step down_to. The last
+    step always stops; before it, continuation[t] = chain.expect(t,
+    values[t+1]), stop[t] = stop_mask(t), or stop_decision(stop_values(t),
+    continuation[t]) for the exact rule (stop_mask None), and values[t] =
+    where(stop[t], stop_values(t), continuation[t]). stop_values(t) holds
+    what stopping at step t collects per state, on the last axis, with any
+    leading batch axes. Returns the per-step values, continuation values and
+    stop masks."""
     T = chain.horizon
     values: list[np.ndarray] = [None] * (T + 1)
     continuation: list[np.ndarray] = [None] * T
     stop: list[np.ndarray] = [None] * (T + 1)
-    values[T] = payoff.values(chain, T).copy()
-    stop[T] = np.ones(values[T].shape[0], dtype=bool)
+    values[T] = np.array(stop_values(T), dtype=float)
+    stop[T] = np.ones(values[T].shape[-1], dtype=bool)
     for t in range(T - 1, down_to - 1, -1):
         cont = continuation[t] = chain.expect(t, values[t + 1])
-        z = payoff.values(chain, t)
-        if rule == OPTIMAL_RULE:
-            stop[t] = stop_decision(z, cont)
-        else:
-            stop[t] = rule.stop_mask(chain, payoff, t)
+        z = stop_values(t)
+        stop[t] = stop_decision(z, cont) if stop_mask is None else stop_mask(t)
         values[t] = np.where(stop[t], z, cont)
     return values, continuation, stop
 
@@ -167,7 +155,7 @@ def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
     chain is accepted; cap, when given, bounds the chain's path count."""
     if cap is not None and chain.path_space_size() > cap:
         raise CapExceeded(f"path space {chain.path_space_size()} exceeds cap {cap}")
-    values, continuation, stop = _induction(chain, payoff, OPTIMAL_RULE, 0)
+    values, continuation, stop = _induction(chain, lambda t: payoff.values(chain, t), None, 0)
     return SnellTable(chain=chain, payoff=payoff, values=tuple(values),
                       continuation=tuple(continuation), stop=tuple(stop))
 
@@ -201,7 +189,8 @@ def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
     """
     if not 0 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 0..horizon-1")
-    values = _induction(chain, payoff, rule, t + 1)[0]
+    mask = None if rule == OPTIMAL_RULE else (lambda u: rule.stop_mask(chain, payoff, u))
+    values = _induction(chain, lambda u: payoff.values(chain, u), mask, t + 1)[0]
     return chain.expect(t, values[t + 1])
 
 

@@ -5,10 +5,10 @@ All register updates are XOR writes of values computed in shared fixed-point
 arithmetic, so a forward pass followed by the mirrored inverse pass restores
 every ancilla to zero bit-exactly. Scores are dp.CoefficientRule's fixed-point
 scores. Every per-step table has one row per grid state. Estimation reads
-each stopped payoff's law off dp.first_stop_law, which pushes a step marginal
-through the chain's kernel (chain.push) and the per-step stop masks, so no
-path is enumerated; the register replay over the enumerated paths is the
-reference it is tested against."""
+each stopped payoff's law off the backward induction the exact oracle runs
+(dp._induction), over one-hot indicators of the distinct payoff values and
+the circuits' stop masks, so no path is enumerated; the register replay over
+the enumerated paths is the reference it is tested against."""
 from __future__ import annotations
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .chain import MarkovChainSpec
-from .dp import CoefficientRule, first_stop_law, path_stop_times, stop_decision
+from .dp import CoefficientRule, _induction, path_stop_times, stop_decision
 from .errors import QlsmError
 from .payoff import PayoffSpec
 from .qsim.fixed_point import FixedPointFormat
@@ -225,8 +225,8 @@ class StoppingCircuits:
         values through the registers."""
         if not 0 <= member < self.basis.size:
             raise QlsmError(f"basis member {member} out of range 0..{self.basis.size - 1}")
-        _, masses, payoff, prev_rows = self._stopped_law(t)
-        factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev_rows, member]
+        masses, payoff, prev = self._stopped_law(t)
+        factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev, member]
         oracle = FunctionOracle(
             name=f"stopped_payoff[t={t},m={member}]", fmt=self.fmt,
             raw_values=payoff * factor,
@@ -235,27 +235,31 @@ class StoppingCircuits:
 
     def _stopped_law(self, t: int) -> tuple:
         """The law of what the stopped payoff at t reads, shared by every
-        basis member: dp.first_stop_law pushes the step t-1 marginal, joint
-        with the step t state, by chain.push. Rows are the positive-mass keys
-        stop_row * width + prev, ascending, stop_row indexing the grids of
-        steps t..horizon stacked in order and prev the step t-1 grid (width 1
-        at t=1). Returns the keys, their masses, and per row the payoff at the
-        stop and the step t-1 state."""
+        basis member, by dp._induction on one-hot right-hand sides. With c
+        running over the C distinct payoff-table values of steps t..horizon,
+        h_c(x) is the probability that the payoff at the first stop at or
+        after t is c, given the step t state x. Rows are the positive-mass
+        pairs (prev, c), prev ascending and then c, with prev the step t-1
+        state (the start point at t=1); a row's mass is prev's marginal times
+        chain.expect(t-1, h)[c, prev]. Each induction step applies the kernel
+        to C vectors. C is tens on the basket instances. A payoff with a
+        different value at almost every state makes C the number of states
+        on steps t..horizon, about horizon times the cost of pushing one law
+        per step t-1 state forward. Returns the masses and, per row, the
+        payoff at the stop and prev."""
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
         law = self._stopped_laws.get(t)
         if law is None:
-            if t == 1:
-                start = self.chain.marginals[0][None, :]
-            else:
-                start = self.chain.marginals[t - 2][:, None] * self.chain.transition(t - 1)
-            masses = first_stop_law(self.chain, t, start,
-                                    [self._stop_mask(u) for u in range(t, T)])
-            keys = np.flatnonzero(masses > 0.0)
-            payoff = np.concatenate([self.payoff_table(u) for u in range(t, T + 1)])
-            law = keys, masses[keys], payoff[keys // len(start)], keys % len(start)
-            self._stopped_laws[t] = law
+            payoff = np.sort(np.concatenate([self.payoff_table(u) for u in range(t, T + 1)]))
+            payoff = payoff[np.diff(payoff, prepend=-np.inf) > 0.0]  # the distinct values
+            h = _induction(self.chain, lambda u: self.payoff_table(u) == payoff[:, None],
+                           self._stop_mask, t)[0][t]
+            weight = self.chain.marginals[t - 2] if t > 1 else 1.0
+            masses = (weight * self.chain.expect(t - 1, h)).T
+            prev, rows = np.nonzero(masses > 0.0)
+            law = self._stopped_laws[t] = masses[prev, rows], payoff[rows], prev
         return law
 
     def classical_stop_times(self, t: int) -> np.ndarray:

@@ -17,10 +17,11 @@ import qlsm.chain as chain_module
 from qlsm.basis import hermite_basis
 from qlsm.chain import (MarkovChainSpec, _product_chain, discretize_brownian,
                         discretize_gbm, sample_path, sample_paths)
-from qlsm.dp import CoefficientRule, continuation_values, first_stop_law, snell_envelope
+from qlsm.dp import CoefficientRule, continuation_values, snell_envelope
 from qlsm.lsm_classical import run_classical_lsm
 from qlsm.payoff import PayoffSpec, table_payoff
 from qlsm.qsim.fixed_point import FixedPointFormat
+from qlsm.stopping_circuits import StoppingCircuits
 
 TOL = 1e-14
 
@@ -84,13 +85,13 @@ def test_factored_chain_matches_dense(seed, dim, n, horizon, draw_seed):
                                    continuation_values(dense, payoff, rule, t),
                                    rtol=TOL, atol=TOL)
 
+    factored, flat = (StoppingCircuits(chain=c, payoff=payoff, basis=basis,
+                                       coefficients=coefficients) for c in (chain, dense))
     for t in range(1, horizon + 1):
-        masks = [rng.random(chain.n_states(u)) < 0.5 for u in range(t, horizon)]
-        start = (dense.marginals[0][None, :] if t == 1 else
-                 dense.marginals[t - 2][:, None] * dense.transition(t - 1))
-        np.testing.assert_allclose(first_stop_law(chain, t, start, masks),
-                                   first_stop_law(dense, t, start, masks),
-                                   rtol=TOL, atol=TOL)
+        law, ref = factored._stopped_law(t), flat._stopped_law(t)
+        np.testing.assert_allclose(law[0], ref[0], rtol=TOL, atol=TOL)
+        for a, b in zip(law[1:], ref[1:]):
+            np.testing.assert_array_equal(a, b)
 
     np.testing.assert_array_equal(sample_paths(chain, 300, draw_seed),
                                   sample_paths(dense, 300, draw_seed))
@@ -133,3 +134,59 @@ def test_four_dimensional_classical_run_memory():
         tracemalloc.stop()
     assert peak < 300 * 2**20
     assert np.isfinite(run.estimate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       n=st.integers(2, 5), horizon=st.integers(2, 4), k=st.integers(1, 4))
+def test_expect_batches_over_leading_axes(seed, dim, n, horizon, k):
+    # A (k, n_{t+1}) array is k value vectors, one per row; a 1-d vector
+    # goes through the kernel as it always did, bit for bit.
+    chain = random_product_chain(seed, dim, n, horizon)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    for t in range(horizon):
+        values = rng.normal(size=(k, chain.n_states(t + 1)))
+        kernel = chain.marginals[0][None, :] if t == 0 else chain.transition(t)
+        np.testing.assert_allclose(chain.expect(t, values), values @ kernel.T,
+                                   rtol=TOL, atol=TOL)
+        vector = values[0]
+        if t == 0:
+            single = np.array([float(chain.marginals[0] @ vector)])
+        elif dim == 1:
+            single = chain.transitions[t - 1] @ vector
+        else:
+            single = chain_module._apply_factor(vector, chain.transitions[t - 1].T, dim)
+        np.testing.assert_array_equal(chain.expect(t, vector).view(np.int64),
+                                      single.view(np.int64))
+
+
+def test_stopped_law_memory(monkeypatch):
+    # d=3, n=10: the law at t=2 lumps 1,638,000 (stop state, step-1 state)
+    # pairs into 37,000 (step-1 state, payoff value) rows, without a dense
+    # transition or a start law per step-1 state.
+    kron_power = chain_module._kron_power
+
+    def vector_powers_only(mat, dim):
+        assert mat.ndim == 1 or dim == 1, "dense transition built"
+        return kron_power(mat, dim)
+
+    monkeypatch.setattr(chain_module, "_kron_power", vector_powers_only)
+    chain = discretize_brownian(3, 3, 10, 2.2)
+    basis = hermite_basis(3, 2, 3, 4.0)
+    circ = StoppingCircuits(chain=chain, payoff=PayoffSpec(step_function=basket_put),
+                            basis=basis, coefficients={
+                                t: np.linspace(0.6, -0.3, basis.size) for t in (1, 2)})
+    for t in range(1, 4):
+        circ.payoff_table(t)
+        circ.basis_table(t)
+    for t in (1, 2):
+        circ.score_table(t)
+    tracemalloc.start()
+    try:
+        masses, payoff, prev = circ._stopped_law(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert masses.size == payoff.size == prev.size == 37_000
+    assert abs(masses.sum() - 1.0) <= 1e-12

@@ -59,21 +59,23 @@ def per_path(circ, t, member):
 
 
 def path_keys(circ, t):
-    """Each path's row key in the stopped law at t: its stop row among the
-    grid states of steps t..horizon stacked in order, times the size of the
-    step t-1 grid, plus its state there (one row at t=1)."""
-    T = circ.chain.horizon
+    """Each path's row key in the stopped law at t: its state at step t-1 (0,
+    the start point, at t=1) and the quantized payoff at its first stop at or
+    after t, as the rows of an (N, 2) array."""
     ens = circ.sampling.ensemble
     tau = circ.classical_stop_times(t)
-    stop_rows = np.empty(len(ens), dtype=np.int64)
-    offset = 0
-    for u in range(t, T + 1):
+    payoff = np.empty(len(ens))
+    for u in range(t, circ.chain.horizon + 1):
         at = tau == u
-        stop_rows[at] = offset + ens.state_indices_at(u)[at]
-        offset += circ.chain.n_states(u)
-    if t == 1:
-        return stop_rows
-    return stop_rows * circ.chain.n_states(t - 1) + ens.state_indices_at(t - 1)
+        payoff[at] = circ.payoff_table(u)[ens.state_indices_at(u)[at]]
+    prev = ens.state_indices_at(t - 1) if t > 1 else np.zeros(len(ens), dtype=np.int64)
+    return np.column_stack([prev, payoff])
+
+
+def law_support(circ, t):
+    """The distinct path keys, ascending, and each path's index among them."""
+    support, inverse = np.unique(path_keys(circ, t), axis=0, return_inverse=True)
+    return support, inverse.ravel()
 
 
 def present_states(chain, t):
@@ -92,15 +94,15 @@ chains = dict(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
 @settings(max_examples=40, deadline=None)
 @given(**chains)
 def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon):
-    # The DP law is the replay lumped by (stop row, state at t-1): the same
-    # support, every path of a row carrying the row's value bit for bit,
+    # The DP law is the replay lumped by (state at t-1, stopped payoff): the
+    # same support, every path of a row carrying the row's value bit for bit,
     # signed zeros included, and masses summing the path probabilities.
     circ = random_circuits(seed, dim, n_states, horizon)
     probs = circ.sampling.ensemble.probabilities
     for t in range(1, horizon + 1):
-        support, inverse = np.unique(path_keys(circ, t), return_inverse=True)
-        keys, masses, _, _ = circ._stopped_law(t)
-        np.testing.assert_array_equal(keys, support)
+        support, inverse = law_support(circ, t)
+        masses, payoff, prev = circ._stopped_law(t)
+        np.testing.assert_array_equal(np.column_stack([prev, payoff]), support)
         np.testing.assert_allclose(masses, np.bincount(inverse, probs), rtol=0, atol=1e-14)
         assert abs(masses.sum() - 1.0) <= 1e-15
         assert (masses > 0.0).all()
@@ -219,7 +221,7 @@ def test_register_writes_match_law_rows(entry, seed, dim, n_states, horizon):
     t, member = 1 + entry % horizon, entry % circ.basis.size
     var = circ.variable(t, member)
     reference = per_path(circ, t, member)
-    _, inverse = np.unique(path_keys(circ, t), return_inverse=True)
+    _, inverse = law_support(circ, t)
     state = circ.sampling.prepare()
     reference.oracle.apply(state, "path")
     np.testing.assert_array_equal(state.register_bits("path"), var.oracle.bits[inverse])
