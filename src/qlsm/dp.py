@@ -123,7 +123,8 @@ class CoefficientRule:
 
 
 def _induction(chain: MarkovChainSpec, stop_values: Callable[[int], np.ndarray],
-               stop_mask: Callable[[int], np.ndarray] | None, down_to: int):
+               stop_mask: Callable[[int], np.ndarray] | None, down_to: int
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]]:
     """The one backward induction of the stopping-time recursion (Longstaff
     & Schwartz, RFS 2001), from the horizon down to step down_to. The last
     step always stops; before it, continuation[t] = chain.expect(t,
@@ -131,20 +132,27 @@ def _induction(chain: MarkovChainSpec, stop_values: Callable[[int], np.ndarray],
     continuation[t]) for the exact rule (stop_mask None), and values[t] =
     where(stop[t], stop_values(t), continuation[t]). stop_values(t) holds
     what stopping at step t collects per state, on the last axis, with any
-    leading batch axes. Returns the per-step values, continuation values and
-    stop masks."""
+    leading batch axes. Yields (t, values[t], continuation[t], stop[t]) one
+    step at a time from t = horizon (continuation None) and keeps only the
+    step in hand, so a caller that wants the last step alone holds no
+    earlier one."""
     T = chain.horizon
-    values: list[np.ndarray] = [None] * (T + 1)
-    continuation: list[np.ndarray] = [None] * T
-    stop: list[np.ndarray] = [None] * (T + 1)
-    values[T] = np.array(stop_values(T), dtype=float)
-    stop[T] = np.ones(values[T].shape[-1], dtype=bool)
+    values = np.array(stop_values(T), dtype=float)
+    yield T, values, None, np.ones(values.shape[-1], dtype=bool)
     for t in range(T - 1, down_to - 1, -1):
-        cont = continuation[t] = chain.expect(t, values[t + 1])
+        cont = chain.expect(t, values)
         z = stop_values(t)
-        stop[t] = stop_decision(z, cont) if stop_mask is None else stop_mask(t)
-        values[t] = np.where(stop[t], z, cont)
-    return values, continuation, stop
+        stop = stop_decision(z, cont) if stop_mask is None else stop_mask(t)
+        values = np.where(stop, z, cont)
+        yield t, values, cont, stop
+
+
+def _last_values(steps: Iterator) -> np.ndarray:
+    """values[t] of an _induction's last step, dropping each continuation
+    array as soon as it is yielded."""
+    for _, values, _, _ in steps:
+        pass
+    return values
 
 
 def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
@@ -155,9 +163,13 @@ def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
     chain is accepted; cap, when given, bounds the chain's path count."""
     if cap is not None and chain.path_space_size() > cap:
         raise CapExceeded(f"path space {chain.path_space_size()} exceeds cap {cap}")
-    values, continuation, stop = _induction(chain, lambda t: payoff.values(chain, t), None, 0)
+    T = chain.horizon
+    values, continuation, stop = [None] * (T + 1), [None] * (T + 1), [None] * (T + 1)
+    for t, values[t], continuation[t], stop[t] in _induction(
+            chain, lambda t: payoff.values(chain, t), None, 0):
+        pass
     return SnellTable(chain=chain, payoff=payoff, values=tuple(values),
-                      continuation=tuple(continuation), stop=tuple(stop))
+                      continuation=tuple(continuation[:T]), stop=tuple(stop))
 
 
 def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
@@ -190,8 +202,8 @@ def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
     if not 0 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 0..horizon-1")
     mask = None if rule == OPTIMAL_RULE else (lambda u: rule.stop_mask(chain, payoff, u))
-    values = _induction(chain, lambda u: payoff.values(chain, u), mask, t + 1)[0]
-    return chain.expect(t, values[t + 1])
+    values = _last_values(_induction(chain, lambda u: payoff.values(chain, u), mask, t + 1))
+    return chain.expect(t, values)
 
 
 def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:

@@ -2,6 +2,17 @@
 regressions, the dp first-stop recursion along the sampled paths, and the
 sample-count schedule.
 
+On a finite chain a sum over paths is a sum over grid states weighted by
+visit counts, so each step's regression works from per-state visit counts
+and per-state sums of the payoffs collected at the first stops after the
+step. With B the step's basis table (one row per state), c the counts, s
+the sums and N the path count, the Gram matrix is B^T diag(c) B / N (one
+triangle mirrored, so it is exactly symmetric) and the targets B^T s / N; the
+stop mask is scored on the same table. A step takes O(N + n m^2) time and
+O(n m) memory for n states and m basis functions, and no per-path basis
+matrix is built. The query counts are unchanged: they bill every path, as
+the algorithm's cost model does, not the simulator's work.
+
 Regression coefficients come from a pivoted factorization solve; the matrix
 inverse is never formed, even where a textbook statement would compute it."""
 from __future__ import annotations
@@ -14,7 +25,7 @@ import numpy as np
 
 from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
-from .dp import CoefficientRule, path_stop_times
+from .dp import CoefficientRule, path_stop_times, stop_decision
 from .payoff import PayoffSpec
 
 
@@ -71,6 +82,9 @@ def choose_sample_count(basis_size: int, accuracy: float, failure: float) -> int
     return math.ceil(m * m / (2.0 * accuracy * accuracy) * math.log(6.0 * m * m / failure))
 
 
+GRAM_MODES = ("sampled", "closed_form")
+
+
 def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                       path_count: int, seed, gram_mode: str = "sampled") -> LsmRun:
     """One run over a single sampled path set.
@@ -80,12 +94,15 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
     (gram_mode="closed_form"); only the regression targets are sampled in the
     latter case.
     """
+    if gram_mode not in GRAM_MODES:
+        raise ValueError(f"unknown gram_mode {gram_mode!r}")
     T = chain.horizon
     m = basis.size
     if gram_mode == "sampled" and path_count < m:
         raise ValueError("need at least as many paths as basis functions")
     idx = sample_paths(chain, path_count, seed)
     z = np.concatenate([payoff.values(chain, t) for t in range(1, T + 1)])
+    offsets = np.cumsum([0] + [chain.n_states(t) for t in range(1, T + 1)])
 
     grams: dict[int, np.ndarray] = {}
     targets: dict[int, np.ndarray] = {}
@@ -94,17 +111,19 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
 
     def regress(t: int, later: np.ndarray) -> np.ndarray:
         """Fit step t on the payoffs collected at the first stops after t."""
-        rows = basis.evaluate(t, chain.grid(t))[idx[:, t - 1]]
+        table = basis.evaluate(t, chain.grid(t))
+        here = np.ascontiguousarray(idx[:, t - 1])
         if gram_mode == "closed_form":
             gram = closed_form_gram(basis, t)
-        elif gram_mode == "sampled":
-            gram = rows.T @ rows / path_count
         else:
-            raise ValueError(f"unknown gram_mode {gram_mode!r}")
-        rhs = rows.T @ z[later] / path_count
+            counts = np.bincount(here, minlength=len(table))
+            gram = (table.T * counts) @ table / path_count
+            gram = np.triu(gram) + np.triu(gram, 1).T  # exactly symmetric
+        sums = np.bincount(here, weights=z[later], minlength=len(table))
+        rhs = table.T @ sums / path_count
         grams[t], targets[t] = gram, rhs
         coefficients[t] = solve_gram(gram, rhs, t)
-        return rule.stop_mask(chain, payoff, t)
+        return stop_decision(z[offsets[t - 1]:offsets[t]], rule.row_scores(t, table))
 
     taus, stops = path_stop_times(chain, idx, regress)
     z0 = payoff.value_at_start(chain)

@@ -132,6 +132,9 @@ def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) 
                        masses=circuits.chain.marginals[t - 1])
 
 
+GRAM_MODES = ("estimated", "identity", "closed_form")
+
+
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                     epsilon: float, delta: float, sigma_min_lower: float | None = None,
                     seed=None, *, sigma_min_oracle: bool = False,
@@ -143,6 +146,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     per-entry estimation of the regression targets through one set of
     stopping circuits that reads the coefficients fitted so far, classical
     solves, final estimate."""
+    if gram_mode not in GRAM_MODES:
+        raise ValueError(f"unknown gram_mode {gram_mode!r}")
     T = chain.horizon
     m = basis.size
     fmt = fmt or FixedPointFormat()
@@ -199,10 +204,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             grams[t] = mat
         elif gram_mode == "identity":
             grams[t] = np.eye(m)
-        elif gram_mode == "closed_form":
-            grams[t] = closed_form_gram(basis, t)
         else:
-            raise ValueError(f"unknown gram_mode {gram_mode!r}")
+            grams[t] = closed_form_gram(basis, t)
         exact_grams[t] = gram_matrix(basis, chain, t)
 
     targets: dict[int, np.ndarray] = {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .chain import MarkovChainSpec
-from .dp import CoefficientRule, _induction, path_stop_times, stop_decision
+from .dp import CoefficientRule, _induction, _last_values, path_stop_times, stop_decision
 from .errors import QlsmError
 from .payoff import PayoffSpec
 from .qsim.fixed_point import FixedPointFormat
@@ -254,8 +254,9 @@ class StoppingCircuits:
         if law is None:
             payoff = np.sort(np.concatenate([self.payoff_table(u) for u in range(t, T + 1)]))
             payoff = payoff[np.diff(payoff, prepend=-np.inf) > 0.0]  # the distinct values
-            h = _induction(self.chain, lambda u: self.payoff_table(u) == payoff[:, None],
-                           self._stop_mask, t)[0][t]
+            h = _last_values(_induction(
+                self.chain, lambda u: self.payoff_table(u) == payoff[:, None],
+                self._stop_mask, t))
             weight = self.chain.marginals[t - 2] if t > 1 else 1.0
             masses = (weight * self.chain.expect(t - 1, h)).T
             prev, rows = np.nonzero(masses > 0.0)

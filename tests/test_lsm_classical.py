@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlsm.basis import (constant_basis, gbm_basis, hermite_basis,
+import qlsm.lsm_classical as lsm_classical
+from qlsm.basis import (KIND_GENERIC, BasisSpec, constant_basis, gbm_basis, hermite_basis,
                         indicator_basis, monomial_basis)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import exact_approximation_error, snell_envelope
@@ -11,6 +14,9 @@ from qlsm.errors import SingularGram
 from qlsm.lsm_classical import (choose_sample_count, classical_cost_units,
                                 run_classical_lsm)
 from qlsm.payoff import put_payoff, table_payoff
+from lsm_reference import run_classical_lsm_per_path
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def put_instance(horizon=3, grid_size=4, radius=2.0):
@@ -178,3 +184,102 @@ class TestStatisticalBehaviour:
         run = run_classical_lsm(chain, payoff, constant_basis(3), 100, seed=14)
         units = classical_cost_units(run)
         assert units == run.sample_draws + run.payoff_queries + run.basis_queries
+
+
+class TestGramModeValidation:
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_unknown_mode_rejected_before_sampling(self, monkeypatch, horizon):
+        chain, payoff = put_instance(horizon=horizon)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("paths sampled before the mode was checked")
+
+        monkeypatch.setattr(lsm_classical, "sample_paths", no_sampling)
+        with pytest.raises(ValueError, match="unknown gram_mode 'bogus'"):
+            run_classical_lsm(chain, payoff, constant_basis(horizon), 100, seed=0,
+                              gram_mode="bogus")
+
+
+def random_chain(rng, horizon, n_states):
+    grids = tuple(np.sort(rng.uniform(-1, 1, size=(n_states, 1)), axis=0)
+                  for _ in range(horizon))
+    return MarkovChainSpec(
+        dimension=1, horizon=horizon, initial_state=[0.0], grids=grids,
+        initial_distribution=rng.dirichlet(np.ones(n_states)),
+        transitions=tuple(np.stack([rng.dirichlet(np.ones(n_states))
+                                    for _ in range(n_states)])
+                          for _ in range(horizon - 1)))
+
+
+def mixed_basis(rng, horizon, size):
+    """Per step, random linear combinations of the monomials 1, x, ..., x^(size-1)."""
+    monomials = monomial_basis(1, size - 1, horizon)
+    mix = {t: rng.normal(size=(size, size)) for t in range(1, horizon + 1)}
+    return BasisSpec(kind=KIND_GENERIC, size=size, horizon=horizon,
+                     evaluator=lambda t, pts: monomials.evaluate(t, pts) @ mix[int(t)])
+
+
+def exact_mean(factors) -> Fraction:
+    """Exact mean over paths of the product of per-path float factors."""
+    total = Fraction(0)
+    for row in zip(*factors):
+        term = Fraction(1)
+        for x in row:
+            term *= Fraction(float(x))
+        total += term
+    return total / len(factors[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4), n_states=st.integers(1, 5),
+       size=st.integers(1, 3), path_count=st.integers(3, 40), closed_form=st.booleans())
+def test_regression_matches_per_path_reference(seed, horizon, n_states, size, path_count,
+                                               closed_form):
+    # Random chains, payoff tables and basis coefficients; in closed-form mode
+    # a Hermite basis (identity Gram) with a random cube zeroing some states.
+    rng = np.random.Generator(np.random.Philox(seed))
+    chain = random_chain(rng, horizon, n_states)
+    payoff = table_payoff({t: rng.uniform(0, 1, size=n_states) for t in range(1, horizon + 1)},
+                          start_value=float(rng.uniform(0, 0.5)))
+    if closed_form:
+        basis, mode = hermite_basis(1, size - 1, horizon, float(rng.uniform(0.2, 1.5))), \
+            "closed_form"
+    else:
+        basis, mode = mixed_basis(rng, horizon, size), "sampled"
+    try:
+        reference = run_classical_lsm_per_path(chain, payoff, basis, path_count, seed, mode)
+    except SingularGram:
+        with pytest.raises(SingularGram):
+            run_classical_lsm(chain, payoff, basis, path_count, seed, gram_mode=mode)
+        return
+    run = run_classical_lsm(chain, payoff, basis, path_count, seed, gram_mode=mode)
+    np.testing.assert_array_equal(run.path_indices, reference.path_indices)
+    np.testing.assert_array_equal(run.stopping_times, reference.stopping_times)
+    assert run.estimate == reference.estimate
+
+    idx, taus = run.path_indices, run.stopping_times
+    for t in range(1, horizon):
+        rows = basis.evaluate(t, chain.grid(t))[idx[:, t - 1]]
+        later = np.array([payoff.values(chain, tau)[idx[i, tau - 1]]
+                          for i, tau in enumerate(taus[:, t])])
+        gram, rhs = run.gram_matrices[t], run.targets[t]
+        diag = [exact_mean([rows[:, j], rows[:, j]]) for j in range(size)]
+        if mode == "sampled":
+            np.testing.assert_array_equal(gram, gram.T)
+            # B^T diag(counts) B / N: one rounding per product and per count
+            # scaling, n - 1 in the sum over states, one in the division;
+            # every term is bounded by the Cauchy-Schwarz scale.
+            for j in range(size):
+                for k in range(size):
+                    error = abs(Fraction(gram[j, k]) - exact_mean([rows[:, j], rows[:, k]]))
+                    scale = math.sqrt(diag[j] * diag[k])
+                    assert error <= (n_states + 3) * UNIT_ROUNDOFF * scale, (t, j, k)
+        else:
+            np.testing.assert_array_equal(gram, reference.gram_matrices[t])
+        # B^T s / N with s the per-state sums, added in path order: at most
+        # N - 1 roundings in a state's sum, n in the product, one in the division.
+        z_square = exact_mean([later, later])
+        for j in range(size):
+            error = abs(Fraction(rhs[j]) - exact_mean([rows[:, j], later]))
+            scale = math.sqrt(diag[j] * z_square)
+            assert error <= (path_count + n_states + 1) * UNIT_ROUNDOFF * scale, (t, j)

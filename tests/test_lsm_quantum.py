@@ -61,6 +61,21 @@ class TestSchedule:
                             sigma_min_lower=1.0, seed=0)
 
 
+class TestGramModeValidation:
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_unknown_mode_rejected_before_estimation(self, monkeypatch, horizon):
+        # A one-step chain fits no regression, so a check inside the per-step
+        # loop would never see the mode.
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("an entry was estimated before the mode was checked")
+
+        monkeypatch.setattr("qlsm.lsm_quantum.qmontecarlo", no_estimation)
+        chain = discretize_brownian(1, horizon, 4, 2.0)
+        with pytest.raises(ValueError, match="unknown gram_mode 'bogus'"):
+            run_quantum_lsm(chain, put_payoff(1.0), constant_basis(horizon), 0.1, 0.1,
+                            sigma_min_lower=1.0, seed=0, gram_mode="bogus")
+
+
 class TestGenericRuns:
     def test_single_step_reduces_to_mean_estimation(self):
         chain = MarkovChainSpec(

@@ -5,6 +5,7 @@ computed from the chain by dynamic programs, never from enumerated paths.
 The register replay of the composed circuit over the enumerated paths stays
 as the reference; every law must reproduce it exactly.
 """
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian
 from qlsm.dp import CoefficientRule
-from qlsm.payoff import table_payoff
+from qlsm.payoff import PayoffSpec, table_payoff
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
 from qlsm.stopping_circuits import StoppingCircuits
@@ -252,3 +253,31 @@ def test_constant_law_shortcut_matches_per_path():
         assert law_rep.ledger.snapshot() == path_rep.ledger.snapshot()
         assert law_rep.ledger.state_preparations == 1 and not law_rep.pieces
         assert law_rep.estimate == path_rep.estimate == law_rep.exact_mean == 1.0
+
+
+def test_stopped_law_keeps_only_the_live_step():
+    # An injective payoff on a 1-d chain, n = 1000 per step, T = 3: C = 3000
+    # distinct values, so each C x n array of the induction is 24 MB. The law
+    # at t=1 needs values[1] alone; holding every step's values and
+    # continuation arrays (five of them) peaked at 123 MB. With one step in
+    # hand the peak is three such arrays and the step's indicators.
+    chain = discretize_brownian(1, 3, 1000, 2.2)
+    basis = monomial_basis(1, 2, 3)
+    circ = StoppingCircuits(
+        chain=chain, payoff=PayoffSpec(step_function=lambda t, pts: np.exp(pts[:, 0]) + 0.1 * t),
+        basis=basis, coefficients={t: np.array([1.5, 0.5, 0.1]) for t in (1, 2)}, fmt=FMT)
+    for t in range(1, 4):
+        circ.payoff_table(t)
+        circ.basis_table(t)
+    for t in (1, 2):
+        circ.score_table(t)
+    chain.marginals
+    tracemalloc.start()
+    try:
+        masses, payoff, prev = circ._stopped_law(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(np.concatenate([circ.payoff_table(t) for t in (1, 2, 3)])).size == 3000
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert peak <= 80e6
