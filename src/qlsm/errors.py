@@ -22,8 +22,9 @@ class SingularGram(QlsmError):
         if message is None:
             message = (
                 f"regression matrix at step {step} is numerically singular "
-                f"(sigma_min={sigma_min:.3e}); increase the path count or shrink "
-                f"the basis (per-step path regeneration is not supported)"
+                f"(sigma_min={sigma_min:.3e}): the basis is linearly dependent on "
+                f"the states it is fitted on; shrink the basis, and for a Gram "
+                f"sampled from paths, try more paths"
             )
         super().__init__(message)
 

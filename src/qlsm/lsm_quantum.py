@@ -26,7 +26,7 @@ from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
 from .qsim.oracles import FunctionOracle
-from .qsim.qmc import QmcVariable, qmontecarlo
+from .qsim.qmc import QmcVariable, qmontecarlo, qmontecarlo_batch
 from .stopping_circuits import StoppingCircuits
 
 
@@ -145,7 +145,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     """Whole-pipeline run: estimated (or closed-form) Gram matrices, backward
     per-entry estimation of the regression targets through one set of
     stopping circuits that reads the coefficients fitted so far, classical
-    solves, final estimate."""
+    solves, final estimate. A step's Gram entries are one estimation batch,
+    its targets another; each entry draws on its own stream."""
     if gram_mode not in GRAM_MODES:
         raise ValueError(f"unknown gram_mode {gram_mode!r}")
     T = chain.horizon
@@ -186,22 +187,22 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 
     entry_reports: dict = {}
 
-    def estimate(var: QmcVariable, accuracy: float, failure: float, sigma: float):
-        rep = entry_reports[var.oracle.name] = qmontecarlo(
-            var, accuracy, failure, sigma, next(streams), ledger=ledger, weights=weights)
-        return rep
+    def estimate(variables: list, accuracy: float, failure: float, sigma: float) -> list:
+        """One batch on the next entry streams; each entry keeps its report."""
+        reports = qmontecarlo_batch(variables, accuracy, failure, sigma,
+                                    [next(streams) for _ in variables], ledger=ledger,
+                                    weights=weights)
+        entry_reports.update((var.oracle.name, rep) for var, rep in zip(variables, reports))
+        return reports
 
     grams: dict[int, np.ndarray] = {}
     exact_grams: dict[int, np.ndarray] = {}
     for t in range(1, T):
         if gram_mode == "estimated":
-            mat = np.empty((m, m))
-            for j in range(m):
-                for k in range(m):
-                    mat[j, k] = estimate(_basis_product_variable(circuits, t, j, k),
-                                         schedule.gram_accuracy, schedule.gram_failure,
-                                         sup_b * sup_b).estimate
-            grams[t] = mat
+            reports = estimate([_basis_product_variable(circuits, t, j, k)
+                                for j in range(m) for k in range(m)],
+                               schedule.gram_accuracy, schedule.gram_failure, sup_b * sup_b)
+            grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
         elif gram_mode == "identity":
             grams[t] = np.eye(m)
         else:
@@ -211,23 +212,23 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
     for t in range(T, 1, -1):
-        b_est, b_exact = np.empty(m), np.empty(m)
-        for member in range(m):
-            rep = estimate(circuits.variable(t, member), schedule.target_accuracy,
-                           schedule.target_failure, R * sup_b)
-            b_est[member], b_exact[member] = rep.estimate, rep.exact_mean
-        targets[t - 1] = b_est
-        exact_targets[t - 1] = b_exact
+        reports = estimate([circuits.variable(t, member) for member in range(m)],
+                           schedule.target_accuracy, schedule.target_failure, R * sup_b)
+        b_est = targets[t - 1] = np.array([rep.estimate for rep in reports])
+        exact_targets[t - 1] = np.array([rep.exact_mean for rep in reports])
         coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))
 
-    final = estimate(circuits.variable(1, 0), epsilon, delta / 2.0, R).estimate
+    final_var = circuits.variable(1, 0)
+    final = entry_reports[final_var.oracle.name] = qmontecarlo(
+        final_var, epsilon, delta / 2.0, R, next(streams), ledger=ledger, weights=weights)
 
     return QuantumLsmRun(
         chain=chain, payoff=payoff, basis=basis, epsilon=epsilon, delta=delta,
         schedule=schedule, sigma_min_lower=sigma_min_lower,
         sigma_min_oracle=sigma_min_oracle, gram_mode=gram_mode,
         gram_matrices=grams, targets=targets, coefficients=coefficients,
-        final_payoff_estimate=final, estimate=max(payoff.value_at_start(chain), final),
+        final_payoff_estimate=final.estimate,
+        estimate=max(payoff.value_at_start(chain), final.estimate),
         ledger=ledger, l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
         exact_targets=exact_targets, exact_grams=exact_grams, notes=notes,
         entry_reports=entry_reports,

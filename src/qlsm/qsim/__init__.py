@@ -7,7 +7,7 @@ from .fixed_point import DEFAULT_FRAC_BITS, DEFAULT_INT_BITS, FixedPoint, FixedP
 from .ledger import CostWeights, QueryLedger
 from .oracles import ControlledRotation, FunctionOracle, SamplingOracle
 from .qmc import (EstimationReport, PieceRecord, QmcVariable,
-                  median_repetitions, qmontecarlo)
+                  median_repetitions, qmontecarlo, qmontecarlo_batch)
 from .state import HybridState
 
 __all__ = [
@@ -17,5 +17,5 @@ __all__ = [
     "CostWeights", "QueryLedger",
     "ControlledRotation", "FunctionOracle", "SamplingOracle",
     "EstimationReport", "PieceRecord", "QmcVariable",
-    "median_repetitions", "qmontecarlo", "HybridState",
+    "median_repetitions", "qmontecarlo", "qmontecarlo_batch", "HybridState",
 ]

@@ -105,19 +105,22 @@ def _window(queries: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, shifts
 
 
-def _branch_windows(phase: float, queries: int):
-    """(floors, fracs, rows) of the branches peaking at c = phase * M (row 0)
-    and at -c (row 1), peak = floor + frac, from one kernel call: a row holds
-    the dense law's kernel masses at outcomes (floor + j) mod M for the window
-    offsets j, then the tail mass the window leaves, 0 if it covers all M."""
+def _branch_windows(phases: np.ndarray, queries: int):
+    """(floors, fracs, rows) of pieces whose phases share M, from one kernel
+    call: per phase, the branches peaking at c = phase * M (row 0) and at -c
+    (row 1), peak = floor + frac. A row holds the dense law's kernel masses at
+    outcomes (floor + j) mod M for the window offsets j, then the tail mass
+    the window leaves, 0 if it covers all M. Shapes (P, 2), (P, 2), (P, 2, W)."""
     offsets, shifts = _window(queries)
-    peak = phase * queries
-    floors = (math.floor(peak), math.floor(-peak))
-    rows = _phase_kernel(phase - (shifts[-floors[1] - floors[0]] + floors[0] / queries), queries)
+    peaks = phases[:, None] * np.array([queries, -queries])  # -(phase * M) exactly
+    floors = np.floor(peaks)
+    # shifts[e] for e = ceil(peak) - floor(peak), offset by floor(peak) / M.
+    shift = shifts[(-floors[:, 1] - floors[:, 0]).astype(int)] + (floors[:, :1] / queries)[:, None]
+    rows = _phase_kernel(phases[:, None, None] - shift, queries)
     size = offsets.size
-    rows[:, size] = 0.0 if size == queries else [
-        max(0.0, 1.0 - float(rows[b, :size].sum())) for b in (0, 1)]
-    return floors, (peak - floors[0], -peak - floors[1]), rows
+    rows[:, :, size] = 0.0 if size == queries else np.maximum(
+        0.0, 1.0 - rows[:, :, :size].sum(axis=-1))
+    return floors.astype(np.int64), peaks - floors, rows
 
 
 def _sample_tail(floor: int, frac: float, queries: int, count: int,
@@ -161,6 +164,61 @@ def _sample_tail(floor: int, frac: float, queries: int, count: int,
     return np.array(out, dtype=np.int64)
 
 
+def _bill_draws(ledger: QueryLedger, queries: int, repetitions: int) -> int:
+    """Bills M Grover applications per repetition and, for each, one initial
+    preparation plus two per Grover application, each with its rotation;
+    returns the rotation oracle's applications, two per rotation."""
+    applications = (2 * queries + 1) * repetitions
+    ledger.add_grover(queries * repetitions)
+    ledger.add_state_preparations(applications)
+    ledger.add_rotations(applications)
+    return 2 * applications
+
+
+def _draw_pieces(amplitudes: list, queries: list, rngs: list, repetitions: int) -> np.ndarray:
+    """(pieces, repetitions) outcome estimates sin^2(pi y / M) of several AE
+    calls, piece i of amplitude amplitudes[i] with queries[i] outcomes.
+
+    The windows of all pieces sharing M come from one `_branch_windows` call.
+    Then piece by piece, in order and each with its own generator, one
+    uniform per repetition picks a window outcome of either kernel branch or
+    one branch's tail, and tail picks are rejection-sampled by
+    `_sample_tail`. Outcome mapping and sin^2 run on all pieces at once."""
+    distinct = sorted(set(queries))
+    phases = np.array([math.asin(math.sqrt(a)) / math.pi for a in amplitudes])
+    queries = np.array(queries, dtype=np.int64)
+    floors = np.empty((phases.size, 2), dtype=np.int64)
+    fracs = np.empty((phases.size, 2))
+    widths, lows = np.empty_like(queries), np.empty_like(queries)
+    cdfs = [None] * phases.size
+    for m in distinct:
+        idx = np.flatnonzero(queries == m)
+        floors[idx], fracs[idx], rows = _branch_windows(phases[idx], m)
+        widths[idx], lows[idx] = rows.shape[-1], _window(m)[0][0]
+        # Rows: each branch's window outcomes, then that branch's tail.
+        for i, cdf in zip(idx.tolist(), rows.reshape(idx.size, -1).cumsum(axis=1)):
+            cdfs[i] = cdf
+    picks = np.empty((phases.size, repetitions), dtype=np.int64)
+    tails = []
+    for i, (cdf, rng, width, m, floor, frac) in enumerate(zip(
+            cdfs, rngs, widths.tolist(), queries.tolist(), floors.tolist(), fracs.tolist())):
+        # u in (0, cdf[-1]] with side="left" never lands on a zero-mass row.
+        row = picks[i] = cdf.searchsorted((1.0 - rng.random(repetitions)) * cdf[-1])
+        if width <= m:  # the window leaves a tail
+            for branch in (0, 1):
+                in_tail = (row == (branch + 1) * width - 1).nonzero()[0]
+                if in_tail.size:
+                    tails.append((i, in_tail, _sample_tail(floor[branch], frac[branch], m,
+                                                           in_tail.size, rng)))
+    # Offsets run up from lo, so pick p is offset lo + p (branch 0) or lo + p - width.
+    outcomes = np.mod(picks + np.where(picks < widths[:, None], (floors[:, 0] + lows)[:, None],
+                                       (floors[:, 1] + lows - widths)[:, None]),
+                      queries[:, None])
+    for i, in_tail, drawn in tails:
+        outcomes[i, in_tail] = drawn
+    return np.sin(np.pi * outcomes / queries[:, None]) ** 2
+
+
 def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: int,
                       rng: np.random.Generator,
                       ledger: QueryLedger | None = None) -> np.ndarray:
@@ -169,34 +227,13 @@ def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: i
     Each draw picks, with one uniform, a window outcome of either kernel
     branch or one branch's tail; tail picks are rejection-sampled by
     `_sample_tail`. The law equals `ae_outcome_distribution`'s, and time and
-    memory do not depend on M. Bills M Grover applications per repetition
-    and, for each, one initial preparation plus two per Grover application,
-    each with its rotation."""
+    memory do not depend on M. Bills as `_bill_draws`, the rotation's oracle
+    twice per rotation. One piece of `_draw_pieces`."""
     _check_queries(queries)
     if ledger is not None:
-        applications = (2 * queries + 1) * repetitions
-        ledger.add_grover(queries * repetitions)
-        ledger.add_state_preparations(applications)
-        ledger.add_rotations(applications)
-        operator.rotation.oracle.bill(ledger, applications=2 * applications)
-    phase = math.asin(math.sqrt(operator.amplitude)) / math.pi
-    floors, fracs, rows = _branch_windows(phase, queries)
-    # Rows: each branch's window outcomes, then that branch's tail.
-    cdf = np.cumsum(rows)
-    # u in (0, cdf[-1]] with side="left" never lands on a zero-mass row.
-    u = (1.0 - rng.random(repetitions)) * cdf[-1]
-    picks = np.searchsorted(cdf, u, side="left")
-    # Offsets run up from lo, so pick p is offset lo + p (branch 0) or lo + p - width.
-    width, lo = rows.shape[1], int(_window(queries)[0][0])
-    outcomes = np.mod(picks + np.where(picks < width, floors[0] + lo, floors[1] + lo - width),
-                      queries)
-    if width <= queries:  # the window leaves a tail
-        for branch in (0, 1):
-            in_tail = (picks == (branch + 1) * width - 1).nonzero()[0]
-            if in_tail.size:
-                outcomes[in_tail] = _sample_tail(floors[branch], fracs[branch], queries,
-                                                 in_tail.size, rng)
-    return np.sin(np.pi * outcomes / queries) ** 2
+        operator.rotation.oracle.bill(ledger, applications=_bill_draws(ledger, queries,
+                                                                       repetitions))
+    return _draw_pieces([operator.amplitude], [queries], [rng], repetitions)[0]
 
 
 def _embed(state: HybridState) -> tuple[np.ndarray, np.ndarray]:

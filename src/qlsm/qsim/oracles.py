@@ -48,6 +48,15 @@ class SamplingOracle:
         return np.minimum(draws, cum.size - 1)
 
 
+def bill_queries(ledger: QueryLedger, name: str, query_cost: dict, applications: int) -> None:
+    """Bill applications of the oracle called name with costs query_cost."""
+    # Composite circuits bill several query kinds; keep one counter per
+    # (oracle, kind) so the per-kind totals stay separable.
+    for kind, count in query_cost.items():
+        key = name if len(query_cost) == 1 else f"{name}/{kind}"
+        ledger.add_function_queries(key, kind, count * applications)
+
+
 @dataclass(eq=False)
 class FunctionOracle:
     """Reversible XOR-write of a function value at fixed precision.
@@ -81,13 +90,8 @@ class FunctionOracle:
         return self.fmt.to_bits(self.values)
 
     def bill(self, ledger: QueryLedger | None, applications: int = 1) -> None:
-        if ledger is None:
-            return
-        # Composite circuits bill several query kinds; keep one counter per
-        # (oracle, kind) so the per-kind totals stay separable.
-        for kind, count in self.query_cost.items():
-            name = self.name if len(self.query_cost) == 1 else f"{self.name}/{kind}"
-            ledger.add_function_queries(name, kind, count * applications)
+        if ledger is not None:
+            bill_queries(ledger, self.name, self.query_cost, applications)
 
     def apply(self, state: HybridState, register: str,
               ledger: QueryLedger | None = None) -> None:

@@ -164,7 +164,8 @@ def branch_laws(amplitude: float, queries: int):
     """Each branch's window as the sampler sees it: row 0 of
     `_branch_windows` is the sign=-1 branch, row 1 the sign=+1 branch."""
     phase = math.asin(math.sqrt(amplitude)) / math.pi
-    floors, fracs, rows = _branch_windows(phase, queries)
+    [floors], [fracs], [rows] = _branch_windows(np.array([phase]), queries)
+    floors, fracs = floors.tolist(), fracs.tolist()
     offsets = _window(queries)[0]
     return {sign: Branch(floors[row], fracs[row], np.mod(floors[row] + offsets, queries),
                          rows[row, :-1], float(rows[row, -1]))

@@ -9,7 +9,7 @@ from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
                         hermite_gram_identity_bound, hermite_multi_indices,
                         indicator_basis, jackson_lipschitz_bound,
                         jackson_smooth_bound, l2_norm_bound, monomial_basis,
-                        sup_norm_bound, validate_linear_independence,
+                        solve_gram, sup_norm_bound, validate_linear_independence,
                         vandermonde_gram, vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
@@ -289,6 +289,20 @@ class TestGramMachinery:
         basis = monomial_basis(1, 2, 2)  # 3 functions on 2 points
         with pytest.raises(SingularGram):
             validate_linear_independence(basis, chain)
+
+    def test_exact_gram_singularity_names_the_basis(self):
+        # Degree 5 on the 5 x 5 grid of the 2-d basket: 21 functions on 25
+        # states are dependent, so the exact Gram is singular at every step
+        # and no path count can help.
+        chain = discretize_brownian(2, 4, 5, 2.2)
+        basis = hermite_basis(2, 5, 4, 4.0)
+        gram = gram_matrix(basis, chain, 2)
+        for raise_singular in (lambda: validate_linear_independence(basis, chain),
+                               lambda: solve_gram(gram, np.ones(basis.size), 2)):
+            with pytest.raises(SingularGram, match="shrink the basis") as caught:
+                raise_singular()
+            assert "linearly dependent on the states" in str(caught.value)
+            assert "regeneration" not in str(caught.value)
 
     def test_indicator_basis_spans(self):
         chain = MarkovChainSpec(

@@ -12,7 +12,7 @@ from qlsm.errors import Overflow, QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, oracle_sigma_min,
                               run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
-from qlsm.payoff import put_payoff, table_payoff
+from qlsm.payoff import PayoffSpec, put_payoff, table_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger
 from qlsm.qsim.qmc import qmontecarlo
 from qlsm.stopping_circuits import StoppingCircuits
@@ -70,6 +70,7 @@ class TestGramModeValidation:
             raise AssertionError("an entry was estimated before the mode was checked")
 
         monkeypatch.setattr("qlsm.lsm_quantum.qmontecarlo", no_estimation)
+        monkeypatch.setattr("qlsm.lsm_quantum.qmontecarlo_batch", no_estimation)
         chain = discretize_brownian(1, horizon, 4, 2.0)
         with pytest.raises(ValueError, match="unknown gram_mode 'bogus'"):
             run_quantum_lsm(chain, put_payoff(1.0), constant_basis(horizon), 0.1, 0.1,
@@ -261,31 +262,48 @@ class TestGenericRuns:
         eps0 = sigma_min**2 / (4.0 * basis.size * payoff.bound_for(chain))
         run = run_quantum_lsm(chain, payoff, basis, eps0, 0.2,
                               sigma_min_lower=sigma_min, seed=7)
-        T, m = chain.horizon, basis.size
-        names = ({f"basis_product[t={t},{j},{k}]" for t in range(1, T)
-                  for j in range(m) for k in range(m)}
-                 | {f"stopped_payoff[t={t},m={i}]" for t in range(2, T + 1) for i in range(m)}
-                 | {"stopped_payoff[t=1,m=0]"})
-        assert len(names) == (T - 1) * m * m + (T - 1) * m + 1
-        assert set(run.entry_reports) == names
-        merged = QueryLedger()
-        for name, rep in run.entry_reports.items():
-            merged.merge(rep.ledger)
-            assert rep.error == abs(rep.estimate - rep.exact_mean)
-            # A constant entry is read off one sample; the rest run AE pieces.
-            assert rep.pieces or rep.exact_variance == 0.0
-            assert all(p.queries >= 2 for p in rep.pieces)
-        assert merged.snapshot() == run.ledger.snapshot()
-        sched = run.schedule
-        gram = run.entry_reports["basis_product[t=2,1,0]"]
-        assert (gram.epsilon, gram.delta) == (sched.gram_accuracy, sched.gram_failure)
-        assert gram.estimate == run.gram_matrices[2][1, 0]
-        target = run.entry_reports["stopped_payoff[t=3,m=2]"]
-        assert (target.epsilon, target.delta) == (sched.target_accuracy, sched.target_failure)
-        assert (target.estimate, target.exact_mean) == (run.targets[2][2], run.exact_targets[2][2])
-        final = run.entry_reports["stopped_payoff[t=1,m=0]"]
-        assert (final.estimate, final.delta) == (run.final_payoff_estimate, 0.1)
-        assert "entry_reports" not in json.loads(run.to_json())
+        assert len(run.entry_reports) == 25
+        check_entry_reports(run)
+
+    def test_basket_entry_reports_cover_every_batched_entry(self):
+        # The quantum-basket2d benchmark instance, T = 4, m = 6: each step's
+        # 36 Gram entries are one batch and its 6 targets another.
+        chain = discretize_brownian(2, 4, 5, 2.2)
+        payoff = PayoffSpec(step_function=lambda t, pts: np.maximum(0.0, 1.0 - pts.mean(axis=1)))
+        basis = hermite_basis(2, 2, 4, 4.0)
+        run = run_quantum_lsm(chain, payoff, basis, 0.02, 0.2,
+                              sigma_min_lower=oracle_sigma_min(basis, chain), seed=1)
+        assert len(run.entry_reports) == 127
+        check_entry_reports(run)
+
+
+def check_entry_reports(run):
+    """Every estimated entry has its report, and the reports explain the run."""
+    T, m = run.chain.horizon, run.basis.size
+    names = ({f"basis_product[t={t},{j},{k}]" for t in range(1, T)
+              for j in range(m) for k in range(m)}
+             | {f"stopped_payoff[t={t},m={i}]" for t in range(2, T + 1) for i in range(m)}
+             | {"stopped_payoff[t=1,m=0]"})
+    assert len(names) == (T - 1) * m * m + (T - 1) * m + 1
+    assert set(run.entry_reports) == names
+    merged = QueryLedger()
+    for name, rep in run.entry_reports.items():
+        merged.merge(rep.ledger)
+        assert rep.error == abs(rep.estimate - rep.exact_mean)
+        # A constant entry is read off one sample; the rest run AE pieces.
+        assert rep.pieces or rep.exact_variance == 0.0
+        assert all(p.queries >= 2 for p in rep.pieces)
+    assert merged.snapshot() == run.ledger.snapshot()
+    sched = run.schedule
+    gram = run.entry_reports["basis_product[t=2,1,0]"]
+    assert (gram.epsilon, gram.delta) == (sched.gram_accuracy, sched.gram_failure)
+    assert gram.estimate == run.gram_matrices[2][1, 0]
+    target = run.entry_reports["stopped_payoff[t=3,m=2]"]
+    assert (target.epsilon, target.delta) == (sched.target_accuracy, sched.target_failure)
+    assert (target.estimate, target.exact_mean) == (run.targets[2][2], run.exact_targets[2][2])
+    final = run.entry_reports["stopped_payoff[t=1,m=0]"]
+    assert (final.estimate, final.delta) == (run.final_payoff_estimate, run.delta / 2.0)
+    assert "entry_reports" not in json.loads(run.to_json())
 
 
 class TestModelVariants:
