@@ -25,13 +25,15 @@ import numpy as np
 
 from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
-from .dp import CoefficientRule, path_stop_times, stop_decision
+from .dp import CoefficientRule, first_stops, stop_decision
 from .payoff import PayoffSpec
 
 
 @dataclass(eq=False)
 class LsmRun:
-    """Full record of one regression Monte Carlo run."""
+    """Record of one regression Monte Carlo run: counts, per-step regressions
+    and coefficients. The sampled paths and their stop times are not kept;
+    sample_paths(chain, path_count, seed) draws the same paths again."""
 
     chain: MarkovChainSpec
     payoff: PayoffSpec
@@ -39,24 +41,13 @@ class LsmRun:
     path_count: int
     seed: object
     gram_mode: str
-    path_indices: np.ndarray            # (N, T) grid indices
     gram_matrices: dict[int, np.ndarray]
     targets: dict[int, np.ndarray]
     coefficients: dict[int, np.ndarray]
-    stopping_times: np.ndarray          # (N, T) with column t-1 holding tau_t
     estimate: float
     sample_draws: int
     payoff_queries: int
     basis_queries: int
-
-    def stopping_time(self, t: int) -> np.ndarray:
-        return self.stopping_times[:, t - 1]
-
-    def recompute_stopping_times(self) -> np.ndarray:
-        """Re-run the per-path recursion from the stored coefficients."""
-        rule = CoefficientRule(self.basis, self.coefficients)
-        return path_stop_times(self.chain, self.path_indices,
-                               lambda t, later: rule.stop_mask(self.chain, self.payoff, t))[0]
 
     def to_json(self) -> str:
         doc = {
@@ -102,7 +93,8 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
         raise ValueError("need at least as many paths as basis functions")
     idx = sample_paths(chain, path_count, seed)
     z = np.concatenate([payoff.values(chain, t) for t in range(1, T + 1)])
-    offsets = np.cumsum([0] + [chain.n_states(t) for t in range(1, T + 1)])
+    sizes = [chain.n_states(t) for t in range(1, T + 1)]
+    offsets = np.cumsum([0, *sizes])
 
     grams: dict[int, np.ndarray] = {}
     targets: dict[int, np.ndarray] = {}
@@ -125,15 +117,16 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
         coefficients[t] = solve_gram(gram, rhs, t)
         return stop_decision(z[offsets[t - 1]:offsets[t]], rule.row_scores(t, table))
 
-    taus, stops = path_stop_times(chain, idx, regress)
+    for _, stops in first_stops(sizes, idx.T, lambda k, later: regress(k + 1, later)):
+        pass
     z0 = payoff.value_at_start(chain)
     estimate = max(z0, float(z[stops].mean()))
 
     basis_queries = path_count * (T - 1) * m * (2 if gram_mode == "sampled" else 1)
     return LsmRun(
         chain=chain, payoff=payoff, basis=basis, path_count=path_count, seed=seed,
-        gram_mode=gram_mode, path_indices=idx, gram_matrices=grams, targets=targets,
-        coefficients=coefficients, stopping_times=taus, estimate=estimate,
+        gram_mode=gram_mode, gram_matrices=grams, targets=targets,
+        coefficients=coefficients, estimate=estimate,
         sample_draws=path_count * T, payoff_queries=path_count * T,
         basis_queries=basis_queries,
     )

@@ -1,21 +1,19 @@
-"""Desk-scale quantum simulation substrate: fixed-point registers, hybrid
-path-superposition states, oracles, amplitude estimation and bounded-variance
-mean estimation with exact query accounting."""
-from .ae import (EstimationOperator, ae_outcome_distribution, draw_ae_estimates,
-                 statevector_ae_distribution)
+"""Desk-scale quantum simulation substrate: fixed-point registers, oracles,
+amplitude estimation and bounded-variance mean estimation with exact query
+accounting. The path-state register replay and the dense AE laws it is
+checked against live in qlsm.reference."""
+from .ae import EstimationOperator, draw_ae_estimates
 from .fixed_point import DEFAULT_FRAC_BITS, DEFAULT_INT_BITS, FixedPoint, FixedPointFormat
 from .ledger import CostWeights, QueryLedger
 from .oracles import ControlledRotation, FunctionOracle, SamplingOracle
 from .qmc import (EstimationReport, PieceRecord, QmcVariable,
                   median_repetitions, qmontecarlo, qmontecarlo_batch)
-from .state import HybridState
 
 __all__ = [
-    "EstimationOperator", "ae_outcome_distribution", "draw_ae_estimates",
-    "statevector_ae_distribution",
+    "EstimationOperator", "draw_ae_estimates",
     "DEFAULT_FRAC_BITS", "DEFAULT_INT_BITS", "FixedPoint", "FixedPointFormat",
     "CostWeights", "QueryLedger",
     "ControlledRotation", "FunctionOracle", "SamplingOracle",
     "EstimationReport", "PieceRecord", "QmcVariable",
-    "median_repetitions", "qmontecarlo", "qmontecarlo_batch", "HybridState",
+    "median_repetitions", "qmontecarlo", "qmontecarlo_batch",
 ]

@@ -6,8 +6,7 @@ two Fejer kernels centred at +-theta M / pi (mod M). It enumerates each
 kernel's masses in a fixed window of offsets around its peak and reaches the
 rest of the kernel by rejection sampling, so one draw costs the same time
 and memory at every query count M. The dense M-outcome distribution and a
-full statevector simulation of it stay as the references tests compare
-against."""
+full statevector simulation of it are qlsm.reference's."""
 from __future__ import annotations
 
 import math
@@ -18,9 +17,7 @@ import numpy as np
 
 from .ledger import QueryLedger
 from .oracles import ControlledRotation, SamplingOracle
-from .state import HybridState
 
-_STATEVECTOR_QUBIT_CAP = 12
 # Offsets |j| <= _WINDOW around a kernel's peak are enumerated exactly.
 _WINDOW = 64
 
@@ -43,31 +40,6 @@ def _phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
     return num
 
 
-def ae_outcome_distribution(amplitude: float, queries: int):
-    """(estimates, probabilities, outcomes) of M-query amplitude estimation.
-
-    Outcomes y = 0..M-1 map to estimates sin^2(pi y / M); probabilities are
-    the exact two-eigenphase phase-estimation weights, an equal mixture of
-    two kernels: the eigenphase +theta branch sits at offset phase - y/M from
-    outcome y, the -theta branch at phase + y/M. Both are evaluated as
-    phase - k/M for the k = +-y (mod M) that puts the offset in
-    (-1/2, 1/2 + 1/M], so near a kernel's peak at offset 0 it is formed
-    without cancellation. Taken as phase + y/M, the offsets near 1 at the
-    -theta peak would cost the branch about M * 1.1e-16 of its unit mass.
-    """
-    _check_queries(queries)
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
-    phase = math.asin(math.sqrt(amplitude)) / math.pi
-    centre = math.floor(phase * queries) - queries // 2
-    y = np.arange(queries)
-    k = np.mod([y - centre, -y - centre], queries) + centre
-    probs = 0.5 * _phase_kernel(phase - k / queries, queries).sum(axis=0)
-    probs = probs / probs.sum()
-    estimates = np.sin(np.pi * y / queries) ** 2
-    return estimates, probs, y
-
-
 @dataclass(eq=False)
 class EstimationOperator:
     """The preparation 'A': chain preparation followed by one rotation.
@@ -79,11 +51,6 @@ class EstimationOperator:
     rotation: ControlledRotation
     masses: np.ndarray
 
-    def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
-        state = self.sampling.prepare(ledger)
-        self.rotation.apply(state, ledger)
-        return state
-
     @cached_property
     def amplitude(self) -> float:
         """The flagged probability a that AE estimates, computed once."""
@@ -93,8 +60,9 @@ class EstimationOperator:
 @lru_cache(maxsize=64)
 def _window(queries: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only window offsets j and, for e = ceil(phase M) - floor(phase M),
-    the shifts (k - floor(phase M)) / M that `ae_outcome_distribution` takes
-    at outcomes (floor + j) mod M of both branches, and a 0 column for tails."""
+    the shifts (k - floor(phase M)) / M that the dense law
+    (`reference.ae_outcome_distribution`) takes at outcomes (floor + j) mod M
+    of both branches, and a 0 column for tails."""
     half = queries // 2
     offsets = np.arange(max(-_WINDOW, 1 - half), min(_WINDOW, half) + 1)
     shifts = np.zeros((2, 2, offsets.size + 1))
@@ -226,63 +194,11 @@ def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: i
 
     Each draw picks, with one uniform, a window outcome of either kernel
     branch or one branch's tail; tail picks are rejection-sampled by
-    `_sample_tail`. The law equals `ae_outcome_distribution`'s, and time and
-    memory do not depend on M. Bills as `_bill_draws`, the rotation's oracle
-    twice per rotation. One piece of `_draw_pieces`."""
+    `_sample_tail`. The law is `reference.ae_outcome_distribution`'s, and
+    time and memory do not depend on M. Bills as `_bill_draws`, the
+    rotation's oracle twice per rotation. One piece of `_draw_pieces`."""
     _check_queries(queries)
     if ledger is not None:
         operator.rotation.oracle.bill(ledger, applications=_bill_draws(ledger, queries,
                                                                        repetitions))
     return _draw_pieces([operator.amplitude], [queries], [rng], repetitions)[0]
-
-
-def _embed(state: HybridState) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten (path, flag-qubit) into one system register plus a good mask."""
-    n = state.n_basis_states
-    rot = state.rotation if state.rotation is not None else np.column_stack(
-        [np.ones(n), np.zeros(n)])
-    system = np.empty(2 * n, dtype=complex)
-    system[0::2] = state.amplitudes * rot[:, 0]
-    system[1::2] = state.amplitudes * rot[:, 1]
-    mask = np.zeros(2 * n, dtype=bool)
-    mask[1::2] = True
-    return system, mask
-
-
-def statevector_ae_distribution(system: np.ndarray, good_mask: np.ndarray,
-                                queries: int) -> np.ndarray:
-    """Outcome distribution of phase-estimation AE by explicit simulation.
-
-    Builds the Grover operator as a dense matrix from the prepared system
-    vector and a good-state mask, runs the controlled powers against a phase
-    register, applies the inverse Fourier transform and returns the phase
-    register's measurement distribution.
-    """
-    _check_queries(queries)
-    system = np.asarray(system, dtype=complex)
-    dim = system.size
-    n_qubits = math.ceil(math.log2(dim)) + int(math.log2(queries))
-    if n_qubits > _STATEVECTOR_QUBIT_CAP:
-        raise ValueError(f"statevector simulation capped at {_STATEVECTOR_QUBIT_CAP} qubits")
-    norm = np.linalg.norm(system)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("system state must be normalized")
-    flip_good = np.where(good_mask, -1.0, 1.0)
-    reflect_prep = 2.0 * np.outer(system, system.conj()) - np.eye(dim)
-    grover = reflect_prep * flip_good[None, :]
-
-    # Phase register of size `queries`; joint state indexed [phase, system].
-    joint = np.zeros((queries, dim), dtype=complex)
-    joint[:] = system[None, :] / math.sqrt(queries)
-    n_phase_bits = int(math.log2(queries))
-    power = grover
-    for bit in range(n_phase_bits):
-        controlled = (np.arange(queries) >> bit) & 1
-        rows = np.nonzero(controlled)[0]
-        joint[rows] = joint[rows] @ power.T
-        power = power @ power
-    # Inverse Fourier transform on the phase register.
-    y = np.arange(queries)
-    fourier = np.exp(-2j * np.pi * np.outer(y, y) / queries) / math.sqrt(queries)
-    joint = fourier @ joint
-    return np.sum(np.abs(joint) ** 2, axis=1)

@@ -1,41 +1,30 @@
-"""Oracle objects: chain state preparation, reversible function queries, and
+"""Oracle objects: chain sampling, reversible function queries, and
 interval-conditioned controlled rotations.
 
 A function oracle holds a value table, one row per atom of the variable's
 law; estimation works on the table and the masses of its rows, which come
 from the chain (step marginals and dynamic programs on it), never from paths.
-The path superposition is enumerated only when a state is prepared, for the
-register replay, which writes tables with one row per path."""
+The register writes of these oracles on a prepared path state are
+qlsm.reference's."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from ..chain import MarkovChainSpec, PathEnsemble, enumerate_paths
+# enumerate_paths stays bound here: perfbench/spans.py traces it by this name.
+from ..chain import MarkovChainSpec, enumerate_paths  # noqa: F401
 from ..errors import Overflow
 from .fixed_point import FixedPointFormat
 from .ledger import QueryLedger
-from .state import HybridState
 
 
 @dataclass(eq=False)
 class SamplingOracle:
-    """Prepares the path superposition; one application bills one preparation
-    (cost model: horizon sampling steps)."""
+    """Prepares the chain's path superposition; one preparation costs horizon
+    sampling steps. Estimation only measures it (qlsm.reference prepares it)."""
 
     chain: MarkovChainSpec
-
-    @cached_property
-    def ensemble(self) -> PathEnsemble:
-        """Every path, enumerated on first use; only register replays read it."""
-        return enumerate_paths(self.chain)
-
-    def prepare(self, ledger: QueryLedger | None = None) -> HybridState:
-        if ledger is not None:
-            ledger.add_state_preparations(1)
-        return HybridState.prepared(self.ensemble)
 
     def measure(self, masses: np.ndarray, count: int, rng: np.random.Generator,
                 ledger: QueryLedger | None = None) -> np.ndarray:
@@ -61,9 +50,8 @@ def bill_queries(ledger: QueryLedger, name: str, query_cost: dict, applications:
 class FunctionOracle:
     """Reversible XOR-write of a function value at fixed precision.
 
-    values has one row per atom of the function's law; a register write
-    needs one row per path of the prepared state. query_cost describes what
-    one application bills, as {kind: count} with kinds "payoff"/"basis"
+    values has one row per atom of the function's law. query_cost describes
+    what one application bills, as {kind: count} with kinds "payoff"/"basis"
     (weighted later) or an explicit name.
     """
 
@@ -84,20 +72,9 @@ class FunctionOracle:
                 f"indices {idx.tolist()} values {self.raw_values[idx].tolist()}"
             ) from None
 
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """Bit images of the value table; only register writes need them."""
-        return self.fmt.to_bits(self.values)
-
     def bill(self, ledger: QueryLedger | None, applications: int = 1) -> None:
         if ledger is not None:
             bill_queries(ledger, self.name, self.query_cost, applications)
-
-    def apply(self, state: HybridState, register: str,
-              ledger: QueryLedger | None = None) -> None:
-        """XOR the value image into the register; self-inverse."""
-        state.xor_register(register, self.bits, self.fmt)
-        self.bill(ledger)
 
 
 @dataclass(eq=False)
@@ -126,11 +103,3 @@ class ControlledRotation:
         with p the mass of each row of the oracle's value table."""
         mask = self.in_interval()
         return float((probabilities[mask] * self.oracle.values[mask] / self.high).sum())
-
-    def apply(self, state: HybridState, ledger: QueryLedger | None = None) -> None:
-        mask = self.in_interval()
-        ratio = np.clip(np.where(mask, self.oracle.values / self.high, 0.0), 0.0, 1.0)
-        state.set_rotation(np.sqrt(1.0 - ratio), np.sqrt(ratio))
-        if ledger is not None:
-            ledger.add_rotations(1)
-        self.oracle.bill(ledger, applications=2)

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from qlsm.basis import (gbm_tail_bound, hermite, hermite_basis,
                         hermite_tail_bound, monomial_basis, vandermonde_gram,
                         vandermonde_sigma_min_bound)
-from qlsm.chain import MarkovChainSpec, discretize_brownian
+from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
                      exact_approximation_error, snell_envelope,
                      weighted_l2_norm)
@@ -25,10 +25,12 @@ from qlsm.harness.experiments import run_scaling
 from qlsm.lsm_classical import choose_sample_count, run_classical_lsm
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
 from qlsm.payoff import put_payoff, table_payoff
-from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable,
-                       ae_outcome_distribution, qmontecarlo, SamplingOracle,
-                       statevector_ae_distribution)
-from qlsm.stopping_circuits import StoppingCircuits, product_register
+from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable, qmontecarlo,
+                       SamplingOracle)
+from qlsm.reference import (HybridState, ae_outcome_distribution, composed,
+                            product_register, statevector_ae_distribution,
+                            stopped_payoff_values)
+from qlsm.stopping_circuits import StoppingCircuits
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -104,7 +106,7 @@ def test_criterion_2_circuit_classical_equivalence():
                   for t in range(1, horizon)}
         circ = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
                                 coefficients=coeffs, fmt=fmt)
-        ens = circ.sampling.ensemble
+        ens = enumerate_paths(chain)
 
         # Classical recursion replayed per path with scalar arithmetic,
         # quantizing after every operation exactly as the registers do.
@@ -127,15 +129,13 @@ def test_criterion_2_circuit_classical_equivalence():
                 for member in range(basis.size):
                     factor = 1.0 if t == 1 else q(e_grid[t - 1][idx[t - 2], member])
                     expected = q(q(z_grid[taus_here][idx[taus_here - 1]]) * factor)
-                    got = circ.stopped_payoff_values(t, member)[i]
+                    got = stopped_payoff_values(circ, t, member)[i]
                     checked += 1
                     if got != expected:
                         mismatches += 1
         # Ancilla hygiene after a composed application.
-        from qlsm.qsim import HybridState
-
         state = HybridState.prepared(ens)
-        circ.composed(state, 1, 0)
+        composed(circ, state, 1, 0)
         leftovers = [r for r in state.nonzero_registers()
                      if r != product_register(1, 0)]
         dirty += len(leftovers)
@@ -174,9 +174,8 @@ def _four_path_variable(values):
     oracle = FunctionOracle(name="h", fmt=FixedPointFormat(),
                             raw_values=np.asarray(values, dtype=float),
                             query_cost={"payoff": 1})
-    sampling = SamplingOracle(chain)
-    return QmcVariable(sampling=sampling, oracle=oracle,
-                       masses=sampling.ensemble.probabilities)
+    return QmcVariable(sampling=SamplingOracle(chain), oracle=oracle,
+                       masses=enumerate_paths(chain).probabilities)
 
 
 def test_criterion_4_mean_estimation_failure_rates():

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from qlsm.chain import MarkovChainSpec
+from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
-                       QueryLedger, SamplingOracle, ae_outcome_distribution,
-                       draw_ae_estimates, statevector_ae_distribution)
-from qlsm.qsim.ae import (_WINDOW, _branch_windows, _embed, _phase_kernel, _sample_tail,
-                          _window)
+                       QueryLedger, SamplingOracle, draw_ae_estimates)
+from qlsm.qsim.ae import _WINDOW, _branch_windows, _phase_kernel, _sample_tail, _window
 from qlsm.qsim.fixed_point import FixedPointFormat
+from qlsm.reference import (ae_outcome_distribution, embed, prepare_operator,
+                            statevector_ae_distribution)
 
 import ae_reference
 from ae_reference import Branch
@@ -29,7 +29,7 @@ def operator_with_amplitude(a: float) -> EstimationOperator:
     oracle = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
     rot = ControlledRotation(oracle=oracle, low=0.0, high=1.0)
     return EstimationOperator(sampling=sampling, rotation=rot,
-                              masses=sampling.ensemble.probabilities)
+                              masses=enumerate_paths(chain).probabilities)
 
 
 class TestAnalyticDistribution:
@@ -111,7 +111,7 @@ class TestStatevectorCrossCheck:
         # The prepared hybrid state, simulated as a dense Grover circuit, has
         # the outcome law the analytic sampler draws from.
         op = operator_with_amplitude(0.37)
-        system, mask = _embed(op.prepare(None))
+        system, mask = embed(prepare_operator(op))
         sv = statevector_ae_distribution(system, mask, 8)
         _, analytic, _ = ae_outcome_distribution(op.amplitude, 8)
         np.testing.assert_allclose(analytic, sv, atol=1e-9)

@@ -287,3 +287,54 @@ class TestRuntimeWithoutScipy:
         assert "exit codes [0, 0]" in done.stdout
         assert (tmp_path / "price" / "price.json").exists()
         assert (tmp_path / "bounds" / "bounds.json").exists()
+
+
+class TestRuntimeWithoutReference:
+    COMMANDS = [["price"], ["scaling"], ["validate-bounds", "--strict"], ["dump-oracle"]]
+
+    def run_cli(self, out, blocked):
+        """Every subcommand on the README config, in a fresh interpreter, with
+        qlsm.reference blocked (sys.modules entry None) or not. Prints the exit
+        codes and whether qlsm.reference was loaded after `import qlsm,
+        qlsm.harness.cli` and after the commands."""
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "cli_reference.json"
+        script = textwrap.dedent(f"""
+            import importlib, pkgutil, sys
+            if {blocked!r}:
+                sys.modules["qlsm.reference"] = None
+            import qlsm, qlsm.harness.cli
+            print("reference after import", "qlsm.reference" in sys.modules)
+            for info in pkgutil.walk_packages(qlsm.__path__, "qlsm."):
+                if info.name != "qlsm.reference":
+                    importlib.import_module(info.name)
+            codes = [qlsm.harness.cli.main(cmd + ["--config", {str(config)!r},
+                                                  "--out", {str(out)!r} + "/" + cmd[0]])
+                     for cmd in {self.COMMANDS!r}]
+            print("reference after commands", "qlsm.reference" in sys.modules)
+            print("exit codes", codes)
+        """)
+        src = str(Path(qlsm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        return done.stdout
+
+    def test_runtime_needs_no_reference_code(self, tmp_path):
+        # The register replay and the dense AE laws only cross-check the
+        # runtime: with qlsm.reference blocked every other module imports and
+        # every subcommand writes the report it writes unblocked, byte for byte.
+        blocked = self.run_cli(tmp_path / "blocked", True)
+        assert "exit codes [0, 0, 0, 0]" in blocked, blocked
+        plain = self.run_cli(tmp_path / "plain", False)
+        assert "exit codes [0, 0, 0, 0]" in plain, plain
+        reports = sorted((tmp_path / "plain").glob("*/*.json"))
+        assert [r.parent.name for r in reports] == \
+            ["dump-oracle", "price", "scaling", "validate-bounds"]
+        for report in reports:
+            twin = tmp_path / "blocked" / report.parent.name / report.name
+            assert twin.read_bytes() == report.read_bytes(), report.parent.name
+        # Unblocked, no runtime module loads it either.
+        assert "reference after import False" in plain, plain
+        assert "reference after commands False" in plain, plain

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 import qlsm.lsm_classical as lsm_classical
 from qlsm.basis import (KIND_GENERIC, BasisSpec, constant_basis, gbm_basis, hermite_basis,
                         indicator_basis, monomial_basis)
-from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
+from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm, sample_paths
 from qlsm.dp import exact_approximation_error, snell_envelope
 from qlsm.errors import SingularGram
 from qlsm.lsm_classical import (choose_sample_count, classical_cost_units,
                                 run_classical_lsm)
 from qlsm.payoff import put_payoff, table_payoff
-from lsm_reference import run_classical_lsm_per_path
+from lsm_reference import run_classical_lsm_per_path, run_stop_times
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -47,7 +47,7 @@ class TestClassicalRuns:
         chain, payoff = put_instance()
         run = run_classical_lsm(chain, payoff, constant_basis(3), 500, seed=0)
         # With one constant function the normal equation is a plain average.
-        z = payoff.values(chain, 3)[run.path_indices[:, 2]]
+        z = payoff.values(chain, 3)[sample_paths(chain, 500, 0)[:, 2]]
         assert run.coefficients[2][0] == pytest.approx(z.mean())
 
     def test_single_path_chain_equals_oracle(self):
@@ -72,16 +72,25 @@ class TestClassicalRuns:
         assert abs(run.estimate - table.value0) <= 0.1 + approx
 
     def test_recursion_replay_bit_exact(self):
+        # The per-path recursion under the stored coefficients stops where the
+        # run did: it collects the run's price bit for bit, and its stop
+        # times are those the per-path reference recorded while fitting.
         chain, payoff = put_instance()
-        run = run_classical_lsm(chain, payoff, monomial_basis(1, 1, 3), 2000, seed=4)
-        np.testing.assert_array_equal(run.recompute_stopping_times(),
-                                      run.stopping_times)
+        basis = monomial_basis(1, 1, 3)
+        run = run_classical_lsm(chain, payoff, basis, 2000, seed=4)
+        idx, taus = run_stop_times(run)
+        per_step = np.column_stack([payoff.values(chain, t)[idx[:, t - 1]] for t in (1, 2, 3)])
+        stopped = per_step[np.arange(len(idx)), taus[:, 0] - 1]
+        assert max(payoff.value_at_start(chain), float(stopped.mean())) == run.estimate
+        reference = run_classical_lsm_per_path(chain, payoff, basis, 2000, 4)
+        np.testing.assert_array_equal(taus, reference.stopping_times)
 
     def test_final_time_is_horizon(self):
         chain, payoff = put_instance()
         run = run_classical_lsm(chain, payoff, constant_basis(3), 100, seed=5)
-        assert (run.stopping_time(3) == 3).all()
-        assert ((run.stopping_time(1) >= 1) & (run.stopping_time(1) <= 3)).all()
+        _, taus = run_stop_times(run)
+        assert (taus[:, 2] == 3).all()
+        assert ((taus[:, 0] >= 1) & (taus[:, 0] <= 3)).all()
 
     def test_seed_determinism(self):
         chain, payoff = put_instance()
@@ -253,11 +262,11 @@ def test_regression_matches_per_path_reference(seed, horizon, n_states, size, pa
             run_classical_lsm(chain, payoff, basis, path_count, seed, gram_mode=mode)
         return
     run = run_classical_lsm(chain, payoff, basis, path_count, seed, gram_mode=mode)
-    np.testing.assert_array_equal(run.path_indices, reference.path_indices)
-    np.testing.assert_array_equal(run.stopping_times, reference.stopping_times)
+    idx, taus = run_stop_times(run)
+    np.testing.assert_array_equal(idx, reference.path_indices)
+    np.testing.assert_array_equal(taus, reference.stopping_times)
     assert run.estimate == reference.estimate
 
-    idx, taus = run.path_indices, run.stopping_times
     for t in range(1, horizon):
         rows = basis.evaluate(t, chain.grid(t))[idx[:, t - 1]]
         later = np.array([payoff.values(chain, tau)[idx[i, tau - 1]]

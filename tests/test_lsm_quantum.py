@@ -7,7 +7,7 @@ import pytest
 from qlsm.basis import constant_basis, gbm_basis, hermite_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
-                     snell_envelope)
+                     path_stop_times, snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, oracle_sigma_min,
                               run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
@@ -204,8 +204,10 @@ class TestGenericRuns:
         ens = enumerate_paths(chain)
         circ = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
                                 coefficients=run.coefficients, fmt=fmt)
+        taus, _ = path_stop_times(chain, ens.indices, lambda u, later: stop_decision(
+            circ.payoff_table(u), circ.score_table(u)))
         for t in run.exact_targets:
-            tau = circ.classical_stop_times(t + 1)
+            tau = taus[:, t]  # tau_{t+1}
             z = {u: np.asarray(fmt.quantize(
                 payoff.values(chain, u)[ens.state_indices_at(u)]))
                 for u in range(1, 4)}

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qlsm.chain import MarkovChainSpec
+from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.errors import Overflow
 from qlsm.payoff import put_payoff
 from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
                        QueryLedger, SamplingOracle)
+from qlsm.reference import apply_oracle, apply_rotation, prepare
 
 
 def uniform_chain():
@@ -24,17 +25,17 @@ def single_chain():
 
 class TestSamplingOracle:
     def test_single_path_amplitude_one(self):
-        state = SamplingOracle(single_chain()).prepare()
+        state = prepare(SamplingOracle(single_chain()))
         np.testing.assert_allclose(state.amplitudes, [1.0])
 
     def test_uniform_amplitudes(self):
-        state = SamplingOracle(uniform_chain()).prepare()
+        state = prepare(SamplingOracle(uniform_chain()))
         np.testing.assert_allclose(np.abs(state.amplitudes), 0.5)
         state.check_normalized()
 
     def test_prepare_bills_one_application(self):
         ledger = QueryLedger()
-        SamplingOracle(uniform_chain()).prepare(ledger)
+        prepare(SamplingOracle(uniform_chain()), ledger)
         assert ledger.state_preparations == 1
 
     def test_measurement_matches_classical_sampling(self):
@@ -57,10 +58,10 @@ class TestFunctionOracle:
         fmt = FixedPointFormat()
         values = np.array([0.25, 1.5, -0.75, 0.0])
         orc = FunctionOracle(name="h", fmt=fmt, raw_values=values, query_cost={"payoff": 1})
-        state = oracle_chain.prepare()
-        orc.apply(state, "reg")
+        state = prepare(oracle_chain)
+        apply_oracle(orc, state, "reg")
         np.testing.assert_array_equal(state.register_values("reg"), values)
-        orc.apply(state, "reg")
+        apply_oracle(orc, state, "reg")
         assert not state.has_register("reg")
 
     def test_matches_payoff_module_bit_exact(self):
@@ -68,12 +69,12 @@ class TestFunctionOracle:
         oracle_chain = SamplingOracle(chain)
         pay = put_payoff(1.0)
         fmt = FixedPointFormat()
-        per_path = pay.values(chain, 2)[oracle_chain.ensemble.state_indices_at(2)]
+        per_path = pay.values(chain, 2)[enumerate_paths(oracle_chain.chain).state_indices_at(2)]
         orc = FunctionOracle(name="z", fmt=fmt, raw_values=per_path,
                              query_cost={"payoff": 1})
-        state = oracle_chain.prepare()
-        orc.apply(state, "z2")
-        expected = fmt.quantize(pay.values(chain, 2)[oracle_chain.ensemble.state_indices_at(2)])
+        state = prepare(oracle_chain)
+        apply_oracle(orc, state, "z2")
+        expected = fmt.quantize(pay.values(chain, 2)[enumerate_paths(oracle_chain.chain).state_indices_at(2)])
         np.testing.assert_array_equal(state.register_values("z2"), expected)
 
     def test_overflow_lists_points(self):
@@ -85,8 +86,8 @@ class TestFunctionOracle:
         ledger = QueryLedger()
         orc = FunctionOracle(name="h", fmt=FixedPointFormat(), raw_values=np.zeros(4),
                              query_cost={"payoff": 1})
-        state = SamplingOracle(uniform_chain()).prepare()
-        orc.apply(state, "reg", ledger)
+        state = prepare(SamplingOracle(uniform_chain()))
+        apply_oracle(orc, state, "reg", ledger)
         assert ledger.function_queries["h"] == 1
         assert ledger.queries_of_kind("payoff") == 1
 
@@ -112,22 +113,22 @@ class TestControlledRotation:
 
     def test_full_rotation_at_upper_endpoint(self):
         chain, rot = self.make([2.0, 2.0, 2.0, 2.0], 0.0, 2.0)
-        state = chain.prepare()
-        rot.apply(state)
+        state = prepare(chain)
+        apply_rotation(rot, state)
         np.testing.assert_allclose(state.rotation[:, 1], 1.0)
         assert state.good_probability() == pytest.approx(1.0)
 
     def test_zero_value_inside_interval(self):
         chain, rot = self.make([0.0, 1.0, 0.0, 1.0], 0.0, 1.0)
-        state = chain.prepare()
-        rot.apply(state)
+        state = prepare(chain)
+        apply_rotation(rot, state)
         np.testing.assert_allclose(state.rotation[0], [1.0, 0.0])
         assert state.good_probability() == pytest.approx(0.5)
 
     def test_outside_interval_untouched(self):
         chain, rot = self.make([3.0, 0.5, 3.0, 0.5], 0.0, 1.0)
-        state = chain.prepare()
-        rot.apply(state)
+        state = prepare(chain)
+        apply_rotation(rot, state)
         np.testing.assert_allclose(state.rotation[0], [1.0, 0.0])
         np.testing.assert_allclose(state.rotation[1], [np.sqrt(0.5), np.sqrt(0.5)])
 
@@ -139,23 +140,23 @@ class TestControlledRotation:
 
     def test_norm_preserved(self):
         chain, rot = self.make([0.3, 0.9, 0.1, 0.7], 0.0, 1.0)
-        state = chain.prepare()
-        rot.apply(state)
+        state = prepare(chain)
+        apply_rotation(rot, state)
         state.check_normalized()
 
     def test_billing_embeds_two_queries(self):
         chain, rot = self.make([0.5] * 4, 0.0, 1.0)
         ledger = QueryLedger()
-        state = chain.prepare(ledger)
-        rot.apply(state, ledger)
+        state = prepare(chain, ledger)
+        apply_rotation(rot, state, ledger)
         assert ledger.rotations == 1
         assert ledger.function_queries["h"] == 2
 
     def test_exact_amplitude_matches_state(self):
         chain, rot = self.make([0.3, 0.9, 0.1, 0.7], 0.0, 1.0)
-        state = chain.prepare()
-        rot.apply(state)
-        assert rot.good_amplitude_squared(chain.ensemble.probabilities) == \
+        state = prepare(chain)
+        apply_rotation(rot, state)
+        assert rot.good_amplitude_squared(enumerate_paths(chain.chain).probabilities) == \
             pytest.approx(state.good_probability(), abs=1e-12)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import qmc_reference
 from qlsm.basis import hermite_basis, sup_norm_bound
-from qlsm.chain import MarkovChainSpec, discretize_brownian
+from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation, VarianceExceeded
 from qlsm.lsm_quantum import _basis_product_variable
 from qlsm.payoff import put_payoff
@@ -33,7 +33,7 @@ def variable_from_values(values, fmt=None, chain=None):
     oracle = FunctionOracle(name="h", fmt=fmt, raw_values=np.asarray(values, dtype=float),
                             query_cost={"payoff": 1})
     return QmcVariable(sampling=sampling, oracle=oracle,
-                       masses=sampling.ensemble.probabilities)
+                       masses=enumerate_paths(chain).probabilities)
 
 
 class TestBasics:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qlsm.basis import monomial_basis
-from qlsm.chain import MarkovChainSpec, discretize_brownian
+from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.errors import Overflow, QlsmError
 from qlsm.payoff import put_payoff, table_payoff
-from qlsm.qsim import FixedPointFormat, HybridState, QueryLedger
+from qlsm.qsim import FixedPointFormat, QueryLedger
 from qlsm.qsim.qmc import qmontecarlo
-from qlsm.stopping_circuits import StoppingCircuits, product_register
+from qlsm.reference import (composed, product_register, prepare, step,
+                            stopped_payoff, stopped_payoff_values)
+from qlsm.stopping_circuits import StoppingCircuits
 
 
 def two_state_chain(horizon=3, seed=0):
@@ -31,14 +33,19 @@ def circuits_for(chain, seed=1, basis_degree=1):
                             coefficients=coeffs)
 
 
-def reference_recursion(circ, ensemble):
+def on_paths(circ, table, t):
+    """A per-state step-t table gathered along the enumerated paths."""
+    return table[enumerate_paths(circ.chain).state_indices_at(t)]
+
+
+def reference_recursion(circ, paths):
     """Independent per-path replay of the stop/continue comparisons."""
     T = circ.chain.horizon
-    n = len(ensemble)
+    n = len(paths)
     tau = {T: np.full(n, T, dtype=np.int64)}
     for t in range(T - 1, 0, -1):
-        z = circ.quantized_payoff(t)
-        score = circ.quantized_scores(t)
+        z = on_paths(circ, circ.payoff_table(t), t)
+        score = on_paths(circ, circ.score_table(t), t)
         tau[t] = np.where(z >= score, t, tau[t + 1])
     return tau
 
@@ -47,8 +54,8 @@ class TestBackwardStep:
     def test_horizon_step_writes_constant(self):
         chain = two_state_chain()
         circ = circuits_for(chain)
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 3)
+        state = prepare(circ.sampling)
+        step(circ, state, 3)
         np.testing.assert_array_equal(state.register_values("stop_time[3]"), 3)
 
     def test_tie_stops(self):
@@ -60,34 +67,34 @@ class TestBackwardStep:
         basis = monomial_basis(1, 0, 2)
         circ = StoppingCircuits(chain=chain, payoff=pay, basis=basis,
                                 coefficients={1: np.array([0.5])})
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 2)
-        circ.step(state, 1)
+        state = prepare(circ.sampling)
+        step(circ, state, 2)
+        step(circ, state, 1)
         assert state.register_values("stop_time[1]")[0] == 1  # payoff == score
 
     def test_missing_predecessor(self):
         chain = two_state_chain()
         circ = circuits_for(chain)
-        state = HybridState.prepared(circ.sampling.ensemble)
+        state = prepare(circ.sampling)
         with pytest.raises(QlsmError, match="missing"):
-            circ.step(state, 2)
+            step(circ, state, 2)
 
     def test_missing_coefficients(self):
         chain = two_state_chain()
         circ = StoppingCircuits(chain=chain, payoff=put_payoff(1.5),
                                 basis=monomial_basis(1, 1, 3), coefficients={})
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 3)
+        state = prepare(circ.sampling)
+        step(circ, state, 3)
         with pytest.raises(QlsmError, match="no coefficient"):
-            circ.step(state, 2)
+            step(circ, state, 2)
 
     def test_matches_reference_recursion(self):
         chain = two_state_chain(seed=5)
         circ = circuits_for(chain, seed=6)
-        state = HybridState.prepared(circ.sampling.ensemble)
+        state = prepare(circ.sampling)
         for t in range(3, 0, -1):
-            circ.step(state, t)
-        expected = reference_recursion(circ, circ.sampling.ensemble)
+            step(circ, state, t)
+        expected = reference_recursion(circ, enumerate_paths(circ.chain))
         for t in (1, 2, 3):
             np.testing.assert_array_equal(state.register_values(f"stop_time[{t}]"),
                                           expected[t])
@@ -97,12 +104,12 @@ class TestStoppedPayoff:
     def test_first_step_uses_unit_factor(self):
         chain = two_state_chain(seed=2)
         circ = circuits_for(chain, seed=3)
-        state = HybridState.prepared(circ.sampling.ensemble)
+        state = prepare(circ.sampling)
         for t in range(3, 0, -1):
-            circ.step(state, t)
-        circ.stopped_payoff(state, 1, 0)
+            step(circ, state, t)
+        stopped_payoff(circ, state, 1, 0)
         tau = state.register_values("stop_time[1]").astype(int)
-        z = {t: circ.quantized_payoff(t) for t in (1, 2, 3)}
+        z = {t: on_paths(circ, circ.payoff_table(t), t) for t in (1, 2, 3)}
         expected = np.array([z[tau[i]][i] for i in range(len(tau))])
         np.testing.assert_array_equal(
             state.register_values(product_register(1, 0)),
@@ -115,12 +122,12 @@ class TestStoppedPayoff:
         circ = StoppingCircuits(chain=chain, payoff=put_payoff(1.5), basis=basis,
                                 coefficients={1: np.array([-50.0, 0.0]),
                                               2: np.array([-50.0, 0.0])})
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 3)
-        circ.step(state, 2)
-        circ.stopped_payoff(state, 2, 1)
-        z2 = circ.quantized_payoff(2)
-        factor = circ.quantized_basis_rows(1)[:, 1]
+        state = prepare(circ.sampling)
+        step(circ, state, 3)
+        step(circ, state, 2)
+        stopped_payoff(circ, state, 2, 1)
+        z2 = on_paths(circ, circ.payoff_table(2), 2)
+        factor = on_paths(circ, circ.basis_table(1), 1)[:, 1]
         np.testing.assert_array_equal(
             state.register_values(product_register(2, 1)),
             np.asarray(circ.fmt.quantize(z2 * factor)))
@@ -128,10 +135,10 @@ class TestStoppedPayoff:
     def test_member_range(self):
         chain = two_state_chain()
         circ = circuits_for(chain)
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 3)
+        state = prepare(circ.sampling)
+        step(circ, state, 3)
         with pytest.raises(QlsmError, match="out of range"):
-            circ.stopped_payoff(state, 3, 99)
+            stopped_payoff(circ, state, 3, 99)
 
     def test_variable_rounding_shift_is_checked(self):
         # At 4 fraction bits rounding payoff * basis factor moves this
@@ -153,9 +160,9 @@ class TestComposed:
     def test_horizon_special_case(self):
         chain = two_state_chain(seed=9)
         circ = circuits_for(chain, seed=10)
-        values = circ.stopped_payoff_values(3, 1)
-        z3 = circ.quantized_payoff(3)
-        factor = circ.quantized_basis_rows(2)[:, 1]
+        values = stopped_payoff_values(circ, 3, 1)
+        z3 = on_paths(circ, circ.payoff_table(3), 3)
+        factor = on_paths(circ, circ.basis_table(2), 2)[:, 1]
         np.testing.assert_array_equal(values,
                                       np.asarray(circ.fmt.quantize(z3 * factor)))
 
@@ -163,15 +170,15 @@ class TestComposed:
         for seed in range(5):
             chain = two_state_chain(seed=seed)
             circ = circuits_for(chain, seed=seed + 50)
-            ensemble = circ.sampling.ensemble
-            tau_ref = reference_recursion(circ, ensemble)
+            paths = enumerate_paths(circ.chain)
+            tau_ref = reference_recursion(circ, paths)
             for t in (1, 2, 3):
                 for member in range(circ.basis.size):
-                    values = circ.stopped_payoff_values(t, member)
-                    z = {u: circ.quantized_payoff(u) for u in (1, 2, 3)}
-                    z_at = np.array([z[tau_ref[t][i]][i] for i in range(len(ensemble))])
-                    factor = (np.ones(len(ensemble)) if t == 1
-                              else circ.quantized_basis_rows(t - 1)[:, member])
+                    values = stopped_payoff_values(circ, t, member)
+                    z = {u: on_paths(circ, circ.payoff_table(u), u) for u in (1, 2, 3)}
+                    z_at = np.array([z[tau_ref[t][i]][i] for i in range(len(paths))])
+                    factor = (np.ones(len(paths)) if t == 1
+                              else on_paths(circ, circ.basis_table(t - 1), t - 1)[:, member])
                     expected = np.asarray(circ.fmt.quantize(z_at * factor))
                     np.testing.assert_array_equal(values, expected)
 
@@ -182,28 +189,28 @@ class TestComposed:
         # Strike above every grid point keeps the product strictly positive.
         circ = StoppingCircuits(chain=chain, payoff=put_payoff(3.0), basis=basis,
                                 coefficients={t: rng.normal(size=2) for t in (1, 2)})
-        state = HybridState.prepared(circ.sampling.ensemble)
+        state = prepare(circ.sampling)
         amps_before = state.amplitudes.copy()
-        circ.composed(state, 2, 0)
+        composed(circ, state, 2, 0)
         assert state.nonzero_registers() == [product_register(2, 0)]
-        circ.composed(state, 2, 0, inverse=True)
+        composed(circ, state, 2, 0, inverse=True)
         assert state.nonzero_registers() == []
         np.testing.assert_array_equal(state.amplitudes, amps_before)
 
     def test_ancilla_hygiene(self):
         chain = two_state_chain(seed=13)
         circ = circuits_for(chain, seed=14)
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.composed(state, 1, 1)
+        state = prepare(circ.sampling)
+        composed(circ, state, 1, 1)
         assert state.nonzero_registers() == [product_register(1, 1)]
 
     def test_dirty_ancilla_rejected(self):
         chain = two_state_chain()
         circ = circuits_for(chain)
-        state = HybridState.prepared(circ.sampling.ensemble)
-        circ.step(state, 3)
+        state = prepare(circ.sampling)
+        step(circ, state, 3)
         with pytest.raises(QlsmError, match="dirty"):
-            circ.composed(state, 2, 0)
+            composed(circ, state, 2, 0)
 
     def test_cost_model(self):
         chain = two_state_chain(seed=15)
@@ -211,8 +218,8 @@ class TestComposed:
         T, m = 3, circ.basis.size
         for t in (1, 2, 3):
             ledger = QueryLedger()
-            state = HybridState.prepared(circ.sampling.ensemble)
-            circ.composed(state, t, 0, ledger)
+            state = prepare(circ.sampling)
+            composed(circ, state, t, 0, ledger)
             dispatch = T * int(np.ceil(np.log2(T)))
             assert ledger.function_queries["z"] == 2 * (T - t + 1) + dispatch
             assert ledger.function_queries["e"] == 2 * (T - t + 1) * m + 1
@@ -224,8 +231,8 @@ class TestComposed:
         chain = two_state_chain(seed=17)
         circ = circuits_for(chain, seed=18)
         var = circ.variable(2, 0)
-        probs = circ.sampling.ensemble.probabilities
-        manual = float(np.sum(probs * circ.stopped_payoff_values(2, 0)))
+        probs = enumerate_paths(circ.chain).probabilities
+        manual = float(np.sum(probs * stopped_payoff_values(circ, 2, 0)))
         assert var.exact_mean() == pytest.approx(manual, abs=1e-14)
 
 
@@ -235,5 +242,5 @@ class TestSingleStepChain:
         basis = monomial_basis(1, 0, 1)
         circ = StoppingCircuits(chain=chain, payoff=put_payoff(1.0), basis=basis,
                                 coefficients={})
-        values = circ.stopped_payoff_values(1, 0)
-        np.testing.assert_array_equal(values, circ.quantized_payoff(1))
+        values = stopped_payoff_values(circ, 1, 0)
+        np.testing.assert_array_equal(values, on_paths(circ, circ.payoff_table(1), 1))

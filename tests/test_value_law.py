@@ -2,8 +2,8 @@
 
 Estimation reads each entry's law: a value table and the masses of its rows,
 computed from the chain by dynamic programs, never from enumerated paths.
-The register replay of the composed circuit over the enumerated paths stays
-as the reference; every law must reproduce it exactly.
+The register replay of the composed circuit over the enumerated paths
+(qlsm.reference) is the reference; every law must reproduce it exactly.
 """
 import tracemalloc
 from dataclasses import dataclass
@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlsm.basis import monomial_basis
-from qlsm.chain import MarkovChainSpec, discretize_brownian
-from qlsm.dp import CoefficientRule
+from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
+from qlsm.dp import CoefficientRule, path_stop_times, stop_decision
 from qlsm.payoff import PayoffSpec, table_payoff
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
+from qlsm.reference import (apply_oracle, prepare, prepare_operator,
+                            stopped_payoff_values)
 from qlsm.stopping_circuits import StoppingCircuits
 
 FMT = FixedPointFormat()
@@ -53,18 +55,19 @@ def per_path(circ, t, member):
     """The stopped payoff at (t, member) as a per-path variable: the register
     replay's values with the path probabilities as masses."""
     oracle = FunctionOracle(name=f"stopped_payoff[t={t},m={member}]", fmt=FMT,
-                            raw_values=circ.stopped_payoff_values(t, member),
+                            raw_values=stopped_payoff_values(circ, t, member),
                             query_cost=circ.composed_cost(t))
     return QmcVariable(sampling=circ.sampling, oracle=oracle,
-                       masses=circ.sampling.ensemble.probabilities)
+                       masses=enumerate_paths(circ.chain).probabilities)
 
 
 def path_keys(circ, t):
     """Each path's row key in the stopped law at t: its state at step t-1 (0,
     the start point, at t=1) and the quantized payoff at its first stop at or
     after t, as the rows of an (N, 2) array."""
-    ens = circ.sampling.ensemble
-    tau = circ.classical_stop_times(t)
+    ens = enumerate_paths(circ.chain)
+    tau = path_stop_times(circ.chain, ens.indices, lambda u, later: stop_decision(
+        circ.payoff_table(u), circ.score_table(u)))[0][:, t - 1]
     payoff = np.empty(len(ens))
     for u in range(t, circ.chain.horizon + 1):
         at = tau == u
@@ -99,7 +102,7 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
     # same support, every path of a row carrying the row's value bit for bit,
     # signed zeros included, and masses summing the path probabilities.
     circ = random_circuits(seed, dim, n_states, horizon)
-    probs = circ.sampling.ensemble.probabilities
+    probs = enumerate_paths(circ.chain).probabilities
     for t in range(1, horizon + 1):
         support, inverse = law_support(circ, t)
         masses, payoff, prev = circ._stopped_law(t)
@@ -109,7 +112,7 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
         assert (masses > 0.0).all()
         for member in range(circ.basis.size):
             var = circ.variable(t, member)
-            replay = circ.stopped_payoff_values(t, member)
+            replay = stopped_payoff_values(circ, t, member)
             np.testing.assert_array_equal(var.oracle.values[inverse].view(np.int64),
                                           replay.view(np.int64))
             assert var.masses is masses
@@ -152,7 +155,7 @@ def test_step_law_gathers_per_path_tables(seed, dim, n_states, horizon):
     # states some path visits, with their summed path probabilities, and the
     # per-path views gather the grid tables.
     circ = random_circuits(seed, dim, n_states, horizon)
-    ens = circ.sampling.ensemble
+    ens = enumerate_paths(circ.chain)
     for t in range(1, horizon + 1):
         states = present_states(circ.chain, t)
         idx = ens.state_indices_at(t)
@@ -161,7 +164,7 @@ def test_step_law_gathers_per_path_tables(seed, dim, n_states, horizon):
                                    np.bincount(idx, ens.probabilities)[states],
                                    rtol=0, atol=1e-14)
         rows = FMT.quantize(circ.basis.evaluate(t, circ.chain.grid(t))[idx])
-        np.testing.assert_array_equal(circ.quantized_basis_rows(t), rows)
+        np.testing.assert_array_equal(circ.basis_table(t)[idx], rows)
 
 
 @dataclass(eq=False)
@@ -223,14 +226,16 @@ def test_register_writes_match_law_rows(entry, seed, dim, n_states, horizon):
     var = circ.variable(t, member)
     reference = per_path(circ, t, member)
     _, inverse = law_support(circ, t)
-    state = circ.sampling.prepare()
-    reference.oracle.apply(state, "path")
-    np.testing.assert_array_equal(state.register_bits("path"), var.oracle.bits[inverse])
+    state = prepare(circ.sampling)
+    apply_oracle(reference.oracle, state, "path")
+    np.testing.assert_array_equal(state.register_bits("path"),
+                                  FMT.to_bits(var.oracle.values)[inverse])
 
     high = float(np.max(np.abs(var.oracle.values))) + 1.0
     law_op, path_op = abs_operator(var, high), abs_operator(reference, high)
     assert law_op.amplitude == pytest.approx(path_op.amplitude, abs=1e-14)
-    assert path_op.prepare().good_probability() == pytest.approx(law_op.amplitude, abs=1e-14)
+    assert prepare_operator(path_op).good_probability() == pytest.approx(law_op.amplitude,
+                                                                         abs=1e-14)
 
 
 def test_constant_law_shortcut_matches_per_path():
@@ -240,7 +245,7 @@ def test_constant_law_shortcut_matches_per_path():
     # row, and the 729 probabilities of the 2-d basket chain in neither order.
     for chain in (discretize_brownian(1, 3, 8, 2.2), discretize_brownian(2, 3, 3, 2.2)):
         sampling = SamplingOracle(chain)
-        probs = sampling.ensemble.probabilities
+        probs = enumerate_paths(chain).probabilities
         lumped = np.bincount(np.zeros(probs.size, int), probs)
         assert {float(np.sum(probs)), float(lumped[0])} != {1.0}
         law = QmcVariable(sampling=sampling, masses=lumped, oracle=FunctionOracle(
