@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import MarkovChainSpec, image_measure
+from .chain import MarkovChainSpec, _kron_power
 from .errors import SingularGram
 
 KIND_GENERIC = "generic"
@@ -24,14 +24,8 @@ def hermite(order: int, x):
     """Physicists' Hermite polynomial H_order, by the three-term recurrence."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if order == 0:
-        return prev if prev.shape else float(prev)
-    cur = 2.0 * x
-    for k in range(1, order):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur if cur.shape else float(cur)
+    value = _hermite_rows(order, np.asarray(x, dtype=float))[order]
+    return value if value.shape else float(value)
 
 
 def _hermite_rows(max_order: int, x: np.ndarray) -> np.ndarray:
@@ -172,11 +166,7 @@ def indicator_basis(chain: MarkovChainSpec) -> BasisSpec:
 
 def vandermonde_gram(degree: int, dim: int, t: float) -> np.ndarray:
     """Tensor power of the Vandermonde-structured matrix with entries e^{klt}."""
-    base = np.exp(np.outer(np.arange(degree + 1), np.arange(degree + 1)) * t)
-    out = base
-    for _ in range(dim - 1):
-        out = np.kron(out, base)
-    return out
+    return _kron_power(np.exp(np.outer(np.arange(degree + 1), np.arange(degree + 1)) * t), dim)
 
 
 def closed_form_gram(basis: BasisSpec, t: float) -> np.ndarray:
@@ -192,9 +182,8 @@ def closed_form_gram(basis: BasisSpec, t: float) -> np.ndarray:
 def gram_matrix(basis: BasisSpec, chain: MarkovChainSpec, t: int) -> np.ndarray:
     """Exact Gram matrix of the basis under the step-t marginal, summed over
     the step-t grid."""
-    measure = image_measure(chain, t)
-    mat = basis.evaluate(t, measure.points)
-    return (mat * measure.masses[:, None]).T @ mat
+    mat = basis.evaluate(t, chain.grid(t))
+    return (mat * chain.marginals[t - 1][:, None]).T @ mat
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
@@ -210,9 +199,8 @@ def l2_norm_bound(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     """Exact max over steps and members of the L2(marginal) norm."""
     worst = 0.0
     for t in range(1, chain.horizon):
-        measure = image_measure(chain, t)
-        mat = basis.evaluate(t, measure.points)
-        norms = np.sqrt(np.sum(measure.masses[:, None] * mat * mat, axis=0))
+        mat = basis.evaluate(t, chain.grid(t))
+        norms = np.sqrt(np.sum(chain.marginals[t - 1][:, None] * mat * mat, axis=0))
         worst = max(worst, float(norms.max()))
     return worst
 
@@ -223,19 +211,6 @@ def sup_norm_bound(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     for t in range(1, chain.horizon):
         mat = basis.evaluate(t, chain.grid(t))
         worst = max(worst, float(np.abs(mat).max()))
-    return worst
-
-
-def validate_linear_independence(basis: BasisSpec, chain: MarkovChainSpec,
-                                 tol: float = 1e-12) -> float:
-    """Smallest sigma_min of the exact per-step Gram matrices; raises when 0."""
-    worst = math.inf
-    for t in range(1, chain.horizon):
-        gram = gram_matrix(basis, chain, t)
-        smin = float(np.linalg.svd(gram, compute_uv=False)[-1])
-        if smin <= tol:
-            raise SingularGram(t, smin)
-        worst = min(worst, smin)
     return worst
 
 

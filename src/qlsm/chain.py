@@ -7,7 +7,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -235,16 +234,7 @@ class MarkovChainSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Path:
-    """One realization of the chain: states for steps 1..horizon and its mass."""
-
-    states: np.ndarray
-    probability: float
-    indices: tuple[int, ...]
-
-
-class PathEnsemble(Sequence):
+class PathEnsemble:
     """All positive-probability paths of a chain, with vectorized accessors."""
 
     def __init__(self, chain: MarkovChainSpec, indices: np.ndarray, probabilities: np.ndarray):
@@ -256,19 +246,6 @@ class PathEnsemble(Sequence):
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-    def __getitem__(self, i) -> Path:
-        idx = self.indices[i]
-        if idx.ndim != 1:
-            raise TypeError("slicing a PathEnsemble is not supported")
-        states = np.stack(
-            [self.chain.grid(t)[idx[t - 1]] for t in range(1, self.chain.horizon + 1)]
-        )
-        return Path(states=states, probability=float(self.probabilities[i]), indices=tuple(int(j) for j in idx))
-
-    def __iter__(self) -> Iterator[Path]:
-        for i in range(len(self)):
-            yield self[i]
 
     def state_indices_at(self, t: int) -> np.ndarray:
         """Step-t grid index along every path, for t in 1..horizon."""
@@ -305,26 +282,9 @@ def _step_factor(chain: MarkovChainSpec, t: int) -> np.ndarray:
     return chain.initial_distribution[None, :] if t == 0 else chain.transitions[t - 1]
 
 
-def sample_path(chain: MarkovChainSpec, seed) -> Path:
-    """One seeded draw; identical seeds give identical paths."""
-    ens_idx = _sample_index_matrix(chain, 1, _seeded_rng(seed))[0]
-    prob = 1.0
-    for t in range(chain.horizon):
-        factor = _step_factor(chain, t)
-        rows = (0,) * chain.copies if t == 0 else np.unravel_index(
-            ens_idx[t - 1], (factor.shape[0],) * chain.copies)
-        cols = np.unravel_index(ens_idx[t], (factor.shape[1],) * chain.copies)
-        # Block entries multiplied left to right, as np.kron forms the entry.
-        entry = 1.0
-        for r, j in zip(rows, cols):
-            entry *= float(factor[r, j])
-        prob *= entry
-    states = np.stack([chain.grid(t)[ens_idx[t - 1]] for t in range(1, chain.horizon + 1)])
-    return Path(states=states, probability=prob, indices=tuple(int(j) for j in ens_idx))
-
-
 def sample_paths(chain: MarkovChainSpec, count: int, seed) -> np.ndarray:
-    """(count, horizon) matrix of grid indices; same law as repeated sample_path."""
+    """(count, horizon) matrix of seeded grid-index draws; identical seeds give
+    identical draws."""
     return _sample_index_matrix(chain, count, _seeded_rng(seed))
 
 
@@ -447,25 +407,6 @@ def _count_below(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
         pos += step * (flat[probe] < u)
         step >>= 1
     return pos
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    """Probability masses attached to grid points."""
-
-    points: np.ndarray
-    masses: np.ndarray
-
-
-def image_measure(chain: MarkovChainSpec, t: int) -> DiscreteMeasure:
-    """Marginal law of the step-t state."""
-    return DiscreteMeasure(points=chain.grid(t), masses=chain.marginals[t - 1])
-
-
-def marginal_moment(chain: MarkovChainSpec, t: int, order: int, coord: int = 0) -> float:
-    """Exact E[X_{t,coord}^order] under the chain's marginal at step t."""
-    measure = image_measure(chain, t)
-    return float(np.sum(measure.masses * measure.points[:, coord] ** order))
 
 
 def _normal_cdf(z: float) -> float:

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .basis import BasisSpec, gram_matrix, solve_gram
-from .chain import MarkovChainSpec, PathEnsemble, image_measure
+from .chain import MarkovChainSpec, PathEnsemble
 from .errors import CapExceeded
 from .payoff import PayoffSpec
 
@@ -210,8 +210,8 @@ def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> floa
     """L2 norm of a per-state function under the step-t marginal (t=0 allowed)."""
     if t == 0:
         return float(abs(values[0]))
-    masses = image_measure(chain, t).masses
-    return float(np.sqrt(np.sum(masses * values * values)))
+    chain.grid(t)  # range-checks t
+    return float(np.sqrt(np.sum(chain.marginals[t - 1] * values * values)))
 
 
 def exact_approximation_error(chain: MarkovChainSpec, payoff: PayoffSpec,
@@ -222,8 +222,8 @@ def exact_approximation_error(chain: MarkovChainSpec, payoff: PayoffSpec,
     if not 1 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 1..horizon-1")
     target = continuation_values(chain, payoff, rule, t)
-    measure = image_measure(chain, t)
-    mat = basis.evaluate(t, measure.points)
-    rhs = (mat * measure.masses[:, None]).T @ target
+    mat = basis.evaluate(t, chain.grid(t))
+    masses = chain.marginals[t - 1]
+    rhs = (mat * masses[:, None]).T @ target
     resid = mat @ solve_gram(gram_matrix(basis, chain, t), rhs, t) - target
-    return float(np.sqrt(np.sum(measure.masses * resid * resid)))
+    return float(np.sqrt(np.sum(masses * resid * resid)))

@@ -53,6 +53,15 @@ class ExperimentConfig:
     basis_query_cost: float = 1.0
 
     def validate(self) -> None:
+        integers = [("dimension", self.dimension), ("horizon", self.horizon),
+                    ("grid_size", self.grid_size), ("trials", self.trials),
+                    ("seed", self.seed), ("basis.degree", self.basis.degree)]
+        if self.path_count is not None:
+            integers.append(("path_count", self.path_count))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        min_grid = 2 if self.model == "brownian" else 1
         checks = [
             (self.model in _MODELS, f"model must be one of {_MODELS}, got {self.model!r}"),
             (self.algorithm in _ALGORITHMS,
@@ -63,14 +72,17 @@ class ExperimentConfig:
              f"basis.kind must be one of {_BASES}, got {self.basis.kind!r}"),
             (self.dimension >= 1, "dimension must be at least 1"),
             (self.horizon >= 1, "horizon must be at least 1"),
-            (self.grid_size >= 1, "grid_size must be at least 1"),
+            (self.grid_size >= min_grid, f"grid_size must be at least {min_grid}"),
             (self.grid_radius > 0, "grid_radius must be positive"),
             (self.payoff.strike > 0, "payoff.strike must be positive"),
             (self.basis.degree >= 0, "basis.degree must be non-negative"),
             (self.basis.cube_radius > 0, "basis.cube_radius must be positive"),
             (0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
             (0 < self.delta < 1, "delta must lie in (0, 1)"),
+            (self.payoff.name == "constant" or self.dimension == 1,
+             f"payoff {self.payoff.name!r} needs dimension 1"),
             (self.trials >= 1, "trials must be at least 1"),
+            (self.seed >= 0, "seed must be non-negative"),
             (self.path_count is None or self.path_count >= 1,
              "path_count must be at least 1 when given"),
             (self.sigma_min_lower is None or self.sigma_min_lower > 0,
@@ -92,10 +104,12 @@ class ExperimentConfig:
                 doc = json.loads(doc)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         known = dict(doc)
-        payoff = PayoffConfig(**known.pop("payoff", {}))
-        basis = BasisConfig(**known.pop("basis", {}))
         try:
+            payoff = PayoffConfig(**known.pop("payoff", {}))
+            basis = BasisConfig(**known.pop("basis", {}))
             cfg = cls(payoff=payoff, basis=basis, **known)
         except TypeError as exc:
             raise ConfigError(f"unknown or missing config field: {exc}") from exc

@@ -13,13 +13,13 @@ import numpy as np
 
 from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound, l2_norm_bound,
                      monomial_basis, vandermonde_gram, vandermonde_sigma_min_bound)
-from ..chain import MarkovChainSpec, enumerate_paths
+from ..chain import MarkovChainSpec, _seeded_rng, enumerate_paths
 from ..dp import (CoefficientRule, continuation_values, exact_approximation_error,
                   optimal_stopping_times, payoff_at_times, snell_envelope,
                   weighted_l2_norm)
 from ..errors import ConfigError
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
-from ..lsm_quantum import oracle_sigma_min, run_quantum_lsm
+from ..lsm_quantum import oracle_sigma_min, resolve_sigma_min, run_quantum_lsm
 from ..payoff import table_payoff
 from ..qsim.fixed_point import FixedPointFormat
 from .config import ExperimentConfig
@@ -158,8 +158,7 @@ def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> Experime
     payoff = config.build_payoff()
     basis = config.build_basis()
     weights = config.cost_weights()
-    sigma_min = (config.sigma_min_lower if config.sigma_min_lower is not None
-                 else oracle_sigma_min(basis, chain))
+    sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower, config.sigma_min_oracle)
     for eps in epsilon_grid:
         if eps > sigma_min / 2.0:
             raise ConfigError(
@@ -247,7 +246,7 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     report = ExperimentReport(kind="bounds", config=config)
     rows = report.rows
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    rng = _seeded_rng(config.seed)
 
     # Orthonormality of the Hermite family under the Gaussian weight.
     worst = 0.0

@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import (BasisSpec, closed_form_gram, gram_matrix, solve_gram,
-                    sup_norm_bound, validate_linear_independence, vandermonde_gram,
-                    vandermonde_sigma_min_bound)
+                    sup_norm_bound, vandermonde_gram, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
@@ -114,14 +113,33 @@ def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     """Exact min over steps of sigma_min of the grid Gram (oracle-side info:
     a real deployment must supply this bound as an input); 1 when there is
     no step to regress at."""
-    worst = validate_linear_independence(basis, chain, tol=-math.inf)
-    return worst if worst < math.inf else 1.0
+    return min((float(np.linalg.svd(gram_matrix(basis, chain, t), compute_uv=False)[-1])
+                for t in range(1, chain.horizon)), default=1.0)
+
+
+def resolve_sigma_min(basis: BasisSpec, chain: MarkovChainSpec, sigma_min_lower: float | None,
+                      sigma_min_oracle: bool) -> float:
+    """sigma_min_lower when given, else oracle_sigma_min when sigma_min_oracle
+    allows reading it; raises ScheduleViolation when neither is allowed."""
+    if sigma_min_lower is not None:
+        return sigma_min_lower
+    if not sigma_min_oracle:
+        raise ScheduleViolation(
+            "sigma_min_lower is required (or enable sigma_min_oracle, which "
+            "reads it off the exact Gram and is not free information)")
+    return oracle_sigma_min(basis, chain)
 
 
 def _entry_streams(seed, count: int):
+    """The count children seed.spawn(count) would give, spawned from a copy:
+    seed's child counter is left as it is, so a SeedSequence passed to two
+    runs seeds both alike."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return iter(seed.spawn(count))
+    twin = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                  pool_size=seed.pool_size,
+                                  n_children_spawned=seed.n_children_spawned)
+    return iter(twin.spawn(count))
 
 
 def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) -> QmcVariable:
@@ -156,12 +174,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     notes: list[str] = []
 
     if sigma_min_lower is None:
-        if not sigma_min_oracle:
-            raise ScheduleViolation(
-                "sigma_min_lower is required (or enable sigma_min_oracle, which "
-                "reads it off the exact Gram and is not free information)")
-        sigma_min_lower = oracle_sigma_min(basis, chain)
         notes.append("sigma_min_lower computed by exact-Gram SVD (oracle mode)")
+    sigma_min_lower = resolve_sigma_min(basis, chain, sigma_min_lower, sigma_min_oracle)
     if sigma_min_lower <= 0:
         raise ScheduleViolation("sigma_min_lower must be positive")
     if epsilon > sigma_min_lower / 2.0:

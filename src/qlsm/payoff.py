@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import MarkovChainSpec, image_measure
+from .chain import MarkovChainSpec
 
 StepFunction = Callable[[int, np.ndarray], np.ndarray]
 
@@ -143,9 +143,8 @@ def max_power_norm(payoff: PayoffSpec, chain: MarkovChainSpec, power: float) -> 
     """Exact max over steps of E[|z_t(X_t)|^power] under the step marginals."""
     worst = 0.0
     for t in range(1, chain.horizon + 1):
-        masses = image_measure(chain, t).masses
         vals = payoff.values(chain, t)
-        worst = max(worst, float(np.sum(masses * np.abs(vals) ** power)))
+        worst = max(worst, float(np.sum(chain.marginals[t - 1] * np.abs(vals) ** power)))
     return worst
 
 
@@ -153,8 +152,8 @@ def mean_abs_coordinate_sum(chain: MarkovChainSpec) -> float:
     """max over steps 1..horizon-1 of sum_i E|X_{t,i}| (0 when horizon == 1)."""
     best = 0.0
     for t in range(1, chain.horizon):
-        measure = image_measure(chain, t)
-        total = float(np.sum(measure.masses[:, None] * np.abs(measure.points)))
+        points = chain.grid(t)
+        total = float(np.sum(chain.marginals[t - 1][:, None] * np.abs(points)))
         best = max(best, total)
     return best
 

@@ -13,6 +13,10 @@ class CostWeights:
     payoff_query: float = 1.0
     basis_query: float = 1.0
 
+    def of_kind(self, kind: str) -> float:
+        """Unit cost of one query of kind: "payoff", "basis", else 1."""
+        return {"payoff": self.payoff_query, "basis": self.basis_query}.get(kind, 1.0)
+
 
 @dataclass
 class QueryLedger:
@@ -60,10 +64,9 @@ class QueryLedger:
 
     def total_units(self, horizon: int, weights: CostWeights = CostWeights()) -> float:
         """Weighted oracle cost; rotations and reflections are unit-free."""
-        kind_weight = {"payoff": weights.payoff_query, "basis": weights.basis_query}
         total = self.state_preparations * horizon * weights.sample_step
         for name, count in self.function_queries.items():
-            total += count * kind_weight.get(self.query_kinds.get(name, ""), 1.0)
+            total += count * weights.of_kind(self.query_kinds.get(name, ""))
         return float(total)
 
     def snapshot(self) -> dict:

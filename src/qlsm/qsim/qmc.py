@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..chain import _seeded_rng
 from ..errors import Overflow, ScheduleViolation, VarianceExceeded
 # draw_ae_estimates stays bound here: perfbench/spans.py traces it by this name.
 from .ae import _WINDOW, _bill_draws, _draw_pieces, draw_ae_estimates  # noqa: F401
@@ -203,9 +204,7 @@ def qmontecarlo_batch(variables: list, epsilon: float, delta: float, sigma: floa
     sampling, masses = variables[0].sampling, variables[0].masses
     if any(v.sampling is not sampling or v.masses is not masses for v in variables):
         raise ValueError("batched variables must share sampling and masses")
-    rngs = [rng if isinstance(rng, np.random.Generator) else np.random.Generator(
-        np.random.Philox(rng if isinstance(rng, np.random.SeedSequence)
-                         else np.random.SeedSequence(rng))) for rng in rngs]
+    rngs = [rng if isinstance(rng, np.random.Generator) else _seeded_rng(rng) for rng in rngs]
     # A block holds up to ten (entries x rows) float tables at once.
     step = max(1, _BATCH_BYTES // (80 * masses.size))
     reports = []
@@ -355,7 +354,7 @@ def _plan_pieces(variables: list, reports: list, rngs: list, centers: list, tops
 def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,
             caller_ledger: QueryLedger | None) -> EstimationReport:
     per_app = variable.horizon * weights.sample_step + sum(
-        variable.oracle.query_cost.values())
+        count * weights.of_kind(kind) for kind, count in variable.oracle.query_cost.items())
     report.cost_reference = _cost_reference(report.sigma, report.epsilon,
                                             report.repetitions, per_app)
     total = report.ledger.total_units(variable.horizon, weights)

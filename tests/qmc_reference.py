@@ -142,7 +142,7 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
 def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,
             caller_ledger: QueryLedger | None) -> EstimationReport:
     per_app = variable.horizon * weights.sample_step + sum(
-        variable.oracle.query_cost.values())
+        count * weights.of_kind(kind) for kind, count in variable.oracle.query_cost.items())
     report.cost_reference = _cost_reference(report.sigma, report.epsilon,
                                             report.repetitions, per_app)
     total = report.ledger.total_units(variable.horizon, weights)

@@ -9,10 +9,11 @@ from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
                         hermite_gram_identity_bound, hermite_multi_indices,
                         indicator_basis, jackson_lipschitz_bound,
                         jackson_smooth_bound, l2_norm_bound, monomial_basis,
-                        solve_gram, sup_norm_bound, validate_linear_independence,
-                        vandermonde_gram, vandermonde_sigma_min_bound)
+                        solve_gram, sup_norm_bound, vandermonde_gram,
+                        vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
+from qlsm.lsm_quantum import oracle_sigma_min
 
 
 class TestHermitePolynomials:
@@ -287,8 +288,9 @@ class TestGramMachinery:
             initial_distribution=[0.5, 0.5],
             transitions=(np.full((2, 2), 0.5),))
         basis = monomial_basis(1, 2, 2)  # 3 functions on 2 points
+        assert oracle_sigma_min(basis, chain) <= 1e-12
         with pytest.raises(SingularGram):
-            validate_linear_independence(basis, chain)
+            solve_gram(gram_matrix(basis, chain, 1), np.ones(basis.size), 1)
 
     def test_exact_gram_singularity_names_the_basis(self):
         # Degree 5 on the 5 x 5 grid of the 2-d basket: 21 functions on 25
@@ -296,13 +298,11 @@ class TestGramMachinery:
         # and no path count can help.
         chain = discretize_brownian(2, 4, 5, 2.2)
         basis = hermite_basis(2, 5, 4, 4.0)
-        gram = gram_matrix(basis, chain, 2)
-        for raise_singular in (lambda: validate_linear_independence(basis, chain),
-                               lambda: solve_gram(gram, np.ones(basis.size), 2)):
-            with pytest.raises(SingularGram, match="shrink the basis") as caught:
-                raise_singular()
-            assert "linearly dependent on the states" in str(caught.value)
-            assert "regeneration" not in str(caught.value)
+        assert oracle_sigma_min(basis, chain) <= 1e-12
+        with pytest.raises(SingularGram, match="shrink the basis") as caught:
+            solve_gram(gram_matrix(basis, chain, 2), np.ones(basis.size), 2)
+        assert "linearly dependent on the states" in str(caught.value)
+        assert "regeneration" not in str(caught.value)
 
     def test_indicator_basis_spans(self):
         chain = MarkovChainSpec(

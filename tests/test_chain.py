@@ -10,9 +10,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from qlsm.chain import (MarkovChainSpec, _normal_cdf, discretize_brownian,
-                        discretize_gbm, enumerate_paths, image_measure,
-                        marginal_moment, sample_path, sample_paths)
+                        discretize_gbm, enumerate_paths, sample_paths)
 from qlsm.errors import CapExceeded
+
+
+def moment(chain, t, order, coord=0):
+    """Exact E[X_{t,coord}^order]: a sum over the step-t marginal."""
+    return float(np.sum(chain.marginals[t - 1] * chain.grid(t)[:, coord] ** order))
 
 
 def two_state_fair_chain(horizon=2):
@@ -114,7 +118,7 @@ class TestEnumerate:
     def test_degenerate_chain_single_path(self):
         ens = enumerate_paths(single_path_chain())
         assert len(ens) == 1
-        assert ens[0].probability == pytest.approx(1.0, abs=1e-12)
+        assert ens.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fair_chain_uniform_paths(self):
         ens = enumerate_paths(two_state_fair_chain())
@@ -128,11 +132,12 @@ class TestEnumerate:
             initial_distribution=[0.25, 0.75],
             transitions=(np.array([[0.2, 0.8], [0.6, 0.4]]),
                          np.array([[0.5, 0.5], [0.05, 0.95]])))
-        for path in enumerate_paths(chain):
-            prob = chain.initial_distribution[path.indices[0]]
+        ens = enumerate_paths(chain)
+        for indices, probability in zip(ens.indices, ens.probabilities):
+            prob = chain.initial_distribution[indices[0]]
             for t in range(1, 3):
-                prob *= chain.transition(t)[path.indices[t - 1], path.indices[t]]
-            assert path.probability == pytest.approx(prob, abs=1e-12)
+                prob *= chain.transition(t)[indices[t - 1], indices[t]]
+            assert probability == pytest.approx(prob, abs=1e-12)
 
     def test_zero_probability_paths_dropped(self):
         chain = MarkovChainSpec(
@@ -142,7 +147,7 @@ class TestEnumerate:
             transitions=(np.array([[1.0, 0.0], [0.5, 0.5]]),))
         ens = enumerate_paths(chain)
         assert len(ens) == 1
-        assert ens[0].indices == (0, 0)
+        np.testing.assert_array_equal(ens.indices, [[0, 0]])
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -161,11 +166,11 @@ class TestSampling:
     def test_single_path_any_seed(self):
         chain = single_path_chain()
         for seed in (0, 1, 123):
-            assert sample_path(chain, seed).indices == (0, 0, 0)
+            np.testing.assert_array_equal(sample_paths(chain, 5, seed), 0)
 
     def test_seed_determinism(self):
         chain = two_state_fair_chain(3)
-        assert sample_path(chain, 7).indices == sample_path(chain, 7).indices
+        np.testing.assert_array_equal(sample_paths(chain, 50, 7), sample_paths(chain, 50, 7))
 
     def test_empirical_frequencies(self):
         chain = two_state_fair_chain()
@@ -189,25 +194,17 @@ class TestSampling:
         # Ten times more samples per path state: roughly sqrt(100)-fold decay.
         assert fine < coarse / 3.0
 
-    def test_bulk_matches_single(self):
-        chain = two_state_fair_chain(3)
-        bulk = sample_paths(chain, 1, seed=5)[0]
-        single = sample_path(chain, 5)
-        assert tuple(bulk) == single.indices
-
 
 class TestImageMeasure:
     def test_first_step_is_initial_distribution(self):
         chain = two_state_fair_chain()
-        np.testing.assert_allclose(image_measure(chain, 1).masses, [0.5, 0.5])
+        np.testing.assert_allclose(chain.marginals[0], [0.5, 0.5])
 
     def test_deterministic_chain_point_mass(self):
-        masses = image_measure(single_path_chain(), 3).masses
-        np.testing.assert_allclose(masses, [1.0])
+        np.testing.assert_allclose(single_path_chain().marginals[2], [1.0])
 
     def test_fair_chain_second_step(self):
-        np.testing.assert_allclose(image_measure(two_state_fair_chain(), 2).masses,
-                                   [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(two_state_fair_chain().marginals[1], [0.5, 0.5], atol=1e-12)
 
     def test_matches_enumeration_marginal(self):
         chain = MarkovChainSpec(
@@ -221,16 +218,15 @@ class TestImageMeasure:
         for t in (1, 2, 3):
             marginal = np.zeros(3)
             np.add.at(marginal, ens.state_indices_at(t), ens.probabilities)
-            np.testing.assert_allclose(image_measure(chain, t).masses, marginal,
-                                       atol=1e-12)
+            np.testing.assert_allclose(chain.marginals[t - 1], marginal, atol=1e-12)
 
     def test_step_out_of_range(self):
-        with pytest.raises(ValueError):
-            image_measure(two_state_fair_chain(), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            two_state_fair_chain().grid(3)
 
     def test_marginals_are_cached_sequential_products(self):
         # The full initial law pushed left to right by chain.push bit for
-        # bit, read-only, built once and shared by image_measure. On a 1-d
+        # bit, read-only and built once. On a 1-d
         # chain push is mass @ P_t itself; on a product chain it applies the
         # stored factor block by block and stays within 1e-15 of the dense
         # products.
@@ -250,7 +246,6 @@ class TestImageMeasure:
                 np.testing.assert_array_equal(law.view(np.int64), mass.view(np.int64))
                 np.testing.assert_allclose(law, dense, rtol=0.0, atol=1e-15)
                 assert not law.flags.writeable
-                assert image_measure(chain, t).masses is law
             assert chain.marginals is chain.marginals
             with pytest.raises(ValueError):
                 chain.marginals[0][0] = 0.0
@@ -259,11 +254,11 @@ class TestImageMeasure:
 class TestBrownianDiscretization:
     def test_symmetric_mean_zero(self):
         chain = discretize_brownian(1, 1, 3, 2.0)
-        assert abs(marginal_moment(chain, 1, 1)) < 1e-10
+        assert abs(moment(chain, 1, 1)) < 1e-10
 
     def test_step_two_variance(self):
         chain = discretize_brownian(1, 2, 33, 5.0)
-        var = marginal_moment(chain, 2, 2) - marginal_moment(chain, 2, 1) ** 2
+        var = moment(chain, 2, 2) - moment(chain, 2, 1) ** 2
         diag = chain.diagnostics[1]
         assert abs(var - 2.0) == pytest.approx(diag.variance_error, abs=1e-12)
         assert diag.variance_error <= diag.tolerance
@@ -291,8 +286,8 @@ class TestBrownianDiscretization:
         mu2 = np.zeros_like(g2)
         for i, u in enumerate(g1):
             mu2 += mu1[i] * bin_masses(g2, u, 1.0)
-        np.testing.assert_allclose(image_measure(chain, 1).masses, mu1, atol=1e-9)
-        np.testing.assert_allclose(image_measure(chain, 2).masses, mu2, atol=1e-9)
+        np.testing.assert_allclose(chain.marginals[0], mu1, atol=1e-9)
+        np.testing.assert_allclose(chain.marginals[1], mu2, atol=1e-9)
 
     def test_refinement_shrinks_moment_error(self):
         coarse = discretize_brownian(1, 2, 8, 4.0).diagnostics[1].variance_error
@@ -302,8 +297,8 @@ class TestBrownianDiscretization:
     def test_dimension_two_product_structure(self):
         chain = discretize_brownian(2, 2, 5, 3.0)
         assert chain.n_states(1) == 25
-        assert abs(marginal_moment(chain, 2, 1, coord=0)) < 1e-10
-        assert abs(marginal_moment(chain, 2, 1, coord=1)) < 1e-10
+        assert abs(moment(chain, 2, 1, coord=0)) < 1e-10
+        assert abs(moment(chain, 2, 1, coord=1)) < 1e-10
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -316,7 +311,7 @@ class TestGbmDiscretization:
     def test_mean_one(self):
         chain = discretize_gbm(1, 2, 65, 6.0)
         for t in (1, 2):
-            err = abs(marginal_moment(chain, t, 1) - 1.0)
+            err = abs(moment(chain, t, 1) - 1.0)
             assert err == pytest.approx(chain.diagnostics[t - 1].mean_error, abs=1e-12)
             assert err <= chain.diagnostics[t - 1].tolerance
             assert err < 0.01
@@ -325,14 +320,14 @@ class TestGbmDiscretization:
         chain = discretize_gbm(1, 1, 257, 9.0)
         for order in (2, 3):
             target = math.exp(order * (order - 1) / 2.0)
-            got = marginal_moment(chain, 1, order)
+            got = moment(chain, 1, order)
             assert got == pytest.approx(target, rel=0.02)
 
     def test_degenerate_single_point(self):
         chain = discretize_gbm(1, 3, 1, 2.0)
         for t in (1, 2, 3):
             for order in (1, 2, 5):
-                assert marginal_moment(chain, t, order) == pytest.approx(1.0)
+                assert moment(chain, t, order) == pytest.approx(1.0)
 
     def test_refinement_shrinks_mean_error(self):
         coarse = discretize_gbm(1, 1, 17, 5.0).diagnostics[0].mean_error

@@ -206,6 +206,29 @@ class TestCli:
         code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("doc", [
+        {"horizon": 3.5}, {"grid_size": 4.0}, {"trials": 2.5}, {"horizon": True},
+        {"grid_size": 1}, {"dimension": 2}, {"dimension": 2, "payoff": {"name": "call"}},
+        ["abc"],
+    ], ids=["float-horizon", "float-grid-size", "float-trials", "bool-horizon",
+            "brownian-grid-size-1", "put-dimension-2", "call-dimension-2", "not-an-object"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, doc):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(doc))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
+    def test_scaling_refuses_without_sigma_min(self, tmp_path, capsys):
+        # As price does: with the oracle off, sigma_min_lower must be given.
+        cfg_file = tmp_path / "no-oracle.json"
+        cfg_file.write_text(json.dumps({"sigma_min_oracle": False}))
+        code = main(["scaling", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                     "--epsilons", "0.125", "0.0625", "0.03125", "0.015625"])
+        assert code == EXIT_CONFIG
+        assert "sigma_min_lower is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_bounds_strict(self, tmp_path, monkeypatch, capsys):
         code = main(["validate-bounds", "--strict", "--out", str(tmp_path)])
         assert code == EXIT_OK

@@ -9,8 +9,8 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      path_stop_times, snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
-from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, oracle_sigma_min,
-                              run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
+from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, _entry_streams,
+                              oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
                               schedule_from_smoothness)
 from qlsm.payoff import PayoffSpec, put_payoff, table_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger
@@ -473,3 +473,22 @@ class TestSerialization:
         assert doc["epsilon"] == 0.05
         assert doc["ledger"]["grover_applications"] == run.ledger.grover_applications
         assert "1" in doc["coefficients"]
+
+    def test_seed_sequence_reused_gives_identical_reports(self):
+        # The README chain. A run derives its entry streams from the seed
+        # without spawning, so one SeedSequence seeds every run alike.
+        chain = discretize_brownian(1, 3, 8, 2.2)
+        basis = hermite_basis(1, 2, 3, 4.0)
+        seq = np.random.SeedSequence(0).spawn(1)[0]
+        reports = [run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1, seed=seq,
+                                   sigma_min_oracle=True).to_json() for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert seq.n_children_spawned == 0
+
+    def test_entry_streams_are_the_next_spawned_children(self):
+        seq, ref = np.random.SeedSequence(9), np.random.SeedSequence(9)
+        seq.spawn(2)
+        ref.spawn(2)
+        got = [child.generate_state(4).tolist() for child in _entry_streams(seq, 5)]
+        assert got == [child.generate_state(4).tolist() for child in ref.spawn(5)]
+        assert seq.n_children_spawned == 2

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import qlsm.chain as chain_module
 from qlsm.basis import hermite_basis
 from qlsm.chain import (MarkovChainSpec, _product_chain, discretize_brownian,
-                        discretize_gbm, sample_path, sample_paths)
+                        discretize_gbm, sample_paths)
 from qlsm.dp import CoefficientRule, continuation_values, snell_envelope
 from qlsm.lsm_classical import run_classical_lsm
 from qlsm.payoff import PayoffSpec, table_payoff
@@ -95,9 +95,6 @@ def test_factored_chain_matches_dense(seed, dim, n, horizon, draw_seed):
 
     np.testing.assert_array_equal(sample_paths(chain, 300, draw_seed),
                                   sample_paths(dense, 300, draw_seed))
-    one, ref = sample_path(chain, draw_seed), sample_path(dense, draw_seed)
-    assert one.indices == ref.indices
-    assert one.probability == ref.probability
 
 
 def test_no_dense_kronecker_power_on_product_chains(monkeypatch):
@@ -115,7 +112,6 @@ def test_no_dense_kronecker_power_on_product_chains(monkeypatch):
         assert chain.marginals[-1].shape == (chain.n_states(chain.horizon),)
         snell_envelope(chain, payoff)
         sample_paths(chain, 1000, 1)
-        sample_path(chain, 1)
         basis = hermite_basis(chain.dimension, 2, chain.horizon, 4.0)
         run_classical_lsm(chain, payoff, basis, 2000, 1)
     with pytest.raises(AssertionError, match="dense transition built"):

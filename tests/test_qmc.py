@@ -12,7 +12,7 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation, VarianceExceeded
 from qlsm.lsm_quantum import _basis_product_variable
 from qlsm.payoff import put_payoff
-from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable, QueryLedger,
+from qlsm.qsim import (CostWeights, FixedPointFormat, FunctionOracle, QmcVariable, QueryLedger,
                        SamplingOracle, median_repetitions, qmontecarlo, qmontecarlo_batch)
 from qlsm.qsim.qmc import _BATCH_BYTES, _medians, _queries_for
 from qlsm.stopping_circuits import StoppingCircuits
@@ -110,6 +110,16 @@ class TestCostModel:
             assert rep.cost_factor is not None
             assert rep.cost_factor <= 32.0
             assert rep.median_constant == 18.0
+
+    def test_cost_factor_is_unit_free_under_query_weights(self):
+        # The ledger total and the per-application cost of the reference
+        # weigh payoff queries alike, so scaling every weight together
+        # leaves the factor as it is.
+        var = variable_from_values([1.0, 0.0, 0.0, 0.0])
+        factors = [qmontecarlo(var, 0.05, 0.1, 0.5, 1,
+                               weights=CostWeights(scale, 10 * scale, 10 * scale)).cost_factor
+                   for scale in (1.0, 3.0)]
+        assert factors[0] == pytest.approx(factors[1], rel=1e-12)
 
     def test_ledger_merges_into_caller(self):
         from qlsm.qsim import QueryLedger

@@ -13,8 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from qlsm.chain import (_GUIDE_BYTES, MarkovChainSpec, _count_below, _guide_table, _invert,
-                        _product_chain, _sample_index_matrix, discretize_brownian, sample_path,
-                        sample_paths)
+                        _product_chain, _sample_index_matrix, discretize_brownian, sample_paths)
 
 
 def dense_sample_paths(chain, count, seed):
@@ -66,7 +65,6 @@ def test_indices_match_dense_reference(seed, dim, horizon, draw_seed, count):
     chain = random_chain(seed, dim, horizon)
     np.testing.assert_array_equal(sample_paths(chain, count, draw_seed),
                                   dense_sample_paths(chain, count, draw_seed))
-    assert sample_path(chain, draw_seed).indices == tuple(sample_paths(chain, 1, draw_seed)[0])
 
 
 @settings(max_examples=60, deadline=None)
