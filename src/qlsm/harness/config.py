@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from ..basis import BasisSpec, constant_basis, gbm_basis, hermite_basis, monomial_basis
@@ -15,6 +16,32 @@ _MODELS = ("brownian", "gbm", "custom-json")
 _ALGORITHMS = ("classical", "quantum", "both", "oracle")
 _PAYOFFS = ("put", "call", "constant")
 _BASES = ("hermite", "gbm", "constant", "monomial")
+# Each scalar annotation's check and its name in error messages. A bool is
+# not a number here, and a float must be finite: a JSON integer past the
+# float range fails too, where math.isfinite would raise.
+_SCALAR_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_field_types(config, prefix: str = "") -> None:
+    """Raise ConfigError on the first field whose value does not have its
+    annotated type; "| None" admits None, nested configs are checked too."""
+    for f in fields(config):
+        name, value = prefix + f.name, getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind not in _SCALAR_TYPES:
+            if not is_dataclass(value):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            _check_field_types(value, name + ".")
+            continue
+        check, expected = _SCALAR_TYPES[kind]
+        if not (value is None and f.type.endswith(" | None")) and not check(value):
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +80,7 @@ class ExperimentConfig:
     basis_query_cost: float = 1.0
 
     def validate(self) -> None:
-        integers = [("dimension", self.dimension), ("horizon", self.horizon),
-                    ("grid_size", self.grid_size), ("trials", self.trials),
-                    ("seed", self.seed), ("basis.degree", self.basis.degree)]
-        if self.path_count is not None:
-            integers.append(("path_count", self.path_count))
-        for name, value in integers:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_field_types(self)
         min_grid = 2 if self.model == "brownian" else 1
         checks = [
             (self.model in _MODELS, f"model must be one of {_MODELS}, got {self.model!r}"),
@@ -89,6 +109,8 @@ class ExperimentConfig:
              "sigma_min_lower must be positive when given"),
             (self.model != "custom-json" or self.chain_file is not None,
              "custom-json model needs chain_file"),
+            (min(self.sample_step_cost, self.payoff_query_cost, self.basis_query_cost) >= 0,
+             "sample_step_cost, payoff_query_cost and basis_query_cost must be non-negative"),
         ]
         for ok, message in checks:
             if not ok:
@@ -129,7 +151,11 @@ class ExperimentConfig:
         if self.model == "gbm":
             return discretize_gbm(self.dimension, self.horizon,
                                   self.grid_size, self.grid_radius)
-        return MarkovChainSpec.from_json(Path(self.chain_file).read_text())
+        chain = MarkovChainSpec.from_json(Path(self.chain_file).read_text())
+        if chain.dimension != self.dimension:
+            raise ConfigError(f"chain_file has dimension {chain.dimension}, but the config's "
+                              f"dimension is {self.dimension}")
+        return chain
 
     def build_payoff(self) -> PayoffSpec:
         if self.payoff.name == "put":

@@ -74,6 +74,10 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
     payoff = config.build_payoff()
     basis = config.build_basis()
     report = ExperimentReport(kind="price", config=config)
+    algorithms = [a for a in ("classical", "quantum") if config.algorithm in (a, "both")]
+    n_paths = config.path_count or choose_sample_count(basis.size, config.epsilon, config.delta)
+    if "classical" in algorithms and n_paths < basis.size:
+        raise ConfigError(f"path_count {n_paths} is below the basis size {basis.size}")
 
     table = snell_envelope(chain, payoff)
     exact = report.exact_value = table.value0
@@ -88,45 +92,31 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
 
     seeds = _trial_seeds(config.seed, config.trials)
     weights = config.cost_weights()
-    failures = {"classical": 0, "quantum": 0}
     for trial, seed in enumerate(seeds):
-        if config.algorithm in ("classical", "both"):
-            n_paths = config.path_count or choose_sample_count(
-                basis.size, config.epsilon, config.delta)
-            run = run_classical_lsm(chain, payoff, basis, n_paths, seed)
-            row = {
-                "trial": trial, "algorithm": "classical", "estimate": run.estimate,
-                "cost_units": classical_cost_units(
-                    run, weights.sample_step, weights.payoff_query, weights.basis_query),
-                "paths": n_paths,
-            }
-            row["abs_error"] = abs(run.estimate - exact)
-            failures["classical"] += row["abs_error"] > config.epsilon
-            report.rows.append(row)
-        if config.algorithm in ("quantum", "both"):
-            run = run_quantum_lsm(
-                chain, payoff, basis, config.epsilon, config.delta,
-                sigma_min_lower=config.sigma_min_lower, seed=seed,
-                sigma_min_oracle=config.sigma_min_oracle, weights=weights)
-            row = {
-                "trial": trial, "algorithm": "quantum", "estimate": run.estimate,
-                "cost_units": run.ledger.total_units(chain.horizon, weights),
-                "grover": run.ledger.grover_applications,
-            }
-            row["abs_error"] = abs(run.estimate - exact)
-            failures["quantum"] += row["abs_error"] > config.epsilon
+        for algo in algorithms:
+            if algo == "classical":
+                run = run_classical_lsm(chain, payoff, basis, n_paths, seed)
+                row = {"cost_units": classical_cost_units(run, weights), "paths": n_paths}
+            else:
+                run = run_quantum_lsm(
+                    chain, payoff, basis, config.epsilon, config.delta,
+                    sigma_min_lower=config.sigma_min_lower, seed=seed,
+                    sigma_min_oracle=config.sigma_min_oracle, weights=weights)
+                row = {"cost_units": run.ledger.total_units(chain.horizon, weights),
+                       "grover": run.ledger.grover_applications}
+            row.update(trial=trial, algorithm=algo, estimate=run.estimate,
+                       abs_error=abs(run.estimate - exact))
             report.rows.append(row)
 
-    for algo in ("classical", "quantum"):
+    for algo in algorithms:
         rows = [r for r in report.rows if r["algorithm"] == algo]
-        if rows:
-            ests = np.array([r["estimate"] for r in rows])
-            report.summary[algo] = {
-                "mean_estimate": float(ests.mean()),
-                "std_estimate": float(ests.std()),
-                "mean_cost_units": float(np.mean([r["cost_units"] for r in rows])),
-                "exceed_epsilon_rate": failures[algo] / len(rows),
-            }
+        ests = np.array([r["estimate"] for r in rows])
+        report.summary[algo] = {
+            "mean_estimate": float(ests.mean()),
+            "std_estimate": float(ests.std()),
+            "mean_cost_units": float(np.mean([r["cost_units"] for r in rows])),
+            "exceed_epsilon_rate": sum(r["abs_error"] > config.epsilon for r in rows) / len(rows),
+        }
     if chain.diagnostics is not None:
         report.summary["discretization"] = [
             {"step": d.step, "mean_error": d.mean_error,
@@ -176,8 +166,7 @@ def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> Experime
         n_paths = choose_sample_count(basis.size, eps, config.delta)
         crun = run_classical_lsm(chain, payoff, basis, n_paths, seeds[2 * i + 1])
         q_cost = qrun.ledger.total_units(chain.horizon, weights)
-        c_cost = classical_cost_units(crun, weights.sample_step,
-                                      weights.payoff_query, weights.basis_query)
+        c_cost = classical_cost_units(crun, weights)
         q_costs.append(q_cost)
         c_costs.append(c_cost)
         report.rows.append({

@@ -27,6 +27,7 @@ from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
 from .dp import CoefficientRule, first_stops, stop_decision
 from .payoff import PayoffSpec
+from .qsim.ledger import CostWeights
 
 
 @dataclass(eq=False)
@@ -132,8 +133,7 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
     )
 
 
-def classical_cost_units(run: LsmRun, sample_step: float = 1.0, payoff_query: float = 1.0,
-                         basis_query: float = 1.0) -> float:
+def classical_cost_units(run: LsmRun, weights: CostWeights = CostWeights()) -> float:
     """Oracle-cost total of a run under the given per-query weights."""
-    return (run.sample_draws * sample_step + run.payoff_queries * payoff_query
-            + run.basis_queries * basis_query)
+    return (run.sample_draws * weights.sample_step + run.payoff_queries * weights.payoff_query
+            + run.basis_queries * weights.basis_query)

@@ -13,12 +13,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .basis import (BasisSpec, closed_form_gram, gram_matrix, solve_gram,
-                    sup_norm_bound, vandermonde_gram, vandermonde_sigma_min_bound)
+from .basis import (KIND_GBM, KIND_HERMITE, BasisSpec, closed_form_gram, gram_matrix,
+                    solve_gram, sup_norm_bound, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
@@ -150,7 +149,7 @@ def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) 
                        masses=circuits.chain.marginals[t - 1])
 
 
-GRAM_MODES = ("estimated", "identity", "closed_form")
+GRAM_MODES = ("estimated", "closed_form")
 
 
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
@@ -158,8 +157,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                     seed=None, *, sigma_min_oracle: bool = False,
                     gram_mode: str = "estimated",
                     fmt: FixedPointFormat | None = None,
-                    weights: CostWeights = CostWeights(),
-                    ledger: QueryLedger | None = None) -> QuantumLsmRun:
+                    weights: CostWeights = CostWeights()) -> QuantumLsmRun:
     """Whole-pipeline run: estimated (or closed-form) Gram matrices, backward
     per-entry estimation of the regression targets through one set of
     stopping circuits that reads the coefficients fitted so far, classical
@@ -170,7 +168,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     T = chain.horizon
     m = basis.size
     fmt = fmt or FixedPointFormat()
-    ledger = ledger if ledger is not None else QueryLedger()
+    ledger = QueryLedger()
     notes: list[str] = []
 
     if sigma_min_lower is None:
@@ -217,8 +215,6 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                                 for j in range(m) for k in range(m)],
                                schedule.gram_accuracy, schedule.gram_failure, sup_b * sup_b)
             grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
-        elif gram_mode == "identity":
-            grams[t] = np.eye(m)
         else:
             grams[t] = closed_form_gram(basis, t)
         exact_grams[t] = gram_matrix(basis, chain, t)
@@ -252,7 +248,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 def brownian_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
                                 accuracy: float, tail_coefficient: float | None,
                                 power: float | None) -> float:
-    """Smallest cube radius the identity-Gram run is justified for."""
+    """Smallest cube radius the closed-form-Gram run is justified for with a
+    truncated Hermite basis."""
     req = max(16.0 * math.sqrt((degree + 1) * horizon),
               4.0 * horizon * math.log(5.0 * basis_size * dim / accuracy))
     if tail_coefficient is not None and power is not None:
@@ -264,7 +261,8 @@ def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
                            accuracy: float, tail_coefficient: float | None,
                            power: float | None,
                            log_accuracy: float | None = None) -> float:
-    """Smallest cube radius the closed-form-Gram run is justified for.
+    """Smallest cube radius the closed-form-Gram run is justified for with the
+    scaled-monomial basis.
 
     log_accuracy carries ln(accuracy) exactly when the accuracy itself
     underflows to zero (its schedule has an exponentially small factor)."""
@@ -281,72 +279,49 @@ def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
     return math.exp(min(log_req, 700.0))
 
 
-def _truncated_run(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
-                   epsilon: float, delta: float, seed, power: float,
-                   truncation_level: float | None, requirement: Callable[..., float],
-                   sigma_min_lower: float, gram_mode: str,
-                   fmt: FixedPointFormat | None, weights: CostWeights) -> QuantumLsmRun:
-    """Run on the payoff clamped at beta and record the cube radius against
-    the schedule's requirement, which reads the unclamped payoff's tails;
-    a radius below it adds a note and warns the caller of the public run."""
+_LAMBDA_REQUIREMENTS = {KIND_HERMITE: brownian_lambda_requirement,
+                        KIND_GBM: gbm_lambda_requirement}
+
+
+def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
+                                epsilon: float, delta: float, seed=None, *,
+                                power: float = 4.0, truncation_level: float | None = None,
+                                fmt: FixedPointFormat | None = None,
+                                weights: CostWeights = CostWeights()) -> QuantumLsmRun:
+    """Case-study run for a basis whose Gram is known in closed form: the
+    identity for truncated Hermite products (Brownian chains), a Vandermonde
+    power for scaled monomials (geometric Brownian chains). Skips Gram
+    estimation; sigma_min comes from a dense SVD of the closed form, checked
+    against its analytic bound for monomials. Runs on the payoff clamped at
+    beta and records the cube radius against the schedule's requirement,
+    which reads the unclamped payoff's tails; a radius below it adds a note
+    and warns."""
+    requirement = _LAMBDA_REQUIREMENTS.get(basis.kind)
+    if requirement is None:
+        raise ValueError("the closed-form-Gram run needs a truncated Hermite or "
+                         "scaled-monomial basis")
+    sigma_min = 1.0
+    for t in range(1, chain.horizon):
+        smin = float(np.linalg.svd(closed_form_gram(basis, t), compute_uv=False)[-1])
+        if basis.kind == KIND_GBM:
+            bound = min(vandermonde_sigma_min_bound(max(basis.degree, 1), chain.dimension, t))
+            if 1.0 / smin > bound * (1.0 + 1e-9):
+                raise QlsmError(f"closed-form sigma_min {smin:.6g} at step {t} violates its "
+                                f"analytic bound 1/sigma_min <= {bound:.6g}")
+        sigma_min = min(sigma_min, smin)
     lam = basis.cube_radius
     beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
-    clamped = truncate(payoff, beta)
-    r_coeff = truncation_error_coefficient(payoff, chain, power)
-    required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree,
-                           epsilon, r_coeff, power)
-    run = run_quantum_lsm(chain, clamped, basis, epsilon, delta,
-                          sigma_min_lower=sigma_min_lower, seed=seed,
-                          gram_mode=gram_mode, fmt=fmt, weights=weights)
+    required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree, epsilon,
+                           truncation_error_coefficient(payoff, chain, power), power)
+    run = run_quantum_lsm(chain, truncate(payoff, beta), basis, epsilon, delta,
+                          sigma_min_lower=sigma_min, seed=seed, gram_mode="closed_form",
+                          fmt=fmt, weights=weights)
     run.lambda_used = lam
     run.lambda_required = required
     if lam < required:
         run.notes.append(f"cube radius {lam} below the schedule requirement {required:.3g}")
-        warnings.warn(run.notes[-1], stacklevel=3)
+        warnings.warn(run.notes[-1], stacklevel=2)
     return run
-
-
-def run_quantum_lsm_brownian(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
-                             epsilon: float, delta: float, seed=None, *,
-                             power: float = 4.0, truncation_level: float | None = None,
-                             fmt: FixedPointFormat | None = None,
-                             weights: CostWeights = CostWeights()) -> QuantumLsmRun:
-    """Identity-Gram specialization for Brownian chains with a truncated
-    Hermite basis and clamped payoffs; skips Gram estimation entirely."""
-    if basis.kind != "hermite-truncated":
-        raise ValueError("the identity-Gram run needs a truncated Hermite basis")
-    return _truncated_run(chain, payoff, basis, epsilon, delta, seed, power,
-                          truncation_level, brownian_lambda_requirement,
-                          sigma_min_lower=1.0, gram_mode="identity", fmt=fmt,
-                          weights=weights)
-
-
-def run_quantum_lsm_gbm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
-                        epsilon: float, delta: float, seed=None, *,
-                        power: float = 4.0, truncation_level: float | None = None,
-                        fmt: FixedPointFormat | None = None,
-                        weights: CostWeights = CostWeights()) -> QuantumLsmRun:
-    """Closed-form-Gram specialization for geometric Brownian chains with the
-    scaled-monomial basis; sigma_min comes from a dense SVD of the closed form
-    and is cross-checked against its analytic bound."""
-    if basis.kind != "gbm-monomial-truncated":
-        raise ValueError("the closed-form-Gram run needs the scaled-monomial basis")
-    sigma_min = math.inf
-    for t in range(1, chain.horizon):
-        mat = vandermonde_gram(basis.degree, chain.dimension, t)
-        smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
-        sharp, simple = vandermonde_sigma_min_bound(max(basis.degree, 1),
-                                                    chain.dimension, t)
-        if 1.0 / smin > min(sharp, simple) * (1.0 + 1e-9):
-            raise QlsmError(f"closed-form sigma_min {smin:.6g} at step {t} violates its "
-                            f"analytic bound 1/sigma_min <= {min(sharp, simple):.6g}")
-        sigma_min = min(sigma_min, smin)
-    if chain.horizon == 1:
-        sigma_min = 1.0
-    return _truncated_run(chain, payoff, basis, epsilon, delta, seed, power,
-                          truncation_level, gbm_lambda_requirement,
-                          sigma_min_lower=sigma_min, gram_mode="closed_form", fmt=fmt,
-                          weights=weights)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ generator and ledger."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -174,18 +173,15 @@ def _cost_reference(sigma: float, epsilon: float, repetitions: int,
 
 def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: float,
                 rng, ledger: QueryLedger | None = None,
-                override_variance: bool = False,
                 weights: CostWeights = CostWeights()) -> EstimationReport:
     """Estimate the mean to within epsilon with failure probability delta,
     given a variance bound sigma^2 on the (fixed-point) variable: a batch
     of one."""
-    return qmontecarlo_batch([variable], epsilon, delta, sigma, [rng], ledger,
-                             override_variance, weights)[0]
+    return qmontecarlo_batch([variable], epsilon, delta, sigma, [rng], ledger, weights)[0]
 
 
 def qmontecarlo_batch(variables: list, epsilon: float, delta: float, sigma: float,
                       rngs: list, ledger: QueryLedger | None = None,
-                      override_variance: bool = False,
                       weights: CostWeights = CostWeights()) -> list[EstimationReport]:
     """`qmontecarlo` of variables that share sampling and masses, each on its
     own generator (a Generator, a SeedSequence or a seed): reports, ledgers
@@ -210,25 +206,21 @@ def qmontecarlo_batch(variables: list, epsilon: float, delta: float, sigma: floa
     reports = []
     for start in range(0, len(variables), step):
         block = variables[start:start + step]
-        reports += _estimate_block(block, rngs[start:start + step], epsilon, delta, sigma,
-                                   override_variance)
+        reports += _estimate_block(block, rngs[start:start + step], epsilon, delta, sigma)
         for variable, report in zip(block, reports[start:]):
             _finish(report, variable, weights, ledger)
     return reports
 
 
 def _entry_error(mean: float, variance: float, raw_mean: float, epsilon: float,
-                 sigma: float, override_variance: bool) -> Exception | None:
+                 sigma: float) -> Exception | None:
     """The error an entry's exact moments raise, if any."""
     if abs(mean - raw_mean) > epsilon / 100.0:
         return Overflow(f"fixed-point rounding shifts the mean by {abs(mean - raw_mean):.3e}, "
                         f"more than epsilon/100; widen the fraction field")
     if variance > sigma * sigma * (1.0 + 1e-12):
-        message = (f"exact variance {variance:.6g} exceeds the declared bound "
-                   f"{sigma * sigma:.6g}")
-        if not override_variance:
-            return VarianceExceeded(message)
-        warnings.warn(message, stacklevel=4)
+        return VarianceExceeded(f"exact variance {variance:.6g} exceeds the declared bound "
+                                f"{sigma * sigma:.6g}")
     return None
 
 
@@ -248,8 +240,8 @@ class _Piece(NamedTuple):
     budget: float
 
 
-def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float, sigma: float,
-                    override_variance: bool) -> list[EstimationReport]:
+def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float,
+                    sigma: float) -> list[EstimationReport]:
     """The block's reports, each but its cost factor: checks, centers and
     piece plans on the stacked value tables, then the AE draws."""
     masses = variables[0].masses
@@ -262,7 +254,7 @@ def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float, s
     reports, varying, center_rows, error = [], [], [], None
     for variable, rng, mean, variance, raw_mean in zip(
             variables, rngs, means.tolist(), variances.tolist(), raw_means.tolist()):
-        error = _entry_error(mean, variance, raw_mean, epsilon, sigma, override_variance)
+        error = _entry_error(mean, variance, raw_mean, epsilon, sigma)
         if error is not None:
             break
         report = EstimationReport(estimate=0.0, epsilon=epsilon, delta=delta, sigma=sigma,

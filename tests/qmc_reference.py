@@ -4,7 +4,6 @@ match bit for bit: same estimates, centers, piece records, ledgers,
 cost factors and generator states afterwards, and the same first error. AE
 outcomes come from the per-branch reference sampler."""
 import math
-import warnings
 
 import numpy as np
 
@@ -49,7 +48,6 @@ def median(draws: np.ndarray) -> float:
 
 def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: float,
                 rng, ledger: QueryLedger | None = None,
-                override_variance: bool = False,
                 weights: CostWeights = CostWeights()) -> EstimationReport:
     """Estimate the mean to within epsilon with failure probability delta,
     given a variance bound sigma^2 on the (fixed-point) variable."""
@@ -75,11 +73,8 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
             f"more than epsilon/100; widen the fraction field"
         )
     if exact_var > sigma * sigma * (1.0 + 1e-12):
-        message = (f"exact variance {exact_var:.6g} exceeds the declared bound "
-                   f"{sigma * sigma:.6g}")
-        if not override_variance:
-            raise VarianceExceeded(message)
-        warnings.warn(message, stacklevel=2)
+        raise VarianceExceeded(f"exact variance {exact_var:.6g} exceeds the declared bound "
+                               f"{sigma * sigma:.6g}")
 
     repetitions = median_repetitions(delta)
     report = EstimationReport(estimate=0.0, epsilon=epsilon, delta=delta, sigma=sigma,

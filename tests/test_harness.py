@@ -209,15 +209,37 @@ class TestCli:
     @pytest.mark.parametrize("doc", [
         {"horizon": 3.5}, {"grid_size": 4.0}, {"trials": 2.5}, {"horizon": True},
         {"grid_size": 1}, {"dimension": 2}, {"dimension": 2, "payoff": {"name": "call"}},
-        ["abc"],
+        ["abc"], {"basis_query_cost": "x"}, {"grid_radius": math.inf}, {"grid_radius": 10**400},
+        {"grid_radius": True}, {"sigma_min_oracle": "false"}, {"sample_step_cost": -1.0},
+        {"path_count": 2, "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
+         "algorithm": "classical"},
     ], ids=["float-horizon", "float-grid-size", "float-trials", "bool-horizon",
-            "brownian-grid-size-1", "put-dimension-2", "call-dimension-2", "not-an-object"])
+            "brownian-grid-size-1", "put-dimension-2", "call-dimension-2", "not-an-object",
+            "string-cost", "infinite-grid-radius", "huge-int-grid-radius", "bool-grid-radius",
+            "string-oracle-flag", "negative-cost", "paths-below-basis-size"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps(doc))
         code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
+
+    @pytest.mark.parametrize("payoff", [{"name": "put"}, {"name": "constant"}])
+    def test_custom_chain_dimension_mismatch_exit_two(self, tmp_path, capsys, payoff):
+        # A 2-d chain file under the default dimension 1: a put used to end in
+        # a traceback, a constant payoff in a basis on the first coordinate.
+        from qlsm.chain import discretize_brownian
+
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(discretize_brownian(2, 2, 3, 2.0).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "model": "custom-json", "chain_file": str(chain_file), "payoff": payoff,
+            "basis": {"kind": "hermite", "degree": 1}, "trials": 1}))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_scaling_refuses_without_sigma_min(self, tmp_path, capsys):
         # As price does: with the oracle off, sigma_min_lower must be given.

@@ -10,7 +10,7 @@ from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_e
                      path_stop_times, snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, _entry_streams,
-                              oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_brownian, run_quantum_lsm_gbm,
+                              oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_closed_form,
                               schedule_from_smoothness)
 from qlsm.payoff import PayoffSpec, put_payoff, table_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger
@@ -72,9 +72,11 @@ class TestGramModeValidation:
         monkeypatch.setattr("qlsm.lsm_quantum.qmontecarlo", no_estimation)
         monkeypatch.setattr("qlsm.lsm_quantum.qmontecarlo_batch", no_estimation)
         chain = discretize_brownian(1, horizon, 4, 2.0)
-        with pytest.raises(ValueError, match="unknown gram_mode 'bogus'"):
-            run_quantum_lsm(chain, put_payoff(1.0), constant_basis(horizon), 0.1, 0.1,
-                            sigma_min_lower=1.0, seed=0, gram_mode="bogus")
+        # "identity" was a mode that regressed any basis on an identity Gram.
+        for mode in ("bogus", "identity"):
+            with pytest.raises(ValueError, match=f"unknown gram_mode '{mode}'"):
+                run_quantum_lsm(chain, put_payoff(1.0), constant_basis(horizon), 0.1, 0.1,
+                                sigma_min_lower=1.0, seed=0, gram_mode=mode)
 
 
 class TestGenericRuns:
@@ -314,11 +316,11 @@ class TestModelVariants:
         payoff = put_payoff(1.0)
         basis = hermite_basis(1, 1, 2, 20.0)
         with pytest.warns(UserWarning, match="cube radius") as caught:
-            run = run_quantum_lsm_brownian(chain, payoff, basis, 0.05, 0.2,
-                                           seed=5, power=4.0)
+            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.05, 0.2,
+                                              seed=5, power=4.0)
         # The cube-radius warning points at the caller's line.
         assert [w.filename for w in caught if "cube radius" in str(w.message)] == [__file__]
-        assert run.gram_mode == "identity"
+        assert run.gram_mode == "closed_form"
         assert all("basis_product" not in name
                    for name in run.ledger.function_queries)
         np.testing.assert_array_equal(run.gram_matrices[1], np.eye(basis.size))
@@ -327,7 +329,7 @@ class TestModelVariants:
 
     def test_wide_cube_matches_estimated_gram_run(self):
         # With the cube containing every grid point and a clamp level above
-        # the payoff bound, the identity-Gram shortcut and the generic
+        # the payoff bound, the closed-form-Gram run and the generic
         # estimated-Gram run price the same instance; their estimates differ
         # by at most the two runs' combined estimation budgets.
         chain = discretize_brownian(1, 2, 9, 3.5)
@@ -339,9 +341,9 @@ class TestModelVariants:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fast = run_quantum_lsm_brownian(chain, payoff, basis, eps, delta,
-                                            seed=20, power=4.0,
-                                            truncation_level=level)
+            fast = run_quantum_lsm_closed_form(chain, payoff, basis, eps, delta,
+                                               seed=20, power=4.0,
+                                               truncation_level=level)
         generic = run_quantum_lsm(chain, payoff, basis, eps, delta, seed=21,
                                   sigma_min_oracle=True)
         budget = 8 * chain.horizon * eps * basis.size \
@@ -351,8 +353,8 @@ class TestModelVariants:
     def test_brownian_requires_hermite(self):
         chain = discretize_brownian(1, 2, 5, 2.0)
         with pytest.raises(ValueError, match="Hermite"):
-            run_quantum_lsm_brownian(chain, put_payoff(1.0), constant_basis(2),
-                                     0.05, 0.2)
+            run_quantum_lsm_closed_form(chain, put_payoff(1.0), constant_basis(2),
+                                        0.05, 0.2)
 
     def test_gbm_uses_closed_form_and_svd(self):
         chain = discretize_gbm(1, 2, 17, 4.0)
@@ -362,7 +364,7 @@ class TestModelVariants:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run = run_quantum_lsm_gbm(chain, payoff, basis, 0.05, 0.2, seed=6)
+            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.05, 0.2, seed=6)
         assert run.gram_mode == "closed_form"
         expected = np.array([[1.0, 1.0], [1.0, math.e]])
         np.testing.assert_allclose(run.gram_matrices[1], expected)
@@ -387,8 +389,8 @@ class TestModelVariants:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run = run_quantum_lsm_gbm(chain, payoff, basis, 0.02, 0.2, seed=3,
-                                      power=6.0, fmt=FixedPointFormat(20, 24))
+            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.02, 0.2, seed=3,
+                                              power=6.0, fmt=FixedPointFormat(20, 24))
         approx = max(exact_approximation_error(chain, payoff, basis, t)
                      for t in (1,))
         assert abs(run.estimate - table.value0) <= 0.05 + approx
@@ -398,14 +400,14 @@ class TestModelVariants:
         monkeypatch.setattr("qlsm.lsm_quantum.vandermonde_sigma_min_bound",
                             lambda degree, dim, t: (1e-9, 1e-9))
         with pytest.raises(QlsmError, match="analytic bound"):
-            run_quantum_lsm_gbm(discretize_gbm(1, 2, 17, 4.0), put_payoff(1.0),
-                                gbm_basis(1, 1, 2, 1e6), 0.05, 0.2, seed=6)
+            run_quantum_lsm_closed_form(discretize_gbm(1, 2, 17, 4.0), put_payoff(1.0),
+                                        gbm_basis(1, 1, 2, 1e6), 0.05, 0.2, seed=6)
 
     def test_gbm_requires_monomials(self):
         chain = discretize_gbm(1, 2, 9, 3.0)
         with pytest.raises(ValueError, match="monomial"):
-            run_quantum_lsm_gbm(chain, put_payoff(1.0), constant_basis(2),
-                                0.05, 0.2)
+            run_quantum_lsm_closed_form(chain, put_payoff(1.0), constant_basis(2),
+                                        0.05, 0.2)
 
 
 class TestSmoothnessSchedules:

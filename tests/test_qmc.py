@@ -58,9 +58,6 @@ class TestBasics:
         var = variable_from_values([0.0, 1.0, 0.0, 0.0])  # variance 0.1875
         with pytest.raises(VarianceExceeded):
             qmontecarlo(var, 0.1, 0.1, 0.1, 0)
-        with pytest.warns(UserWarning):
-            rep = qmontecarlo(var, 0.1, 0.1, 0.1, 0, override_variance=True)
-        assert abs(rep.estimate - 0.25) < 0.5
 
     def test_rounding_budget_guard(self):
         # Two fraction bits cannot carry a 1e-3 accuracy request.
