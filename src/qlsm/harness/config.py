@@ -111,6 +111,8 @@ class ExperimentConfig:
              "custom-json model needs chain_file"),
             (min(self.sample_step_cost, self.payoff_query_cost, self.basis_query_cost) >= 0,
              "sample_step_cost, payoff_query_cost and basis_query_cost must be non-negative"),
+            (self.sample_step_cost + self.payoff_query_cost + self.basis_query_cost > 0,
+             "sample_step_cost, payoff_query_cost and basis_query_cost must not all be 0"),
         ]
         for ok, message in checks:
             if not ok:

@@ -286,8 +286,7 @@ _LAMBDA_REQUIREMENTS = {KIND_HERMITE: brownian_lambda_requirement,
 def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                                 epsilon: float, delta: float, seed=None, *,
                                 power: float = 4.0, truncation_level: float | None = None,
-                                fmt: FixedPointFormat | None = None,
-                                weights: CostWeights = CostWeights()) -> QuantumLsmRun:
+                                fmt: FixedPointFormat | None = None) -> QuantumLsmRun:
     """Case-study run for a basis whose Gram is known in closed form: the
     identity for truncated Hermite products (Brownian chains), a Vandermonde
     power for scaled monomials (geometric Brownian chains). Skips Gram
@@ -315,7 +314,7 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
                            truncation_error_coefficient(payoff, chain, power), power)
     run = run_quantum_lsm(chain, truncate(payoff, beta), basis, epsilon, delta,
                           sigma_min_lower=sigma_min, seed=seed, gram_mode="closed_form",
-                          fmt=fmt, weights=weights)
+                          fmt=fmt)
     run.lambda_used = lam
     run.lambda_required = required
     if lam < required:

@@ -251,6 +251,17 @@ class TestCli:
         assert "sigma_min_lower is required" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_scaling_refuses_all_zero_cost_weights(self, tmp_path, capsys):
+        # All-zero weights make every cost 0 and the cost ratio 0/0.
+        cfg_file = tmp_path / "zero-weights.json"
+        cfg_file.write_text(json.dumps(
+            {"sample_step_cost": 0, "payoff_query_cost": 0, "basis_query_cost": 0}))
+        code = main(["scaling", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                     "--epsilons", "0.125", "0.0625", "0.03125", "0.015625"])
+        assert code == EXIT_CONFIG
+        assert "must not all be 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_bounds_strict(self, tmp_path, monkeypatch, capsys):
         code = main(["validate-bounds", "--strict", "--out", str(tmp_path)])
         assert code == EXIT_OK
