@@ -92,16 +92,18 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
 
     seeds = _trial_seeds(config.seed, config.trials)
     weights = config.cost_weights()
+    # One sigma_min for every trial: the oracle's SVDs are the same each time.
+    if "quantum" in algorithms:
+        sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower,
+                                      config.sigma_min_oracle)
     for trial, seed in enumerate(seeds):
         for algo in algorithms:
             if algo == "classical":
                 run = run_classical_lsm(chain, payoff, basis, n_paths, seed)
                 row = {"cost_units": classical_cost_units(run, weights), "paths": n_paths}
             else:
-                run = run_quantum_lsm(
-                    chain, payoff, basis, config.epsilon, config.delta,
-                    sigma_min_lower=config.sigma_min_lower, seed=seed,
-                    sigma_min_oracle=config.sigma_min_oracle, weights=weights)
+                run = run_quantum_lsm(chain, payoff, basis, config.epsilon, config.delta,
+                                      sigma_min_lower=sigma_min, seed=seed, weights=weights)
                 row = {"cost_units": run.ledger.total_units(chain.horizon, weights),
                        "grover": run.ledger.grover_applications}
             row.update(trial=trial, algorithm=algo, estimate=run.estimate,

@@ -79,11 +79,15 @@ class QuantumLsmRun:
     sup_bound: float
     payoff_bound: float
     exact_targets: dict = field(default_factory=dict)
-    exact_grams: dict = field(default_factory=dict)
     lambda_required: float | None = None
     lambda_used: float | None = None
     notes: list = field(default_factory=list)
     entry_reports: dict = field(default_factory=dict)  # oracle name -> EstimationReport
+
+    @property
+    def exact_grams(self) -> dict:
+        """The exact grid Gram of each regression step, computed on request."""
+        return {t: gram_matrix(self.basis, self.chain, t) for t in range(1, self.chain.horizon)}
 
     def to_json(self) -> str:
         doc = {
@@ -208,7 +212,6 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
         return reports
 
     grams: dict[int, np.ndarray] = {}
-    exact_grams: dict[int, np.ndarray] = {}
     for t in range(1, T):
         if gram_mode == "estimated":
             reports = estimate([_basis_product_variable(circuits, t, j, k)
@@ -217,7 +220,6 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
             grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
         else:
             grams[t] = closed_form_gram(basis, t)
-        exact_grams[t] = gram_matrix(basis, chain, t)
 
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
@@ -240,7 +242,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
         final_payoff_estimate=final.estimate,
         estimate=max(payoff.value_at_start(chain), final.estimate),
         ledger=ledger, l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
-        exact_targets=exact_targets, exact_grams=exact_grams, notes=notes,
+        exact_targets=exact_targets, notes=notes,
         entry_reports=entry_reports,
     )
 

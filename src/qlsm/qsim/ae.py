@@ -143,33 +143,60 @@ def _bill_draws(ledger: QueryLedger, queries: int, repetitions: int) -> int:
     return 2 * applications
 
 
+# Window laws by (amplitude, M), oldest first. A law is at most 2 W + 2 CDF
+# floats plus its floors and fracs: a full table takes about 0.7 MB.
+_LAWS: dict = {}
+_LAW_CAP = 256
+
+
+def _window_laws(amplitudes: list, queries: list) -> list:
+    """Per piece, the (floors, fracs, cdf) of its (amplitude, M) law: the
+    branches' floors and fracs as `_branch_windows` gives them, and the CDF of
+    its rows, each branch's window outcomes then that branch's tail.
+
+    Laws missing from `_LAWS` come from one `_branch_windows` call per M and
+    join the table, which then drops its oldest laws down to `_LAW_CAP`; the
+    call still returns every law it asked for."""
+    keys = list(zip(amplitudes, queries))
+    found = {key: _LAWS.get(key) for key in keys}
+    missing: dict = {}
+    for key, law in found.items():
+        if law is None:
+            missing.setdefault(key[1], []).append(key[0])
+    for m, amps in missing.items():
+        phases = np.array([math.asin(math.sqrt(a)) / math.pi for a in amps])
+        floors, fracs, rows = _branch_windows(phases, m)
+        for a, floor, frac, cdf in zip(amps, floors.tolist(), fracs.tolist(),
+                                       rows.reshape(len(amps), -1).cumsum(axis=1)):
+            cdf = cdf.copy()  # a row alone, not a view holding the whole group
+            cdf.flags.writeable = False
+            found[a, m] = _LAWS[a, m] = (floor, frac, cdf)
+    if len(_LAWS) > _LAW_CAP:
+        for key in list(_LAWS)[:len(_LAWS) - _LAW_CAP]:
+            _LAWS.pop(key, None)  # another thread may have dropped it already
+    return [found[key] for key in keys]
+
+
 def _draw_pieces(amplitudes: list, queries: list, rngs: list, repetitions: int) -> np.ndarray:
     """(pieces, repetitions) outcome estimates sin^2(pi y / M) of several AE
     calls, piece i of amplitude amplitudes[i] with queries[i] outcomes.
 
-    The windows of all pieces sharing M come from one `_branch_windows` call.
-    Then piece by piece, in order and each with its own generator, one
-    uniform per repetition picks a window outcome of either kernel branch or
-    one branch's tail, and tail picks are rejection-sampled by
-    `_sample_tail`. Outcome mapping and sin^2 run on all pieces at once."""
-    distinct = sorted(set(queries))
-    phases = np.array([math.asin(math.sqrt(a)) / math.pi for a in amplitudes])
-    queries = np.array(queries, dtype=np.int64)
-    floors = np.empty((phases.size, 2), dtype=np.int64)
-    fracs = np.empty((phases.size, 2))
-    widths, lows = np.empty_like(queries), np.empty_like(queries)
-    cdfs = [None] * phases.size
-    for m in distinct:
-        idx = np.flatnonzero(queries == m)
-        floors[idx], fracs[idx], rows = _branch_windows(phases[idx], m)
-        widths[idx], lows[idx] = rows.shape[-1], _window(m)[0][0]
-        # Rows: each branch's window outcomes, then that branch's tail.
-        for i, cdf in zip(idx.tolist(), rows.reshape(idx.size, -1).cumsum(axis=1)):
-            cdfs[i] = cdf
-    picks = np.empty((phases.size, repetitions), dtype=np.int64)
-    tails = []
-    for i, (cdf, rng, width, m, floor, frac) in enumerate(zip(
-            cdfs, rngs, widths.tolist(), queries.tolist(), floors.tolist(), fracs.tolist())):
+    Each piece's window law depends on (amplitude, M) alone, so it is read
+    from the bounded table of `_window_laws`, which computes the laws it lacks
+    with one `_branch_windows` call per M. Then piece by piece, in order and
+    each with its own generator, one uniform per repetition picks a window
+    outcome of either kernel branch or one branch's tail, and tail picks are
+    rejection-sampled by `_sample_tail`. Outcome mapping and sin^2 run on
+    all pieces at once."""
+    laws = _window_laws(amplitudes, queries)
+    lows = {m: int(_window(m)[0][0]) for m in set(queries)}
+    picks = np.empty((len(laws), repetitions), dtype=np.int64)
+    # Per piece, its window width and the offsets of pick 0 in either branch.
+    widths, starts, tails = [], [], []
+    for i, ((floor, frac, cdf), rng, m) in enumerate(zip(laws, rngs, queries)):
+        width = cdf.size // 2
+        widths.append(width)
+        starts.append((floor[0] + lows[m], floor[1] + lows[m] - width))
         # u in (0, cdf[-1]] with side="left" never lands on a zero-mass row.
         row = picks[i] = cdf.searchsorted((1.0 - rng.random(repetitions)) * cdf[-1])
         if width <= m:  # the window leaves a tail
@@ -179,12 +206,13 @@ def _draw_pieces(amplitudes: list, queries: list, rngs: list, repetitions: int) 
                     tails.append((i, in_tail, _sample_tail(floor[branch], frac[branch], m,
                                                            in_tail.size, rng)))
     # Offsets run up from lo, so pick p is offset lo + p (branch 0) or lo + p - width.
-    outcomes = np.mod(picks + np.where(picks < widths[:, None], (floors[:, 0] + lows)[:, None],
-                                       (floors[:, 1] + lows - widths)[:, None]),
-                      queries[:, None])
+    starts = np.array(starts, dtype=np.int64)
+    queries = np.array(queries, dtype=np.int64)[:, None]
+    outcomes = np.mod(picks + np.where(picks < np.array(widths)[:, None], starts[:, :1],
+                                       starts[:, 1:]), queries)
     for i, in_tail, drawn in tails:
         outcomes[i, in_tail] = drawn
-    return np.sin(np.pi * outcomes / queries[:, None]) ** 2
+    return np.sin(np.pi * outcomes / queries) ** 2
 
 
 def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: int,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +115,7 @@ def median_repetitions(delta: float) -> int:
     return max(1, math.ceil(MEDIAN_REPETITION_CONSTANT * math.log(1.0 / delta)))
 
 
+@lru_cache(maxsize=1024)  # a run asks for a few dozen distinct pairs, many times each
 def _queries_for(budget: float, amp_cap: float) -> int:
     """Smallest power-of-two M with 2*pi*s/M + pi^2/M^2 <= budget: the
     quadratic's root in M rounded up to a power of two, then corrected by the
@@ -187,8 +189,8 @@ def qmontecarlo_batch(variables: list, epsilon: float, delta: float, sigma: floa
     own generator (a Generator, a SeedSequence or a seed): reports, ledgers
     (merged into ledger in order) and generator states are those of one call
     per variable in order, and the first variable that fails raises. Blocks
-    of entries make one pass over their stacked value tables; AE windows
-    come from one kernel call per query count."""
+    of entries make one pass over their stacked value tables; AE window
+    laws come from a table held per (amplitude, M) in `qsim.ae`."""
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if sigma < 0.0:

@@ -9,7 +9,9 @@ from scipy import stats
 from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
                        QueryLedger, SamplingOracle, draw_ae_estimates)
-from qlsm.qsim.ae import _WINDOW, _branch_windows, _phase_kernel, _sample_tail, _window
+from qlsm.qsim import ae
+from qlsm.qsim.ae import (_WINDOW, _branch_windows, _draw_pieces, _phase_kernel, _sample_tail,
+                          _window, _window_laws)
 from qlsm.qsim.fixed_point import FixedPointFormat
 from qlsm.reference import (ae_outcome_distribution, embed, prepare_operator,
                             statevector_ae_distribution)
@@ -342,3 +344,77 @@ class TestAgainstPerBranchReference:
             runs.append((sample(floor, frac, queries, count, rng).tolist(),
                          repr(rng.bit_generator.state)))
         assert runs[0] == runs[1]
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+AMPLITUDES = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def repeated_pieces(draw):
+    """Pieces (amplitude, M, generator index) over a few laws, so laws repeat
+    within a call, plus repetitions and a seed; three generators serve the
+    pieces as entries' generators serve theirs."""
+    laws = draw(st.lists(st.tuples(AMPLITUDES, st.integers(1, 30).map(lambda k: 1 << k)),
+                         min_size=1, max_size=6))
+    pieces = draw(st.lists(st.tuples(st.sampled_from(laws), st.integers(0, 2)),
+                           min_size=1, max_size=24))
+    return pieces, draw(st.integers(1, 40)), draw(st.integers(0, 2**63 - 1))
+
+
+def draw_repeated(pieces, repetitions: int, seed: int, one_per_call: bool = False):
+    """Outcome bits and the three generators' states after drawing pieces."""
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(3)]
+    args = [(a, m, rngs[g]) for (a, m), g in pieces]
+    if one_per_call:
+        draws = [_draw_pieces([a], [m], [rng], repetitions)[0] for a, m, rng in args]
+    else:
+        draws = _draw_pieces(*map(list, zip(*args)), repetitions)
+    return bits(draws), [repr(rng.bit_generator.state) for rng in rngs]
+
+
+class TestWindowLawTable:
+    """Laws held per (amplitude, M) change no draw and no generator state."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(repeated_pieces())
+    def test_draws_same_cold_warm_and_one_piece_per_call(self, case):
+        pieces, repetitions, seed = case
+        ae._LAWS.clear()
+        cold = draw_repeated(pieces, repetitions, seed)
+        assert all(law in ae._LAWS for law, _ in pieces)
+        warm = draw_repeated(pieces, repetitions, seed)
+        ae._LAWS.clear()
+        single = draw_repeated(pieces, repetitions, seed, one_per_call=True)
+        assert cold == warm == single
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(AMPLITUDES, min_size=1, max_size=10), st.integers(1, 30))
+    def test_cached_law_is_a_fresh_groups_window(self, amplitudes, log_queries):
+        # Repeated amplitudes make the table's group smaller than the fresh one.
+        queries = 1 << log_queries
+        ae._LAWS.clear()
+        laws = _window_laws(amplitudes, [queries] * len(amplitudes))
+        phases = np.array([math.asin(math.sqrt(a)) / math.pi for a in amplitudes])
+        floors, fracs, rows = _branch_windows(phases, queries)
+        cdfs = rows.reshape(len(amplitudes), -1).cumsum(axis=1)
+        for a, (floor, frac, cdf), fresh_floor, fresh_frac, fresh_cdf in zip(
+                amplitudes, laws, floors.tolist(), fracs.tolist(), cdfs):
+            assert ae._LAWS[a, queries][2] is cdf and not cdf.flags.writeable
+            assert floor == fresh_floor and bits(frac) == bits(fresh_frac)
+            assert bits(cdf) == bits(fresh_cdf)
+
+    def test_call_past_the_cap_returns_every_law(self, monkeypatch):
+        # Ten laws, each asked for three times in one call, against a cap of 4.
+        laws = [(a, m) for a in (0.1, 0.37, 0.8, 1e-9, 0.5) for m in (8, 1 << 20)]
+        pieces = [(law, k % 3) for k in range(3) for law in laws]
+        monkeypatch.setattr(ae, "_LAWS", {})
+        expected = draw_repeated(pieces, 9, 5)
+        monkeypatch.setattr(ae, "_LAWS", {})
+        monkeypatch.setattr(ae, "_LAW_CAP", 4)
+        for one_per_call in (False, False, True):
+            assert draw_repeated(pieces, 9, 5, one_per_call) == expected
+            assert len(ae._LAWS) <= 4

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import qlsm
+from qlsm import lsm_quantum
 from qlsm.basis import hermite
 from qlsm.errors import ConfigError
 from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, main
@@ -18,6 +19,7 @@ from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
 from qlsm.harness.experiments import (_hermite_weighted_integral, _lognormal_tail_integral,
                                       dump_oracle, run_price, run_scaling,
                                       validate_bounds)
+from qlsm.lsm_quantum import oracle_sigma_min
 
 
 def reference_config(**overrides):
@@ -99,6 +101,18 @@ class TestPriceRuns:
             assert row["abs_error"] == abs(row["estimate"] - report.exact_value)
         for algo in ("classical", "quantum"):
             assert report.summary[algo]["exceed_epsilon_rate"] in (0.0, 1.0)
+
+    def test_sigma_min_resolved_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(basis, chain):
+            calls.append(None)
+            return oracle_sigma_min(basis, chain)
+
+        monkeypatch.setattr(lsm_quantum, "oracle_sigma_min", counted)
+        report = run_price(reference_config(algorithm="quantum", trials=3))
+        assert len(calls) == 1
+        assert [row["trial"] for row in report.rows] == [0, 1, 2]
 
     def test_determinism_byte_identical(self):
         cfg = reference_config(trials=2)
@@ -247,6 +261,14 @@ class TestCli:
         cfg_file.write_text(json.dumps({"sigma_min_oracle": False}))
         code = main(["scaling", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
                      "--epsilons", "0.125", "0.0625", "0.03125", "0.015625"])
+        assert code == EXIT_CONFIG
+        assert "sigma_min_lower is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_quantum_price_refuses_without_sigma_min(self, tmp_path, capsys):
+        cfg_file = tmp_path / "no-oracle.json"
+        cfg_file.write_text(json.dumps({"sigma_min_oracle": False, "algorithm": "quantum"}))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "sigma_min_lower is required" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -13,7 +13,7 @@ from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, _entr
                               oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_closed_form,
                               schedule_from_smoothness)
 from qlsm.payoff import PayoffSpec, put_payoff, table_payoff
-from qlsm.qsim import FixedPointFormat, QueryLedger
+from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo
 from qlsm.stopping_circuits import StoppingCircuits
 
@@ -486,6 +486,24 @@ class TestSerialization:
                                    sigma_min_oracle=True).to_json() for _ in range(2)]
         assert reports[0] == reports[1]
         assert seq.n_children_spawned == 0
+
+    def test_reports_same_with_fresh_and_warm_law_table(self, monkeypatch):
+        # The README chain; the second seed-1 run reads laws that both runs cached.
+        chain = discretize_brownian(1, 3, 8, 2.2)
+        basis = hermite_basis(1, 2, 3, 4.0)
+
+        def report(seed):
+            run = run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1, seed=seed,
+                                  sigma_min_oracle=True)
+            entries = {name: (rep.estimate, rep.center, rep.pieces, rep.ledger.snapshot())
+                       for name, rep in run.entry_reports.items()}
+            return run.to_json(), repr(entries)
+
+        monkeypatch.setattr(ae, "_LAWS", {})
+        fresh = report(1)
+        report(2)
+        assert ae._LAWS
+        assert report(1) == fresh
 
     def test_entry_streams_are_the_next_spawned_children(self):
         seq, ref = np.random.SeedSequence(9), np.random.SeedSequence(9)
