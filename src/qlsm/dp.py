@@ -1,11 +1,11 @@
-"""Exact dynamic-programming oracle: value tables by backward induction,
-optimal stopping times, and exact least-squares projections of continuation
-values. Ground truth for every estimate elsewhere in the package, and home
-of the stop rule that the classical sampler and the stopping circuits share:
-stop_decision, CoefficientRule's fixed-point scores and first_stops along
-paths. _induction is the one backward recursion: the exact values, the
-values of coefficient rules and the circuits' stopped-payoff laws all run
-it."""
+"""Exact dynamic-programming oracle: value tables by backward induction, the
+per-state law of the optimal stop time, and exact least-squares projections
+of continuation values. Ground truth for every estimate elsewhere in the
+package, and home of the stop rule that the classical sampler and the
+stopping circuits share: stop_decision, CoefficientRule's fixed-point scores
+and first_stops along sampled paths. _induction is the one backward
+recursion: the exact values, the values of coefficient rules and the
+circuits' stopped-payoff laws all run it. Nothing here enumerates paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .basis import BasisSpec, gram_matrix, solve_gram
-from .chain import MarkovChainSpec, PathEnsemble
+from .chain import MarkovChainSpec
 from .errors import CapExceeded
 from .payoff import PayoffSpec
 
@@ -66,20 +66,6 @@ def first_stops(sizes: Sequence[int], labels: Sequence[np.ndarray],
         here = labels[k]
         rows = np.where(stop_mask(k, rows)[here], offsets[k] + here, rows)
         yield k, rows
-
-
-def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
-    """first_stops along paths given by their (N, T) grid indices, with
-    stop_mask(t, later) giving step t's mask. Returns the (N, T) stop times
-    (column t-1 holds tau_t) and the first stops after step 0 as rows of the
-    step 1..T tables stacked in order."""
-    T = chain.horizon
-    sizes = [chain.n_states(t) for t in range(1, T + 1)]
-    steps = np.repeat(np.arange(1, T + 1), sizes)
-    taus = np.empty(idx.shape, dtype=np.int64)
-    for k, rows in first_stops(sizes, idx.T, lambda k, later: stop_mask(k + 1, later)):
-        taus[:, k] = steps[rows]
-    return taus, rows
 
 
 OPTIMAL_RULE = "optimal"
@@ -172,24 +158,19 @@ def snell_envelope(chain: MarkovChainSpec, payoff: PayoffSpec,
                       continuation=tuple(continuation[:T]), stop=tuple(stop))
 
 
-def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
-    """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
-    along path i under the table's decisions."""
-    taus, _ = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
-    tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
-    return np.column_stack([tau0, taus])
-
-
-def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
-                    ensemble: PathEnsemble, times: np.ndarray) -> np.ndarray:
-    """Per-path payoff collected at the given per-path times (0..horizon)."""
-    times = np.asarray(times)
-    out = np.full(len(ensemble), payoff.value_at_start(chain))
-    for t in range(1, chain.horizon + 1):
-        at_t = times == t
-        if at_t.any():
-            out[at_t] = payoff.values(chain, t)[ensemble.state_indices_at(t)[at_t]]
-    return out
+def stop_masses(table: SnellTable) -> tuple[np.ndarray, ...]:
+    """P(tau = t, X_t = x) per state for t = 0..horizon (one entry at t=0),
+    tau the first step whose state the table stops: one forward pass that
+    keeps the alive mass at stopping states and pushes the rest on with
+    chain.push, so it holds O(horizon * n) floats and enumerates no path."""
+    chain = table.chain
+    alive, masses = np.ones(1), []
+    for t, stop in enumerate(table.stop):
+        if t:
+            alive = alive[0] * chain.marginals[0] if t == 1 else chain.push(t - 1, alive)
+        masses.append(np.where(stop, alive, 0.0))
+        alive = np.where(stop, 0.0, alive)
+    return tuple(masses)
 
 
 def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,

@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, FileNotFoundError, TypeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -110,10 +110,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.strict:
                 return EXIT_BOUNDS
     elif args.command == "price":
-        if report.exact_value is not None:
-            print(f"oracle value: {report.exact_value:.10g}")
+        print(f"oracle value: {report.exact_value:.10g}")
         for algo, stats in report.summary.items():
-            if isinstance(stats, dict) and "mean_estimate" in stats:
+            if isinstance(stats, dict):
                 print(f"{algo}: mean estimate {stats['mean_estimate']:.6g} "
                       f"(+-{stats['std_estimate']:.3g}), "
                       f"mean cost {stats['mean_cost_units']:.6g}")

@@ -13,7 +13,7 @@ from ..payoff import PayoffSpec, call_payoff, constant_payoff, put_payoff
 from ..qsim.ledger import CostWeights
 
 _MODELS = ("brownian", "gbm", "custom-json")
-_ALGORITHMS = ("classical", "quantum", "both", "oracle")
+_ALGORITHMS = ("classical", "quantum", "both")
 _PAYOFFS = ("put", "call", "constant")
 _BASES = ("hermite", "gbm", "constant", "monomial")
 # Each scalar annotation's check and its name in error messages. A bool is
@@ -99,8 +99,6 @@ class ExperimentConfig:
             (self.basis.cube_radius > 0, "basis.cube_radius must be positive"),
             (0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
             (0 < self.delta < 1, "delta must lie in (0, 1)"),
-            (self.payoff.name == "constant" or self.dimension == 1,
-             f"payoff {self.payoff.name!r} needs dimension 1"),
             (self.trials >= 1, "trials must be at least 1"),
             (self.seed >= 0, "seed must be non-negative"),
             (self.path_count is None or self.path_count >= 1,
@@ -153,7 +151,11 @@ class ExperimentConfig:
         if self.model == "gbm":
             return discretize_gbm(self.dimension, self.horizon,
                                   self.grid_size, self.grid_radius)
-        chain = MarkovChainSpec.from_json(Path(self.chain_file).read_text())
+        try:
+            chain = MarkovChainSpec.from_json(Path(self.chain_file).read_text())
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"chain_file {self.chain_file!r} is not a readable chain: "
+                              f"{type(exc).__name__}: {exc}") from exc
         if chain.dimension != self.dimension:
             raise ConfigError(f"chain_file has dimension {chain.dimension}, but the config's "
                               f"dimension is {self.dimension}")

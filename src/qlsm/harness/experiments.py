@@ -1,6 +1,7 @@
 """Experiment drivers: pricing runs against the exact oracle, cost-scaling
-studies, and the bound-validation suite. Reports are deterministic given
-(config, seed) and serialize to JSON plus flat CSV tables."""
+studies, the bound-validation suite and the exact oracle's per-state report.
+Reports are deterministic given (config, seed) and serialize to JSON plus
+flat CSV tables. No driver enumerates paths."""
 from __future__ import annotations
 
 import csv
@@ -13,10 +14,9 @@ import numpy as np
 
 from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound, l2_norm_bound,
                      monomial_basis, vandermonde_gram, vandermonde_sigma_min_bound)
-from ..chain import MarkovChainSpec, _seeded_rng, enumerate_paths
+from ..chain import MarkovChainSpec, _seeded_rng
 from ..dp import (CoefficientRule, continuation_values, exact_approximation_error,
-                  optimal_stopping_times, payoff_at_times, snell_envelope,
-                  weighted_l2_norm)
+                  snell_envelope, stop_masses, weighted_l2_norm)
 from ..errors import ConfigError
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
 from ..lsm_quantum import oracle_sigma_min, resolve_sigma_min, run_quantum_lsm
@@ -79,17 +79,7 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
     if "classical" in algorithms and n_paths < basis.size:
         raise ConfigError(f"path_count {n_paths} is below the basis size {basis.size}")
 
-    table = snell_envelope(chain, payoff)
-    exact = report.exact_value = table.value0
-
-    if config.algorithm == "oracle":
-        report.summary = {
-            "value": table.value0,
-            "continuation0": table.continuation0,
-            "per_step_values": [v.tolist() for v in table.values],
-        }
-        return report
-
+    exact = report.exact_value = snell_envelope(chain, payoff).value0
     seeds = _trial_seeds(config.seed, config.trials)
     weights = config.cost_weights()
     # One sigma_min for every trial: the oracle's SVDs are the same each time.
@@ -421,25 +411,28 @@ def _instantiated_error_bound_checks(config: ExperimentConfig) -> list[dict]:
 
 
 def dump_oracle(config: ExperimentConfig) -> ExperimentReport:
-    """Exact value table and optimal stop times for the configured instance."""
+    """Exact value table of the configured instance, one row per step t =
+    0..horizon and grid state x (the start point at t=0): the marginal mass,
+    payoff, value, continuation value (None at the horizon), stop decision
+    and stop_mass = P(tau = t, X_t = x) under the optimal stop time tau."""
     config.validate()
     chain = config.build_chain()
     payoff = config.build_payoff()
     table = snell_envelope(chain, payoff)
-    ensemble = enumerate_paths(chain)
-    times = optimal_stopping_times(table, ensemble)
-    collected = payoff_at_times(chain, payoff, ensemble, times[:, 0])
+    stopped = stop_masses(table)
     report = ExperimentReport(kind="oracle", config=config, exact_value=table.value0)
-    report.rows = [
-        {"path": i, "probability": float(ensemble.probabilities[i]),
-         "stop_time": int(times[i, 0]), "collected_payoff": float(collected[i])}
-        for i in range(len(ensemble))
-    ]
+    for t, mass in enumerate((np.ones(1), *chain.marginals)):
+        cont = table.continuation[t].tolist() if t < chain.horizon else [None] * mass.size
+        columns = zip(mass.tolist(), payoff.values(chain, t).tolist(), table.values[t].tolist(),
+                      cont, table.stop[t].tolist(), stopped[t].tolist())
+        report.rows += [{"step": t, "state": x, "mass": m, "payoff": z, "value": v,
+                         "continuation": c, "stop": s, "stop_mass": p}
+                        for x, (m, z, v, c, s, p) in enumerate(columns)]
     report.summary = {
         "value": table.value0,
         "continuation0": table.continuation0,
-        "expected_collected": float(np.sum(ensemble.probabilities * collected)),
-        "per_step_values": [v.tolist() for v in table.values],
-        "per_step_continuation": [v.tolist() for v in table.continuation],
+        "expected_collected": float(sum(p @ payoff.values(chain, t)
+                                        for t, p in enumerate(stopped))),
+        "stop_time_law": [float(p.sum()) for p in stopped],
     }
     return report

@@ -72,27 +72,25 @@ class PayoffSpec:
 
 
 def put_payoff(strike: float) -> PayoffSpec:
-    """max(0, strike - x) for one-dimensional chains."""
+    """max(0, strike - mean(x)): a put on the equally weighted basket of the
+    coordinates, in one dimension the plain put."""
     if strike <= 0:
         raise ValueError("strike must be positive")
 
     def f(t: int, pts: np.ndarray) -> np.ndarray:
-        if pts.shape[1] != 1:
-            raise ValueError("put payoff requires a one-dimensional chain")
-        return np.maximum(0.0, strike - pts[:, 0])
+        return np.maximum(0.0, strike - pts.mean(axis=1))
 
     return PayoffSpec(step_function=f, label=f"put(K={strike})")
 
 
 def call_payoff(strike: float) -> PayoffSpec:
-    """max(0, x - strike) for one-dimensional chains."""
+    """max(0, mean(x) - strike): a call on the equally weighted basket of the
+    coordinates, in one dimension the plain call."""
     if strike <= 0:
         raise ValueError("strike must be positive")
 
     def f(t: int, pts: np.ndarray) -> np.ndarray:
-        if pts.shape[1] != 1:
-            raise ValueError("call payoff requires a one-dimensional chain")
-        return np.maximum(0.0, pts[:, 0] - strike)
+        return np.maximum(0.0, pts.mean(axis=1) - strike)
 
     return PayoffSpec(step_function=f, label=f"call(K={strike})")
 

@@ -1,7 +1,7 @@
 """Slow references that the runtime is tested against, imported by no runtime
-path: the register replay of the stopping circuits over the enumerated paths,
-and the dense and statevector laws of amplitude estimation (Brassard, Hoyer,
-Mosca & Tapp 2002).
+path: per-path stop times and collected payoffs, the register replay of the
+stopping circuits over the enumerated paths, and the dense and statevector
+laws of amplitude estimation (Brassard, Hoyer, Mosca & Tapp 2002).
 
 Estimation reads each variable's law (a value table and the masses of its
 rows) and bills an exact count of oracle calls; it never prepares a state.
@@ -18,17 +18,55 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import PathEnsemble, enumerate_paths
+from .chain import MarkovChainSpec, PathEnsemble, enumerate_paths
+from .dp import SnellTable, first_stops
 from .errors import QlsmError
 from .qsim.ae import EstimationOperator, _check_queries, _phase_kernel
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import QueryLedger
+from .payoff import PayoffSpec
 from .qsim.oracles import ControlledRotation, FunctionOracle, SamplingOracle
 from .stopping_circuits import (BASIS_QUERY, PAYOFF_QUERY, StoppingCircuits,
                                 _dispatch_payoff_queries)
 
 _NORM_TOL = 1e-10
 _STATEVECTOR_QUBIT_CAP = 12
+
+
+# -- per-path stop times ----------------------------------------------------------
+
+def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
+    """dp.first_stops along paths given by their (N, T) grid indices, with
+    stop_mask(t, later) giving step t's mask. Returns the (N, T) stop times
+    (column t-1 holds tau_t) and the first stops after step 0 as rows of the
+    step 1..T tables stacked in order."""
+    T = chain.horizon
+    sizes = [chain.n_states(t) for t in range(1, T + 1)]
+    steps = np.repeat(np.arange(1, T + 1), sizes)
+    taus = np.empty(idx.shape, dtype=np.int64)
+    for k, rows in first_stops(sizes, idx.T, lambda k, later: stop_mask(k + 1, later)):
+        taus[:, k] = steps[rows]
+    return taus, rows
+
+
+def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
+    """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
+    along path i under the table's decisions."""
+    taus, _ = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
+    tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
+    return np.column_stack([tau0, taus])
+
+
+def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
+                    ensemble: PathEnsemble, times: np.ndarray) -> np.ndarray:
+    """Per-path payoff collected at the given per-path times (0..horizon)."""
+    times = np.asarray(times)
+    out = np.full(len(ensemble), payoff.value_at_start(chain))
+    for t in range(1, chain.horizon + 1):
+        at_t = times == t
+        if at_t.any():
+            out[at_t] = payoff.values(chain, t)[ensemble.state_indices_at(t)[at_t]]
+    return out
 
 
 # -- hybrid state ---------------------------------------------------------------

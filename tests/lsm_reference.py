@@ -10,8 +10,9 @@ import numpy as np
 
 from qlsm.basis import closed_form_gram, solve_gram
 from qlsm.chain import sample_paths
-from qlsm.dp import CoefficientRule, path_stop_times
+from qlsm.dp import CoefficientRule
 from qlsm.lsm_classical import LsmRun
+from qlsm.reference import path_stop_times
 
 
 @dataclass(eq=False)

@@ -36,16 +36,12 @@ import pytest
 from qlsm.basis import hermite_basis
 from qlsm.chain import discretize_brownian
 from qlsm.lsm_classical import run_classical_lsm
-from qlsm.payoff import PayoffSpec, put_payoff
+from qlsm.payoff import put_payoff
 from lsm_reference import run_classical_lsm_per_path, run_stop_times
 from report_reference import assert_report_close, recorded_report
 
 PATHS = 20_000
 REL = 1e-12
-
-
-def basket_put(t, pts):
-    return np.maximum(0.0, 1.0 - pts.mean(axis=1))
 
 
 def criterion6_instance():
@@ -56,7 +52,7 @@ def criterion6_instance():
 
 def basket_instance():
     """2-d Brownian chain, T=4, n=5, Hermite degree 2, basket put."""
-    return (discretize_brownian(2, 4, 5, 2.2), PayoffSpec(step_function=basket_put),
+    return (discretize_brownian(2, 4, 5, 2.2), put_payoff(1.0),
             hermite_basis(2, 2, 4, 4.0))
 
 

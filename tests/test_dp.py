@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from qlsm.basis import (constant_basis, gram_matrix, indicator_basis, monomial_basis,
                         solve_gram)
-from qlsm.chain import MarkovChainSpec, enumerate_paths
+from qlsm.chain import MarkovChainSpec, _product_chain, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
-                     exact_approximation_error, first_stops,
-                     optimal_stopping_times, payoff_at_times, snell_envelope,
-                     weighted_l2_norm)
+                     exact_approximation_error, first_stops, snell_envelope,
+                     stop_masses, weighted_l2_norm)
 from qlsm.errors import CapExceeded, SingularGram
 from qlsm.payoff import constant_payoff, table_payoff
+from qlsm.reference import optimal_stopping_times, payoff_at_times
 
 
 def random_chain(rng, horizon, n_states):
@@ -174,6 +174,50 @@ def test_first_stops_matches_path_loop(seed, horizon, n_states):
             assert rows[i] == sum(sizes[:tau - 1]) + state
             assert stacked_z[rows[i]] == z[tau][state]
     assert seen == list(range(horizon, 0, -1))
+
+
+def sparse_row(rng, n):
+    """A probability row over n states with some entries zero."""
+    p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    if not p.any():
+        p[rng.integers(n)] = 1.0
+    return p / p.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4), n_states=st.integers(1, 4),
+       dim=st.sampled_from([1, 2]), stop_at_start=st.booleans())
+def test_stop_masses_match_path_aggregation(seed, horizon, n_states, dim, stop_at_start):
+    # Payoffs on a 0.1 grid, so payoff == continuation is common; a start
+    # payoff of 1 is at least every continuation, so the start stops. dim 2 is
+    # the product of two copies of the 1-d chain, stored as its factor.
+    rng = np.random.Generator(np.random.Philox(seed))
+    grids = [np.sort(rng.uniform(-1, 1, size=n_states)) for _ in range(horizon)]
+    mats = [np.stack([sparse_row(rng, n_states) for _ in range(n_states)])
+            for _ in range(horizon - 1)]
+    chain = _product_chain(dim, grids, sparse_row(rng, n_states), mats, np.zeros(dim), None)
+    start = 1.0 if stop_at_start else rng.integers(0, 11) / 10.0
+    payoff = table_payoff({t: rng.integers(0, 11, size=chain.n_states(t)) / 10.0
+                           for t in range(1, horizon + 1)}, start)
+    table = snell_envelope(chain, payoff)
+    got = stop_masses(table)
+
+    ens = enumerate_paths(chain)
+    tau = optimal_stopping_times(table, ens)[:, 0]
+    collected = payoff_at_times(chain, payoff, ens, tau)
+    for t in range(horizon + 1):
+        at_t = tau == t
+        states = np.zeros(len(ens), dtype=np.int64) if t == 0 else ens.state_indices_at(t)
+        expected = np.bincount(states[at_t], weights=ens.probabilities[at_t],
+                               minlength=got[t].size)
+        np.testing.assert_allclose(got[t], expected, rtol=0, atol=1e-12)
+    law = np.bincount(tau, weights=ens.probabilities, minlength=horizon + 1)
+    np.testing.assert_allclose([p.sum() for p in got], law, rtol=0, atol=1e-12)
+    expected_collected = sum(p @ payoff.values(chain, t) for t, p in enumerate(got))
+    assert abs(expected_collected - table.value0) <= 1e-12
+    assert abs(expected_collected - float(ens.probabilities @ collected)) <= 1e-12
+    if stop_at_start:
+        assert got[0][0] == 1.0
 
 
 class TestContinuationUnderRule:

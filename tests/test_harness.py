@@ -12,14 +12,19 @@ from scipy.integrate import quad
 
 import qlsm
 from qlsm import lsm_quantum
-from qlsm.basis import hermite
+from qlsm.basis import hermite, hermite_basis
+from qlsm.chain import discretize_brownian
+from qlsm.dp import snell_envelope
 from qlsm.errors import ConfigError
 from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, main
 from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
 from qlsm.harness.experiments import (_hermite_weighted_integral, _lognormal_tail_integral,
                                       dump_oracle, run_price, run_scaling,
                                       validate_bounds)
-from qlsm.lsm_quantum import oracle_sigma_min
+from qlsm.lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
+from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
+from qlsm.payoff import put_payoff
+from qlsm.qsim.ledger import CostWeights
 
 
 def reference_config(**overrides):
@@ -60,23 +65,15 @@ class TestConfig:
         assert basis.size == 3
 
     def test_custom_chain_file(self, tmp_path):
-        from qlsm.chain import discretize_brownian
-
         chain = discretize_brownian(1, 2, 3, 2.0)
         path = tmp_path / "chain.json"
         path.write_text(chain.to_json())
-        cfg = reference_config(model="custom-json", chain_file=str(path),
-                               algorithm="oracle")
+        cfg = reference_config(model="custom-json", chain_file=str(path))
         loaded = cfg.build_chain()
         assert loaded.to_json() == chain.to_json()
 
 
 class TestPriceRuns:
-    def test_oracle_mode(self):
-        report = run_price(reference_config(algorithm="oracle"))
-        assert report.exact_value is not None
-        assert report.summary["value"] == report.exact_value
-
     def test_constant_payoff_exact_for_both(self):
         cfg = reference_config(algorithm="both",
                                payoff=PayoffConfig(name="constant", strike=1.0).__dict__,
@@ -194,11 +191,40 @@ class TestClosedFormTails:
 
 class TestDumpOracle:
     def test_collected_matches_value(self):
-        report = dump_oracle(reference_config())
+        cfg = reference_config()
+        report = dump_oracle(cfg)
+        summary, rows = report.summary, report.rows
+        assert set(summary) == {"value", "continuation0", "expected_collected",
+                                "stop_time_law"}
+        assert summary["expected_collected"] == pytest.approx(summary["value"], abs=1e-12)
+        assert summary["value"] == report.exact_value
+        assert math.isclose(sum(summary["stop_time_law"]), 1.0, abs_tol=1e-12)
+        # One row per (step, state): the start point, then grid_size per step.
+        assert len(rows) == 1 + cfg.horizon * cfg.grid_size
+        assert rows[0]["mass"] == 1.0 and rows[0]["value"] == summary["value"]
+        assert rows[0]["continuation"] == summary["continuation0"]
+        for t, law in enumerate(summary["stop_time_law"]):
+            step = [r for r in rows if r["step"] == t]
+            assert [r["state"] for r in step] == list(range(len(step)))
+            assert math.isclose(sum(r["mass"] for r in step), 1.0, abs_tol=1e-12)
+            assert sum(r["stop_mass"] for r in step) == pytest.approx(law, abs=1e-15)
+            for r in step:
+                assert r["stop_mass"] <= r["mass"] + 1e-15
+                assert r["stop"] or r["stop_mass"] == 0.0
+                if t == cfg.horizon:
+                    assert r["stop"] and r["continuation"] is None
+                    assert r["value"] == r["payoff"]
+                else:
+                    assert r["value"] == (r["payoff"] if r["stop"] else r["continuation"])
+
+    def test_past_the_enumeration_cap(self):
+        # 8^10 = 1.07e9 paths, which the path-by-path report refused.
+        cfg = reference_config(horizon=10, grid_size=8, grid_radius=2.2)
+        report = dump_oracle(cfg)
+        assert len(report.rows) == 81
         assert report.summary["expected_collected"] == pytest.approx(
             report.summary["value"], abs=1e-12)
-        assert math.isclose(sum(r["probability"] for r in report.rows), 1.0,
-                            abs_tol=1e-10)
+        assert math.isclose(sum(report.summary["stop_time_law"]), 1.0, abs_tol=1e-12)
 
 
 class TestCli:
@@ -220,17 +246,32 @@ class TestCli:
         code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, case):
+        # A directory or a file that is not UTF-8 used to end in a traceback.
+        cfg = tmp_path / "cfg.json"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf-8":
+            cfg.write_bytes(b"\xff\xfe")
+        code = main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and (case == "not-utf-8" or str(cfg) in err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc", [
         {"horizon": 3.5}, {"grid_size": 4.0}, {"trials": 2.5}, {"horizon": True},
-        {"grid_size": 1}, {"dimension": 2}, {"dimension": 2, "payoff": {"name": "call"}},
-        ["abc"], {"basis_query_cost": "x"}, {"grid_radius": math.inf}, {"grid_radius": 10**400},
-        {"grid_radius": True}, {"sigma_min_oracle": "false"}, {"sample_step_cost": -1.0},
+        {"grid_size": 1}, ["abc"], {"basis_query_cost": "x"}, {"grid_radius": math.inf},
+        {"grid_radius": 10**400}, {"grid_radius": True}, {"sigma_min_oracle": "false"},
+        {"sample_step_cost": -1.0},
         {"path_count": 2, "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
          "algorithm": "classical"},
+        {"algorithm": "oracle"},
     ], ids=["float-horizon", "float-grid-size", "float-trials", "bool-horizon",
-            "brownian-grid-size-1", "put-dimension-2", "call-dimension-2", "not-an-object",
-            "string-cost", "infinite-grid-radius", "huge-int-grid-radius", "bool-grid-radius",
-            "string-oracle-flag", "negative-cost", "paths-below-basis-size"])
+            "brownian-grid-size-1", "not-an-object", "string-cost", "infinite-grid-radius",
+            "huge-int-grid-radius", "bool-grid-radius", "string-oracle-flag", "negative-cost",
+            "paths-below-basis-size", "oracle-algorithm"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps(doc))
@@ -238,12 +279,59 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("case", ["missing", "not-json", "no-horizon", "law-sums-to-1.1"])
+    def test_bad_chain_file_exit_two(self, tmp_path, capsys, case):
+        # Each used to end in a traceback (exit 1): FileNotFoundError,
+        # JSONDecodeError, KeyError and ValueError.
+        chain_file = tmp_path / "chain.json"
+        doc = json.loads(discretize_brownian(1, 2, 3, 2.0).to_json())
+        if case == "not-json":
+            chain_file.write_text("{not json")
+        elif case == "no-horizon":
+            del doc["horizon"]
+            chain_file.write_text(json.dumps(doc))
+        elif case == "law-sums-to-1.1":
+            doc["initial_distribution"][0] += 0.1
+            chain_file.write_text(json.dumps(doc))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": "custom-json", "chain_file": str(chain_file),
+                                        "trials": 1}))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and str(chain_file) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_basket_price_matches_library_runs(self, tmp_path):
+        # A 2-d basket put from a config; the CLI seeds trial k with
+        # SeedSequence(seed).spawn(trials)[k], and both algorithms share it.
+        cfg_file = tmp_path / "basket.json"
+        cfg_file.write_text(json.dumps({
+            "model": "brownian", "dimension": 2, "horizon": 4, "grid_size": 5,
+            "grid_radius": 2.2, "payoff": {"name": "put", "strike": 1.0},
+            "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
+            "algorithm": "both", "epsilon": 0.02, "trials": 1, "seed": 3}))
+        assert main(["price", "--config", str(cfg_file), "--out", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "price.json").read_text())
+        chain = discretize_brownian(2, 4, 5, 2.2)
+        payoff = put_payoff(1.0)
+        basis = hermite_basis(2, 2, 4, 4.0)
+        seed = np.random.SeedSequence(3).spawn(1)[0]
+        classical = run_classical_lsm(chain, payoff, basis,
+                                      choose_sample_count(basis.size, 0.02, 0.1), seed)
+        quantum = run_quantum_lsm(chain, payoff, basis, 0.02, 0.1,
+                                  sigma_min_lower=oracle_sigma_min(basis, chain), seed=seed)
+        assert doc["exact_value"] == snell_envelope(chain, payoff).value0
+        rows = {row["algorithm"]: row for row in doc["rows"]}
+        assert rows["classical"]["estimate"] == classical.estimate
+        assert rows["classical"]["cost_units"] == classical_cost_units(classical, CostWeights())
+        assert rows["quantum"]["estimate"] == quantum.estimate
+        assert rows["quantum"]["cost_units"] == quantum.ledger.total_units(4, CostWeights())
+
     @pytest.mark.parametrize("payoff", [{"name": "put"}, {"name": "constant"}])
     def test_custom_chain_dimension_mismatch_exit_two(self, tmp_path, capsys, payoff):
         # A 2-d chain file under the default dimension 1: a put used to end in
         # a traceback, a constant payoff in a basis on the first coordinate.
-        from qlsm.chain import discretize_brownian
-
         chain_file = tmp_path / "chain.json"
         chain_file.write_text(discretize_brownian(2, 2, 3, 2.0).to_json())
         cfg_file = tmp_path / "cfg.json"

@@ -7,14 +7,15 @@ import pytest
 from qlsm.basis import constant_basis, gbm_basis, hermite_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
-                     path_stop_times, snell_envelope, stop_decision)
+                     snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
 from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, _entry_streams,
                               oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_closed_form,
                               schedule_from_smoothness)
-from qlsm.payoff import PayoffSpec, put_payoff, table_payoff
+from qlsm.payoff import put_payoff, table_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo
+from qlsm.reference import path_stop_times
 from qlsm.stopping_circuits import StoppingCircuits
 
 
@@ -273,7 +274,7 @@ class TestGenericRuns:
         # The quantum-basket2d benchmark instance, T = 4, m = 6: each step's
         # 36 Gram entries are one batch and its 6 targets another.
         chain = discretize_brownian(2, 4, 5, 2.2)
-        payoff = PayoffSpec(step_function=lambda t, pts: np.maximum(0.0, 1.0 - pts.mean(axis=1)))
+        payoff = put_payoff(1.0)
         basis = hermite_basis(2, 2, 4, 4.0)
         run = run_quantum_lsm(chain, payoff, basis, 0.02, 0.2,
                               sigma_min_lower=oracle_sigma_min(basis, chain), seed=1)
@@ -376,13 +377,10 @@ class TestModelVariants:
         # Multi-coordinate chain: product grids, Kronecker closed form and the
         # scaled-monomial basis must agree on index ordering end to end.
         from qlsm.chain import discretize_gbm
-        from qlsm.payoff import PayoffSpec
         from qlsm.qsim import FixedPointFormat
 
         chain = discretize_gbm(2, 2, 7, 2.5)
-        payoff = PayoffSpec(
-            step_function=lambda t, pts: np.maximum(0.0, 1.0 - pts.mean(axis=1)),
-            label="basket-put")
+        payoff = put_payoff(1.0)
         table = snell_envelope(chain, payoff)
         basis = gbm_basis(2, 1, 2, 1e9)
         import warnings

@@ -28,6 +28,17 @@ class TestOptionPayoffs:
     def test_call(self):
         assert call_payoff(1.0).step_function(1, np.array([[3.0]]))[0] == 2.0
 
+    def test_basket_put_and_call_on_a_2d_grid(self):
+        # Both act on the equally weighted basket: max(0, +-(mean - K)).
+        chain = discretize_brownian(2, 2, 3, 2.0)
+        for t in (1, 2):
+            mean = chain.grid(t).mean(axis=1)
+            np.testing.assert_array_equal(put_payoff(0.5).values(chain, t),
+                                          np.maximum(0.0, 0.5 - mean))
+            np.testing.assert_array_equal(call_payoff(0.5).values(chain, t),
+                                          np.maximum(0.0, mean - 0.5))
+        assert put_payoff(0.5).value_at_start(chain) == 0.5
+
     def test_strike_positive(self):
         with pytest.raises(ValueError):
             put_payoff(0.0)

@@ -19,15 +19,11 @@ from qlsm.chain import (MarkovChainSpec, _product_chain, discretize_brownian,
                         discretize_gbm, sample_paths)
 from qlsm.dp import CoefficientRule, continuation_values, snell_envelope
 from qlsm.lsm_classical import run_classical_lsm
-from qlsm.payoff import PayoffSpec, table_payoff
+from qlsm.payoff import put_payoff, table_payoff
 from qlsm.qsim.fixed_point import FixedPointFormat
 from qlsm.stopping_circuits import StoppingCircuits
 
 TOL = 1e-14
-
-
-def basket_put(t, pts):
-    return np.maximum(0.0, 1.0 - pts.mean(axis=1))
 
 
 def sparse_row(rng, n):
@@ -107,7 +103,7 @@ def test_no_dense_kronecker_power_on_product_chains(monkeypatch):
         return kron_power(mat, dim)
 
     monkeypatch.setattr(chain_module, "_kron_power", vector_powers_only)
-    payoff = PayoffSpec(step_function=basket_put)
+    payoff = put_payoff(1.0)
     for chain in (discretize_brownian(3, 3, 12, 2.2), discretize_gbm(2, 3, 9, 2.5)):
         assert chain.marginals[-1].shape == (chain.n_states(chain.horizon),)
         snell_envelope(chain, payoff)
@@ -123,7 +119,7 @@ def test_four_dimensional_classical_run_memory():
     tracemalloc.start()
     try:
         chain = discretize_brownian(4, 3, 10, 2.2)
-        run = run_classical_lsm(chain, PayoffSpec(step_function=basket_put),
+        run = run_classical_lsm(chain, put_payoff(1.0),
                                 hermite_basis(4, 2, 3, 4.0), 100_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -169,7 +165,7 @@ def test_stopped_law_memory(monkeypatch):
     monkeypatch.setattr(chain_module, "_kron_power", vector_powers_only)
     chain = discretize_brownian(3, 3, 10, 2.2)
     basis = hermite_basis(3, 2, 3, 4.0)
-    circ = StoppingCircuits(chain=chain, payoff=PayoffSpec(step_function=basket_put),
+    circ = StoppingCircuits(chain=chain, payoff=put_payoff(1.0),
                             basis=basis, coefficients={
                                 t: np.linspace(0.6, -0.3, basis.size) for t in (1, 2)})
     for t in range(1, 4):

@@ -27,18 +27,13 @@ the basket digests did not move.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from qlsm.basis import hermite_basis
 from qlsm.chain import discretize_brownian
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
-from qlsm.payoff import PayoffSpec, put_payoff
+from qlsm.payoff import put_payoff
 from report_reference import assert_report_close, recorded_report
-
-
-def basket_put(t, pts):
-    return np.maximum(0.0, 1.0 - pts.mean(axis=1))
 
 
 def criterion6_instance():
@@ -49,7 +44,7 @@ def criterion6_instance():
 
 def basket_instance():
     """2-d Brownian chain, T=3, n=3, Hermite degree 2, basket put (729 paths)."""
-    return (discretize_brownian(2, 3, 3, 2.2), PayoffSpec(step_function=basket_put),
+    return (discretize_brownian(2, 3, 3, 2.2), put_payoff(1.0),
             hermite_basis(2, 2, 3, 4.0))
 
 

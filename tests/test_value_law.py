@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
-from qlsm.dp import CoefficientRule, path_stop_times, stop_decision
+from qlsm.dp import CoefficientRule, stop_decision
 from qlsm.payoff import PayoffSpec, table_payoff
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
-from qlsm.reference import (apply_oracle, prepare, prepare_operator,
+from qlsm.reference import (apply_oracle, path_stop_times, prepare, prepare_operator,
                             stopped_payoff_values)
 from qlsm.stopping_circuits import StoppingCircuits
 
