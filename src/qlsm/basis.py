@@ -71,81 +71,76 @@ def hermite_multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(k for k in itertools.product(range(degree + 1), repeat=dim) if sum(k) <= degree)
 
 
-def hermite_basis(dim: int, degree: int, horizon: int, cube_radius: float) -> BasisSpec:
-    """Normalized Hermite products in x/sqrt(2t), zeroed outside the cube
-    of half-width cube_radius; orthonormal under the Gaussian step marginals."""
-    if degree < 0 or cube_radius <= 0:
+def gbm_multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(range(degree + 1), repeat=dim))
+
+
+def _product_basis(kind: str, indices: tuple[tuple[int, ...], ...], horizon: int,
+                   factors: Callable, degree: int, cube_radius: float | None = None,
+                   l2_bound: float | None = None) -> BasisSpec:
+    """Products over coordinates: member idx at step t is the product over
+    axes with idx[axis] = k >= 1 of rows[k][:, axis] * scales[k], where
+    factors(t, points) gives rows[k], the order-k factor values as an (n, d)
+    array, and scales[k]; order 0 is the factor 1. With a cube_radius every
+    member is zeroed at points outside the cube."""
+    if degree < 0 or (cube_radius is not None and cube_radius <= 0):
         raise ValueError("degree must be >= 0 and cube_radius positive")
-    indices = hermite_multi_indices(dim, degree)
-    log_norms = np.array([[_log_hermite_normalizer(k) for k in idx] for idx in indices])
 
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        scaled = points / math.sqrt(2.0 * t)
-        rows = _hermite_rows(degree, scaled)  # (degree+1, n, dim)
-        inside = np.all(np.abs(points) <= cube_radius, axis=1)
+        rows, scales = factors(t, points)
         out = np.empty((points.shape[0], len(indices)))
         for j, idx in enumerate(indices):
             vals = np.ones(points.shape[0])
             for axis, k in enumerate(idx):
-                vals = vals * rows[k, :, axis] * math.exp(log_norms[j, axis])
-            out[:, j] = np.where(inside, vals, 0.0)
+                if k:
+                    vals = vals * rows[k][:, axis] * scales[k]
+            out[:, j] = vals
+        if cube_radius is not None:
+            out[~np.all(np.abs(points) <= cube_radius, axis=1)] = 0.0
         return out
 
-    return BasisSpec(kind=KIND_HERMITE, size=len(indices), horizon=horizon,
-                     evaluator=evaluator, degree=degree, cube_radius=cube_radius,
-                     multi_indices=indices, l2_bound=1.0)
+    return BasisSpec(kind=kind, size=len(indices), horizon=horizon, evaluator=evaluator,
+                     degree=degree, cube_radius=cube_radius, multi_indices=indices,
+                     l2_bound=l2_bound)
 
 
-def gbm_multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product(range(degree + 1), repeat=dim))
+def hermite_basis(dim: int, degree: int, horizon: int, cube_radius: float) -> BasisSpec:
+    """Normalized Hermite products in x/sqrt(2t), zeroed outside the cube
+    of half-width cube_radius; orthonormal under the Gaussian step marginals."""
+    norms = [math.exp(_log_hermite_normalizer(k)) for k in range(degree + 1)]
+
+    def factors(t: float, points: np.ndarray):
+        return _hermite_rows(degree, points / math.sqrt(2.0 * t)), norms
+
+    return _product_basis(KIND_HERMITE, hermite_multi_indices(dim, degree), horizon, factors,
+                          degree, cube_radius, l2_bound=1.0)
 
 
 def gbm_basis(dim: int, degree: int, horizon: int, cube_radius: float) -> BasisSpec:
     """Monomials x^k scaled by exp(-k(k-1)t/2) per coordinate, zeroed outside
     the cube; their exact Gram under log-normal marginals is Vandermonde."""
-    if degree < 0 or cube_radius <= 0:
-        raise ValueError("degree must be >= 0 and cube_radius positive")
-    indices = gbm_multi_indices(dim, degree)
-
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        inside = np.all(np.abs(points) <= cube_radius, axis=1)
-        out = np.empty((points.shape[0], len(indices)))
-        for j, idx in enumerate(indices):
-            vals = np.ones(points.shape[0])
-            for axis, k in enumerate(idx):
-                if k:
-                    vals = vals * points[:, axis] ** k * math.exp(-k * (k - 1) * t / 2.0)
-            out[:, j] = np.where(inside, vals, 0.0)
-        return out
+    def factors(t: float, points: np.ndarray):
+        return ([points**k for k in range(degree + 1)],
+                [math.exp(-k * (k - 1) * t / 2.0) for k in range(degree + 1)])
 
     ell = math.exp(degree * degree * horizon * dim / 2.0)
-    return BasisSpec(kind=KIND_GBM, size=len(indices), horizon=horizon,
-                     evaluator=evaluator, degree=degree, cube_radius=cube_radius,
-                     multi_indices=indices, l2_bound=ell)
+    return _product_basis(KIND_GBM, gbm_multi_indices(dim, degree), horizon, factors,
+                          degree, cube_radius, l2_bound=ell)
 
 
 def constant_basis(horizon: int) -> BasisSpec:
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        return np.ones((points.shape[0], 1))
-
-    return BasisSpec(kind=KIND_GENERIC, size=1, horizon=horizon,
-                     evaluator=evaluator, degree=0, l2_bound=1.0)
+    """The one function 1: the empty product."""
+    return _product_basis(KIND_GENERIC, ((),), horizon, lambda t, points: ((), ()), 0,
+                          l2_bound=1.0)
 
 
 def monomial_basis(dim: int, degree: int, horizon: int) -> BasisSpec:
     """Plain multivariate monomials up to total degree, untruncated."""
-    indices = hermite_multi_indices(dim, degree)
+    def factors(t: float, points: np.ndarray):
+        return [points**k for k in range(degree + 1)], [1.0] * (degree + 1)
 
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        out = np.ones((points.shape[0], len(indices)))
-        for j, idx in enumerate(indices):
-            for axis, k in enumerate(idx):
-                if k:
-                    out[:, j] *= points[:, axis] ** k
-        return out
-
-    return BasisSpec(kind=KIND_GENERIC, size=len(indices), horizon=horizon,
-                     evaluator=evaluator, degree=degree, multi_indices=indices)
+    return _product_basis(KIND_GENERIC, hermite_multi_indices(dim, degree), horizon,
+                          factors, degree)
 
 
 def indicator_basis(chain: MarkovChainSpec) -> BasisSpec:

@@ -488,25 +488,23 @@ def _brownian_1d_parts(horizon: int, grid_size: int, support_radius: float):
     return grids, init, mats, dropped
 
 
-def _brownian_diagnostics(grids, init, mats, dropped, support_radius, grid_size) -> tuple[StepDiagnostics, ...]:
+def _diagnostics(grids1, points1, init, mats, dropped, targets, per_step) -> tuple[StepDiagnostics, ...]:
+    """Push the 1-d law forward step by step and measure the mean and
+    variance of its points against targets(t); per_step(t, w, h) is the
+    model's error estimate at step t on the Brownian grid w of spacing h,
+    compounded into the tolerance 2t * per_step."""
     out = []
     mass = init
-    for t in range(1, len(grids) + 1):
-        g = grids[t - 1]
-        mean = float(np.sum(mass * g))
-        var = float(np.sum(mass * g**2) - mean**2)
-        h = g[1] - g[0] if g.size > 1 else 0.0
-        # Conservative per-step quantization + truncation estimate, compounded.
-        edge = support_radius * math.sqrt(t) + h / 2
-        zbar = edge / math.sqrt(t)
-        tail2 = 2 * t * (_normal_cdf(-zbar) + zbar * math.exp(-zbar * zbar / 2) / math.sqrt(2 * math.pi))
-        per_step = h * math.sqrt(2 * t / math.pi) + h * h / 4 + tail2 + max(dropped) * 2 * t
-        tol = 2.0 * t * per_step
-        out.append(StepDiagnostics(step=t, mean_error=abs(mean),
-                                   variance_error=abs(var - t),
+    for t, (w, x) in enumerate(zip(grids1, points1), start=1):
+        mean = float(np.sum(mass * x))
+        var = float(np.sum(mass * x**2) - mean**2)
+        target_mean, target_var = targets(t)
+        h = w[1] - w[0] if w.size > 1 else 0.0
+        out.append(StepDiagnostics(step=t, mean_error=abs(mean - target_mean),
+                                   variance_error=abs(var - target_var),
                                    dropped_mass=max(dropped[: t]),
-                                   tolerance=tol))
-        if t < len(grids):
+                                   tolerance=2.0 * t * per_step(t, w, h)))
+        if t < len(grids1):
             mass = mass @ mats[t - 1]
     return tuple(out)
 
@@ -520,34 +518,15 @@ def discretize_brownian(dim: int, horizon: int, grid_size: int,
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
     grids1, init1, mats1, dropped = _brownian_1d_parts(horizon, grid_size, support_radius)
-    diag = _brownian_diagnostics(grids1, init1, mats1, dropped, support_radius, grid_size)
+
+    def per_step(t, w, h):
+        # Conservative per-step quantization + truncation estimate.
+        zbar = (support_radius * math.sqrt(t) + h / 2) / math.sqrt(t)
+        tail2 = 2 * t * (_normal_cdf(-zbar) + zbar * math.exp(-zbar * zbar / 2) / math.sqrt(2 * math.pi))
+        return h * math.sqrt(2 * t / math.pi) + h * h / 4 + tail2 + max(dropped) * 2 * t
+
+    diag = _diagnostics(grids1, grids1, init1, mats1, dropped, lambda t: (0.0, t), per_step)
     return _product_chain(dim, grids1, init1, mats1, np.zeros(dim), diag)
-
-
-def _gbm_diagnostics(grids1, init, mats, dropped) -> tuple[StepDiagnostics, ...]:
-    out = []
-    mass = init
-    for t in range(1, len(grids1) + 1):
-        w = grids1[t - 1]
-        x = np.exp(w - t / 2)
-        mean = float(np.sum(mass * x))
-        second = float(np.sum(mass * x**2))
-        h = w[1] - w[0] if w.size > 1 else 0.0
-        edge = w[-1] + h / 2
-        # |d/dw e^{w-t/2}| peaks at the upper grid edge; tails are exact normal
-        # integrals of e^{w-t/2} beyond the outer edges.
-        quant = math.exp(edge - t / 2) * h / 2
-        upper = _normal_cdf((t - edge) / math.sqrt(t))
-        lower = _normal_cdf((-edge - t) / math.sqrt(t))
-        per_step = quant + upper + lower + max(dropped) * math.exp(edge - t / 2)
-        tol = 2.0 * t * per_step
-        out.append(StepDiagnostics(step=t, mean_error=abs(mean - 1.0),
-                                   variance_error=abs((second - mean**2) - (math.exp(t) - 1.0)),
-                                   dropped_mass=max(dropped[: t]),
-                                   tolerance=tol))
-        if t < len(grids1):
-            mass = mass @ mats[t - 1]
-    return tuple(out)
 
 
 def discretize_gbm(dim: int, horizon: int, grid_size: int,
@@ -565,6 +544,17 @@ def discretize_gbm(dim: int, horizon: int, grid_size: int,
         return _product_chain(dim, [np.ones(1) for _ in range(horizon)], np.ones(1),
                               [np.ones((1, 1)) for _ in range(horizon - 1)], np.ones(dim), diag)
     grids1, init1, mats1, dropped = _brownian_1d_parts(horizon, grid_size, support_radius)
-    diag = _gbm_diagnostics(grids1, init1, mats1, dropped)
-    gbm_grids1 = [np.exp(g - t / 2) for t, g in zip(range(1, horizon + 1), grids1)]
+    gbm_grids1 = [np.exp(w - t / 2) for t, w in enumerate(grids1, start=1)]
+
+    def per_step(t, w, h):
+        # |d/dw e^{w-t/2}| peaks at the upper grid edge; tails are exact normal
+        # integrals of e^{w-t/2} beyond the outer edges.
+        edge = w[-1] + h / 2
+        quant = math.exp(edge - t / 2) * h / 2
+        upper = _normal_cdf((t - edge) / math.sqrt(t))
+        lower = _normal_cdf((-edge - t) / math.sqrt(t))
+        return quant + upper + lower + max(dropped) * math.exp(edge - t / 2)
+
+    diag = _diagnostics(grids1, gbm_grids1, init1, mats1, dropped,
+                        lambda t: (1.0, math.exp(t) - 1.0), per_step)
     return _product_chain(dim, gbm_grids1, init1, mats1, np.ones(dim), diag)

@@ -21,10 +21,6 @@ EXIT_BOUNDS = 3
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment configuration file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the config trial count")
     parser.add_argument("--out", type=Path, default=Path("reports"),
                         help="output directory for JSON/CSV reports")
 
@@ -38,6 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_price = sub.add_parser("price", help="run pricing trials against the oracle")
     _add_common(p_price)
+    p_price.add_argument("--trials", type=int, default=None,
+                         help="override the config trial count")
 
     p_scaling = sub.add_parser("scaling", help="cost-vs-accuracy slope study")
     _add_common(p_scaling)
@@ -52,6 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("dump-oracle", help="write the exact value table")
     _add_common(p_oracle)
+    # Only the commands that draw random numbers take a seed.
+    for p in (p_price, p_scaling, p_bounds):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -62,7 +63,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig()
         config.validate()
     updates = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials

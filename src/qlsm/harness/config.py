@@ -12,10 +12,7 @@ from ..errors import ConfigError
 from ..payoff import PayoffSpec, call_payoff, constant_payoff, put_payoff
 from ..qsim.ledger import CostWeights
 
-_MODELS = ("brownian", "gbm", "custom-json")
 _ALGORITHMS = ("classical", "quantum", "both")
-_PAYOFFS = ("put", "call", "constant")
-_BASES = ("hermite", "gbm", "constant", "monomial")
 # Each scalar annotation's check and its name in error messages. A bool is
 # not a number here, and a float must be finite: a JSON integer past the
 # float range fails too, where math.isfinite would raise.
@@ -42,6 +39,39 @@ def _check_field_types(config, prefix: str = "") -> None:
         check, expected = _SCALAR_TYPES[kind]
         if not (value is None and f.type.endswith(" | None")) and not check(value):
             raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def _read_chain_file(config: ExperimentConfig) -> MarkovChainSpec:
+    """The chain in config.chain_file; it must match the config's dimension
+    and horizon."""
+    try:
+        chain = MarkovChainSpec.from_json(Path(config.chain_file).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"chain_file {config.chain_file!r} is not a readable chain: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    for name in ("dimension", "horizon"):
+        if getattr(chain, name) != getattr(config, name):
+            raise ConfigError(f"chain_file has {name} {getattr(chain, name)}, but the config's "
+                              f"{name} is {getattr(config, name)}")
+    return chain
+
+
+# Each model, payoff and basis name with its builder. The lambdas look names up
+# when called, so a wrapper set on this module's discretize_brownian is used.
+_MODELS = {
+    "brownian": lambda c: discretize_brownian(c.dimension, c.horizon, c.grid_size,
+                                              c.grid_radius),
+    "gbm": lambda c: discretize_gbm(c.dimension, c.horizon, c.grid_size, c.grid_radius),
+    "custom-json": _read_chain_file,
+}
+_PAYOFFS = {"put": put_payoff, "call": call_payoff, "constant": constant_payoff}
+_BASES = {
+    "hermite": lambda c: hermite_basis(c.dimension, c.basis.degree, c.horizon,
+                                       c.basis.cube_radius),
+    "gbm": lambda c: gbm_basis(c.dimension, c.basis.degree, c.horizon, c.basis.cube_radius),
+    "constant": lambda c: constant_basis(c.horizon),
+    "monomial": lambda c: monomial_basis(c.dimension, c.basis.degree, c.horizon),
+}
 
 
 @dataclass(frozen=True)
@@ -83,13 +113,13 @@ class ExperimentConfig:
         _check_field_types(self)
         min_grid = 2 if self.model == "brownian" else 1
         checks = [
-            (self.model in _MODELS, f"model must be one of {_MODELS}, got {self.model!r}"),
+            (self.model in _MODELS, f"model must be one of {tuple(_MODELS)}, got {self.model!r}"),
             (self.algorithm in _ALGORITHMS,
              f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}"),
             (self.payoff.name in _PAYOFFS,
-             f"payoff.name must be one of {_PAYOFFS}, got {self.payoff.name!r}"),
+             f"payoff.name must be one of {tuple(_PAYOFFS)}, got {self.payoff.name!r}"),
             (self.basis.kind in _BASES,
-             f"basis.kind must be one of {_BASES}, got {self.basis.kind!r}"),
+             f"basis.kind must be one of {tuple(_BASES)}, got {self.basis.kind!r}"),
             (self.dimension >= 1, "dimension must be at least 1"),
             (self.horizon >= 1, "horizon must be at least 1"),
             (self.grid_size >= min_grid, f"grid_size must be at least {min_grid}"),
@@ -144,39 +174,24 @@ class ExperimentConfig:
 
     # -- builders -----------------------------------------------------------
 
-    def build_chain(self) -> MarkovChainSpec:
-        if self.model == "brownian":
-            return discretize_brownian(self.dimension, self.horizon,
-                                       self.grid_size, self.grid_radius)
-        if self.model == "gbm":
-            return discretize_gbm(self.dimension, self.horizon,
-                                  self.grid_size, self.grid_radius)
+    def build(self) -> tuple[MarkovChainSpec, PayoffSpec, BasisSpec]:
+        """The validated instance: its chain, payoff and basis. A builder's
+        refusal, such as a GBM basis norm bound past the float range, is a
+        config error."""
+        self.validate()
         try:
-            chain = MarkovChainSpec.from_json(Path(self.chain_file).read_text())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"chain_file {self.chain_file!r} is not a readable chain: "
-                              f"{type(exc).__name__}: {exc}") from exc
-        if chain.dimension != self.dimension:
-            raise ConfigError(f"chain_file has dimension {chain.dimension}, but the config's "
-                              f"dimension is {self.dimension}")
-        return chain
+            return self.build_chain(), self.build_payoff(), self.build_basis()
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"the config builds no instance: {type(exc).__name__}: {exc}") from exc
+
+    def build_chain(self) -> MarkovChainSpec:
+        return _MODELS[self.model](self)
 
     def build_payoff(self) -> PayoffSpec:
-        if self.payoff.name == "put":
-            return put_payoff(self.payoff.strike)
-        if self.payoff.name == "call":
-            return call_payoff(self.payoff.strike)
-        return constant_payoff(self.payoff.strike)
+        return _PAYOFFS[self.payoff.name](self.payoff.strike)
 
     def build_basis(self) -> BasisSpec:
-        kind, deg, lam = self.basis.kind, self.basis.degree, self.basis.cube_radius
-        if kind == "hermite":
-            return hermite_basis(self.dimension, deg, self.horizon, lam)
-        if kind == "gbm":
-            return gbm_basis(self.dimension, deg, self.horizon, lam)
-        if kind == "constant":
-            return constant_basis(self.horizon)
-        return monomial_basis(self.dimension, deg, self.horizon)
+        return _BASES[self.basis.kind](self)
 
     def cost_weights(self) -> CostWeights:
         return CostWeights(sample_step=self.sample_step_cost,

@@ -7,12 +7,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..basis import (gbm_tail_bound, hermite, hermite_tail_bound, l2_norm_bound,
+from ..basis import (BasisSpec, gbm_tail_bound, hermite, hermite_tail_bound, l2_norm_bound,
                      monomial_basis, vandermonde_gram, vandermonde_sigma_min_bound)
 from ..chain import MarkovChainSpec, _seeded_rng
 from ..dp import (CoefficientRule, continuation_values, exact_approximation_error,
@@ -20,7 +20,7 @@ from ..dp import (CoefficientRule, continuation_values, exact_approximation_erro
 from ..errors import ConfigError
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
 from ..lsm_quantum import oracle_sigma_min, resolve_sigma_min, run_quantum_lsm
-from ..payoff import table_payoff
+from ..payoff import PayoffSpec, table_payoff
 from ..qsim.fixed_point import FixedPointFormat
 from .config import ExperimentConfig
 
@@ -69,10 +69,7 @@ def _trial_seeds(base_seed: int, count: int) -> list:
 
 def run_price(config: ExperimentConfig) -> ExperimentReport:
     """Price with the selected algorithm(s); compare to the exact oracle."""
-    config.validate()
-    chain = config.build_chain()
-    payoff = config.build_payoff()
-    basis = config.build_basis()
+    chain, payoff, basis = config.build()
     report = ExperimentReport(kind="price", config=config)
     algorithms = [a for a in ("classical", "quantum") if config.algorithm in (a, "both")]
     n_paths = config.path_count or choose_sample_count(basis.size, config.epsilon, config.delta)
@@ -110,12 +107,7 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
             "exceed_epsilon_rate": sum(r["abs_error"] > config.epsilon for r in rows) / len(rows),
         }
     if chain.diagnostics is not None:
-        report.summary["discretization"] = [
-            {"step": d.step, "mean_error": d.mean_error,
-             "variance_error": d.variance_error, "dropped_mass": d.dropped_mass,
-             "tolerance": d.tolerance}
-            for d in chain.diagnostics
-        ]
+        report.summary["discretization"] = [asdict(d) for d in chain.diagnostics]
     return report
 
 
@@ -133,12 +125,9 @@ def _fit_slope(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
 
 def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> ExperimentReport:
     """Cost-versus-accuracy study for both algorithms over an epsilon grid."""
-    config.validate()
+    chain, payoff, basis = config.build()
     if len(epsilon_grid) < 4:
         raise ConfigError("epsilon grid needs at least 4 points")
-    chain = config.build_chain()
-    payoff = config.build_payoff()
-    basis = config.build_basis()
     weights = config.cost_weights()
     sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower, config.sigma_min_oracle)
     for eps in epsilon_grid:
@@ -224,7 +213,7 @@ def _lognormal_tail_integral(k: int, lam: float, t: float) -> float:
 
 def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
     """Numerical audit of every closed-form bound the package relies on."""
-    config.validate()
+    chain, payoff, basis = config.build()
     report = ExperimentReport(kind="bounds", config=config)
     rows = report.rows
     rng = _seeded_rng(config.seed)
@@ -316,11 +305,11 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
     rows.append(_check("sensitivity-bound-failures", float(sens_fail), 0.0))
 
     # Error-propagation inequalities for approximate stopping rules.
-    propagation_fail = _stopping_error_propagation_failures(config, rng, instances=20)
+    propagation_fail = _stopping_error_propagation_failures(rng)
     rows.append(_check("stopping-error-propagation-failures", float(propagation_fail), 0.0))
 
     # Instantiated end-to-end bounds on the configured instance.
-    rows.extend(_instantiated_error_bound_checks(config))
+    rows.extend(_instantiated_error_bound_checks(config, chain, payoff, basis))
 
     report.summary = {
         "all_passed": all(r["passed"] for r in rows),
@@ -339,11 +328,9 @@ def _random_small_chain(rng: np.random.Generator, horizon: int, n_states: int):
                            grids=grids, initial_distribution=init, transitions=mats)
 
 
-def _stopping_error_propagation_failures(config: ExperimentConfig,
-                                         rng: np.random.Generator,
-                                         instances: int = 20) -> int:
+def _stopping_error_propagation_failures(rng: np.random.Generator) -> int:
     failures = 0
-    for _ in range(instances):
+    for _ in range(20):
         horizon = int(rng.integers(2, 5))
         n_states = int(rng.integers(2, 5))
         chain = _random_small_chain(rng, horizon, n_states)
@@ -370,11 +357,9 @@ def _stopping_error_propagation_failures(config: ExperimentConfig,
     return failures
 
 
-def _instantiated_error_bound_checks(config: ExperimentConfig) -> list[dict]:
+def _instantiated_error_bound_checks(config: ExperimentConfig, chain: MarkovChainSpec,
+                                     payoff: PayoffSpec, basis: BasisSpec) -> list[dict]:
     rows = []
-    chain = config.build_chain()
-    payoff = config.build_payoff()
-    basis = config.build_basis()
     table = snell_envelope(chain, payoff)
     horizon, m = chain.horizon, basis.size
     bound_r = payoff.bound_for(chain)
@@ -415,9 +400,7 @@ def dump_oracle(config: ExperimentConfig) -> ExperimentReport:
     0..horizon and grid state x (the start point at t=0): the marginal mass,
     payoff, value, continuation value (None at the horizon), stop decision
     and stop_mass = P(tau = t, X_t = x) under the optimal stop time tau."""
-    config.validate()
-    chain = config.build_chain()
-    payoff = config.build_payoff()
+    chain, payoff, _ = config.build()
     table = snell_envelope(chain, payoff)
     stopped = stop_masses(table)
     report = ExperimentReport(kind="oracle", config=config, exact_value=table.value0)

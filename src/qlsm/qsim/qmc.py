@@ -49,18 +49,6 @@ class QmcVariable:
     def horizon(self) -> int:
         return self.sampling.chain.horizon
 
-    def exact_moments(self) -> tuple[float, float]:
-        """Exact mean and variance; a variable with one value on its support
-        has that value as its mean and variance exactly 0."""
-        means, variances, _, _ = _moments(self.oracle.values[None], self.masses)
-        return float(means[0]), float(variances[0])
-
-    def exact_mean(self) -> float:
-        return self.exact_moments()[0]
-
-    def exact_variance(self) -> float:
-        return self.exact_moments()[1]
-
 
 @dataclass(frozen=True)
 class PieceRecord:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -333,8 +334,66 @@ class TestGramMachinery:
         assert tied
         np.testing.assert_array_equal(indicator_basis(chain).evaluate(1, points), expected)
 
+    def test_negative_degree_rejected(self):
+        # A negative degree used to give a monomial basis of size 0.
+        for make in (lambda: monomial_basis(1, -1, 3), lambda: hermite_basis(1, -1, 3, 4.0),
+                     lambda: gbm_basis(2, -1, 3, 4.0)):
+            with pytest.raises(ValueError, match="degree"):
+                make()
+
     def test_sup_norm_bound(self):
         chain = discretize_brownian(1, 3, 21, 4.0)
         basis = hermite_basis(1, 2, 3, 100.0)
         direct = max(np.abs(basis.evaluate(t, chain.grid(t))).max() for t in (1, 2))
         assert sup_norm_bound(basis, chain) == pytest.approx(direct)
+
+
+def _pin_points(dim: int) -> np.ndarray:
+    """Fixed points in dim coordinates: the cube boundary +-3, +-0, points
+    inside and outside the cube, each coordinate a cyclic shift of the others."""
+    coords = [0.0, -0.0, 3.0, -3.0, 3.5, -4.0, 0.7, -1.3, 2.25, 1e-3]
+    return np.array([[coords[(i + 3 * a) % len(coords)] for a in range(dim)]
+                     for i in range(len(coords))])
+
+
+def _evaluation_digest(make, dim: int, degrees) -> str:
+    digest = hashlib.sha256()
+    for degree in degrees:
+        basis = make(dim, degree)
+        for t in (1, 2, 3.5):
+            digest.update(basis.evaluate(t, _pin_points(dim)).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedEvaluations:
+    """sha256 of evaluate(t, points).tobytes() over degrees 0-3 and
+    t = 1, 2, 3.5: each family's values, bit for bit, as pinned when every
+    family had its own evaluator."""
+
+    FAMILIES = {
+        "hermite": lambda dim, degree: hermite_basis(dim, degree, 4, 3.0),
+        "gbm": lambda dim, degree: gbm_basis(dim, degree, 4, 3.0),
+        "monomial": lambda dim, degree: monomial_basis(dim, degree, 4),
+    }
+    DIGESTS = {
+        ("hermite", 1): "7efcb92cfb60de650cde4824a856c087278e17f3fe9cd162338d89e66b442c09",
+        ("hermite", 2): "4ef9005a8dbd33441dc881d8ce866306750372bcd2a7d2bf1f3522eaaa0de882",
+        ("hermite", 3): "df22d7d8f36f73cf13ff7f3cb38c6dbddfc89bd7cda1707aac079f601b053765",
+        ("gbm", 1): "cd40c7a33f8fe97229d614f8228722ae9d5b30a20f8ff1b5d81cf178735dc1d2",
+        ("gbm", 2): "c95e9292b4f824171eb7ed6570ecc24900fd941bc113fb6ca493e71066979b9a",
+        ("gbm", 3): "067a537d63bf31c4e63309847b85ab2ec7fa8ca8de7cf38894660c0da3826f3b",
+        ("monomial", 1): "d1a1a2d09b4593ee9e37cfedaf9d3c8b3c161313c30791a51e9cf2faccc70d04",
+        ("monomial", 2): "dd5238224b0b494ee9e4d869c08f9682bb7792e8e0068dee45ab1fe0faef0850",
+        ("monomial", 3): "58e6dc59c9afd686e0464909ff9bea1d3bd7de993917ace963b1f6bf465d9ab1",
+        ("constant", 2): "d53cc28498cba27fd466603cbb90cbbac5b0bb2c8382c33594b148f176fb3045",
+    }
+
+    @pytest.mark.parametrize("family", ["hermite", "gbm", "monomial"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_product_bases(self, family, dim):
+        digest = _evaluation_digest(self.FAMILIES[family], dim, range(4))
+        assert digest == self.DIGESTS[family, dim]
+
+    def test_constant_basis(self):
+        digest = _evaluation_digest(lambda dim, degree: constant_basis(4), 2, [0])
+        assert digest == self.DIGESTS["constant", 2]

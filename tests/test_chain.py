@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -393,3 +394,25 @@ class TestSerialization:
         chain = two_state_fair_chain()
         again = MarkovChainSpec.from_json(json.loads(chain.to_json()))
         np.testing.assert_allclose(again.transition(1), chain.transition(1))
+
+
+class TestPinnedDiagnostics:
+    """sha256 of repr(chain.diagnostics) over a range of discretizations, as
+    pinned when each model had its own diagnostics walk."""
+
+    CASES = [(horizon, n, radius) for horizon in (1, 2, 4) for n in (1, 2, 3, 8)
+             for radius in (1.5, 2.2, 4.0)]
+    DIGESTS = {
+        "brownian": "0450250ed0fd3d040474455ab7fa84c12d2c577af828fbeda89d5ee6df76a130",
+        "gbm": "7e1259bbb43dad24b965db7822e75dcabbb4e5403e4f07f3711fcf33f219080a",
+    }
+
+    @pytest.mark.parametrize("model", ["brownian", "gbm"])
+    def test_diagnostics(self, model):
+        discretize = discretize_brownian if model == "brownian" else discretize_gbm
+        digest = hashlib.sha256()
+        for horizon, n, radius in self.CASES:
+            if model == "brownian" and n == 1:
+                continue
+            digest.update(repr(discretize(1, horizon, n, radius).diagnostics).encode())
+        assert digest.hexdigest() == self.DIGESTS[model]

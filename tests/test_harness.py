@@ -16,7 +16,7 @@ from qlsm.basis import hermite, hermite_basis
 from qlsm.chain import discretize_brownian
 from qlsm.dp import snell_envelope
 from qlsm.errors import ConfigError
-from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, main
+from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
 from qlsm.harness.experiments import (_hermite_weighted_integral, _lognormal_tail_integral,
                                       dump_oracle, run_price, run_scaling,
@@ -68,7 +68,7 @@ class TestConfig:
         chain = discretize_brownian(1, 2, 3, 2.0)
         path = tmp_path / "chain.json"
         path.write_text(chain.to_json())
-        cfg = reference_config(model="custom-json", chain_file=str(path))
+        cfg = reference_config(model="custom-json", chain_file=str(path), horizon=2)
         loaded = cfg.build_chain()
         assert loaded.to_json() == chain.to_json()
 
@@ -342,6 +342,57 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "dimension" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["price", "scaling", "validate-bounds", "dump-oracle"])
+    def test_custom_chain_horizon_mismatch_exit_two(self, tmp_path, capsys, command):
+        # A horizon-5 chain file under the default horizon 3 used to price the
+        # 5-step chain with a basis built for 3 steps and report horizon 3.
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(discretize_brownian(1, 5, 4, 2.0).to_json())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": "custom-json", "chain_file": str(chain_file),
+                                        "basis": {"kind": "gbm", "degree": 1}, "trials": 1}))
+        code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "horizon 5" in err and "horizon is 3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["price", "dump-oracle"])
+    def test_basis_norm_bound_overflow_exit_two(self, tmp_path, capsys, command):
+        # exp(q^2 T d / 2) = exp(1500) overflows: price ended in a traceback.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "model": "gbm", "dimension": 3, "horizon": 10,
+            "basis": {"kind": "gbm", "degree": 10, "cube_radius": 20.0}, "trials": 1}))
+        code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "OverflowError" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--trials", "2"], ["validate-bounds", "--trials", "2"],
+        ["dump-oracle", "--trials", "2"], ["dump-oracle", "--seed", "1"],
+    ], ids=["scaling-trials", "bounds-trials", "oracle-trials", "oracle-seed"])
+    def test_flags_no_command_reads_exit_two(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_command_lines_that_stay(self):
+        parser = build_parser()
+        args = parser.parse_args(["price", "--config", "c.json", "--seed", "3", "--trials", "2",
+                                  "--out", "o"])
+        assert (args.config, args.seed, args.trials, args.out) == (Path("c.json"), 3, 2, Path("o"))
+        args = parser.parse_args(["scaling", "--seed", "3", "--epsilons", "0.1", "0.05"])
+        assert (args.seed, args.epsilons) == (3, [0.1, 0.05])
+        args = parser.parse_args(["validate-bounds", "--seed", "3", "--strict"])
+        assert (args.seed, args.strict) == (3, True)
+        args = parser.parse_args(["dump-oracle", "--config", "c.json", "--out", "o"])
+        assert (args.config, args.out) == (Path("c.json"), Path("o"))
 
     def test_scaling_refuses_without_sigma_min(self, tmp_path, capsys):
         # As price does: with the oracle off, sigma_min_lower must be given.
