@@ -24,6 +24,7 @@ fields (LAW_FIELDS) are left out of the recorded-value comparison for that
 instance; the Gram matrices and every other field are still compared, and
 the basket digests did not move.
 """
+import dataclasses
 import hashlib
 import json
 
@@ -46,6 +47,12 @@ def basket_instance():
     """2-d Brownian chain, T=3, n=3, Hermite degree 2, basket put (729 paths)."""
     return (discretize_brownian(2, 3, 3, 2.2), put_payoff(1.0),
             hermite_basis(2, 2, 3, 4.0))
+
+
+def basket2d_instance():
+    """2-d Brownian chain, T=4, n=5, Hermite degree 2, basket put (390,625 paths)."""
+    return (discretize_brownian(2, 4, 5, 2.2), put_payoff(1.0),
+            hermite_basis(2, 2, 4, 4.0))
 
 
 # Report fields fed by the stopped-payoff laws' rough centers.
@@ -93,3 +100,42 @@ def test_report_matches_recorded_values(build, seed, digest, moved):
     assert moved <= recorded.keys()
     assert_report_close({k: v for k, v in report.items() if k not in moved},
                         {k: v for k, v in recorded.items() if k not in moved})
+
+
+# sha256 over every entry report of a run, entry by entry in estimation
+# order: the entry's name, its estimate, center, exact mean and variance,
+# cost reference and factor and piece records (floats as hex), and its
+# ledger snapshot. to_json() carries only the estimates and the run's ledger.
+ENTRY_GOLDEN = [
+    (basket2d_instance, 0.02, 1, "d7bad7fb286f40a10b910b9b567e0d3c10482bf8f8f0154c3f0f13f8fc0ad8bf"),
+    (basket2d_instance, 0.02, 2, "fee4d36b283f47a355ebc16a936eac6bc03f9834d83c0632fb073721d1d601f2"),
+    (basket2d_instance, 0.02, 3, "2cbaab2310e48a820c274fe90fa5e9a1cea12fa0179ddae05fae67bc66d0a88a"),
+    (criterion6_instance, 2.0**-12, 1,
+     "53ee9ebcd2131318bc39564614b992c4d573cf11bf00d7e01c24237da7d248fd"),
+    (criterion6_instance, 2.0**-12, 2,
+     "7667ba12c553e61e7e37d59999a2b0c2ec48f03b21e7e563eeeb2ae109103173"),
+    (criterion6_instance, 2.0**-12, 3,
+     "bc42da45a1a9bdfbd09767c1f08cc6c93ec4b547a040c0347602d3a0d2aff93d"),
+]
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return _hex(dataclasses.astuple(value))
+    return value
+
+
+@pytest.mark.parametrize("build, epsilon, seed, digest", ENTRY_GOLDEN,
+                         ids=[f"{b.__name__}-seed{s}" for b, _, s, _ in ENTRY_GOLDEN])
+def test_entry_report_digest(build, epsilon, seed, digest):
+    chain, payoff, basis = build()
+    run = run_quantum_lsm(chain, payoff, basis, epsilon, 0.1,
+                          sigma_min_lower=oracle_sigma_min(basis, chain), seed=seed)
+    doc = [[name, _hex([r.estimate, r.center, r.exact_mean, r.exact_variance,
+                        r.cost_reference, r.cost_factor, r.pieces]), r.ledger.snapshot()]
+           for name, r in run.entry_reports.items()]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
