@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: price, scaling, validate-bounds, dump-oracle. Outputs one JSON
-report plus a flat CSV per run. Exit codes: 0 success, 2 config error,
-3 bound-validation failure under --strict."""
+report plus a flat CSV per run. Exit codes: 0 success, 2 config error or an
+unwritable output directory, 3 bound-validation failure under --strict."""
 from __future__ import annotations
 
 import argparse
@@ -99,7 +99,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    json_path, csv_path = report.write(args.out)
+    try:
+        json_path, csv_path = report.write(args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {json_path} and {csv_path}")
     if args.command == "validate-bounds":
         for row in report.rows:

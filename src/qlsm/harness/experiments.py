@@ -126,8 +126,9 @@ def _fit_slope(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
 def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> ExperimentReport:
     """Cost-versus-accuracy study for both algorithms over an epsilon grid."""
     chain, payoff, basis = config.build()
-    if len(epsilon_grid) < 4:
-        raise ConfigError("epsilon grid needs at least 4 points")
+    if len(set(epsilon_grid)) < 4:  # a slope through repeats of one epsilon means nothing
+        raise ConfigError(f"epsilon grid needs at least 4 distinct points, got "
+                          f"{sorted(set(epsilon_grid), reverse=True)}")
     weights = config.cost_weights()
     sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower, config.sigma_min_oracle)
     for eps in epsilon_grid:

@@ -23,8 +23,7 @@ from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
-from .qsim.oracles import FunctionOracle
-from .qsim.qmc import QmcVariable, qmontecarlo, qmontecarlo_batch
+from .qsim.qmc import EntryBatch, qmontecarlo, qmontecarlo_batch
 from .stopping_circuits import StoppingCircuits
 
 
@@ -82,7 +81,7 @@ class QuantumLsmRun:
     lambda_required: float | None = None
     lambda_used: float | None = None
     notes: list = field(default_factory=list)
-    entry_reports: dict = field(default_factory=dict)  # oracle name -> EstimationReport
+    entry_reports: dict = field(default_factory=dict)  # entry name -> EstimationReport
 
     @property
     def exact_grams(self) -> dict:
@@ -145,14 +144,6 @@ def _entry_streams(seed, count: int):
     return iter(twin.spawn(count))
 
 
-def _basis_product_variable(circuits: StoppingCircuits, t: int, j: int, k: int) -> QmcVariable:
-    rows = circuits.basis_table(t)
-    oracle = FunctionOracle(name=f"basis_product[t={t},{j},{k}]", fmt=circuits.fmt,
-                            raw_values=rows[:, j] * rows[:, k], query_cost={"basis": 2})
-    return QmcVariable(sampling=circuits.sampling, oracle=oracle,
-                       masses=circuits.chain.marginals[t - 1])
-
-
 GRAM_MODES = ("estimated", "closed_form")
 
 
@@ -203,20 +194,19 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 
     entry_reports: dict = {}
 
-    def estimate(variables: list, accuracy: float, failure: float, sigma: float) -> list:
+    def estimate(batch: EntryBatch, accuracy: float, failure: float, sigma: float) -> list:
         """One batch on the next entry streams; each entry keeps its report."""
-        reports = qmontecarlo_batch(variables, accuracy, failure, sigma,
-                                    [next(streams) for _ in variables], ledger=ledger,
+        reports = qmontecarlo_batch(batch, accuracy, failure, sigma,
+                                    [next(streams) for _ in batch.names], ledger=ledger,
                                     weights=weights)
-        entry_reports.update((var.oracle.name, rep) for var, rep in zip(variables, reports))
+        entry_reports.update(zip(batch.names, reports))
         return reports
 
     grams: dict[int, np.ndarray] = {}
     for t in range(1, T):
         if gram_mode == "estimated":
-            reports = estimate([_basis_product_variable(circuits, t, j, k)
-                                for j in range(m) for k in range(m)],
-                               schedule.gram_accuracy, schedule.gram_failure, sup_b * sup_b)
+            reports = estimate(circuits.gram(t), schedule.gram_accuracy, schedule.gram_failure,
+                               sup_b * sup_b)
             grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
         else:
             grams[t] = closed_form_gram(basis, t)
@@ -224,8 +214,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     targets: dict[int, np.ndarray] = {}
     exact_targets: dict[int, np.ndarray] = {}
     for t in range(T, 1, -1):
-        reports = estimate([circuits.variable(t, member) for member in range(m)],
-                           schedule.target_accuracy, schedule.target_failure, R * sup_b)
+        reports = estimate(circuits.targets(t), schedule.target_accuracy,
+                           schedule.target_failure, R * sup_b)
         b_est = targets[t - 1] = np.array([rep.estimate for rep in reports])
         exact_targets[t - 1] = np.array([rep.exact_mean for rep in reports])
         coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))

@@ -6,7 +6,7 @@ from .ae import EstimationOperator, draw_ae_estimates
 from .fixed_point import DEFAULT_FRAC_BITS, DEFAULT_INT_BITS, FixedPoint, FixedPointFormat
 from .ledger import CostWeights, QueryLedger
 from .oracles import ControlledRotation, FunctionOracle, SamplingOracle
-from .qmc import (EstimationReport, PieceRecord, QmcVariable,
+from .qmc import (EntryBatch, EstimationReport, PieceRecord, QmcVariable,
                   median_repetitions, qmontecarlo, qmontecarlo_batch)
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "DEFAULT_FRAC_BITS", "DEFAULT_INT_BITS", "FixedPoint", "FixedPointFormat",
     "CostWeights", "QueryLedger",
     "ControlledRotation", "FunctionOracle", "SamplingOracle",
-    "EstimationReport", "PieceRecord", "QmcVariable",
+    "EntryBatch", "EstimationReport", "PieceRecord", "QmcVariable",
     "median_repetitions", "qmontecarlo", "qmontecarlo_batch",
 ]

@@ -46,6 +46,15 @@ def bill_queries(ledger: QueryLedger, name: str, query_cost: dict, applications:
         ledger.add_function_queries(key, kind, count * applications)
 
 
+def overflow_error(name: str, fmt: FixedPointFormat, raw_values: np.ndarray) -> Overflow:
+    """The error of a function whose raw values leave fmt's range: its name
+    and its first eight offending rows."""
+    idx = np.flatnonzero(~(np.abs(raw_values) <= fmt.max_value))[:8]
+    return Overflow(f"function '{name}' not representable at ({fmt.int_bits},"
+                    f"{fmt.frac_bits}); offending row indices {idx.tolist()} "
+                    f"values {raw_values[idx].tolist()}")
+
+
 @dataclass(eq=False)
 class FunctionOracle:
     """Reversible XOR-write of a function value at fixed precision.
@@ -65,12 +74,7 @@ class FunctionOracle:
         try:
             self.values = np.asarray(self.fmt.quantize(self.raw_values))
         except Overflow:
-            idx = np.flatnonzero(~(np.abs(self.raw_values) <= self.fmt.max_value))[:8]
-            raise Overflow(
-                f"function '{self.name}' not representable at "
-                f"({self.fmt.int_bits},{self.fmt.frac_bits}); offending row "
-                f"indices {idx.tolist()} values {self.raw_values[idx].tolist()}"
-            ) from None
+            raise overflow_error(self.name, self.fmt, self.raw_values) from None
 
     def bill(self, ledger: QueryLedger | None, applications: int = 1) -> None:
         if ledger is not None:

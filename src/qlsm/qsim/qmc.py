@@ -6,9 +6,9 @@ dyadic value intervals, runs interval-conditioned amplitude estimation per
 piece with median amplification, and reassembles the mean. Oracle use is
 billed exactly; estimates are sampled from exact outcome distributions.
 Every step reads the variable's law, a value table and the masses of its
-rows; the rough center draws rows of that law. Entries that share their
-law's rows and masses are estimated as one batch, each with its own
-generator and ledger."""
+rows; the rough center draws rows of that law. Entries that share a law are
+estimated as one batch, each the product of two shared columns and each
+with its own generator and ledger."""
 from __future__ import annotations
 
 import math
@@ -24,13 +24,13 @@ from ..errors import Overflow, ScheduleViolation, VarianceExceeded
 from .ae import _WINDOW, _bill_draws, _draw_pieces, draw_ae_estimates  # noqa: F401
 from .fixed_point import FixedPointFormat
 from .ledger import CostWeights, QueryLedger
-from .oracles import FunctionOracle, SamplingOracle, bill_queries
+from .oracles import FunctionOracle, SamplingOracle, bill_queries, overflow_error
 
 MEDIAN_REPETITION_CONSTANT = 18.0
 # Bounds the ledger cost of one AE call; sampling memory does not grow with M.
 _MAX_AE_QUERIES = 1 << 30
-# A batch block's stacked (entries x rows) tables, and a chunk's AE windows
-# and draws, stay within this many bytes whatever the batch size.
+# A batch block's (entries x rows) tables, and a chunk's AE windows and
+# draws, stay within this many bytes whatever the batch size.
 _BATCH_BYTES = 4 << 20
 
 
@@ -45,9 +45,52 @@ class QmcVariable:
     oracle: FunctionOracle
     masses: np.ndarray
 
-    @property
-    def horizon(self) -> int:
-        return self.sampling.chain.horizon
+
+@dataclass(eq=False)
+class EntryBatch:
+    """Entries estimated on one law, each the product of two shared columns.
+
+    The law is drawn through sampling, with masses[r] the probability of row
+    r; every entry rounds to fmt and bills query_cost per application. Entry
+    i is called names[i], and with (a, b) = columns[i] its raw value at row
+    r is left[r, a] * right[at[r], b]."""
+
+    sampling: SamplingOracle
+    masses: np.ndarray
+    fmt: FixedPointFormat
+    query_cost: dict
+    names: list
+    columns: list
+    left: np.ndarray
+    right: np.ndarray
+    at: np.ndarray
+
+    def raw_table(self, lo: int, hi: int) -> np.ndarray:
+        """The raw values of entries lo..hi-1 as a C-contiguous (entries x
+        rows) table, so that its rows sum as 1-d arrays do."""
+        a, b = np.array(self.columns[lo:hi]).T
+        return np.ascontiguousarray((self.left[:, a] * self.right[:, b][self.at]).T)
+
+    def rounded(self, lo: int, hi: int) -> tuple:
+        """The rounded table and raw means of entries lo..hi-1, up to the
+        first entry with a value out of fmt's range, and that entry's error
+        (None if there is none)."""
+        raw, error = self.raw_table(lo, hi), None
+        try:
+            values = self.fmt.quantize(raw)
+        except Overflow:
+            first = int(np.argmin((np.abs(raw) <= self.fmt.max_value).all(axis=1)))
+            error = overflow_error(self.names[lo + first], self.fmt, raw[first])
+            raw = raw[:first]
+            values = self.fmt.quantize(raw)
+        return values, (self.masses * raw).sum(axis=1), error
+
+    def variable(self, entry: int) -> QmcVariable:
+        """Entry `entry` alone, with an oracle holding its value table."""
+        oracle = FunctionOracle(name=self.names[entry], fmt=self.fmt,
+                                raw_values=self.raw_table(entry, entry + 1)[0],
+                                query_cost=self.query_cost)
+        return QmcVariable(sampling=self.sampling, oracle=oracle, masses=self.masses)
 
 
 @dataclass(frozen=True)
@@ -166,39 +209,53 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
                 weights: CostWeights = CostWeights()) -> EstimationReport:
     """Estimate the mean to within epsilon with failure probability delta,
     given a variance bound sigma^2 on the (fixed-point) variable: a batch
-    of one."""
-    return qmontecarlo_batch([variable], epsilon, delta, sigma, [rng], ledger, weights)[0]
+    of one, its raw values times a column of ones."""
+    oracle = variable.oracle
+    batch = EntryBatch(variable.sampling, variable.masses, oracle.fmt, oracle.query_cost,
+                       [oracle.name], [(0, 0)], oracle.raw_values[:, None], np.ones((1, 1)),
+                       np.zeros(oracle.raw_values.size, dtype=np.intp))
+    return qmontecarlo_batch(batch, epsilon, delta, sigma, [rng], ledger, weights)[0]
 
 
-def qmontecarlo_batch(variables: list, epsilon: float, delta: float, sigma: float,
+def qmontecarlo_batch(batch: EntryBatch, epsilon: float, delta: float, sigma: float,
                       rngs: list, ledger: QueryLedger | None = None,
                       weights: CostWeights = CostWeights()) -> list[EstimationReport]:
-    """`qmontecarlo` of variables that share sampling and masses, each on its
-    own generator (a Generator, a SeedSequence or a seed): reports, ledgers
-    (merged into ledger in order) and generator states are those of one call
-    per variable in order, and the first variable that fails raises. Blocks
-    of entries make one pass over their stacked value tables; AE window
-    laws come from a table held per (amplitude, M) in `qsim.ae`."""
+    """`qmontecarlo` of each entry of the batch, each on its own generator
+    (a Generator, a SeedSequence or a seed): reports, ledgers (merged into
+    ledger in order) and generator states are those of one call per entry in
+    order, and the first entry that fails raises. Blocks of entries form,
+    round and check their value table only when they are estimated; AE
+    window laws come from a table held per (amplitude, M) in `qsim.ae`."""
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
-    if len(rngs) != len(variables):
-        raise ValueError("need one generator per variable")
-    if not variables:
-        return []
-    sampling, masses = variables[0].sampling, variables[0].masses
-    if any(v.sampling is not sampling or v.masses is not masses for v in variables):
-        raise ValueError("batched variables must share sampling and masses")
+    if len(rngs) != len(batch.names):
+        raise ValueError("need one generator per entry")
+    fmt = batch.fmt
+    try:  # centered parts span twice the range: one integer bit more
+        wide = FixedPointFormat(fmt.int_bits + 1, fmt.frac_bits)
+    except ValueError as exc:
+        raise Overflow(f"format ({fmt.int_bits},{fmt.frac_bits}) cannot be widened by the "
+                       f"integer bit the centered parts need: {exc}") from None
     rngs = [rng if isinstance(rng, np.random.Generator) else _seeded_rng(rng) for rng in rngs]
+    horizon = batch.sampling.chain.horizon
+    per_app = horizon * weights.sample_step + sum(
+        count * weights.of_kind(kind) for kind, count in batch.query_cost.items())
+    cost_reference = _cost_reference(sigma, epsilon, median_repetitions(delta), per_app)
     # A block holds up to ten (entries x rows) float tables at once.
-    step = max(1, _BATCH_BYTES // (80 * masses.size))
+    step = max(1, _BATCH_BYTES // (80 * batch.masses.size))
     reports = []
-    for start in range(0, len(variables), step):
-        block = variables[start:start + step]
-        reports += _estimate_block(block, rngs[start:start + step], epsilon, delta, sigma)
-        for variable, report in zip(block, reports[start:]):
-            _finish(report, variable, weights, ledger)
+    for lo in range(0, len(batch.names), step):
+        block = _estimate_block(batch, lo, min(lo + step, len(batch.names)),
+                                rngs[lo:lo + step], wide, epsilon, delta, sigma)
+        for report in block:
+            report.cost_reference = cost_reference
+            report.cost_factor = (report.ledger.total_units(horizon, weights) / cost_reference
+                                  if cost_reference else None)
+            if ledger is not None:
+                ledger.merge(report.ledger)
+        reports += block
     return reports
 
 
@@ -215,12 +272,12 @@ def _entry_error(mean: float, variance: float, raw_mean: float, epsilon: float,
 
 
 class _Piece(NamedTuple):
-    """One planned AE call: its entry's report, generator and oracle, and
-    the fields of its PieceRecord but the estimate."""
+    """One planned AE call: its entry's report, generator and name, and the
+    fields of its PieceRecord but the estimate."""
 
     report: EstimationReport
     rng: np.random.Generator
-    oracle: FunctionOracle
+    name: str
     sign: float
     part: str
     low: float
@@ -230,20 +287,20 @@ class _Piece(NamedTuple):
     budget: float
 
 
-def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float,
+def _estimate_block(batch: EntryBatch, lo: int, hi: int, rngs: list,
+                    wide: FixedPointFormat, epsilon: float, delta: float,
                     sigma: float) -> list[EstimationReport]:
-    """The block's reports, each but its cost factor: checks, centers and
-    piece plans on the stacked value tables, then the AE draws."""
-    masses = variables[0].masses
-    values = np.array([v.oracle.values for v in variables])
+    """The reports of entries lo..hi-1 but their cost reference and factor:
+    checks, centers and piece plans on the block's table, then the AE draws."""
+    masses, names = batch.masses, batch.names[lo:hi]
+    values, raw_means, overflow = batch.rounded(lo, hi)
     means, variances, lows, highs = _moments(values, masses)
-    raw_means = (masses * np.array([v.oracle.raw_values for v in variables])).sum(axis=1)
     repetitions = median_repetitions(delta)
 
     # Checks and rough-center rows entry by entry, up to the first failure.
     reports, varying, center_rows, error = [], [], [], None
-    for variable, rng, mean, variance, raw_mean in zip(
-            variables, rngs, means.tolist(), variances.tolist(), raw_means.tolist()):
+    for name, rng, mean, variance, raw_mean in zip(
+            names, rngs, means.tolist(), variances.tolist(), raw_means.tolist()):
         error = _entry_error(mean, variance, raw_mean, epsilon, sigma)
         if error is not None:
             break
@@ -252,14 +309,16 @@ def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float,
                                   exact_mean=mean, exact_variance=variance)
         # A constant variable needs a single sample, which is exact.
         count = 1 if variance == 0.0 else repetitions
-        rows = variable.sampling.measure(masses, count, rng, report.ledger)
-        variable.oracle.bill(report.ledger, applications=count)
+        rows = batch.sampling.measure(masses, count, rng, report.ledger)
+        bill_queries(report.ledger, name, batch.query_cost, count)
         if count == 1:
-            report.estimate = report.center = float(variable.oracle.values[rows[0]])
+            report.estimate = report.center = float(values[len(reports), rows[0]])
         else:
             varying.append(len(reports))
             center_rows.append(rows)
         reports.append(report)
+    if error is None:
+        error = overflow
     pieces = []
     if varying:
         # Rough centers: medians of sampled values, themselves representable.
@@ -269,14 +328,15 @@ def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float,
         # Differences of two values on the grid are exact on the widened grid,
         # so quantizing there would change nothing but the sign of zero, and
         # a part's top on the support is its extreme shift.
-        shifted = values[which] - centers[:, None]
-        parts = np.stack([shifted, -shifted], axis=1)
+        parts = np.empty((which.size, 2, values.shape[1]))
+        np.subtract(values[which], centers[:, None], out=parts[:, 0])
+        np.negative(parts[:, 0], out=parts[:, 1])
         np.maximum(parts, 0.0, out=parts)
         parts += 0.0
         tops = zip((highs[which] - centers).tolist(), (centers - lows[which]).tolist())
-        pieces = _plan_pieces([variables[i] for i in varying], [reports[i] for i in varying],
+        pieces = _plan_pieces([names[i] for i in varying], [reports[i] for i in varying],
                               [rngs[i] for i in varying], centers.tolist(), tops,
-                              parts, masses * parts, epsilon, sigma)
+                              parts, masses * parts, wide, epsilon, sigma)
     if error is not None:
         raise error
 
@@ -285,62 +345,47 @@ def _estimate_block(variables: list, rngs: list, epsilon: float, delta: float,
     # arrays of 2 W + 2 floats and four arrays of its repetitions.
     chunk = max(1, _BATCH_BYTES // (8 * (16 * (_WINDOW + 1) + 4 * repetitions)))
     estimates = []
-    for lo in range(0, len(pieces), chunk):
+    for start in range(0, len(pieces), chunk):
         estimates += _medians(_draw_pieces(*zip(*[(p.amplitude, p.queries, p.rng)
-                                                 for p in pieces[lo:lo + chunk]]),
+                                                 for p in pieces[start:start + chunk]]),
                                            repetitions)).tolist()
     for piece, amp_estimate in zip(pieces, estimates):
         report = piece.report
         report.estimate += piece.sign * piece.high * amp_estimate
-        bill_queries(report.ledger, f"{piece.oracle.name}|{piece.part}",
-                     piece.oracle.query_cost, _bill_draws(report.ledger, piece.queries,
-                                                          repetitions))
+        bill_queries(report.ledger, f"{piece.name}|{piece.part}", batch.query_cost,
+                     _bill_draws(report.ledger, piece.queries, repetitions))
         report.pieces.append(PieceRecord(piece.part, piece.low, piece.high, piece.queries,
                                          piece.amplitude, amp_estimate, piece.budget))
     return reports
 
 
-def _plan_pieces(variables: list, reports: list, rngs: list, centers: list, tops,
-                 parts: np.ndarray, weighted: np.ndarray, epsilon: float,
-                 sigma: float) -> list[_Piece]:
+def _plan_pieces(names: list, reports: list, rngs: list, centers: list, tops,
+                 parts: np.ndarray, weighted: np.ndarray, wide: FixedPointFormat,
+                 epsilon: float, sigma: float) -> list[_Piece]:
     """The pieces of each entry's positive and then negative part, in order,
-    each with its M and exact amplitude. Sets each report's center, and its
-    estimate to the center that the pieces add to."""
+    each with its M and exact amplitude on the widened format. Sets each
+    report's center, and its estimate to the center that the pieces add to."""
     budget = 0.99 * epsilon
     plan_second_moment = 5.0 * sigma * sigma  # variance + rough-centering slack
     pieces = []
-    for entry, (variable, report, rng, center, part_tops) in enumerate(
-            zip(variables, reports, rngs, centers, tops)):
+    for entry, (name, report, rng, center, part_tops) in enumerate(
+            zip(names, reports, rngs, centers, tops)):
         report.estimate = report.center = center
-        oracle = variable.oracle
-        wide = FixedPointFormat(oracle.fmt.int_bits + 1, oracle.fmt.frac_bits)
         intervals = []
-        for part, (name, sign) in enumerate((("positive", 1.0), ("negative", -1.0))):
+        for part, (part_name, sign) in enumerate((("positive", 1.0), ("negative", -1.0))):
             if part_tops[part] > 0.0:
                 low = 0.0
                 for high in _part_boundaries(wide, sigma, part_tops[part]):
-                    intervals.append((part, name, sign, low, high))
+                    intervals.append((part, part_name, sign, low, high))
                     low = high + wide.resolution
-        for part, name, sign, low, high in intervals:
+        for part, part_name, sign, low, high in intervals:
             per_amp_budget = budget / (len(intervals) * high)
             amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
             queries = _queries_for(per_amp_budget, amp_cap)
             values = parts[entry, part]
             in_piece = (values >= low) & (values <= high)
             amplitude = float((weighted[entry, part][in_piece] / high).sum())
-            pieces.append(_Piece(report, rng, oracle, sign, name, low, high, queries,
+            pieces.append(_Piece(report, rng, name, sign, part_name, low, high, queries,
                                  amplitude, per_amp_budget))
     return pieces
 
-
-def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,
-            caller_ledger: QueryLedger | None) -> EstimationReport:
-    per_app = variable.horizon * weights.sample_step + sum(
-        count * weights.of_kind(kind) for kind, count in variable.oracle.query_cost.items())
-    report.cost_reference = _cost_reference(report.sigma, report.epsilon,
-                                            report.repetitions, per_app)
-    total = report.ledger.total_units(variable.horizon, weights)
-    report.cost_factor = total / report.cost_reference if report.cost_reference else None
-    if caller_ledger is not None:
-        caller_ledger.merge(report.ledger)
-    return report

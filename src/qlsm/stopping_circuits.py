@@ -23,8 +23,8 @@ from .dp import CoefficientRule, _induction, _last_values, stop_decision
 from .errors import QlsmError
 from .payoff import PayoffSpec
 from .qsim.fixed_point import FixedPointFormat
-from .qsim.oracles import FunctionOracle, SamplingOracle
-from .qsim.qmc import QmcVariable
+from .qsim.oracles import SamplingOracle
+from .qsim.qmc import EntryBatch, QmcVariable
 
 PAYOFF_QUERY = "payoff"
 BASIS_QUERY = "basis"
@@ -58,7 +58,6 @@ class StoppingCircuits:
         self.sampling = SamplingOracle(self.chain)
         self.rule = CoefficientRule(self.basis, self.coefficients, quantize=self.fmt.quantize)
         self._tables: dict[tuple[str, int], np.ndarray] = {}
-        self._stopped_laws: dict[int, tuple] = {}
 
     # -- shared fixed-point arithmetic ---------------------------------------
     # Tables have one row per step-t grid state and hold 0 at states of zero
@@ -106,48 +105,53 @@ class StoppingCircuits:
             BASIS_QUERY: 2 * chain_steps * self.basis.size + 1,
         }
 
-    def variable(self, t: int, member: int) -> QmcVariable:
-        """The stopped-payoff product as an estimable random variable whose
-        oracle bills one composed-circuit application per query.
+    def gram(self, t: int) -> EntryBatch:
+        """The Gram entries E[e_j e_k] of step t, (j, k) j-major, on the
+        step's marginal: two basis queries per application."""
+        table, m = self.basis_table(t), self.basis.size
+        return EntryBatch(
+            sampling=self.sampling, masses=self.chain.marginals[t - 1], fmt=self.fmt,
+            query_cost={BASIS_QUERY: 2},
+            names=[f"basis_product[t={t},{j},{k}]" for j in range(m) for k in range(m)],
+            columns=[(j, k) for j in range(m) for k in range(m)], left=table, right=table,
+            at=np.arange(table.shape[0]))
 
-        Its law is _stopped_law(t); reference.stopped_payoff_values replays
-        the same values through the registers."""
+    def variable(self, t: int, member: int) -> QmcVariable:
+        """Entry `member` of targets(t) alone; reference.stopped_payoff_values
+        replays its values through the registers."""
         if not 0 <= member < self.basis.size:
             raise QlsmError(f"basis member {member} out of range 0..{self.basis.size - 1}")
-        masses, payoff, prev = self._stopped_law(t)
-        factor = 1.0 if t == 1 else self.basis_table(t - 1)[prev, member]
-        oracle = FunctionOracle(
-            name=f"stopped_payoff[t={t},m={member}]", fmt=self.fmt,
-            raw_values=payoff * factor,
-            query_cost=self.composed_cost(t))
-        return QmcVariable(sampling=self.sampling, oracle=oracle, masses=masses)
+        return self.targets(t).variable(member)
 
-    def _stopped_law(self, t: int) -> tuple:
-        """The law of what the stopped payoff at t reads, shared by every
-        basis member, by dp._induction on one-hot right-hand sides. With c
-        running over the C distinct payoff-table values of steps t..horizon,
-        h_c(x) is the probability that the payoff at the first stop at or
-        after t is c, given the step t state x. Rows are the positive-mass
-        pairs (prev, c), prev ascending and then c, with prev the step t-1
-        state (the start point at t=1); a row's mass is prev's marginal times
-        chain.expect(t-1, h)[c, prev]. Each induction step applies the kernel
-        to C vectors. C is tens on the basket instances. A payoff with a
-        different value at almost every state makes C the number of states
-        on steps t..horizon, about horizon times the cost of pushing one law
-        per step t-1 state forward. Returns the masses and, per row, the
-        payoff at the stop and prev."""
+    def targets(self, t: int) -> EntryBatch:
+        """The targets E[z_tau e_k] at t, member k's basis value at the step
+        t-1 state (1 at t=1) times the stopped payoff, each application one
+        composed circuit. Their law comes from dp._induction on one-hot
+        right-hand sides. With c running over the C distinct payoff-table
+        values of steps t..horizon, h_c(x) is the probability that the
+        payoff at the first stop at or after t is c, given the step t state
+        x. Rows are the positive-mass pairs (prev, c), prev ascending and
+        then c, with prev the step t-1 state (the start point at t=1); a
+        row's mass is prev's marginal times chain.expect(t-1, h)[c, prev].
+        Each induction step applies the kernel to C vectors. C is tens on
+        the basket instances. A payoff with a different value at almost
+        every state makes C the number of states on steps t..horizon, about
+        horizon times the cost of pushing one law per step t-1 state
+        forward."""
         T = self.chain.horizon
         if not 1 <= t <= T:
             raise QlsmError(f"step {t} out of range 1..{T}")
-        law = self._stopped_laws.get(t)
-        if law is None:
-            payoff = np.sort(np.concatenate([self.payoff_table(u) for u in range(t, T + 1)]))
-            payoff = payoff[np.diff(payoff, prepend=-np.inf) > 0.0]  # the distinct values
-            h = _last_values(_induction(
-                self.chain, lambda u: self.payoff_table(u) == payoff[:, None],
-                self._stop_mask, t))
-            weight = self.chain.marginals[t - 2] if t > 1 else 1.0
-            masses = (weight * self.chain.expect(t - 1, h)).T
-            prev, rows = np.nonzero(masses > 0.0)
-            law = self._stopped_laws[t] = masses[prev, rows], payoff[rows], prev
-        return law
+        payoff = np.sort(np.concatenate([self.payoff_table(u) for u in range(t, T + 1)]))
+        payoff = payoff[np.diff(payoff, prepend=-np.inf) > 0.0]  # the distinct values
+        h = _last_values(_induction(
+            self.chain, lambda u: self.payoff_table(u) == payoff[:, None], self._stop_mask, t))
+        weight = self.chain.marginals[t - 2] if t > 1 else 1.0
+        masses = (weight * self.chain.expect(t - 1, h)).T
+        prev, rows = np.nonzero(masses > 0.0)
+        m = self.basis.size
+        return EntryBatch(
+            sampling=self.sampling, masses=masses[prev, rows], fmt=self.fmt,
+            query_cost=self.composed_cost(t),
+            names=[f"stopped_payoff[t={t},m={k}]" for k in range(m)],
+            columns=[(0, k) for k in range(m)], left=payoff[rows][:, None],
+            right=self.basis_table(t - 1) if t > 1 else np.ones((1, m)), at=prev)

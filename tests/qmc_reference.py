@@ -136,11 +136,11 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
 
 def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,
             caller_ledger: QueryLedger | None) -> EstimationReport:
-    per_app = variable.horizon * weights.sample_step + sum(
+    per_app = variable.sampling.chain.horizon * weights.sample_step + sum(
         count * weights.of_kind(kind) for kind, count in variable.oracle.query_cost.items())
     report.cost_reference = _cost_reference(report.sigma, report.epsilon,
                                             report.repetitions, per_app)
-    total = report.ledger.total_units(variable.horizon, weights)
+    total = report.ledger.total_units(variable.sampling.chain.horizon, weights)
     report.cost_factor = total / report.cost_reference if report.cost_reference else None
     if caller_ledger is not None:
         caller_ledger.merge(report.ledger)

@@ -138,6 +138,17 @@ class TestScaling:
         with pytest.raises(ConfigError, match="at least 4"):
             run_scaling(reference_config(), [0.1, 0.05])
 
+    def test_requires_four_distinct_points(self, tmp_path, capsys):
+        # Four runs at one epsilon fitted a slope (1.925 +- 0.000) to a
+        # single point of the grid.
+        with pytest.raises(ConfigError, match="at least 4 distinct"):
+            run_scaling(reference_config(), [0.1, 0.05, 0.05, 0.025])
+        code = main(["scaling", "--out", str(tmp_path / "out"),
+                     "--epsilons", "0.01", "0.01", "0.01", "0.01"])
+        assert code == EXIT_CONFIG
+        assert "at least 4 distinct points, got [0.01]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_epsilon_above_sigma_rejected(self):
         cfg = reference_config(basis=BasisConfig(kind="constant").__dict__)
         with pytest.raises(ConfigError, match="sigma_min"):
@@ -393,6 +404,18 @@ class TestCli:
         assert (args.seed, args.strict) == (3, True)
         args = parser.parse_args(["dump-oracle", "--config", "c.json", "--out", "o"])
         assert (args.config, args.out) == (Path("c.json"), Path("o"))
+
+    @pytest.mark.parametrize("command", ["price", "dump-oracle"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, command):
+        # --out naming an existing file ended in a FileExistsError traceback.
+        out = tmp_path / "afile"
+        out.write_text("taken")
+        code = main([command, "--trials", "1", "--out", str(out)] if command == "price"
+                    else [command, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and str(out) in err
+        assert out.read_text() == "taken"
 
     def test_scaling_refuses_without_sigma_min(self, tmp_path, capsys):
         # As price does: with the oracle off, sigma_min_lower must be given.

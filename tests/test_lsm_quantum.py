@@ -9,7 +9,7 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
-from qlsm.lsm_quantum import (EstimationSchedule, _basis_product_variable, _entry_streams,
+from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams,
                               oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_closed_form,
                               schedule_from_smoothness)
 from qlsm.payoff import put_payoff, table_payoff
@@ -157,15 +157,31 @@ class TestGenericRuns:
 
     def test_gram_entry_rounding_shift_is_checked(self):
         # At 4 fraction bits the squared degree-1 Hermite member's table
-        # rounds its step-2 mean by 0.012, past epsilon/100: the Gram entry
-        # hands qmontecarlo the unrounded products, so its check sees it.
+        # rounds its step-2 mean by 0.012, past epsilon/100: the Gram batch
+        # forms the unrounded products, so its check sees it.
         coarse = FixedPointFormat(8, 4)
         circ = StoppingCircuits(chain=discretize_brownian(1, 3, 8, 2.2), payoff=put_payoff(1.0),
                                 basis=hermite_basis(1, 2, 3, 4.0), coefficients={}, fmt=coarse)
-        var = _basis_product_variable(circ, 2, 1, 1)
+        gram = circ.gram(2)
+        var = gram.variable(gram.names.index("basis_product[t=2,1,1]"))
         np.testing.assert_array_equal(var.oracle.values, coarse.quantize(var.oracle.raw_values))
         with pytest.raises(Overflow, match="rounding shifts the mean"):
             qmontecarlo(var, 0.05, 0.1, 8.0, 1)
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_format_without_a_spare_bit_fails_before_estimation(self, horizon, monkeypatch):
+        # 28 + 24 = 52 bits is a valid format, but the centered parts of every
+        # entry need one integer bit more; that ended in an untyped
+        # ValueError from the piece planner after the first checks.
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("an entry was estimated")
+
+        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
+        chain = discretize_brownian(1, horizon, 8, 2.2)
+        with pytest.raises(Overflow, match=r"format \(28,24\) cannot be widened"):
+            run_quantum_lsm(chain, put_payoff(1.0), hermite_basis(1, 2, horizon, 4.0), 0.05,
+                            0.1, sigma_min_oracle=True, seed=0,
+                            fmt=FixedPointFormat(28, 24))
 
     @pytest.mark.parametrize("horizon", [4, 6])
     def test_each_score_table_built_once(self, horizon, monkeypatch):

@@ -84,9 +84,9 @@ def test_factored_chain_matches_dense(seed, dim, n, horizon, draw_seed):
     factored, flat = (StoppingCircuits(chain=c, payoff=payoff, basis=basis,
                                        coefficients=coefficients) for c in (chain, dense))
     for t in range(1, horizon + 1):
-        law, ref = factored._stopped_law(t), flat._stopped_law(t)
-        np.testing.assert_allclose(law[0], ref[0], rtol=TOL, atol=TOL)
-        for a, b in zip(law[1:], ref[1:]):
+        law, ref = factored.targets(t), flat.targets(t)
+        np.testing.assert_allclose(law.masses, ref.masses, rtol=TOL, atol=TOL)
+        for a, b in ((law.left, ref.left), (law.right, ref.right), (law.at, ref.at)):
             np.testing.assert_array_equal(a, b)
 
     np.testing.assert_array_equal(sample_paths(chain, 300, draw_seed),
@@ -175,10 +175,10 @@ def test_stopped_law_memory(monkeypatch):
         circ.score_table(t)
     tracemalloc.start()
     try:
-        masses, payoff, prev = circ._stopped_law(2)
+        targets = circ.targets(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert masses.size == payoff.size == prev.size == 37_000
-    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert targets.masses.size == targets.left.size == targets.at.size == 37_000
+    assert abs(targets.masses.sum() - 1.0) <= 1e-12

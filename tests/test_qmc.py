@@ -10,10 +10,10 @@ import qmc_reference
 from qlsm.basis import hermite_basis, sup_norm_bound
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation, VarianceExceeded
-from qlsm.lsm_quantum import _basis_product_variable
 from qlsm.payoff import put_payoff
-from qlsm.qsim import (CostWeights, FixedPointFormat, FunctionOracle, QmcVariable, QueryLedger,
-                       SamplingOracle, median_repetitions, qmontecarlo, qmontecarlo_batch)
+from qlsm.qsim import (CostWeights, EntryBatch, FixedPointFormat, FunctionOracle, QmcVariable,
+                       QueryLedger, SamplingOracle, median_repetitions, qmontecarlo,
+                       qmontecarlo_batch)
 from qlsm.qsim.qmc import _BATCH_BYTES, _medians, _queries_for
 from qlsm.stopping_circuits import StoppingCircuits
 
@@ -197,12 +197,26 @@ def report_bits(report):
                  report.pieces]), report.ledger.snapshot()
 
 
-def shared_variables(tables, masses, fmts, chain=None):
-    """One variable per value table, all on the same sampling and masses."""
-    sampling = SamplingOracle(chain or uniform_chain())
-    return [QmcVariable(sampling=sampling, masses=masses, oracle=FunctionOracle(
-                name=f"entry[{i}]", fmt=fmt, raw_values=table, query_cost={"basis": 2}))
-            for i, (table, fmt) in enumerate(zip(tables, fmts))]
+def shared_batch(tables, masses, fmt=None, rng=None):
+    """One entry per value table, all on one law. Entry i is table i times a
+    right column read at each row's state: a column of ones, or, given rng,
+    one of three columns on a few states (ones, or quarters in 1/4..1), so
+    that the values are products of two shared columns."""
+    n, count = masses.size, len(tables)
+    right, at, factors = np.ones((1, 1)), np.zeros(n, dtype=np.intp), [0] * count
+    if rng is not None:
+        states = int(rng.integers(1, n + 1))
+        right = np.column_stack([np.ones(states), rng.integers(1, 5, size=(states, 2)) / 4.0])
+        at, factors = rng.integers(0, states, size=n), rng.integers(0, 3, size=count).tolist()
+    return EntryBatch(sampling=SamplingOracle(uniform_chain()), masses=masses,
+                      fmt=fmt or FixedPointFormat(), query_cost={"basis": 2},
+                      names=[f"entry[{i}]" for i in range(count)],
+                      columns=list(zip(range(count), factors)),
+                      left=np.column_stack(tables), right=right, at=at)
+
+
+def entry_variables(batch):
+    return [batch.variable(i) for i in range(len(batch.names))]
 
 
 def random_tables(rng, kinds, n, coarse):
@@ -232,16 +246,18 @@ def sparse_masses(rng, n):
     return masses / masses.sum()
 
 
-def run_both(variables, epsilon, delta, sigma, seeds):
+def run_both(batch, epsilon, delta, sigma, seeds):
     """(batch, serial reference) outcomes: reports, generator states and the
-    caller's ledger, or the first error's type and message."""
+    caller's ledger, or the first error's type and message. The reference
+    forms each entry's oracle just before estimating it, so an entry out of
+    the format's range fails in its place."""
     outcomes = []
     for estimate in (
-            lambda rngs, ledger: qmontecarlo_batch(variables, epsilon, delta, sigma, rngs,
+            lambda rngs, ledger: qmontecarlo_batch(batch, epsilon, delta, sigma, rngs,
                                                    ledger=ledger),
-            lambda rngs, ledger: [qmc_reference.qmontecarlo(var, epsilon, delta, sigma, rng,
-                                                            ledger=ledger)
-                                  for var, rng in zip(variables, rngs)]):
+            lambda rngs, ledger: [qmc_reference.qmontecarlo(batch.variable(i), epsilon, delta,
+                                                            sigma, rng, ledger=ledger)
+                                  for i, rng in enumerate(rngs)]):
         rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
         ledger = QueryLedger()
         try:
@@ -268,80 +284,84 @@ class TestBatchAgainstSerialReference:
         rng = np.random.default_rng(seed)
         masses = sparse_masses(rng, n)
         kinds = rng.choice(kind_set, size=entries).tolist()
-        variables = shared_variables(random_tables(rng, kinds, n, coarse), masses,
-                                     [FixedPointFormat()] * len(kinds))
-        sigma = slack * max(math.sqrt(qmc_reference.exact_moments(v)[1]) for v in variables)
+        batch = shared_batch(random_tables(rng, kinds, n, coarse), masses, rng=rng)
+        sigma = slack * max(math.sqrt(qmc_reference.exact_moments(v)[1])
+                            for v in entry_variables(batch))
         seeds = rng.integers(0, 2**63, size=len(kinds)).tolist()
-        batch, serial = run_both(variables, 2.0**-log_epsilon, delta, sigma, seeds)
-        assert batch == serial
+        estimated, serial = run_both(batch, 2.0**-log_epsilon, delta, sigma, seeds)
+        assert estimated == serial
 
     def test_windowed_and_tailed_query_counts_both_covered(self):
         # M <= 128 puts every outcome in the window; larger M leaves tails.
         # At 2^-3 one batch mixes both, at 2^-14 every piece has tails.
         rng = np.random.default_rng(3)
         masses = sparse_masses(rng, 12)
-        variables = shared_variables(random_tables(rng, ["mixed"] * 6, 12, False), masses,
-                                     [FixedPointFormat()] * 6)
-        sigma = max(math.sqrt(qmc_reference.exact_moments(v)[1]) for v in variables)
+        batch = shared_batch(random_tables(rng, ["mixed"] * 6, 12, False), masses)
+        sigma = max(math.sqrt(qmc_reference.exact_moments(v)[1]) for v in entry_variables(batch))
         for epsilon, windowed in ((2.0**-3, {True, False}), (2.0**-14, {False})):
-            batch, serial = run_both(variables, epsilon, 0.1, sigma, range(6))
-            assert batch == serial
-            reports = qmontecarlo_batch(variables, epsilon, 0.1, sigma, range(6))
+            estimated, serial = run_both(batch, epsilon, 0.1, sigma, range(6))
+            assert estimated == serial
+            reports = qmontecarlo_batch(batch, epsilon, 0.1, sigma, range(6))
             assert {p.queries <= 128 for r in reports for p in r.pieces} == windowed
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           kinds=st.lists(st.sampled_from(["ok", "constant", "overflow", "variance", "cap"]),
-                          min_size=1, max_size=12))
+           kinds=st.lists(st.sampled_from(["ok", "constant", "range", "shift", "variance",
+                                           "cap"]), min_size=1, max_size=12))
     def test_first_failing_entry_raises_as_in_order(self, seed, kinds):
-        # At epsilon 2^-30 and sigma 4: "ok" rows span 2^-10 and need M near
-        # 2^23; "cap" rows span 6 and need more than 2^30; "variance" rows
-        # exceed sigma^2; "overflow" rows are off a 4-bit fraction grid.
+        # At epsilon 2^-30 and sigma 4, on the default format: "ok" rows span
+        # 2^-10 and need M near 2^23; "cap" rows span 6 and need more than
+        # 2^30; "variance" rows exceed sigma^2; "range" rows hold a value
+        # past the format's 2^8; "shift" rows are off the fraction grid, so
+        # rounding moves their mean by more than epsilon/100.
         rng = np.random.default_rng(seed)
         n = 10
         masses = sparse_masses(rng, n)
         scale = 2.0**FixedPointFormat().frac_bits
-        tables, fmts = [], []
-        for kind in kinds:
-            fmt = FixedPointFormat()
-            if kind == "ok":
-                row = np.round(rng.uniform(0.0, 2.0**-10, size=n) * scale) / scale
-            elif kind == "constant":
-                row = np.full(n, 0.75)
-            elif kind == "overflow":
-                fmt = FixedPointFormat(8, 4)
-                row = rng.uniform(0.01, 0.04, size=n)
-            elif kind == "variance":
-                row = np.where(np.arange(n) % 2, 12.0, -12.0)
-            else:
-                row = np.where(np.arange(n) % 2, 3.0, -3.0)
-            tables.append(row)
-            fmts.append(fmt)
-        variables = shared_variables(tables, masses, fmts)
-        batch, serial = run_both(variables, 2.0**-30, 0.1, 4.0, range(len(kinds)))
-        assert batch == serial
+        rows = {"constant": np.full(n, 0.75),
+                "range": np.where(np.arange(n) == rng.integers(n), 300.0, 0.5),
+                "variance": np.where(np.arange(n) % 2, 12.0, -12.0),
+                "cap": np.where(np.arange(n) % 2, 3.0, -3.0)}
+        tables = [np.round(rng.uniform(0.0, 2.0**-10, size=n) * scale) / scale if kind == "ok"
+                  else rng.uniform(0.01, 0.04, size=n) if kind == "shift" else rows[kind]
+                  for kind in kinds]
+        estimated, serial = run_both(shared_batch(tables, masses), 2.0**-30, 0.1, 4.0,
+                                     range(len(kinds)))
+        assert estimated == serial
 
     def test_each_error_kind_is_raised(self):
         masses = np.full(4, 0.25)
-        cases = [(Overflow, FixedPointFormat(8, 4), [0.01, 0.02, 0.03, 0.04]),
-                 (VarianceExceeded, FixedPointFormat(), [-12.0, 12.0, -12.0, 12.0]),
-                 (ScheduleViolation, FixedPointFormat(), [-3.0, 3.0, -3.0, 3.0])]
-        for error, fmt, row in cases:
-            ok = shared_variables([np.full(4, 0.5), np.array(row)], masses,
-                                  [FixedPointFormat(), fmt])
-            batch, serial = run_both(ok, 2.0**-30, 0.1, 4.0, [1, 2])
-            assert batch == serial and batch[0] is error
+        cases = [(Overflow, "not representable", FixedPointFormat(), [0.5, 300.0, 0.0, 0.25]),
+                 (Overflow, "rounding shifts", FixedPointFormat(8, 4), [0.01, 0.02, 0.03, 0.04]),
+                 (VarianceExceeded, "variance", FixedPointFormat(), [-12.0, 12.0, -12.0, 12.0]),
+                 (ScheduleViolation, "cap", FixedPointFormat(), [-3.0, 3.0, -3.0, 3.0])]
+        for error, message, fmt, row in cases:
+            batch = shared_batch([np.full(4, 0.5), np.array(row)], masses, fmt)
+            estimated, serial = run_both(batch, 2.0**-30, 0.1, 4.0, [1, 2])
+            assert estimated == serial and estimated[0] is error and message in estimated[1]
+
+    def test_out_of_range_entry_fails_after_earlier_entries(self):
+        # Each block is formed and rounded when it is estimated, so an entry
+        # past the format's range fails in its place: an earlier entry's
+        # variance error raises first. Without it, the error names the entry
+        # and its offending row.
+        masses = np.full(4, 0.25)
+        batch = shared_batch([np.full(4, 0.5), np.array([-12.0, 12.0, -12.0, 12.0]),
+                              np.array([0.5, 300.0, 0.0, 0.25])], masses)
+        with pytest.raises(VarianceExceeded):
+            qmontecarlo_batch(batch, 2.0**-10, 0.1, 4.0, [1, 2, 3])
+        with pytest.raises(Overflow, match=r"function 'entry\[2\]' not representable at "
+                                            r"\(8,24\); offending row indices \[1\]"):
+            qmontecarlo_batch(dataclasses.replace(batch, names=batch.names[::2],
+                                                  columns=batch.columns[::2]),
+                              2.0**-10, 0.1, 4.0, [1, 3])
 
     def test_mismatched_inputs_rejected(self):
-        masses = np.full(4, 0.25)
-        variables = shared_variables([np.zeros(4), np.ones(4)], masses,
-                                     [FixedPointFormat()] * 2)
-        with pytest.raises(ValueError, match="one generator per variable"):
-            qmontecarlo_batch(variables, 0.1, 0.1, 1.0, [1])
-        other = shared_variables([np.zeros(4)], masses.copy(), [FixedPointFormat()])
-        with pytest.raises(ValueError, match="share sampling and masses"):
-            qmontecarlo_batch(variables[:1] + other, 0.1, 0.1, 1.0, [1, 2])
-        assert qmontecarlo_batch([], 0.1, 0.1, 1.0, []) == []
+        batch = shared_batch([np.zeros(4), np.ones(4)], np.full(4, 0.25))
+        with pytest.raises(ValueError, match="one generator per entry"):
+            qmontecarlo_batch(batch, 0.1, 0.1, 1.0, [1])
+        empty = dataclasses.replace(batch, names=[], columns=[])
+        assert qmontecarlo_batch(empty, 0.1, 0.1, 1.0, []) == []
 
 
 class TestClosedFormQueries:
@@ -368,21 +388,22 @@ class TestClosedFormQueries:
 class TestBatchMemory:
     def test_gram_step_peak_bounded_by_block_budget(self):
         # 2-d chain, n = 60: one Gram step is 225 entries on 3,600 states,
-        # 13 MB of value tables held by the variables themselves. The batch
-        # works through blocks and chunks; its own peak stays near the budget.
+        # 13 MB of raw and rounded value tables were they formed together.
+        # The batch forms each block's tables only when it estimates the
+        # block, so the peak of forming and estimating them stays near the
+        # budget.
         chain = discretize_brownian(2, 2, 60, 2.2)
         basis = hermite_basis(2, 4, 2, 4.0)
         circuits = StoppingCircuits(chain=chain, payoff=put_payoff(1.0), basis=basis,
                                     coefficients={})
-        variables = [_basis_product_variable(circuits, 1, j, k)
-                     for j in range(basis.size) for k in range(basis.size)]
         sup = sup_norm_bound(basis, chain)
-        seeds = [np.random.SeedSequence(i) for i in range(len(variables))]
+        seeds = [np.random.SeedSequence(i) for i in range(basis.size**2)]
         tracemalloc.start()
         try:
-            reports = qmontecarlo_batch(variables, 0.02 / basis.size, 1e-4, sup * sup, seeds)
+            batch = circuits.gram(1)
+            reports = qmontecarlo_batch(batch, 0.02 / basis.size, 1e-4, sup * sup, seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(reports) == 225 and variables[0].masses.size == 3600
+        assert len(reports) == 225 and batch.masses.size == 3600
         assert peak <= _BATCH_BYTES + (2 << 20)

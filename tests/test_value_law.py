@@ -106,7 +106,8 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
     probs = enumerate_paths(circ.chain).probabilities
     for t in range(1, horizon + 1):
         support, inverse = law_support(circ, t)
-        masses, payoff, prev = circ._stopped_law(t)
+        targets = circ.targets(t)
+        masses, payoff, prev = targets.masses, targets.left[:, 0], targets.at
         np.testing.assert_array_equal(np.column_stack([prev, payoff]), support)
         np.testing.assert_allclose(masses, np.bincount(inverse, probs), rtol=0, atol=1e-14)
         assert abs(masses.sum() - 1.0) <= 1e-15
@@ -116,7 +117,7 @@ def test_stopped_payoff_law_matches_register_replay(seed, dim, n_states, horizon
             replay = stopped_payoff_values(circ, t, member)
             np.testing.assert_array_equal(var.oracle.values[inverse].view(np.int64),
                                           replay.view(np.int64))
-            assert var.masses is masses
+            np.testing.assert_array_equal(var.masses, masses)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +281,7 @@ def test_stopped_law_keeps_only_the_live_step():
     chain.marginals
     tracemalloc.start()
     try:
-        masses, payoff, prev = circ._stopped_law(1)
+        masses = circ.targets(1).masses
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
