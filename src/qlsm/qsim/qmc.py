@@ -211,9 +211,10 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     given a variance bound sigma^2 on the (fixed-point) variable: a batch
     of one, its raw values times a column of ones."""
     oracle = variable.oracle
-    batch = EntryBatch(variable.sampling, variable.masses, oracle.fmt, oracle.query_cost,
-                       [oracle.name], [(0, 0)], oracle.raw_values[:, None], np.ones((1, 1)),
-                       np.zeros(oracle.raw_values.size, dtype=np.intp))
+    batch = EntryBatch(sampling=variable.sampling, masses=variable.masses, fmt=oracle.fmt,
+                       query_cost=oracle.query_cost, names=[oracle.name], columns=[(0, 0)],
+                       left=oracle.raw_values[:, None], right=np.ones((1, 1)),
+                       at=np.zeros(oracle.raw_values.size, dtype=np.intp))
     return qmontecarlo_batch(batch, epsilon, delta, sigma, [rng], ledger, weights)[0]
 
 

@@ -1,5 +1,5 @@
 """Reversible circuits that solve the stopping-time recursion in superposition
-and expose the stopped payoff as a function oracle.
+and expose the regression entries they feed as estimation batches.
 
 The circuits compute in shared fixed-point arithmetic: their scores are
 dp.CoefficientRule's fixed-point scores, and every per-step table has one row
