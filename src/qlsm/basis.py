@@ -1,6 +1,6 @@
 """Regression bases: truncated Hermite products, scaled monomials for
 geometric Brownian motion, closed-form Gram matrices, and evaluators for the
-tail/singular-value/approximation bounds attached to them."""
+tail and singular-value bounds attached to them."""
 from __future__ import annotations
 
 import itertools
@@ -143,22 +143,6 @@ def monomial_basis(dim: int, degree: int, horizon: int) -> BasisSpec:
                           factors, degree)
 
 
-def indicator_basis(chain: MarkovChainSpec) -> BasisSpec:
-    """One indicator per grid slot; spans every function on equal-size grids."""
-    sizes = {chain.n_states(t) for t in range(1, chain.horizon + 1)}
-    if len(sizes) != 1:
-        raise ValueError("indicator basis needs equally sized grids")
-    size = sizes.pop()
-    grids = {t: chain.grid(t) for t in range(1, chain.horizon + 1)}
-
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        # Nearest grid slot per point; argmin keeps the first slot on ties.
-        dist = np.linalg.norm(points[:, None, :] - grids[int(t)][None], axis=2)
-        return np.eye(size)[dist.argmin(axis=1)]
-
-    return BasisSpec(kind=KIND_GENERIC, size=size, horizon=chain.horizon, evaluator=evaluator)
-
-
 def vandermonde_gram(degree: int, dim: int, t: float) -> np.ndarray:
     """Tensor power of the Vandermonde-structured matrix with entries e^{klt}."""
     return _kron_power(np.exp(np.outer(np.arange(degree + 1), np.arange(degree + 1)) * t), dim)
@@ -270,21 +254,6 @@ def vandermonde_sigma_min_bound(degree: int, dim: int, t: float) -> tuple[float,
              * q**d * (q + 1) ** d * (et / (et - 1.0)) ** (q * d))
     simple = math.exp(3.0 * q * d) * q ** (2 * d)
     return float(sharp), float(simple)
-
-
-def jackson_smooth_bound(degree: int, smoothness: int, const: float) -> float:
-    """Best-uniform-error bound const * degree^-smoothness for C^n targets."""
-    if not degree > smoothness >= 1:
-        raise ValueError("need degree > smoothness >= 1")
-    return const * degree ** (-smoothness)
-
-
-def jackson_lipschitz_bound(degree: int, dim: int, cube_radius: float,
-                            lipschitz_const: float) -> float:
-    """Best-uniform-error bound 88*radius*C_L*d/(d+degree) for Lipschitz targets."""
-    if lipschitz_const <= 0 or cube_radius <= 0:
-        raise ValueError("need positive Lipschitz constant and cube radius")
-    return 88.0 * cube_radius * lipschitz_const * dim / (dim + degree)
 
 
 def hermite_gram_identity_bound(degree: int, dim: int, t: float, cube_radius: float) -> float:

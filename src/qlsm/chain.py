@@ -499,7 +499,7 @@ def _diagnostics(grids1, points1, init, mats, dropped, targets, per_step) -> tup
         mean = float(np.sum(mass * x))
         var = float(np.sum(mass * x**2) - mean**2)
         target_mean, target_var = targets(t)
-        h = w[1] - w[0] if w.size > 1 else 0.0
+        h = w[1] - w[0]
         out.append(StepDiagnostics(step=t, mean_error=abs(mean - target_mean),
                                    variance_error=abs(var - target_var),
                                    dropped_mass=max(dropped[: t]),
@@ -533,16 +533,10 @@ def discretize_gbm(dim: int, horizon: int, grid_size: int,
                    support_radius: float) -> MarkovChainSpec:
     """Chain whose coordinates follow independent geometric Brownian motions
     started at 1; grids are exponentials of the Brownian grids."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be at least 1")
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
-    if grid_size == 1:
-        # Degenerate single-point chain pinned at 1.
-        diag = tuple(StepDiagnostics(t, 0.0, abs(math.exp(t) - 1.0), 0.0, abs(math.exp(t) - 1.0) + 1e-12)
-                     for t in range(1, horizon + 1))
-        return _product_chain(dim, [np.ones(1) for _ in range(horizon)], np.ones(1),
-                              [np.ones((1, 1)) for _ in range(horizon - 1)], np.ones(dim), diag)
     grids1, init1, mats1, dropped = _brownian_1d_parts(horizon, grid_size, support_radius)
     gbm_grids1 = [np.exp(w - t / 2) for t, w in enumerate(grids1, start=1)]
 

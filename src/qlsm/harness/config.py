@@ -111,7 +111,6 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_field_types(self)
-        min_grid = 2 if self.model == "brownian" else 1
         checks = [
             (self.model in _MODELS, f"model must be one of {tuple(_MODELS)}, got {self.model!r}"),
             (self.algorithm in _ALGORITHMS,
@@ -122,7 +121,7 @@ class ExperimentConfig:
              f"basis.kind must be one of {tuple(_BASES)}, got {self.basis.kind!r}"),
             (self.dimension >= 1, "dimension must be at least 1"),
             (self.horizon >= 1, "horizon must be at least 1"),
-            (self.grid_size >= min_grid, f"grid_size must be at least {min_grid}"),
+            (self.grid_size >= 2, "grid_size must be at least 2"),
             (self.grid_radius > 0, "grid_radius must be positive"),
             (self.payoff.strike > 0, "payoff.strike must be positive"),
             (self.basis.degree >= 0, "basis.degree must be non-negative"),

@@ -83,11 +83,6 @@ class QuantumLsmRun:
     notes: list = field(default_factory=list)
     entry_reports: dict = field(default_factory=dict)  # entry name -> EstimationReport
 
-    @property
-    def exact_grams(self) -> dict:
-        """The exact grid Gram of each regression step, computed on request."""
-        return {t: gram_matrix(self.basis, self.chain, t) for t in range(1, self.chain.horizon)}
-
     def to_json(self) -> str:
         doc = {
             "epsilon": self.epsilon,

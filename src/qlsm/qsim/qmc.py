@@ -133,7 +133,8 @@ def _moments(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, ...]:
     """Exact means, variances, and least and greatest values on the support
     of a value table's rows under shared masses; a row with one value on the
     support has it as its mean and variance 0. Rows sum as 1-d arrays do."""
-    support = values[:, masses > 0.0]
+    positive = masses > 0.0
+    support = values if positive.all() else values[:, positive]  # copy only if needed
     lows, highs = support.min(axis=1, initial=np.inf), support.max(axis=1, initial=-np.inf)
     means = (masses * values).sum(axis=1)
     variances = (masses * (values - means[:, None]) ** 2).sum(axis=1)

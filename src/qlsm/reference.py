@@ -1,7 +1,8 @@
 """Slow references that the runtime is tested against, imported by no runtime
-path: per-path stop times and collected payoffs, the register replay of the
-stopping circuits over the enumerated paths, and the dense and statevector
-laws of amplitude estimation (Brassard, Hoyer, Mosca & Tapp 2002).
+path: the fixed-point register encode and decode, per-path stop times and
+collected payoffs, the register replay of the stopping circuits over the
+enumerated paths, and the dense and statevector laws of amplitude estimation
+(Brassard, Hoyer, Mosca & Tapp 2002).
 
 Estimation reads each variable's law (a value table and the masses of its
 rows) and bills an exact count of oracle calls; it never prepares a state.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .chain import MarkovChainSpec, PathEnsemble, enumerate_paths
 from .dp import SnellTable, first_stops
-from .errors import QlsmError
+from .errors import Overflow, QlsmError
 from .qsim.ae import EstimationOperator, _check_queries, _phase_kernel
 from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import QueryLedger
@@ -31,6 +32,61 @@ from .stopping_circuits import (BASIS_QUERY, PAYOFF_QUERY, StoppingCircuits,
 
 _NORM_TOL = 1e-10
 _STATEVECTOR_QUBIT_CAP = 12
+
+
+# -- fixed-point registers --------------------------------------------------------
+
+@dataclass(frozen=True)
+class FixedPoint:
+    """One encoded number: sign bit plus magnitude in resolution units."""
+
+    fmt: FixedPointFormat
+    sign: int
+    magnitude: int
+
+    @classmethod
+    def encode(cls, fmt: FixedPointFormat, value: float) -> "FixedPoint":
+        """Round-to-nearest-even representable value; overflow is an error."""
+        if not math.isfinite(value) or abs(value) > fmt.max_value:
+            raise Overflow(f"{value!r} outside [-{fmt.max_value}, {fmt.max_value}]")
+        # max_value is on the grid, so rounding cannot leave the range.
+        magnitude = int(np.round(value * 2.0**fmt.frac_bits))
+        return cls(fmt=fmt, sign=int(magnitude < 0), magnitude=abs(magnitude))
+
+    def decode(self) -> float:
+        return (-1.0) ** self.sign * self.magnitude * self.fmt.resolution
+
+    def integer_bits(self) -> tuple[int, ...]:
+        """(a_1 .. a_c1) with a_i weighting 2^(i-1)."""
+        whole = self.magnitude >> self.fmt.frac_bits
+        return tuple((whole >> i) & 1 for i in range(self.fmt.int_bits))
+
+    def fraction_bits(self) -> tuple[int, ...]:
+        """(b_1 .. b_c2) with b_j weighting 2^-j."""
+        frac = self.magnitude & ((1 << self.fmt.frac_bits) - 1)
+        return tuple((frac >> (self.fmt.frac_bits - j)) & 1
+                     for j in range(1, self.fmt.frac_bits + 1))
+
+    @classmethod
+    def from_bit_strings(cls, integer: tuple[int, ...], fraction: tuple[int, ...],
+                         sign: int, fmt: FixedPointFormat | None = None) -> "FixedPoint":
+        if fmt is None:
+            fmt = FixedPointFormat(int_bits=len(integer), frac_bits=len(fraction))
+        if len(integer) != fmt.int_bits or len(fraction) != fmt.frac_bits:
+            raise ValueError("bit strings do not match the format")
+        whole = sum(b << i for i, b in enumerate(integer))
+        frac = sum(b << (fmt.frac_bits - j) for j, b in enumerate(fraction, start=1))
+        magnitude = (whole << fmt.frac_bits) | frac
+        return cls(fmt=fmt, sign=0 if magnitude == 0 else sign, magnitude=magnitude)
+
+
+def from_bits(fmt: FixedPointFormat, bits: np.ndarray):
+    """Values of the sign-magnitude bit images that fmt.to_bits writes."""
+    bits = np.asarray(bits, dtype=np.int64)
+    sign_bit = bits >> (fmt.int_bits + fmt.frac_bits)
+    magnitude = bits & ((1 << (fmt.int_bits + fmt.frac_bits)) - 1)
+    out = np.where(sign_bit == 1, -magnitude, magnitude) / 2.0**fmt.frac_bits
+    return out if out.shape else float(out)
 
 
 # -- per-path stop times ----------------------------------------------------------
@@ -126,7 +182,7 @@ class HybridState:
         fmt = self.register_formats.get(name)
         if fmt is None:
             return bits.astype(np.int64)
-        return np.asarray(fmt.from_bits(bits))
+        return np.asarray(from_bits(fmt, bits))
 
     def has_register(self, name: str) -> bool:
         return name in self.registers and bool(np.any(self.registers[name]))

@@ -1,0 +1,99 @@
+"""Lists the runtime functions that no CLI command calls.
+
+Run as a script in a fresh interpreter; it imports qlsm from src/:
+
+    python tests/reach_probe.py OUT_DIR
+
+It runs price, scaling, validate-bounds --strict and dump-oracle on each
+probe config below under sys.settrace call events, then prints one JSON
+object: "functions" lists every function defined in src/qlsm outside
+qlsm.reference as "module:qualname", "unrun" those that never ran, and
+"exits" the exit code of each run. A fresh interpreter matters: a warm lru_cache or law table
+left by earlier work in the same process would skip calls.
+"""
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "qlsm"
+COMMANDS = (["price"], ["scaling"], ["validate-bounds", "--strict"], ["dump-oracle"])
+
+# name -> config document; None runs the commands without --config.
+PROBE_CONFIGS = {
+    "cli-reference": json.loads((REPO / "perfbench" / "cli_reference.json").read_text()),
+    "gbm-1d": {"model": "gbm", "dimension": 1, "payoff": {"name": "call", "strike": 1.0},
+               "basis": {"kind": "gbm", "degree": 1, "cube_radius": 20.0}},
+    "default": None,
+    "hermite-2d": {"dimension": 2, "grid_size": 5,
+                   "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
+                   "trials": 2},
+}
+
+
+def _defs(node, prefix=""):
+    """(first line, name, qualname) of every def under node, the first line
+    being that of the first decorator, as in co_firstlineno."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            yield min([child.lineno] + [d.lineno for d in child.decorator_list]), child.name, qualname
+            yield from _defs(child, qualname + ".<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, prefix + child.name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
+def runtime_functions() -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) of every def in the runtime modules, mapped
+    to "module:qualname"."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "reference.py":
+            continue
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for first, name, qualname in _defs(ast.parse(path.read_text())):
+            found[(str(path), first, name)] = f"{module}:{qualname}"
+    return found
+
+
+def probe(out_dir: Path) -> dict:
+    functions = runtime_functions()
+    called = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    exits = {}
+    sys.path.insert(0, str(PACKAGE.parent))
+    sys.settrace(on_call)
+    try:
+        from qlsm.harness.cli import main
+
+        for name, doc in PROBE_CONFIGS.items():
+            config = []
+            if doc is not None:
+                path = out_dir / f"{name}.json"
+                path.write_text(json.dumps(doc))
+                config = ["--config", str(path)]
+            for command in COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    exits[f"{name} {' '.join(command)}"] = main(
+                        command + config + ["--out", str(out_dir / name)])
+    finally:
+        sys.settrace(None)
+    called = {(str(Path(file).resolve()), line, name) for file, line, name in called}
+    unrun = sorted(label for key, label in functions.items() if key not in called)
+    return {"functions": sorted(set(functions.values())), "unrun": unrun, "exits": exits}
+
+
+if __name__ == "__main__":
+    print(json.dumps(probe(Path(sys.argv[1])), indent=1))

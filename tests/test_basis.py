@@ -8,13 +8,12 @@ from scipy.integrate import quad
 from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
                         gbm_tail_bound, gram_matrix, hermite, hermite_basis,
                         hermite_gram_identity_bound, hermite_multi_indices,
-                        indicator_basis, jackson_lipschitz_bound,
-                        jackson_smooth_bound, l2_norm_bound, monomial_basis,
-                        solve_gram, sup_norm_bound, vandermonde_gram,
-                        vandermonde_sigma_min_bound)
+                        l2_norm_bound, monomial_basis, solve_gram, sup_norm_bound,
+                        vandermonde_gram, vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
 from qlsm.lsm_quantum import oracle_sigma_min
+from basis_reference import indicator_basis
 
 
 class TestHermitePolynomials:
@@ -260,20 +259,6 @@ class TestVandermondeSigmaMin:
         for q in (1, 2, 3):
             sharp, simple = vandermonde_sigma_min_bound(q, 1, 1.0)
             assert sharp <= simple
-
-
-class TestJacksonBounds:
-    def test_lipschitz_frozen(self):
-        assert jackson_lipschitz_bound(10, 1, 1.0, 1.0) == pytest.approx(8.0)
-
-    def test_smooth_halving(self):
-        one = jackson_smooth_bound(10, 1, 3.0)
-        two = jackson_smooth_bound(20, 1, 3.0)
-        assert two == pytest.approx(one / 2.0)
-
-    def test_smooth_requires_degree_above_smoothness(self):
-        with pytest.raises(ValueError):
-            jackson_smooth_bound(3, 3, 1.0)
 
 
 class TestGramMachinery:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlsm.basis import (constant_basis, gram_matrix, indicator_basis, monomial_basis,
-                        solve_gram)
+from qlsm.basis import constant_basis, gram_matrix, monomial_basis, solve_gram
 from qlsm.chain import MarkovChainSpec, _product_chain, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
                      exact_approximation_error, first_stops, snell_envelope,
@@ -13,6 +12,7 @@ from qlsm.dp import (CoefficientRule, continuation_values,
 from qlsm.errors import CapExceeded, SingularGram
 from qlsm.payoff import constant_payoff, table_payoff
 from qlsm.reference import optimal_stopping_times, payoff_at_times
+from basis_reference import indicator_basis
 
 
 def random_chain(rng, horizon, n_states):

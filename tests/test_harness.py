@@ -278,11 +278,11 @@ class TestCli:
         {"sample_step_cost": -1.0},
         {"path_count": 2, "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
          "algorithm": "classical"},
-        {"algorithm": "oracle"},
+        {"algorithm": "oracle"}, {"model": "gbm", "grid_size": 1},
     ], ids=["float-horizon", "float-grid-size", "float-trials", "bool-horizon",
             "brownian-grid-size-1", "not-an-object", "string-cost", "infinite-grid-radius",
             "huge-int-grid-radius", "bool-grid-radius", "string-oracle-flag", "negative-cost",
-            "paths-below-basis-size", "oracle-algorithm"])
+            "paths-below-basis-size", "oracle-algorithm", "gbm-grid-size-1"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps(doc))

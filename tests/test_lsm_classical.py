@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import qlsm.lsm_classical as lsm_classical
 from qlsm.basis import (KIND_GENERIC, BasisSpec, constant_basis, gbm_basis, hermite_basis,
-                        indicator_basis, monomial_basis)
+                        monomial_basis)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm, sample_paths
 from qlsm.dp import exact_approximation_error, snell_envelope
 from qlsm.errors import SingularGram
 from qlsm.lsm_classical import (choose_sample_count, classical_cost_units,
                                 run_classical_lsm)
 from qlsm.payoff import put_payoff, table_payoff
+from basis_reference import indicator_basis
 from lsm_reference import run_classical_lsm_per_path, run_stop_times
 
 UNIT_ROUNDOFF = 2.0**-53

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qlsm.basis import constant_basis, gbm_basis, hermite_basis, monomial_basis
+from qlsm.basis import constant_basis, gbm_basis, gram_matrix, hermite_basis, monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope, stop_decision)
@@ -248,7 +248,7 @@ class TestGenericRuns:
                               sigma_min_oracle=True)
         m = basis.size
         for t in run.targets:
-            gram_exact = run.exact_grams[t]
+            gram_exact = gram_matrix(run.basis, run.chain, t)
             smin = float(np.linalg.svd(gram_exact, compute_uv=False)[-1])
             eps_a = float(np.linalg.norm(run.gram_matrices[t] - gram_exact, 2))
             eps_b = float(np.linalg.norm(run.targets[t] - run.exact_targets[t]))
