@@ -1,6 +1,6 @@
 """Regression bases: truncated Hermite products, scaled monomials for
-geometric Brownian motion, closed-form Gram matrices, and evaluators for the
-tail and singular-value bounds attached to them."""
+geometric Brownian motion, closed-form Gram matrices, and the norm, tail and
+singular-value bounds that the runs and validate-bounds evaluate."""
 from __future__ import annotations
 
 import itertools
@@ -254,28 +254,3 @@ def vandermonde_sigma_min_bound(degree: int, dim: int, t: float) -> tuple[float,
              * q**d * (q + 1) ** d * (et / (et - 1.0)) ** (q * d))
     simple = math.exp(3.0 * q * d) * q ** (2 * d)
     return float(sharp), float(simple)
-
-
-def hermite_gram_identity_bound(degree: int, dim: int, t: float, cube_radius: float) -> float:
-    """Tail-derived bound on ||A - I||_2 for the truncated Hermite Gram.
-
-    Per-entry deviations are summed coordinate-wise from the simplified
-    one-sided tail bounds (each normalized factor has magnitude at most 1),
-    then assembled into a Frobenius bound.
-    """
-    indices = hermite_multi_indices(dim, degree)
-    lam_scaled = cube_radius / math.sqrt(2.0 * t)
-    # Normalized one-coordinate two-sided tail bound for each (k, l) pair.
-    pair = np.empty((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        for l in range(k + 1):
-            _, simple = hermite_tail_bound(k, l, lam_scaled)
-            log_norm = _log_hermite_normalizer(k) + _log_hermite_normalizer(l)
-            val = 2.0 / math.sqrt(math.pi) * simple * math.exp(log_norm)
-            pair[k, l] = pair[l, k] = val
-    total_sq = 0.0
-    for a in indices:
-        for b in indices:
-            entry = sum(min(pair[ka, kb], 2.0) for ka, kb in zip(a, b))
-            total_sq += entry * entry
-    return math.sqrt(total_sq)

@@ -1,6 +1,6 @@
 """Quantum-simulated least-squares Monte Carlo: per-entry mean estimation of
 the regression system through the stopping circuits, classical solves, and the
-smoothness-driven parameter schedules.
+closed-form-Gram case-study run with its cube-radius requirements.
 
 Coefficient solves use a pivoted factorization (no explicit inverse). Every
 estimated entry bills the circuit chain rebuilt from the horizon down, so
@@ -139,6 +139,11 @@ def _entry_streams(seed, count: int):
     return iter(twin.spawn(count))
 
 
+def _check_epsilon_delta(epsilon: float, delta: float) -> None:
+    if not 0 < delta < 1 or not 0 < epsilon < 1:
+        raise ScheduleViolation("epsilon and delta must lie in (0, 1)")
+
+
 GRAM_MODES = ("estimated", "closed_form")
 
 
@@ -169,8 +174,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     if epsilon > sigma_min_lower / 2.0:
         raise ScheduleViolation(
             f"epsilon={epsilon} exceeds sigma_min_lower/2={sigma_min_lower / 2.0}")
-    if not 0 < delta < 1 or not 0 < epsilon < 1:
-        raise ScheduleViolation("epsilon and delta must lie in (0, 1)")
+    _check_epsilon_delta(epsilon, delta)
 
     R = payoff.bound_for(chain)
     sup_b = sup_norm_bound(basis, chain) if T > 1 else 1.0
@@ -232,29 +236,32 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     )
 
 
+_LOG_LAMBDA_CAP = 700.0  # ln of the cube radius at which a requirement saturates
+
+
 def brownian_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
                                 accuracy: float, tail_coefficient: float | None,
                                 power: float | None) -> float:
     """Smallest cube radius the closed-form-Gram run is justified for with a
-    truncated Hermite basis."""
+    truncated Hermite basis; a tail term past float range saturates at
+    e^700, as in gbm_lambda_requirement."""
     req = max(16.0 * math.sqrt((degree + 1) * horizon),
               4.0 * horizon * math.log(5.0 * basis_size * dim / accuracy))
     if tail_coefficient is not None and power is not None:
-        req = max(req, (6.0 * tail_coefficient / accuracy) ** (power / (power - 2.0)))
+        try:
+            tail = (6.0 * tail_coefficient / accuracy) ** (power / (power - 2.0))
+        except OverflowError:
+            tail = math.exp(_LOG_LAMBDA_CAP)
+        req = max(req, tail)
     return req
 
 
 def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
                            accuracy: float, tail_coefficient: float | None,
-                           power: float | None,
-                           log_accuracy: float | None = None) -> float:
+                           power: float | None) -> float:
     """Smallest cube radius the closed-form-Gram run is justified for with the
-    scaled-monomial basis.
-
-    log_accuracy carries ln(accuracy) exactly when the accuracy itself
-    underflows to zero (its schedule has an exponentially small factor)."""
-    if log_accuracy is None:
-        log_accuracy = math.log(accuracy)
+    scaled-monomial basis, computed in log space and saturated at e^700."""
+    log_accuracy = math.log(accuracy)
     log_req = 0.0
     for t in range(1, max(horizon, 2)):
         log_req = max(log_req, t * (2 * degree - 0.5) + math.sqrt(
@@ -263,7 +270,7 @@ def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
     if tail_coefficient is not None and power is not None:
         log_req = max(log_req, (power / (power - 2.0)) * max(
             math.log(6.0 * tail_coefficient) - log_accuracy, 0.0))
-    return math.exp(min(log_req, 700.0))
+    return math.exp(min(log_req, _LOG_LAMBDA_CAP))
 
 
 _LAMBDA_REQUIREMENTS = {KIND_HERMITE: brownian_lambda_requirement,
@@ -282,6 +289,7 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
     beta and records the cube radius against the schedule's requirement,
     which reads the unclamped payoff's tails; a radius below it adds a note
     and warns."""
+    _check_epsilon_delta(epsilon, delta)
     requirement = _LAMBDA_REQUIREMENTS.get(basis.kind)
     if requirement is None:
         raise ValueError("the closed-form-Gram run needs a truncated Hermite or "
@@ -308,76 +316,3 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
         run.notes.append(f"cube radius {lam} below the schedule requirement {required:.3g}")
         warnings.warn(run.notes[-1], stacklevel=2)
     return run
-
-
-@dataclass(frozen=True)
-class SmoothnessSchedule:
-    degree: int
-    basis_size: int
-    accuracy: float
-    cube_radius: float | None
-
-
-def schedule_from_smoothness(horizon: int, dim: int, epsilon: float, model: str, *,
-                             smoothness: int | None = None, smooth_const: float | None = None,
-                             lipschitz_const: float | None = None,
-                             cube_radius: float | None = None,
-                             payoff_bound: float = 1.0, l2_bound: float = 1.0,
-                             sigma_min: float = 1.0, power: float | None = None,
-                             tail_coefficient: float | None = None) -> SmoothnessSchedule:
-    """Degree, basis size, per-entry accuracy and cube radius for a target
-    final accuracy under the stated smoothness class. Purely arithmetic."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    five_t = 5.0**horizon
-
-    def comb(q):
-        return math.comb(q + dim, dim)
-
-    if model == "generic-lipschitz":
-        if lipschitz_const is None or cube_radius is None:
-            raise ValueError("the Lipschitz schedule needs lipschitz_const and cube_radius")
-        degree = math.ceil(176.0 * five_t * cube_radius * lipschitz_const * dim / epsilon)
-        acc = (sigma_min**2 / (4.0 * (176.0 * math.e**2 * cube_radius * lipschitz_const * dim) ** dim
-                               * payoff_bound * l2_bound**2)
-               * (epsilon / (2.0 * five_t)) ** (1 + dim))
-        return SmoothnessSchedule(degree=degree, basis_size=comb(degree),
-                                  accuracy=acc, cube_radius=cube_radius)
-
-    if smoothness is None or smooth_const is None:
-        raise ValueError("smooth schedules need smoothness and smooth_const")
-    n, C = smoothness, smooth_const
-    if model == "generic-smooth":
-        degree = math.ceil((2.0 * five_t * C / epsilon) ** (1.0 / n))
-        if n >= degree:
-            raise ValueError(f"smoothness {n} is inconsistent with degree {degree}")
-        acc = (sigma_min**2 / (4.0 * (math.exp(2 * n) * C) ** (dim / n)
-                               * payoff_bound * l2_bound**2)
-               * (epsilon / (2.0 * five_t)) ** (1.0 + dim / n))
-        return SmoothnessSchedule(degree=degree, basis_size=comb(degree),
-                                  accuracy=acc, cube_radius=cube_radius)
-    if model == "brownian":
-        degree = math.ceil((3.0 * five_t * C / epsilon) ** (1.0 / n))
-        if n >= degree:
-            raise ValueError(f"smoothness {n} is inconsistent with degree {degree}")
-        acc = (1.0 / (3.0 * (math.exp(2 * n) * C) ** (dim / n) * payoff_bound)
-               * (epsilon / (3.0 * five_t)) ** (1.0 + dim / n))
-        lam = brownian_lambda_requirement(horizon, comb(degree), dim, degree, acc,
-                                          tail_coefficient, power)
-        return SmoothnessSchedule(degree=degree, basis_size=comb(degree),
-                                  accuracy=acc, cube_radius=lam)
-    if model == "gbm":
-        degree = math.ceil((3.0 * five_t * C / epsilon) ** (1.0 / n))
-        if n >= degree:
-            raise ValueError(f"smoothness {n} is inconsistent with degree {degree}")
-        size = (degree + 1) ** dim
-        log_acc = (-27.0 * horizon * dim * (five_t * C / epsilon) ** (2.0 / n)
-                   - (2 * dim + 2) * math.log(2.0) - (5.0 * dim / n) * math.log(C)
-                   - math.log(payoff_bound)
-                   + (1.0 + 5.0 * dim / n) * math.log(epsilon / (3.0 * five_t)))
-        acc = math.exp(log_acc) if log_acc > -700.0 else 0.0
-        lam = gbm_lambda_requirement(horizon, size, dim, degree, acc,
-                                     tail_coefficient, power, log_accuracy=log_acc)
-        return SmoothnessSchedule(degree=degree, basis_size=size,
-                                  accuracy=acc, cube_radius=lam)
-    raise ValueError(f"unknown model {model!r}")

@@ -9,7 +9,8 @@ probe config below under sys.settrace call events, then prints one JSON
 object: "functions" lists every function defined in src/qlsm outside
 qlsm.reference as "module:qualname", "unrun" those that never ran, and
 "exits" the exit code of each run. A fresh interpreter matters: a warm lru_cache or law table
-left by earlier work in the same process would skip calls.
+left by earlier work in the same process would skip calls. The chain file
+that the "custom-json" config reads is written before tracing starts.
 """
 from __future__ import annotations
 
@@ -24,16 +25,37 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "qlsm"
 COMMANDS = (["price"], ["scaling"], ["validate-bounds", "--strict"], ["dump-oracle"])
 
-# name -> config document; None runs the commands without --config.
+ALL_PASS = (0, 0, 0, 0)
+
+# name -> (config document, expected exit code of each command in COMMANDS);
+# a None document runs the commands without --config.
 PROBE_CONFIGS = {
-    "cli-reference": json.loads((REPO / "perfbench" / "cli_reference.json").read_text()),
-    "gbm-1d": {"model": "gbm", "dimension": 1, "payoff": {"name": "call", "strike": 1.0},
-               "basis": {"kind": "gbm", "degree": 1, "cube_radius": 20.0}},
-    "default": None,
-    "hermite-2d": {"dimension": 2, "grid_size": 5,
-                   "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
-                   "trials": 2},
+    "cli-reference": (json.loads((REPO / "perfbench" / "cli_reference.json").read_text()),
+                      ALL_PASS),
+    "gbm-1d": ({"model": "gbm", "dimension": 1, "payoff": {"name": "call", "strike": 1.0},
+                "basis": {"kind": "gbm", "degree": 1, "cube_radius": 20.0}}, ALL_PASS),
+    "default": (None, ALL_PASS),
+    "hermite-2d": ({"dimension": 2, "grid_size": 5,
+                    "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
+                    "trials": 2}, ALL_PASS),
+    # chain_file is set to the file written from CUSTOM_CHAIN.
+    "custom-json": ({"model": "custom-json", "payoff": {"name": "constant", "strike": 1.0},
+                     "basis": {"kind": "monomial", "degree": 1}, "trials": 2}, ALL_PASS),
+    # A degree-5 Hermite basis on a 5-point grid is singular at a step: the
+    # regressing commands exit 2 on SingularGram, dump-oracle regresses nothing.
+    "hermite-2d-singular": ({"dimension": 2, "grid_size": 5, "horizon": 4,
+                             "basis": {"kind": "hermite", "degree": 5, "cube_radius": 4.0},
+                             "trials": 1}, (2, 2, 2, 0)),
 }
+# discretize_brownian arguments of the custom-json chain: the default config's.
+CUSTOM_CHAIN = (1, 3, 4, 2.0)
+
+
+def expected_exits() -> dict[str, int]:
+    """The exit code each run should end with, keyed as the probe's "exits"."""
+    return {f"{name} {' '.join(command)}": code
+            for name, (_, codes) in PROBE_CONFIGS.items()
+            for command, code in zip(COMMANDS, codes)}
 
 
 def _defs(node, prefix=""):
@@ -74,13 +96,19 @@ def probe(out_dir: Path) -> dict:
 
     exits = {}
     sys.path.insert(0, str(PACKAGE.parent))
+    from qlsm.chain import discretize_brownian
+
+    chain_file = out_dir / "custom-chain.json"
+    chain_file.write_text(discretize_brownian(*CUSTOM_CHAIN).to_json())
     sys.settrace(on_call)
     try:
         from qlsm.harness.cli import main
 
-        for name, doc in PROBE_CONFIGS.items():
+        for name, (doc, _) in PROBE_CONFIGS.items():
             config = []
             if doc is not None:
+                if doc.get("model") == "custom-json":
+                    doc = dict(doc, chain_file=str(chain_file))
                 path = out_dir / f"{name}.json"
                 path.write_text(json.dumps(doc))
                 config = ["--config", str(path)]

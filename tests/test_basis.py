@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
                         gbm_tail_bound, gram_matrix, hermite, hermite_basis,
-                        hermite_gram_identity_bound, hermite_multi_indices,
-                        l2_norm_bound, monomial_basis, solve_gram, sup_norm_bound,
+                        hermite_multi_indices, l2_norm_bound, monomial_basis,
+                        solve_gram, sup_norm_bound,
                         vandermonde_gram, vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
@@ -83,16 +83,6 @@ class TestHermiteBasis:
         mat = basis.evaluate(t, pts)
         gram = (mat * w2[:, None]).T @ mat
         np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-10)
-
-    def test_grid_gram_close_to_identity_within_tail_bound(self):
-        chain = discretize_brownian(1, 3, 301, 5.0)
-        lam = 7.5
-        basis = hermite_basis(1, 2, 3, lam)
-        for t in (1, 2):
-            gram = gram_matrix(basis, chain, t)
-            dev = np.linalg.norm(gram - np.eye(basis.size), 2)
-            bound = hermite_gram_identity_bound(2, 1, t, lam)
-            assert dev <= bound
 
 
 class TestGbmBasis:

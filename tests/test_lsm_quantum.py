@@ -9,9 +9,9 @@ from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope, stop_decision)
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation
-from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams,
-                              oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_closed_form,
-                              schedule_from_smoothness)
+from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams, brownian_lambda_requirement,
+                              gbm_lambda_requirement, oracle_sigma_min, run_quantum_lsm,
+                              run_quantum_lsm_closed_form)
 from qlsm.payoff import put_payoff, table_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo
@@ -417,6 +417,15 @@ class TestModelVariants:
             run_quantum_lsm_closed_form(discretize_gbm(1, 2, 17, 4.0), put_payoff(1.0),
                                         gbm_basis(1, 1, 2, 1e6), 0.05, 0.2, seed=6)
 
+    @pytest.mark.parametrize("chain, basis", [
+        (discretize_brownian(1, 2, 9, 3.5), hermite_basis(1, 1, 2, 20.0)),
+        (discretize_gbm(1, 2, 17, 4.0), gbm_basis(1, 1, 2, 1e6)),
+    ], ids=["brownian-hermite", "gbm-monomial"])
+    def test_epsilon_outside_unit_interval_is_typed(self, chain, basis):
+        # Checked before the cube-radius requirement, which divides by epsilon.
+        with pytest.raises(ScheduleViolation, match=r"must lie in \(0, 1\)"):
+            run_quantum_lsm_closed_form(chain, put_payoff(1.0), basis, 0.0, 0.2, seed=1)
+
     def test_gbm_requires_monomials(self):
         chain = discretize_gbm(1, 2, 9, 3.0)
         with pytest.raises(ValueError, match="monomial"):
@@ -424,57 +433,13 @@ class TestModelVariants:
                                         0.05, 0.2)
 
 
-class TestSmoothnessSchedules:
-    def test_generic_smooth_degree(self):
-        sched = schedule_from_smoothness(1, 1, 0.1, "generic-smooth",
-                                         smoothness=1, smooth_const=1.0)
-        assert sched.degree == 100
-        assert sched.basis_size == 101
-
-    def test_two_step_degree(self):
-        sched = schedule_from_smoothness(2, 1, 0.5, "generic-smooth",
-                                         smoothness=1, smooth_const=1.0)
-        assert sched.degree == 100  # ceil(2 * 25 / 0.5)
-
-    def test_lipschitz_degree(self):
-        sched = schedule_from_smoothness(1, 1, 1.0, "generic-lipschitz",
-                                         lipschitz_const=1.0, cube_radius=1.0)
-        assert sched.degree == 880
-
-    def test_brownian_accuracy_formula(self):
-        sched = schedule_from_smoothness(2, 1, 0.3, "brownian",
-                                         smoothness=1, smooth_const=1.0,
-                                         payoff_bound=1.0)
-        expected = (1.0 / (3.0 * math.e**2)) * (0.3 / 75.0) ** 2
-        assert sched.accuracy == pytest.approx(expected, rel=1e-12)
-
-    def test_size_consistency_with_basis_module(self):
-        sched = schedule_from_smoothness(1, 2, 0.4, "generic-smooth",
-                                         smoothness=2, smooth_const=1.0)
-        from qlsm.basis import hermite_multi_indices
-
-        assert sched.basis_size == len(hermite_multi_indices(2, sched.degree))
-
-    def test_inconsistent_smoothness(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            schedule_from_smoothness(1, 1, 0.9, "generic-smooth",
-                                     smoothness=40, smooth_const=1.0)
-
-    def test_gbm_schedule_runs(self):
-        sched = schedule_from_smoothness(1, 1, 0.4, "gbm", smoothness=2,
-                                         smooth_const=0.5, payoff_bound=1.0)
-        assert sched.degree == 5
-        assert sched.accuracy > 0.0
-        assert sched.cube_radius > 1.0
-
-    def test_gbm_schedule_underflow_safe(self):
-        # The exponential factor drives the accuracy below float range; the
-        # cube-radius requirement must still come out finite via log space.
-        sched = schedule_from_smoothness(1, 1, 0.4, "gbm", smoothness=1,
-                                         smooth_const=0.5, payoff_bound=1.0)
-        assert sched.accuracy == 0.0
-        assert np.isfinite(sched.cube_radius)
-        assert sched.cube_radius > 10.0
+class TestLambdaRequirements:
+    def test_brownian_tail_term_saturates_as_gbm_does(self):
+        args = (3, 3, 1, 1, 1e-12, 5.0, 2.05)
+        assert brownian_lambda_requirement(*args) == math.exp(700.0)
+        assert gbm_lambda_requirement(*args) == math.exp(700.0)
+        # In float range the tail term is the plain power, bit for bit.
+        assert brownian_lambda_requirement(3, 3, 1, 1, 0.05, 5.0, 4.0) == (6.0 * 5.0 / 0.05) ** 2
 
 
 class TestSerialization:
