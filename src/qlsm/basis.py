@@ -165,12 +165,19 @@ def gram_matrix(basis: BasisSpec, chain: MarkovChainSpec, t: int) -> np.ndarray:
     return (mat * chain.marginals[t - 1][:, None]).T @ mat
 
 
-def solve_gram(gram: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
-    """Regression coefficients gram^-1 rhs by a pivoted solve; raises
-    SingularGram for step t when sigma_min <= 1e-12 * max(1, sigma_max)."""
+def checked_sigma_min(gram: np.ndarray, t: int) -> float:
+    """Smallest singular value of step t's Gram; raises SingularGram when
+    sigma_min <= 1e-12 * max(1, sigma_max)."""
     svals = np.linalg.svd(gram, compute_uv=False)
     if svals[-1] <= _SINGULAR_REL_TOL * max(1.0, svals[0]):
         raise SingularGram(t, float(svals[-1]))
+    return float(svals[-1])
+
+
+def solve_gram(gram: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
+    """Regression coefficients gram^-1 rhs by a pivoted solve, after
+    checked_sigma_min's singular check."""
+    checked_sigma_min(gram, t)
     return np.linalg.solve(gram, rhs)
 
 

@@ -2,14 +2,15 @@
 per-state law of the optimal stop time, and exact least-squares projections
 of continuation values. Ground truth for every estimate elsewhere in the
 package, and home of the stop rule that the classical sampler and the
-stopping circuits share: stop_decision, CoefficientRule's fixed-point scores
-and first_stops along sampled paths. _induction is the one backward
-recursion: the exact values, the values of coefficient rules and the
-circuits' stopped-payoff laws all run it. Nothing here enumerates paths."""
+stopping circuits share: stop_decision and CoefficientRule's fixed-point
+scores. _induction is the one backward recursion: the exact values, the
+values of coefficient rules and the circuits' stopped-payoff laws all run
+it, and the classical sampler runs its update values(t) = where(stop(t),
+z(t), carried) along its own sampled paths. Nothing here enumerates paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,25 +48,6 @@ def stop_decision(payoff_values: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Per-state stop mask: stop where the payoff is at least the score, so
     ties stop."""
     return np.asarray(payoff_values) >= np.asarray(scores)
-
-
-def first_stops(sizes: Sequence[int], labels: Sequence[np.ndarray],
-                stop_mask: Callable[[int, np.ndarray], np.ndarray]
-                ) -> Iterator[tuple[int, np.ndarray]]:
-    """Per-path first stops tau_k = k if the path's state stops at step k,
-    else tau_{k+1}; the last step always stops. labels[k] maps each path to a
-    row of step k's sizes[k]-row tables; stop_mask(k, later) gives step k's
-    per-state mask once `later`, the first stops after k, is known. Yields
-    (k, rows) from the last step back, rows indexing the step tables stacked
-    in step order."""
-    offsets = np.cumsum([0, *sizes[:-1]])
-    last = len(sizes) - 1
-    rows = offsets[last] + labels[last]
-    yield last, rows
-    for k in range(last - 1, -1, -1):
-        here = labels[k]
-        rows = np.where(stop_mask(k, rows)[here], offsets[k] + here, rows)
-        yield k, rows
 
 
 OPTIMAL_RULE = "optimal"

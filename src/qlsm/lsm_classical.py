@@ -1,6 +1,9 @@
-"""Classical least-squares Monte Carlo: one sampled path set, per-step
-regressions, the dp first-stop recursion along the sampled paths, and the
-sample-count schedule.
+"""Classical least-squares Monte Carlo: one sampled path set, the backward
+cash-flow loop (Longstaff & Schwartz, RFS 2001) and the sample-count
+schedule. Each path carries the payoff it collects at its first stop after
+the step in hand; a step regresses on that carry, then replaces it with the
+step's payoff where the fitted rule (dp.stop_decision) stops, the update
+values(t) = where(stop(t), z(t), carried) of dp's backward induction.
 
 On a finite chain a sum over paths is a sum over grid states weighted by
 visit counts, so each step's regression works from per-state visit counts
@@ -25,7 +28,7 @@ import numpy as np
 
 from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
-from .dp import CoefficientRule, first_stops, stop_decision
+from .dp import CoefficientRule, stop_decision
 from .payoff import PayoffSpec
 from .qsim.ledger import CostWeights
 
@@ -93,17 +96,13 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
     if gram_mode == "sampled" and path_count < m:
         raise ValueError("need at least as many paths as basis functions")
     idx = sample_paths(chain, path_count, seed)
-    z = np.concatenate([payoff.values(chain, t) for t in range(1, T + 1)])
-    sizes = [chain.n_states(t) for t in range(1, T + 1)]
-    offsets = np.cumsum([0, *sizes])
-
     grams: dict[int, np.ndarray] = {}
     targets: dict[int, np.ndarray] = {}
     coefficients: dict[int, np.ndarray] = {}
     rule = CoefficientRule(basis, coefficients)
 
-    def regress(t: int, later: np.ndarray) -> np.ndarray:
-        """Fit step t on the payoffs collected at the first stops after t."""
+    collected = payoff.values(chain, T)[idx[:, T - 1]]
+    for t in range(T - 1, 0, -1):
         table = basis.evaluate(t, chain.grid(t))
         here = np.ascontiguousarray(idx[:, t - 1])
         if gram_mode == "closed_form":
@@ -112,16 +111,14 @@ def run_classical_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSp
             counts = np.bincount(here, minlength=len(table))
             gram = (table.T * counts) @ table / path_count
             gram = np.triu(gram) + np.triu(gram, 1).T  # exactly symmetric
-        sums = np.bincount(here, weights=z[later], minlength=len(table))
+        sums = np.bincount(here, weights=collected, minlength=len(table))
         rhs = table.T @ sums / path_count
         grams[t], targets[t] = gram, rhs
         coefficients[t] = solve_gram(gram, rhs, t)
-        return stop_decision(z[offsets[t - 1]:offsets[t]], rule.row_scores(t, table))
-
-    for _, stops in first_stops(sizes, idx.T, lambda k, later: regress(k + 1, later)):
-        pass
-    z0 = payoff.value_at_start(chain)
-    estimate = max(z0, float(z[stops].mean()))
+        z_t = payoff.values(chain, t)
+        stop = stop_decision(z_t, rule.row_scores(t, table))[here]
+        collected = np.where(stop, z_t[here], collected)
+    estimate = max(payoff.value_at_start(chain), float(collected.mean()))
 
     basis_queries = path_count * (T - 1) * m * (2 if gram_mode == "sampled" else 1)
     return LsmRun(

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (KIND_GBM, KIND_HERMITE, BasisSpec, closed_form_gram, gram_matrix,
-                    solve_gram, sup_norm_bound, vandermonde_sigma_min_bound)
+from .basis import (KIND_GBM, KIND_HERMITE, BasisSpec, checked_sigma_min, closed_form_gram,
+                    gram_matrix, solve_gram, sup_norm_bound, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
@@ -109,9 +109,10 @@ class QuantumLsmRun:
 def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
     """Exact min over steps of sigma_min of the grid Gram (oracle-side info:
     a real deployment must supply this bound as an input); 1 when there is
-    no step to regress at."""
-    return min((float(np.linalg.svd(gram_matrix(basis, chain, t), compute_uv=False)[-1])
-                for t in range(1, chain.horizon)), default=1.0)
+    no step to regress at. Scans from the last step back, as the runs
+    regress, and raises SingularGram at the first singular Gram."""
+    return min((checked_sigma_min(gram_matrix(basis, chain, t), t)
+                for t in range(chain.horizon - 1, 0, -1)), default=1.0)
 
 
 def resolve_sigma_min(basis: BasisSpec, chain: MarkovChainSpec, sigma_min_lower: float | None,

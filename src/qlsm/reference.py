@@ -1,8 +1,9 @@
 """Slow references that the runtime is tested against, imported by no runtime
-path: the fixed-point register encode and decode, per-path stop times and
-collected payoffs, the register replay of the stopping circuits over the
-enumerated paths, and the dense and statevector laws of amplitude estimation
-(Brassard, Hoyer, Mosca & Tapp 2002).
+path: the fixed-point register encode and decode, per-path stop times (the
+classical pass's backward carry, holding stop steps instead of payoffs) and
+the payoffs collected at them, the register replay of the stopping circuits
+over the enumerated paths, and the dense and statevector laws of amplitude
+estimation (Brassard, Hoyer, Mosca & Tapp 2002).
 
 Estimation reads each variable's law (a value table and the masses of its
 rows) and bills an exact count of oracle calls; it never prepares a state.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MarkovChainSpec, PathEnsemble, enumerate_paths
-from .dp import SnellTable, first_stops
+from .dp import SnellTable
 from .errors import Overflow, QlsmError
 from .qsim.ae import EstimationOperator, _check_queries, _phase_kernel
 from .qsim.fixed_point import FixedPointFormat
@@ -91,24 +92,23 @@ def from_bits(fmt: FixedPointFormat, bits: np.ndarray):
 
 # -- per-path stop times ----------------------------------------------------------
 
-def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask):
-    """dp.first_stops along paths given by their (N, T) grid indices, with
-    stop_mask(t, later) giving step t's mask. Returns the (N, T) stop times
-    (column t-1 holds tau_t) and the first stops after step 0 as rows of the
-    step 1..T tables stacked in order."""
+def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask) -> np.ndarray:
+    """Per-path first stops along paths given by their (N, T) grid indices:
+    tau_T = T, and tau_t = t where stop_mask(t, later), step t's per-state
+    mask given `later` = tau_{t+1}, stops the path's state, else tau_{t+1}.
+    Returns the (N, T) stop times, column t-1 holding tau_t."""
     T = chain.horizon
-    sizes = [chain.n_states(t) for t in range(1, T + 1)]
-    steps = np.repeat(np.arange(1, T + 1), sizes)
     taus = np.empty(idx.shape, dtype=np.int64)
-    for k, rows in first_stops(sizes, idx.T, lambda k, later: stop_mask(k + 1, later)):
-        taus[:, k] = steps[rows]
-    return taus, rows
+    taus[:, T - 1] = T
+    for t in range(T - 1, 0, -1):
+        taus[:, t - 1] = np.where(stop_mask(t, taus[:, t])[idx[:, t - 1]], t, taus[:, t])
+    return taus
 
 
 def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
     """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
     along path i under the table's decisions."""
-    taus, _ = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
+    taus = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
     tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
     return np.column_stack([tau0, taus])
 

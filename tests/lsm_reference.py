@@ -28,8 +28,8 @@ def run_stop_times(run: LsmRun) -> tuple[np.ndarray, np.ndarray]:
     seed, and the per-path recursion under its stored coefficients."""
     idx = sample_paths(run.chain, run.path_count, run.seed)
     rule = CoefficientRule(run.basis, run.coefficients)
-    taus, _ = path_stop_times(run.chain, idx,
-                              lambda t, later: rule.stop_mask(run.chain, run.payoff, t))
+    taus = path_stop_times(run.chain, idx,
+                           lambda t, later: rule.stop_mask(run.chain, run.payoff, t))
     return idx, taus
 
 
@@ -39,7 +39,9 @@ def run_classical_lsm_per_path(chain, payoff, basis, path_count, seed,
     T = chain.horizon
     m = basis.size
     idx = sample_paths(chain, path_count, seed)
-    z = np.concatenate([payoff.values(chain, t) for t in range(1, T + 1)])
+    # z[:, t-1]: each path's payoff at step t.
+    z = np.column_stack([payoff.values(chain, t)[idx[:, t - 1]] for t in range(1, T + 1)])
+    paths = np.arange(path_count)
 
     grams, targets, coefficients = {}, {}, {}
     rule = CoefficientRule(basis, coefficients)
@@ -52,13 +54,13 @@ def run_classical_lsm_per_path(chain, payoff, basis, path_count, seed,
             gram = rows.T @ rows / path_count
         else:
             raise ValueError(f"unknown gram_mode {gram_mode!r}")
-        rhs = rows.T @ z[later] / path_count
+        rhs = rows.T @ z[paths, later - 1] / path_count
         grams[t], targets[t] = gram, rhs
         coefficients[t] = solve_gram(gram, rhs, t)
         return rule.stop_mask(chain, payoff, t)
 
-    taus, stops = path_stop_times(chain, idx, regress)
-    estimate = max(payoff.value_at_start(chain), float(z[stops].mean()))
+    taus = path_stop_times(chain, idx, regress)
+    estimate = max(payoff.value_at_start(chain), float(z[paths, taus[:, 0] - 1].mean()))
     basis_queries = path_count * (T - 1) * m * (2 if gram_mode == "sampled" else 1)
     return PerPathRun(
         chain=chain, payoff=payoff, basis=basis, path_count=path_count, seed=seed,

@@ -7,8 +7,9 @@ Run as a script in a fresh interpreter; it imports qlsm from src/:
 It runs price, scaling, validate-bounds --strict and dump-oracle on each
 probe config below under sys.settrace call events, then prints one JSON
 object: "functions" lists every function defined in src/qlsm outside
-qlsm.reference as "module:qualname", "unrun" those that never ran, and
-"exits" the exit code of each run. A fresh interpreter matters: a warm lru_cache or law table
+qlsm.reference as "module:qualname", "unrun" those that never ran,
+"exits" the exit code of each run and "stderr" what each run wrote to
+standard error. A fresh interpreter matters: a warm lru_cache or law table
 left by earlier work in the same process would skip calls. The chain file
 that the "custom-json" config reads is written before tracing starts.
 """
@@ -42,7 +43,8 @@ PROBE_CONFIGS = {
     "custom-json": ({"model": "custom-json", "payoff": {"name": "constant", "strike": 1.0},
                      "basis": {"kind": "monomial", "degree": 1}, "trials": 2}, ALL_PASS),
     # A degree-5 Hermite basis on a 5-point grid is singular at a step: the
-    # regressing commands exit 2 on SingularGram, dump-oracle regresses nothing.
+    # regressing commands exit 2 on SingularGram, and say so; dump-oracle
+    # regresses nothing.
     "hermite-2d-singular": ({"dimension": 2, "grid_size": 5, "horizon": 4,
                              "basis": {"kind": "hermite", "degree": 5, "cube_radius": 4.0},
                              "trials": 1}, (2, 2, 2, 0)),
@@ -94,7 +96,7 @@ def probe(out_dir: Path) -> dict:
         code = frame.f_code
         called.add((code.co_filename, code.co_firstlineno, code.co_name))
 
-    exits = {}
+    exits, stderr = {}, {}
     sys.path.insert(0, str(PACKAGE.parent))
     from qlsm.chain import discretize_brownian
 
@@ -113,14 +115,16 @@ def probe(out_dir: Path) -> dict:
                 path.write_text(json.dumps(doc))
                 config = ["--config", str(path)]
             for command in COMMANDS:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    exits[f"{name} {' '.join(command)}"] = main(
-                        command + config + ["--out", str(out_dir / name)])
+                run, err = f"{name} {' '.join(command)}", io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    exits[run] = main(command + config + ["--out", str(out_dir / name)])
+                stderr[run] = err.getvalue()
     finally:
         sys.settrace(None)
     called = {(str(Path(file).resolve()), line, name) for file, line, name in called}
     unrun = sorted(label for key, label in functions.items() if key not in called)
-    return {"functions": sorted(set(functions.values())), "unrun": unrun, "exits": exits}
+    return {"functions": sorted(set(functions.values())), "unrun": unrun, "exits": exits,
+            "stderr": stderr}
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from qlsm.basis import constant_basis, gram_matrix, monomial_basis, solve_gram
 from qlsm.chain import MarkovChainSpec, _product_chain, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
-                     exact_approximation_error, first_stops, snell_envelope,
+                     exact_approximation_error, snell_envelope,
                      stop_masses, weighted_l2_norm)
 from qlsm.errors import CapExceeded, SingularGram
 from qlsm.payoff import constant_payoff, table_payoff
-from qlsm.reference import optimal_stopping_times, payoff_at_times
+from qlsm.reference import optimal_stopping_times, path_stop_times, payoff_at_times
 from basis_reference import indicator_basis
 
 
@@ -143,7 +143,7 @@ class TestStoppingTimes:
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
        n_states=st.integers(1, 4))
-def test_first_stops_matches_path_loop(seed, horizon, n_states):
+def test_path_stop_times_matches_path_loop(seed, horizon, n_states):
     # Payoffs and scores on a quarter grid, so payoff == score is common and
     # every tie must stop.
     rng = np.random.Generator(np.random.Philox(seed))
@@ -156,24 +156,24 @@ def test_first_stops_matches_path_loop(seed, horizon, n_states):
     ens = enumerate_paths(chain)
     z = {t: payoff.values(chain, t) for t in range(1, horizon + 1)}
     score = {t: rule.scores(chain, t) for t in range(1, horizon)}
-    sizes = [chain.n_states(t) for t in range(1, horizon + 1)]
-    stacked_z = np.concatenate([z[t] for t in range(1, horizon + 1)])
-    labels = [ens.state_indices_at(t) for t in range(1, horizon + 1)]
     seen = []
-    for k, rows in first_stops(sizes, labels,
-                               lambda k, later: rule.stop_mask(chain, payoff, k + 1)):
-        t = k + 1
+
+    def stop_mask(t, later):
         seen.append(t)
-        for i in range(len(ens)):
+        np.testing.assert_array_equal(later, taus_loop[:, t])
+        return rule.stop_mask(chain, payoff, t)
+
+    taus_loop = np.empty((len(ens), horizon), dtype=np.int64)
+    for i in range(len(ens)):
+        for t in range(1, horizon + 1):
             tau = horizon
             for u in range(horizon - 1, t - 1, -1):
                 state = ens.indices[i, u - 1]
                 if z[u][state] >= score[u][state]:
                     tau = u
-            state = ens.indices[i, tau - 1]
-            assert rows[i] == sum(sizes[:tau - 1]) + state
-            assert stacked_z[rows[i]] == z[tau][state]
-    assert seen == list(range(horizon, 0, -1))
+            taus_loop[i, t - 1] = tau
+    np.testing.assert_array_equal(path_stop_times(chain, ens.indices, stop_mask), taus_loop)
+    assert seen == list(range(horizon - 1, 0, -1))
 
 
 def sparse_row(rng, n):

@@ -223,7 +223,7 @@ class TestGenericRuns:
         ens = enumerate_paths(chain)
         circ = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
                                 coefficients=run.coefficients, fmt=fmt)
-        taus, _ = path_stop_times(chain, ens.indices, lambda u, later: stop_decision(
+        taus = path_stop_times(chain, ens.indices, lambda u, later: stop_decision(
             circ.payoff_table(u), circ.score_table(u)))
         for t in run.exact_targets:
             tau = taus[:, t]  # tau_{t+1}

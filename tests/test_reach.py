@@ -27,6 +27,10 @@ def test_unrun_runtime_functions_are_listed(tmp_path):
                            capture_output=True, text=True, check=True)
     doc = json.loads(probe.stdout)
     assert doc["exits"] == expected_exits()
+    singular = [run for run, code in doc["exits"].items()
+                if run.startswith("hermite-2d-singular ") and code == 2]
+    for run in singular:
+        assert "numerically singular" in doc["stderr"][run], (run, doc["stderr"][run])
     listed, unrun = listed_unrun(), set(doc["unrun"])
     assert [name for name, reason in listed.items() if not reason] == [], "entries need a reason"
     unlisted = sorted(unrun - listed.keys())

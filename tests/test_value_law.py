@@ -68,7 +68,7 @@ def path_keys(circ, t):
     after t, as the rows of an (N, 2) array."""
     ens = enumerate_paths(circ.chain)
     tau = path_stop_times(circ.chain, ens.indices, lambda u, later: stop_decision(
-        circ.payoff_table(u), circ.score_table(u)))[0][:, t - 1]
+        circ.payoff_table(u), circ.score_table(u)))[:, t - 1]
     payoff = np.empty(len(ens))
     for u in range(t, circ.chain.horizon + 1):
         at = tau == u
