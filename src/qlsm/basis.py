@@ -1,6 +1,6 @@
 """Regression bases: truncated Hermite products, scaled monomials for
-geometric Brownian motion, closed-form Gram matrices, and the norm, tail and
-singular-value bounds that the runs and validate-bounds evaluate."""
+geometric Brownian motion, closed-form Gram matrices, and the norm, Hermite
+tail and singular-value bounds that the runs and validate-bounds evaluate."""
 from __future__ import annotations
 
 import itertools
@@ -232,19 +232,6 @@ def hermite_tail_bound(k: int, l: int, cube_radius: float) -> tuple[float, float
                   + (math.sqrt(2.0 * (k + 1)) + math.sqrt(2.0 * (l + 1))) * lam
                   - lam * lam)
     return float(exact), float(math.exp(log_simple))
-
-
-def gbm_tail_bound(k: int, cube_radius: float, t: float) -> float:
-    """Upper bound on the log-normal tail integral of x^{k-1} beyond cube_radius.
-
-    Tight only in the regime ln(cube_radius) >= t*(k - 1/2); below it the
-    Gaussian-tail inequality behind the formula does not apply.
-    """
-    if cube_radius <= 0 or t <= 0 or k < 0:
-        raise ValueError("need cube_radius > 0, t > 0, k >= 0")
-    lam = float(cube_radius)
-    expo = (t / 2.0) * k * (k - 1) - (1.0 / (2.0 * t)) * (math.log(lam) - t * (k - 0.5)) ** 2
-    return 0.5 * math.exp(expo)
 
 
 def vandermonde_sigma_min_bound(degree: int, dim: int, t: float) -> tuple[float, float]:

@@ -169,14 +169,6 @@ def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
     return chain.expect(t, values)
 
 
-def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:
-    """L2 norm of a per-state function under the step-t marginal (t=0 allowed)."""
-    if t == 0:
-        return float(abs(values[0]))
-    chain.grid(t)  # range-checks t
-    return float(np.sqrt(np.sum(chain.marginals[t - 1] * values * values)))
-
-
 def exact_approximation_error(chain: MarkovChainSpec, payoff: PayoffSpec,
                               basis: BasisSpec, t: int, rule=OPTIMAL_RULE) -> float:
     """Residual L2(marginal) norm of the best linear fit to the continuation

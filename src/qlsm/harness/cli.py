@@ -43,7 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
                            default=[2.0**-k for k in range(3, 8)],
                            help="accuracy grid (at least 4 points)")
 
-    p_bounds = sub.add_parser("validate-bounds", help="audit the analytic bounds")
+    p_bounds = sub.add_parser(
+        "validate-bounds",
+        help="audit the configured instance: its end-to-end error bounds, and the Hermite "
+             "tail or Vandermonde sigma_min bounds its basis uses")
     _add_common(p_bounds)
     p_bounds.add_argument("--strict", action="store_true",
                           help="exit 3 if any bound check fails")
@@ -101,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         json_path, csv_path = report.write(args.out)
+    except QlsmError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

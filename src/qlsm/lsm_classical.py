@@ -29,6 +29,7 @@ import numpy as np
 from .basis import BasisSpec, closed_form_gram, solve_gram
 from .chain import MarkovChainSpec, sample_paths
 from .dp import CoefficientRule, stop_decision
+from .errors import ScheduleViolation
 from .payoff import PayoffSpec
 from .qsim.ledger import CostWeights
 
@@ -70,11 +71,15 @@ class LsmRun:
 
 def choose_sample_count(basis_size: int, accuracy: float, failure: float) -> int:
     """Path count ceil(m^2/(2 eps^2) * ln(6 m^2 / delta)) matching the
-    per-entry Chernoff schedule."""
+    per-entry Chernoff schedule; raises ScheduleViolation when eps^2
+    underflows, so that no float count meets it."""
     if accuracy <= 0 or not 0 < failure < 1:
         raise ValueError("need accuracy > 0 and failure in (0,1)")
-    m = basis_size
-    return math.ceil(m * m / (2.0 * accuracy * accuracy) * math.log(6.0 * m * m / failure))
+    m, scale = basis_size, 2.0 * accuracy * accuracy
+    count = m * m / scale * math.log(6.0 * m * m / failure) if scale else math.inf
+    if count == math.inf:
+        raise ScheduleViolation(f"epsilon {accuracy!r} is too small: its square underflows")
+    return math.ceil(count)
 
 
 GRAM_MODES = ("sampled", "closed_form")

@@ -278,6 +278,19 @@ _LAMBDA_REQUIREMENTS = {KIND_HERMITE: brownian_lambda_requirement,
                         KIND_GBM: gbm_lambda_requirement}
 
 
+def gbm_sigma_mins(basis: BasisSpec, horizon: int) -> list[tuple[float, float, float]]:
+    """(sigma_min, sharp, simple) at each step t = 1..horizon-1 of a
+    scaled-monomial basis: the smallest singular value of its closed-form
+    Vandermonde-power Gram by dense SVD, and vandermonde_sigma_min_bound's
+    two upper bounds on 1/sigma_min at its degree and dimension. A Gram too
+    ill-conditioned for the SVD to resolve raises SingularGram, as the solve
+    on it would."""
+    dim = len(basis.multi_indices[0])
+    return [(checked_sigma_min(closed_form_gram(basis, t), t),
+             *vandermonde_sigma_min_bound(max(basis.degree, 1), dim, t))
+            for t in range(1, horizon)]
+
+
 def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                                 epsilon: float, delta: float, seed=None, *,
                                 power: float = 4.0, truncation_level: float | None = None,
@@ -285,8 +298,9 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
     """Case-study run for a basis whose Gram is known in closed form: the
     identity for truncated Hermite products (Brownian chains), a Vandermonde
     power for scaled monomials (geometric Brownian chains). Skips Gram
-    estimation; sigma_min comes from a dense SVD of the closed form, checked
-    against its analytic bound for monomials. Runs on the payoff clamped at
+    estimation; sigma_min is the identity's 1 for Hermite products and, for
+    monomials, comes from gbm_sigma_mins, each step's SVD checked against its
+    analytic bound. Runs on the payoff clamped at
     beta and records the cube radius against the schedule's requirement,
     which reads the unclamped payoff's tails; a radius below it adds a note
     and warns."""
@@ -296,14 +310,12 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
         raise ValueError("the closed-form-Gram run needs a truncated Hermite or "
                          "scaled-monomial basis")
     sigma_min = 1.0
-    for t in range(1, chain.horizon):
-        smin = float(np.linalg.svd(closed_form_gram(basis, t), compute_uv=False)[-1])
-        if basis.kind == KIND_GBM:
-            bound = min(vandermonde_sigma_min_bound(max(basis.degree, 1), chain.dimension, t))
-            if 1.0 / smin > bound * (1.0 + 1e-9):
+    if basis.kind == KIND_GBM:
+        for t, (smin, *bounds) in enumerate(gbm_sigma_mins(basis, chain.horizon), 1):
+            if 1.0 / smin > min(bounds) * (1.0 + 1e-9):
                 raise QlsmError(f"closed-form sigma_min {smin:.6g} at step {t} violates its "
-                                f"analytic bound 1/sigma_min <= {bound:.6g}")
-        sigma_min = min(sigma_min, smin)
+                                f"analytic bound 1/sigma_min <= {min(bounds):.6g}")
+            sigma_min = min(sigma_min, smin)
     lam = basis.cube_radius
     beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
     required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree, epsilon,

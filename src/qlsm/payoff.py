@@ -102,20 +102,6 @@ def constant_payoff(value: float) -> PayoffSpec:
                       label=f"const({value})", uniform_bound=value)
 
 
-def table_payoff(tables: dict[int, np.ndarray], start_value: float, label: str = "table") -> PayoffSpec:
-    """Payoff given by explicit per-step value tables indexed like the grids."""
-
-    def f(t: int, pts: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.array([start_value], dtype=float)
-        vals = np.asarray(tables[t], dtype=float)
-        if vals.shape[0] != pts.shape[0]:
-            raise ValueError(f"table at step {t} does not match the grid")
-        return vals
-
-    return PayoffSpec(step_function=f, label=label)
-
-
 def truncate(payoff: PayoffSpec, level: float) -> PayoffSpec:
     """Clamp the payoff magnitude at `level` for steps t >= 1.
 

@@ -1,9 +1,11 @@
 """Slow references that the runtime is tested against, imported by no runtime
-path: the fixed-point register encode and decode, per-path stop times (the
-classical pass's backward carry, holding stop steps instead of payoffs) and
-the payoffs collected at them, the register replay of the stopping circuits
-over the enumerated paths, and the dense and statevector laws of amplitude
-estimation (Brassard, Hoyer, Mosca & Tapp 2002).
+path: the fixed-point register encode and decode, table payoffs, the L2 norm
+under a step marginal and the log-normal tail bound (which only tests use),
+per-path stop times (the classical pass's backward carry, holding stop steps
+instead of payoffs) and the payoffs collected at them, the register replay of
+the stopping circuits over the enumerated paths, and the dense and
+statevector laws of amplitude estimation (Brassard, Hoyer, Mosca & Tapp
+2002).
 
 Estimation reads each variable's law (a value table and the masses of its
 rows) and bills an exact count of oracle calls; it never prepares a state.
@@ -88,6 +90,46 @@ def from_bits(fmt: FixedPointFormat, bits: np.ndarray):
     magnitude = bits & ((1 << (fmt.int_bits + fmt.frac_bits)) - 1)
     out = np.where(sign_bit == 1, -magnitude, magnitude) / 2.0**fmt.frac_bits
     return out if out.shape else float(out)
+
+
+# -- payoff tables, norms and tail bounds that only tests use -----------------------
+
+def table_payoff(tables: dict[int, np.ndarray], start_value: float, label: str = "table") -> PayoffSpec:
+    """Payoff given by explicit per-step value tables indexed like the grids."""
+
+    def f(t: int, pts: np.ndarray) -> np.ndarray:
+        if t == 0:
+            return np.array([start_value], dtype=float)
+        vals = np.asarray(tables[t], dtype=float)
+        if vals.shape[0] != pts.shape[0]:
+            raise ValueError(f"table at step {t} does not match the grid")
+        return vals
+
+    return PayoffSpec(step_function=f, label=label)
+
+
+def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:
+    """L2 norm of a per-state function under the step-t marginal (t=0 allowed)."""
+    if t == 0:
+        return float(abs(values[0]))
+    chain.grid(t)  # range-checks t
+    return float(np.sqrt(np.sum(chain.marginals[t - 1] * values * values)))
+
+
+def gbm_tail_bound(k: int, cube_radius: float, t: float) -> float:
+    """Upper bound on E[x^k; x > cube_radius] for x log-normal with
+    ln x ~ N(-t/2, t), the step-t law of a geometric Brownian coordinate.
+
+    The tail moment is e^{t k(k-1)/2} times the normal tail at
+    z = (ln(cube_radius) - t(k - 1/2)) / sqrt(t), which is at most
+    e^{-z^2/2} / 2 for z >= 0. So the bound holds only in the regime
+    ln(cube_radius) >= t*(k - 1/2).
+    """
+    if cube_radius <= 0 or t <= 0 or k < 0:
+        raise ValueError("need cube_radius > 0, t > 0, k >= 0")
+    lam = float(cube_radius)
+    expo = (t / 2.0) * k * (k - 1) - (1.0 / (2.0 * t)) * (math.log(lam) - t * (k - 0.5)) ** 2
+    return 0.5 * math.exp(expo)
 
 
 # -- per-path stop times ----------------------------------------------------------

@@ -14,23 +14,23 @@ import pytest
 from scipy.integrate import quad
 
 from qmc_reference import exact_moments
-from qlsm.basis import (gbm_tail_bound, hermite, hermite_basis,
-                        hermite_tail_bound, monomial_basis, vandermonde_gram,
+from qlsm.basis import (hermite, hermite_basis, hermite_tail_bound,
+                        monomial_basis, vandermonde_gram,
                         vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
-                     exact_approximation_error, snell_envelope,
-                     weighted_l2_norm)
+                     exact_approximation_error, snell_envelope)
 from qlsm.harness.config import ExperimentConfig
 from qlsm.harness.experiments import run_scaling
 from qlsm.lsm_classical import choose_sample_count, run_classical_lsm
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
-from qlsm.payoff import put_payoff, table_payoff
+from qlsm.payoff import put_payoff
 from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable, qmontecarlo,
                        SamplingOracle)
 from qlsm.reference import (HybridState, ae_outcome_distribution, composed,
-                            product_register, statevector_ae_distribution,
-                            stopped_payoff_values)
+                            gbm_tail_bound, product_register,
+                            statevector_ae_distribution, stopped_payoff_values,
+                            table_payoff, weighted_l2_norm)
 from qlsm.stopping_circuits import StoppingCircuits
 
 
@@ -267,7 +267,7 @@ def test_criterion_7_hermite_suite():
                               * math.factorial(l) * 2**l)
             worst_gram = max(worst_gram, abs(got - target) / scale)
 
-    worst_tail = -math.inf
+    worst_tail, worst_order = -math.inf, -math.inf
     for lam in (2.0, 4.0, 6.0):
         for k in range(7):
             for l in range(k + 1):
@@ -279,9 +279,11 @@ def test_criterion_7_hermite_suite():
                 worst_tail = max(worst_tail,
                                  integral - exact_form * (1 + 1e-7),
                                  integral - simple * (1 + 1e-7))
-    ok = worst_gram <= 1e-8 and worst_tail <= 1e-30
+                worst_order = max(worst_order, exact_form - simple)
+    ok = worst_gram <= 1e-8 and worst_tail <= 1e-30 and worst_order <= 0.0
     _report(7, ok, f"normalized Gram deviation {worst_gram:.2e}; "
-                   f"worst tail-bound slack violation {worst_tail:.2e}")
+                   f"worst tail-bound slack violation {worst_tail:.2e}; "
+                   f"worst exact-form minus simplified bound {worst_order:.2e}")
 
 
 def test_criterion_8_gbm_suite():
@@ -320,18 +322,20 @@ def test_criterion_8_gbm_suite():
                 sharp, simple = vandermonde_sigma_min_bound(q, d, t)
                 sigma_ok &= 1.0 / smin <= sharp and 1.0 / smin <= simple
 
-    tails_ok = True
+    worst_tail_ratio = 0.0
     for t in (0.5, 1.0):
         for k in range(5):
-            lam = math.exp(t * (k - 0.5)) * 1.1
-            integral, _ = quad(
-                lambda u: math.exp(k * u - (u + t / 2) ** 2 / (2 * t))
-                / math.sqrt(2 * math.pi * t), math.log(lam), np.inf, limit=200)
-            tails_ok &= integral <= gbm_tail_bound(k, lam, t) * (1 + 1e-9)
+            for factor in (1.05, 1.1, math.e):
+                lam = math.exp(t * (k - 0.5)) * factor
+                integral, _ = quad(
+                    lambda u: math.exp(k * u - (u + t / 2) ** 2 / (2 * t))
+                    / math.sqrt(2 * math.pi * t), math.log(lam), np.inf, limit=200)
+                worst_tail_ratio = max(worst_tail_ratio, integral / gbm_tail_bound(k, lam, t))
 
-    ok = worst_gram <= 1e-6 and sigma_ok and tails_ok
-    _report(8, ok, f"Gram relative deviation {worst_gram:.2e}; "
-                   f"sigma-min bounds hold; log-normal tails bounded")
+    ok = worst_gram <= 1e-6 and sigma_ok and worst_tail_ratio <= 1 + 1e-9
+    _report(8, ok, f"Gram relative deviation {worst_gram:.2e}; sigma-min bounds "
+                   f"{'hold' if sigma_ok else 'fail'}; worst log-normal tail integral/bound "
+                   f"{worst_tail_ratio:.3f} at 1.05, 1.1 and e times the edge of its regime")
 
 
 def test_criterion_9_sensitivity_bound():

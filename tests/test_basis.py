@@ -6,13 +6,14 @@ import pytest
 from scipy.integrate import quad
 
 from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
-                        gbm_tail_bound, gram_matrix, hermite, hermite_basis,
+                        gram_matrix, hermite, hermite_basis,
                         hermite_multi_indices, l2_norm_bound, monomial_basis,
                         solve_gram, sup_norm_bound,
                         vandermonde_gram, vandermonde_sigma_min_bound)
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
 from qlsm.lsm_quantum import oracle_sigma_min
+from qlsm.reference import gbm_tail_bound
 from basis_reference import indicator_basis
 
 

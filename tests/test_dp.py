@@ -8,10 +8,11 @@ from qlsm.basis import constant_basis, gram_matrix, monomial_basis, solve_gram
 from qlsm.chain import MarkovChainSpec, _product_chain, enumerate_paths
 from qlsm.dp import (CoefficientRule, continuation_values,
                      exact_approximation_error, snell_envelope,
-                     stop_masses, weighted_l2_norm)
+                     stop_masses)
 from qlsm.errors import CapExceeded, SingularGram
-from qlsm.payoff import constant_payoff, table_payoff
-from qlsm.reference import optimal_stopping_times, path_stop_times, payoff_at_times
+from qlsm.payoff import constant_payoff
+from qlsm.reference import (optimal_stopping_times, path_stop_times, payoff_at_times,
+                            table_payoff, weighted_l2_norm)
 from basis_reference import indicator_basis
 
 

@@ -18,9 +18,8 @@ from qlsm.dp import snell_envelope
 from qlsm.errors import ConfigError
 from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
-from qlsm.harness.experiments import (_hermite_weighted_integral, _lognormal_tail_integral,
-                                      dump_oracle, run_price, run_scaling,
-                                      validate_bounds)
+from qlsm.harness.experiments import (_hermite_weighted_integral, dump_oracle, run_price,
+                                      run_scaling, validate_bounds)
 from qlsm.lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
 from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
 from qlsm.payoff import put_payoff
@@ -164,11 +163,27 @@ class TestScaling:
         assert report.summary["ratio_monotone_increasing"]
 
 
+REPO = Path(__file__).resolve().parents[1]
+GBM_CONFIG = {"model": "gbm", "dimension": 1, "payoff": {"name": "call", "strike": 1.0},
+              "basis": {"kind": "gbm", "degree": 1, "cube_radius": 20.0}}
+END_TO_END_ROWS = ["classical-error-bound(single-run)", "quantum-error-bound(single-run)"]
+
+
 class TestValidateBounds:
     def test_all_checks_pass(self):
-        report = validate_bounds(reference_config())
-        assert report.summary["all_passed"], report.summary["failed"]
-        assert len(report.rows) > 50
+        # The audit reports the configured instance: the lemma bounds its
+        # basis uses, at its own parameters, then the end-to-end bounds.
+        hermite_rows = [f"{name}(lam=4.0)" for name in
+                        ("hermite-tail<=exact-form", "hermite-tail<=simplified",
+                         "exact-form<=simplified")]
+        gbm_rows = [f"sigma-min-{form}(q=1,d=1,t={t})" for t in (1, 2)
+                    for form in ("sharp", "simple")]
+        cases = [(json.loads((REPO / "perfbench" / "cli_reference.json").read_text()),
+                  hermite_rows), (GBM_CONFIG, gbm_rows), ({}, [])]
+        for doc, lemma_rows in cases:
+            report = validate_bounds(ExperimentConfig.from_json(doc))
+            assert report.summary["all_passed"], report.summary["failed"]
+            assert [r["check"] for r in report.rows] == lemma_rows + END_TO_END_ROWS, doc
 
     def test_rows_carry_margins(self):
         report = validate_bounds(reference_config())
@@ -177,9 +192,9 @@ class TestValidateBounds:
 
 
 class TestClosedFormTails:
-    """The closed-form tail integrals validate_bounds uses, against quadrature
-    with only a relative tolerance (the default absolute one, 1.5e-8, is
-    above several of these integrals)."""
+    """The closed-form Hermite tail integral validate_bounds uses, against
+    quadrature with only a relative tolerance (the default absolute one,
+    1.5e-8, is above several of these integrals)."""
 
     @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
     def test_hermite_tail_matches_quad(self, lam):
@@ -188,16 +203,6 @@ class TestClosedFormTails:
                 val, _ = quad(lambda x: hermite(k, x) * hermite(l, x) * math.exp(-x * x),
                               lam, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
                 assert _hermite_weighted_integral(k, l, lam) == pytest.approx(val, rel=1e-10, abs=0.0)
-
-    @pytest.mark.parametrize("t", [0.5, 1.0])
-    def test_lognormal_tail_matches_quad(self, t):
-        for k in range(5):
-            for factor in (1.05, math.e):
-                lam = math.exp(t * (k - 0.5)) * factor
-                val, _ = quad(lambda u: math.exp(k * u - (u + t / 2) ** 2 / (2 * t))
-                              / math.sqrt(2 * math.pi * t),
-                              math.log(lam), np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-                assert _lognormal_tail_integral(k, lam, t) == pytest.approx(val, rel=1e-10, abs=0.0)
 
 
 class TestDumpOracle:
@@ -491,6 +496,18 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert err.startswith("run error: accuracy budget")
         assert "amplitude-estimation queries" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, algorithm", [
+        ("price", "quantum"), ("price", "classical"), ("validate-bounds", "quantum")])
+    def test_underflowing_epsilon_is_a_run_error(self, tmp_path, capsys, command, algorithm):
+        # epsilon^2 underflows to 0, so no classical path count meets it.
+        cfg_file = tmp_path / "tiny-epsilon.json"
+        cfg_file.write_text(json.dumps({"epsilon": 1e-300, "algorithm": algorithm,
+                                        "trials": 1}))
+        code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "epsilon" in err and "Traceback" not in err
 
     def test_seed_override_changes_report(self, tmp_path):
         main(["price", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "a")])

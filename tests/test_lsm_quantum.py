@@ -8,14 +8,14 @@ from qlsm.basis import constant_basis, gbm_basis, gram_matrix, hermite_basis, mo
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_error,
                      snell_envelope, stop_decision)
-from qlsm.errors import Overflow, QlsmError, ScheduleViolation
+from qlsm.errors import Overflow, QlsmError, ScheduleViolation, SingularGram
 from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams, brownian_lambda_requirement,
-                              gbm_lambda_requirement, oracle_sigma_min, run_quantum_lsm,
-                              run_quantum_lsm_closed_form)
-from qlsm.payoff import put_payoff, table_payoff
+                              gbm_lambda_requirement, gbm_sigma_mins, oracle_sigma_min,
+                              run_quantum_lsm, run_quantum_lsm_closed_form)
+from qlsm.payoff import put_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo
-from qlsm.reference import path_stop_times
+from qlsm.reference import path_stop_times, table_payoff
 from qlsm.stopping_circuits import StoppingCircuits
 
 
@@ -416,6 +416,12 @@ class TestModelVariants:
         with pytest.raises(QlsmError, match="analytic bound"):
             run_quantum_lsm_closed_form(discretize_gbm(1, 2, 17, 4.0), put_payoff(1.0),
                                         gbm_basis(1, 1, 2, 1e6), 0.05, 0.2, seed=6)
+
+    def test_gbm_sigma_mins_refuse_an_unresolvable_gram(self):
+        # The degree-4 Gram's entries reach e^(16 t): by t = 2 its smallest
+        # singular value is below what a dense SVD resolves.
+        with pytest.raises(SingularGram, match="step 2 is numerically singular"):
+            gbm_sigma_mins(gbm_basis(1, 4, 6, 20.0), 6)
 
     @pytest.mark.parametrize("chain, basis", [
         (discretize_brownian(1, 2, 9, 3.5), hermite_basis(1, 1, 2, 20.0)),

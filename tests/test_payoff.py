@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from qlsm.chain import discretize_brownian, discretize_gbm
 from qlsm.payoff import (PayoffSpec, call_payoff, constant_payoff,
                          mean_abs_coordinate_sum, max_power_norm, put_payoff,
-                         table_payoff, truncate, truncation_error_coefficient)
+                         truncate, truncation_error_coefficient)
+from qlsm.reference import table_payoff
 
 
 def small_chain():

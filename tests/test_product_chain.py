@@ -19,8 +19,9 @@ from qlsm.chain import (MarkovChainSpec, _product_chain, discretize_brownian,
                         discretize_gbm, sample_paths)
 from qlsm.dp import CoefficientRule, continuation_values, snell_envelope
 from qlsm.lsm_classical import run_classical_lsm
-from qlsm.payoff import put_payoff, table_payoff
+from qlsm.payoff import put_payoff
 from qlsm.qsim.fixed_point import FixedPointFormat
+from qlsm.reference import table_payoff
 from qlsm.stopping_circuits import StoppingCircuits
 
 TOL = 1e-14

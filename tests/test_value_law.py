@@ -16,11 +16,11 @@ from qmc_reference import exact_moments
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
 from qlsm.dp import CoefficientRule, stop_decision
-from qlsm.payoff import PayoffSpec, table_payoff
+from qlsm.payoff import PayoffSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
 from qlsm.reference import (apply_oracle, path_stop_times, prepare, prepare_operator,
-                            stopped_payoff_values)
+                            stopped_payoff_values, table_payoff)
 from qlsm.stopping_circuits import StoppingCircuits
 
 FMT = FixedPointFormat()
