@@ -14,9 +14,9 @@ import numpy as np
 
 from ..basis import KIND_GBM, KIND_HERMITE, hermite, hermite_tail_bound, l2_norm_bound
 from ..dp import CoefficientRule, exact_approximation_error, snell_envelope, stop_masses
-from ..errors import ConfigError, QlsmError
+from ..errors import ConfigError, QlsmError, ScheduleViolation
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
-from ..lsm_quantum import gbm_sigma_mins, oracle_sigma_min, resolve_sigma_min, run_quantum_lsm
+from ..lsm_quantum import gbm_sigma_mins, oracle_sigma_min, run_quantum_lsm
 from ..qsim.fixed_point import FixedPointFormat
 from .config import ExperimentConfig
 
@@ -64,6 +64,19 @@ def _trial_seeds(base_seed: int, count: int) -> list:
     return list(np.random.SeedSequence(base_seed).spawn(count))
 
 
+def resolve_sigma_min(config: ExperimentConfig, basis, chain) -> float:
+    """The config's sigma_min_lower when set, else oracle_sigma_min when its
+    sigma_min_oracle allows reading it; raises ScheduleViolation when neither
+    is allowed."""
+    if config.sigma_min_lower is not None:
+        return config.sigma_min_lower
+    if not config.sigma_min_oracle:
+        raise ScheduleViolation(
+            "sigma_min_lower is required (or enable sigma_min_oracle, which "
+            "reads it off the exact Gram and is not free information)")
+    return oracle_sigma_min(basis, chain)
+
+
 def run_price(config: ExperimentConfig) -> ExperimentReport:
     """Price with the selected algorithm(s); compare to the exact oracle."""
     chain, payoff, basis = config.build()
@@ -80,8 +93,7 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
     weights = config.cost_weights()
     # One sigma_min for every trial: the oracle's SVDs are the same each time.
     if "quantum" in algorithms:
-        sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower,
-                                      config.sigma_min_oracle)
+        sigma_min = resolve_sigma_min(config, basis, chain)
     for trial, seed in enumerate(seeds):
         for algo in algorithms:
             if algo == "classical":
@@ -111,12 +123,11 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _fit_slope(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope with a two-sigma half-width."""
+    """Least-squares slope with a two-sigma half-width; run_scaling fits at
+    least four distinct points, so the residual sum exists."""
     coeffs, residuals, *_ = np.polyfit(log_x, log_y, 1, full=True)
     slope = float(coeffs[0])
     n = len(log_x)
-    if n <= 2 or not len(residuals):
-        return slope, 0.0
     var = float(residuals[0]) / (n - 2)
     spread = float(np.sum((log_x - log_x.mean()) ** 2))
     return slope, 2.0 * math.sqrt(var / spread)
@@ -129,7 +140,7 @@ def run_scaling(config: ExperimentConfig, epsilon_grid: list[float]) -> Experime
         raise ConfigError(f"epsilon grid needs at least 4 distinct points, got "
                           f"{sorted(set(epsilon_grid), reverse=True)}")
     weights = config.cost_weights()
-    sigma_min = resolve_sigma_min(basis, chain, config.sigma_min_lower, config.sigma_min_oracle)
+    sigma_min = resolve_sigma_min(config, basis, chain)
     for eps in epsilon_grid:
         if eps > sigma_min / 2.0:
             raise ConfigError(

@@ -21,7 +21,6 @@ from .basis import (KIND_GBM, KIND_HERMITE, BasisSpec, checked_sigma_min, closed
 from .chain import MarkovChainSpec
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
-from .qsim.fixed_point import FixedPointFormat
 from .qsim.ledger import CostWeights, QueryLedger
 from .qsim.qmc import EntryBatch, qmontecarlo, qmontecarlo_batch
 from .stopping_circuits import StoppingCircuits
@@ -66,7 +65,7 @@ class QuantumLsmRun:
     delta: float
     schedule: EstimationSchedule
     sigma_min_lower: float
-    sigma_min_oracle: bool
+    sigma_min_oracle: bool  # whether the run read sigma_min_lower off the oracle
     gram_mode: str
     gram_matrices: dict
     targets: dict
@@ -115,19 +114,6 @@ def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
                 for t in range(chain.horizon - 1, 0, -1)), default=1.0)
 
 
-def resolve_sigma_min(basis: BasisSpec, chain: MarkovChainSpec, sigma_min_lower: float | None,
-                      sigma_min_oracle: bool) -> float:
-    """sigma_min_lower when given, else oracle_sigma_min when sigma_min_oracle
-    allows reading it; raises ScheduleViolation when neither is allowed."""
-    if sigma_min_lower is not None:
-        return sigma_min_lower
-    if not sigma_min_oracle:
-        raise ScheduleViolation(
-            "sigma_min_lower is required (or enable sigma_min_oracle, which "
-            "reads it off the exact Gram and is not free information)")
-    return oracle_sigma_min(basis, chain)
-
-
 def _entry_streams(seed, count: int):
     """The count children seed.spawn(count) would give, spawned from a copy:
     seed's child counter is left as it is, so a SeedSequence passed to two
@@ -150,26 +136,27 @@ GRAM_MODES = ("estimated", "closed_form")
 
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                     epsilon: float, delta: float, sigma_min_lower: float | None = None,
-                    seed=None, *, sigma_min_oracle: bool = False,
-                    gram_mode: str = "estimated",
-                    fmt: FixedPointFormat | None = None,
+                    seed=None, *, gram_mode: str = "estimated",
                     weights: CostWeights = CostWeights()) -> QuantumLsmRun:
     """Whole-pipeline run: estimated (or closed-form) Gram matrices, backward
     per-entry estimation of the regression targets through one set of
     stopping circuits that reads the coefficients fitted so far, classical
     solves, final estimate. A step's Gram entries are one estimation batch,
-    its targets another; each entry draws on its own stream."""
+    its targets another; each entry draws on its own stream. Circuits and
+    coefficients round to the one format FixedPointFormat(). A None
+    sigma_min_lower is read off the exact Gram (oracle_sigma_min), which a
+    deployment must supply; sigma_min_oracle and a note record that."""
     if gram_mode not in GRAM_MODES:
         raise ValueError(f"unknown gram_mode {gram_mode!r}")
     T = chain.horizon
     m = basis.size
-    fmt = fmt or FixedPointFormat()
     ledger = QueryLedger()
     notes: list[str] = []
 
-    if sigma_min_lower is None:
+    sigma_min_oracle = sigma_min_lower is None
+    if sigma_min_oracle:
         notes.append("sigma_min_lower computed by exact-Gram SVD (oracle mode)")
-    sigma_min_lower = resolve_sigma_min(basis, chain, sigma_min_lower, sigma_min_oracle)
+        sigma_min_lower = oracle_sigma_min(basis, chain)
     if sigma_min_lower <= 0:
         raise ScheduleViolation("sigma_min_lower must be positive")
     if epsilon > sigma_min_lower / 2.0:
@@ -190,7 +177,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
     # the dict as it stands, so every phase shares their memoized tables.
     coefficients: dict[int, np.ndarray] = {}
     circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
-                                coefficients=coefficients, fmt=fmt)
+                                coefficients=coefficients)
 
     entry_reports: dict = {}
 
@@ -218,7 +205,8 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
                            schedule.target_failure, R * sup_b)
         b_est = targets[t - 1] = np.array([rep.estimate for rep in reports])
         exact_targets[t - 1] = np.array([rep.exact_mean for rep in reports])
-        coefficients[t - 1] = np.asarray(fmt.quantize(solve_gram(grams[t - 1], b_est, t - 1)))
+        coefficients[t - 1] = np.asarray(circuits.fmt.quantize(
+            solve_gram(grams[t - 1], b_est, t - 1)))
 
     final_var = circuits.variable(1, 0)
     final = entry_reports[final_var.oracle.name] = qmontecarlo(
@@ -238,6 +226,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 
 
 _LOG_LAMBDA_CAP = 700.0  # ln of the cube radius at which a requirement saturates
+CASE_STUDY_POWER = 4.0  # p: the case study clamps the payoff at beta = lambda^(2/p)
 
 
 def brownian_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
@@ -292,18 +281,17 @@ def gbm_sigma_mins(basis: BasisSpec, horizon: int) -> list[tuple[float, float, f
 
 
 def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
-                                epsilon: float, delta: float, seed=None, *,
-                                power: float = 4.0, truncation_level: float | None = None,
-                                fmt: FixedPointFormat | None = None) -> QuantumLsmRun:
+                                epsilon: float, delta: float, seed=None) -> QuantumLsmRun:
     """Case-study run for a basis whose Gram is known in closed form: the
     identity for truncated Hermite products (Brownian chains), a Vandermonde
     power for scaled monomials (geometric Brownian chains). Skips Gram
     estimation; sigma_min is the identity's 1 for Hermite products and, for
     monomials, comes from gbm_sigma_mins, each step's SVD checked against its
-    analytic bound. Runs on the payoff clamped at
-    beta and records the cube radius against the schedule's requirement,
-    which reads the unclamped payoff's tails; a radius below it adds a note
-    and warns."""
+    analytic bound. Runs run_quantum_lsm, in its fixed format
+    FixedPointFormat(), on the payoff clamped at beta = lambda^(2/p), with
+    lambda the cube radius and p = CASE_STUDY_POWER = 4, and records lambda
+    against the schedule's requirement, which reads the unclamped payoff's
+    p-th moment; a radius below it adds a note and warns."""
     _check_epsilon_delta(epsilon, delta)
     requirement = _LAMBDA_REQUIREMENTS.get(basis.kind)
     if requirement is None:
@@ -317,12 +305,11 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
                                 f"analytic bound 1/sigma_min <= {min(bounds):.6g}")
             sigma_min = min(sigma_min, smin)
     lam = basis.cube_radius
-    beta = truncation_level if truncation_level is not None else lam ** (2.0 / power)
+    power = CASE_STUDY_POWER
     required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree, epsilon,
                            truncation_error_coefficient(payoff, chain, power), power)
-    run = run_quantum_lsm(chain, truncate(payoff, beta), basis, epsilon, delta,
-                          sigma_min_lower=sigma_min, seed=seed, gram_mode="closed_form",
-                          fmt=fmt)
+    run = run_quantum_lsm(chain, truncate(payoff, lam ** (2.0 / power)), basis, epsilon, delta,
+                          sigma_min_lower=sigma_min, seed=seed, gram_mode="closed_form")
     run.lambda_used = lam
     run.lambda_required = required
     if lam < required:

@@ -36,16 +36,15 @@ class FixedPointFormat:
 
     def quantize(self, values):
         """qlsm.reference's FixedPoint.encode(self, v).decode() vectorized;
-        raises listing any offending values."""
+        raises naming the format's range and listing any offending values."""
         scale = 2.0**self.frac_bits
-        if isinstance(values, float) and abs(values) <= self.max_value:
-            return round(values * scale) / scale  # half to even; an int gives no -0.0
         arr = np.asarray(values, dtype=float)
         if arr.size and not np.abs(arr).max() <= self.max_value:  # NaN fails too
             bad = ~(np.abs(arr) <= self.max_value)
             raise Overflow(
-                f"values not representable at ({self.int_bits},{self.frac_bits}), "
-                f"widen the integer field: {np.asarray(values)[bad][:8].tolist()}"
+                f"values not representable at ({self.int_bits},{self.frac_bits}), whose "
+                f"range is +-(2^{self.int_bits} - 2^-{self.frac_bits}) = "
+                f"+-{self.max_value!r}; outside it: {np.asarray(values)[bad][:8].tolist()}"
             )
         out = np.rint(arr * scale)
         out /= scale

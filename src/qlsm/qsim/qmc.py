@@ -120,7 +120,6 @@ class EstimationReport:
     exact_variance: float | None = None
     cost_reference: float | None = None
     cost_factor: float | None = None
-    median_constant: float = MEDIAN_REPETITION_CONSTANT
 
     @property
     def error(self) -> float | None:
@@ -264,9 +263,11 @@ def qmontecarlo_batch(batch: EntryBatch, epsilon: float, delta: float, sigma: fl
 def _entry_error(mean: float, variance: float, raw_mean: float, epsilon: float,
                  sigma: float) -> Exception | None:
     """The error an entry's exact moments raise, if any."""
-    if abs(mean - raw_mean) > epsilon / 100.0:
-        return Overflow(f"fixed-point rounding shifts the mean by {abs(mean - raw_mean):.3e}, "
-                        f"more than epsilon/100; widen the fraction field")
+    shift = abs(mean - raw_mean)
+    if shift > epsilon / 100.0:
+        return Overflow(f"fixed-point rounding shifts the mean by {shift:.3e}, more than "
+                        f"epsilon/100 at this entry's epsilon {epsilon:.3g}; in the fixed "
+                        f"format the entry needs an epsilon of at least {100.0 * shift:.3g}")
     if variance > sigma * sigma * (1.0 + 1e-12):
         return VarianceExceeded(f"exact variance {variance:.6g} exceeds the declared bound "
                                 f"{sigma * sigma:.6g}")

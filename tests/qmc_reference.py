@@ -67,10 +67,12 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     support = masses > 0.0
     exact_mean, exact_var = exact_moments(variable)
     raw_mean = float((masses * oracle.raw_values).sum())
-    if abs(exact_mean - raw_mean) > epsilon / 100.0:
+    shift = abs(exact_mean - raw_mean)
+    if shift > epsilon / 100.0:
         raise Overflow(
-            f"fixed-point rounding shifts the mean by {abs(exact_mean - raw_mean):.3e}, "
-            f"more than epsilon/100; widen the fraction field"
+            f"fixed-point rounding shifts the mean by {shift:.3e}, more than epsilon/100 at "
+            f"this entry's epsilon {epsilon:.3g}; in the fixed format the entry needs an "
+            f"epsilon of at least {100.0 * shift:.3g}"
         )
     if exact_var > sigma * sigma * (1.0 + 1e-12):
         raise VarianceExceeded(f"exact variance {exact_var:.6g} exceeds the declared bound "

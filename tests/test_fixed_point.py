@@ -104,8 +104,9 @@ EDGE_VALUES = (
 
 
 class TestScalarPath:
-    """quantize(float) takes a scalar path; it must agree with the array
-    path bit for bit, sign of zero included, and raise on the same inputs."""
+    """quantize of a Python float returns a float that matches quantize of a
+    one-element array bit for bit, sign of zero included, and raises on the
+    same inputs."""
 
     @pytest.mark.parametrize("value", EDGE_VALUES)
     def test_edge_values_match_array_path(self, value):
@@ -121,7 +122,8 @@ class TestScalarPath:
         assert DEFAULT.quantize(2.5 * STEP) == 2 * STEP
         for bad in (float("nan"), float("inf"), 256.0,
                     float(np.nextafter(DEFAULT.max_value, np.inf))):
-            with pytest.raises(Overflow, match="widen the integer field"):
+            with pytest.raises(Overflow, match=r"not representable at \(8,24\), whose range "
+                                               r"is \+-\(2\^8 - 2\^-24\)"):
                 DEFAULT.quantize(bad)
 
     @given(st.integers(-(2**33), 2**33), st.sampled_from([0.0, 0.25, 0.5, 0.75]))

@@ -11,11 +11,11 @@ import pytest
 from scipy.integrate import quad
 
 import qlsm
-from qlsm import lsm_quantum
 from qlsm.basis import hermite, hermite_basis
 from qlsm.chain import discretize_brownian
 from qlsm.dp import snell_envelope
 from qlsm.errors import ConfigError
+from qlsm.harness import experiments
 from qlsm.harness.cli import EXIT_BOUNDS, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlsm.harness.config import BasisConfig, ExperimentConfig, PayoffConfig
 from qlsm.harness.experiments import (_hermite_weighted_integral, dump_oracle, run_price,
@@ -105,7 +105,7 @@ class TestPriceRuns:
             calls.append(None)
             return oracle_sigma_min(basis, chain)
 
-        monkeypatch.setattr(lsm_quantum, "oracle_sigma_min", counted)
+        monkeypatch.setattr(experiments, "oracle_sigma_min", counted)
         report = run_price(reference_config(algorithm="quantum", trials=3))
         assert len(calls) == 1
         assert [row["trial"] for row in report.rows] == [0, 1, 2]
@@ -508,6 +508,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "epsilon" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"epsilon": 1e-300}, "needs an epsilon of at least"),
+        ({"payoff": {"name": "constant", "strike": 1000}}, "range is +-(2^8 - 2^-24)")],
+        ids=["rounding-shift", "out-of-range"])
+    def test_fixed_format_errors_name_what_a_config_sets(self, tmp_path, capsys, doc, message):
+        # No config field or flag sets the fixed-point format, so the error
+        # names the epsilon or the values the format cannot hold.
+        cfg_file = tmp_path / "fixed-format.json"
+        cfg_file.write_text(json.dumps(dict(doc, algorithm="quantum", trials=1)))
+        code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err and "widen" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_report(self, tmp_path):
         main(["price", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "a")])

@@ -48,11 +48,15 @@ class TestSchedule:
             run_quantum_lsm(chain, payoff, constant_basis(2), 0.9, 0.1,
                             sigma_min_lower=1.0, seed=0)
 
-    def test_sigma_min_required_without_oracle(self):
-        chain = two_path_chain()
-        with pytest.raises(ScheduleViolation, match="sigma_min_lower"):
-            run_quantum_lsm(chain, put_payoff(1.0), constant_basis(2), 0.1, 0.1,
-                            seed=0, sigma_min_oracle=False)
+    def test_run_records_where_sigma_min_came_from(self):
+        chain, basis = two_path_chain(), constant_basis(2)
+        given, read = (json.loads(run_quantum_lsm(chain, put_payoff(1.0), basis, 0.1, 0.1,
+                                                  sigma_min_lower=lower, seed=0).to_json())
+                       for lower in (oracle_sigma_min(basis, chain), None))
+        assert (given["sigma_min_oracle"], given["notes"]) == (False, [])
+        assert (read["sigma_min_oracle"], read["notes"]) == (
+            True, ["sigma_min_lower computed by exact-Gram SVD (oracle mode)"])
+        assert read["sigma_min_lower"] == given["sigma_min_lower"]
 
     def test_normalization_warning_fires(self):
         chain = two_path_chain()
@@ -147,13 +151,11 @@ class TestGenericRuns:
         payoff = table_payoff({t: np.array([0.2, 0.5, 1000.0]) for t in (1, 2, 3)}, 0.0)
         basis = monomial_basis(1, 1, 3)
         unvisited = chain_with([0.5, 0.5, 0.0])
-        run = run_quantum_lsm(unvisited, payoff, basis, 0.05, 0.2,
-                              sigma_min_oracle=True, seed=2)
+        run = run_quantum_lsm(unvisited, payoff, basis, 0.05, 0.2, seed=2)
         exact = snell_envelope(unvisited, payoff).value0
         assert abs(run.estimate - exact) <= 0.3
         with pytest.raises(Overflow, match="not representable"):
-            run_quantum_lsm(chain_with([0.4, 0.4, 0.2]), payoff, basis, 0.05, 0.2,
-                            sigma_min_oracle=True, seed=2)
+            run_quantum_lsm(chain_with([0.4, 0.4, 0.2]), payoff, basis, 0.05, 0.2, seed=2)
 
     def test_gram_entry_rounding_shift_is_checked(self):
         # At 4 fraction bits the squared degree-1 Hermite member's table
@@ -168,21 +170,6 @@ class TestGenericRuns:
         with pytest.raises(Overflow, match="rounding shifts the mean"):
             qmontecarlo(var, 0.05, 0.1, 8.0, 1)
 
-    @pytest.mark.parametrize("horizon", [1, 3])
-    def test_format_without_a_spare_bit_fails_before_estimation(self, horizon, monkeypatch):
-        # 28 + 24 = 52 bits is a valid format, but the centered parts of every
-        # entry need one integer bit more; that ended in an untyped
-        # ValueError from the piece planner after the first checks.
-        def no_estimation(*args, **kwargs):
-            raise AssertionError("an entry was estimated")
-
-        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
-        chain = discretize_brownian(1, horizon, 8, 2.2)
-        with pytest.raises(Overflow, match=r"format \(28,24\) cannot be widened"):
-            run_quantum_lsm(chain, put_payoff(1.0), hermite_basis(1, 2, horizon, 4.0), 0.05,
-                            0.1, sigma_min_oracle=True, seed=0,
-                            fmt=FixedPointFormat(28, 24))
-
     @pytest.mark.parametrize("horizon", [4, 6])
     def test_each_score_table_built_once(self, horizon, monkeypatch):
         # One set of circuits serves the whole run, so each step's scores are
@@ -196,8 +183,7 @@ class TestGenericRuns:
 
         monkeypatch.setattr(CoefficientRule, "row_scores", counted)
         chain = discretize_brownian(1, horizon, 3, 2.2)
-        run_quantum_lsm(chain, put_payoff(1.0), monomial_basis(1, 1, horizon), 0.05, 0.2,
-                        sigma_min_oracle=True, seed=0)
+        run_quantum_lsm(chain, put_payoff(1.0), monomial_basis(1, 1, horizon), 0.05, 0.2, seed=0)
         assert sorted(steps) == list(range(1, horizon))
 
     def test_backward_resolve_targets(self):
@@ -208,8 +194,7 @@ class TestGenericRuns:
         chain = discretize_brownian(1, 3, 4, 2.0)
         payoff = put_payoff(1.0)
         basis = monomial_basis(1, 1, 3)
-        run = run_quantum_lsm(chain, payoff, basis, 0.02, 0.1, seed=2,
-                              sigma_min_oracle=True)
+        run = run_quantum_lsm(chain, payoff, basis, 0.02, 0.1, seed=2)
         # Every estimated entry lands within its per-entry accuracy at this
         # seed (the per-entry failure budget is delta/(4 T m) ~ 0.003).
         for t, est in run.targets.items():
@@ -244,8 +229,7 @@ class TestGenericRuns:
         chain = discretize_brownian(1, 3, 4, 2.0)
         payoff = put_payoff(1.0)
         basis = monomial_basis(1, 1, 3)
-        run = run_quantum_lsm(chain, payoff, basis, 0.01, 0.1, seed=3,
-                              sigma_min_oracle=True)
+        run = run_quantum_lsm(chain, payoff, basis, 0.01, 0.1, seed=3)
         m = basis.size
         for t in run.targets:
             gram_exact = gram_matrix(run.basis, run.chain, t)
@@ -333,8 +317,7 @@ class TestModelVariants:
         payoff = put_payoff(1.0)
         basis = hermite_basis(1, 1, 2, 20.0)
         with pytest.warns(UserWarning, match="cube radius") as caught:
-            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.05, 0.2,
-                                              seed=5, power=4.0)
+            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.05, 0.2, seed=5)
         # The cube-radius warning points at the caller's line.
         assert [w.filename for w in caught if "cube radius" in str(w.message)] == [__file__]
         assert run.gram_mode == "closed_form"
@@ -345,24 +328,21 @@ class TestModelVariants:
         assert run.payoff.truncation_level == pytest.approx(20.0 ** 0.5)
 
     def test_wide_cube_matches_estimated_gram_run(self):
-        # With the cube containing every grid point and a clamp level above
-        # the payoff bound, the closed-form-Gram run and the generic
-        # estimated-Gram run price the same instance; their estimates differ
-        # by at most the two runs' combined estimation budgets.
+        # With the cube containing every grid point and its clamp level
+        # 50^(1/2) above the payoff bound, the closed-form-Gram run and the
+        # generic estimated-Gram run price the same instance; their estimates
+        # differ by at most the two runs' combined estimation budgets.
         chain = discretize_brownian(1, 2, 9, 3.5)
         payoff = put_payoff(1.0)
         basis = hermite_basis(1, 1, 2, 50.0)
         eps, delta = 0.04, 0.2
-        level = payoff.bound_for(chain) + 1.0
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fast = run_quantum_lsm_closed_form(chain, payoff, basis, eps, delta,
-                                               seed=20, power=4.0,
-                                               truncation_level=level)
-        generic = run_quantum_lsm(chain, payoff, basis, eps, delta, seed=21,
-                                  sigma_min_oracle=True)
+            fast = run_quantum_lsm_closed_form(chain, payoff, basis, eps, delta, seed=20)
+        assert fast.payoff.truncation_level > payoff.bound_for(chain)
+        generic = run_quantum_lsm(chain, payoff, basis, eps, delta, seed=21)
         budget = 8 * chain.horizon * eps * basis.size \
             * payoff.bound_for(chain) / generic.sigma_min_lower**2
         assert abs(fast.estimate - generic.estimate) <= 2 * budget
@@ -393,7 +373,6 @@ class TestModelVariants:
         # Multi-coordinate chain: product grids, Kronecker closed form and the
         # scaled-monomial basis must agree on index ordering end to end.
         from qlsm.chain import discretize_gbm
-        from qlsm.qsim import FixedPointFormat
 
         chain = discretize_gbm(2, 2, 7, 2.5)
         payoff = put_payoff(1.0)
@@ -403,8 +382,7 @@ class TestModelVariants:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.02, 0.2, seed=3,
-                                              power=6.0, fmt=FixedPointFormat(20, 24))
+            run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.02, 0.2, seed=3)
         approx = max(exact_approximation_error(chain, payoff, basis, t)
                      for t in (1,))
         assert abs(run.estimate - table.value0) <= 0.05 + approx
@@ -467,8 +445,8 @@ class TestSerialization:
         chain = discretize_brownian(1, 3, 8, 2.2)
         basis = hermite_basis(1, 2, 3, 4.0)
         seq = np.random.SeedSequence(0).spawn(1)[0]
-        reports = [run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1, seed=seq,
-                                   sigma_min_oracle=True).to_json() for _ in range(2)]
+        reports = [run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1,
+                                   seed=seq).to_json() for _ in range(2)]
         assert reports[0] == reports[1]
         assert seq.n_children_spawned == 0
 
@@ -478,8 +456,7 @@ class TestSerialization:
         basis = hermite_basis(1, 2, 3, 4.0)
 
         def report(seed):
-            run = run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1, seed=seed,
-                                  sigma_min_oracle=True)
+            run = run_quantum_lsm(chain, put_payoff(1.0), basis, 0.05, 0.1, seed=seed)
             entries = {name: (rep.estimate, rep.center, rep.pieces, rep.ledger.snapshot())
                        for name, rep in run.entry_reports.items()}
             return run.to_json(), repr(entries)

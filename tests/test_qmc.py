@@ -63,7 +63,8 @@ class TestBasics:
         # Two fraction bits cannot carry a 1e-3 accuracy request.
         fmt = FixedPointFormat(4, 2)
         var = variable_from_values([0.3, 0.4, 0.55, 0.7], fmt=fmt)
-        with pytest.raises(Overflow, match="epsilon/100"):
+        with pytest.raises(Overflow, match=r"epsilon/100 at this entry's epsilon 0\.001; .* "
+                                            r"needs an epsilon of at least 1\.25$"):
             qmontecarlo(var, 1e-3, 0.1, 1.0, 0)
 
 
@@ -106,7 +107,6 @@ class TestCostModel:
             rep = qmontecarlo(var, eps, delta, 0.5, 1)
             assert rep.cost_factor is not None
             assert rep.cost_factor <= 32.0
-            assert rep.median_constant == 18.0
 
     def test_cost_factor_is_unit_free_under_query_weights(self):
         # The ledger total and the per-application cost of the reference
@@ -355,6 +355,24 @@ class TestBatchAgainstSerialReference:
             qmontecarlo_batch(dataclasses.replace(batch, names=batch.names[::2],
                                                   columns=batch.columns[::2]),
                               2.0**-10, 0.1, 4.0, [1, 3])
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_format_without_a_spare_bit_fails_before_estimation(self, horizon, monkeypatch):
+        # 28 + 24 = 52 bits is a valid format, but the centered parts of every
+        # entry need one integer bit more; that ended in an untyped
+        # ValueError from the piece planner after the first checks. The
+        # batches are the first a run at this horizon estimates.
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("an entry was estimated")
+
+        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
+        circuits = StoppingCircuits(chain=discretize_brownian(1, horizon, 8, 2.2),
+                                    payoff=put_payoff(1.0),
+                                    basis=hermite_basis(1, 2, horizon, 4.0), coefficients={},
+                                    fmt=FixedPointFormat(28, 24))
+        batch = circuits.gram(1) if horizon > 1 else circuits.targets(1)
+        with pytest.raises(Overflow, match=r"format \(28,24\) cannot be widened"):
+            qmontecarlo_batch(batch, 0.05, 0.1, 8.0, range(len(batch.names)))
 
     def test_mismatched_inputs_rejected(self):
         batch = shared_batch([np.zeros(4), np.ones(4)], np.full(4, 0.25))
