@@ -14,7 +14,7 @@ from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams, brownian_lambd
                               run_quantum_lsm, run_quantum_lsm_closed_form)
 from qlsm.payoff import put_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
-from qlsm.qsim.qmc import qmontecarlo
+from qlsm.qsim.qmc import qmontecarlo, qmontecarlo_batch
 from qlsm.reference import path_stop_times, table_payoff
 from qlsm.stopping_circuits import StoppingCircuits
 
@@ -169,6 +169,25 @@ class TestGenericRuns:
         np.testing.assert_array_equal(var.oracle.values, coarse.quantize(var.oracle.raw_values))
         with pytest.raises(Overflow, match="rounding shifts the mean"):
             qmontecarlo(var, 0.05, 0.1, 8.0, 1)
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_format_without_a_spare_bit_fails_before_estimation(self, horizon, monkeypatch):
+        # 28 + 24 = 52 bits is a valid format, but the centered parts of every
+        # entry need one integer bit more; that ended in an untyped
+        # ValueError from the piece planner after the first checks. Runs
+        # round to FixedPointFormat(), so the format is set on the circuits;
+        # the batch is the first a run at this horizon estimates.
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("an entry was estimated")
+
+        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
+        circuits = StoppingCircuits(chain=discretize_brownian(1, horizon, 8, 2.2),
+                                    payoff=put_payoff(1.0),
+                                    basis=hermite_basis(1, 2, horizon, 4.0), coefficients={},
+                                    fmt=FixedPointFormat(28, 24))
+        batch = circuits.gram(1) if horizon > 1 else circuits.targets(1)
+        with pytest.raises(Overflow, match=r"format \(28,24\) cannot be widened"):
+            qmontecarlo_batch(batch, 0.05, 0.1, 8.0, range(len(batch.names)))
 
     @pytest.mark.parametrize("horizon", [4, 6])
     def test_each_score_table_built_once(self, horizon, monkeypatch):

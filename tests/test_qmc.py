@@ -356,24 +356,6 @@ class TestBatchAgainstSerialReference:
                                                   columns=batch.columns[::2]),
                               2.0**-10, 0.1, 4.0, [1, 3])
 
-    @pytest.mark.parametrize("horizon", [1, 3])
-    def test_format_without_a_spare_bit_fails_before_estimation(self, horizon, monkeypatch):
-        # 28 + 24 = 52 bits is a valid format, but the centered parts of every
-        # entry need one integer bit more; that ended in an untyped
-        # ValueError from the piece planner after the first checks. The
-        # batches are the first a run at this horizon estimates.
-        def no_estimation(*args, **kwargs):
-            raise AssertionError("an entry was estimated")
-
-        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
-        circuits = StoppingCircuits(chain=discretize_brownian(1, horizon, 8, 2.2),
-                                    payoff=put_payoff(1.0),
-                                    basis=hermite_basis(1, 2, horizon, 4.0), coefficients={},
-                                    fmt=FixedPointFormat(28, 24))
-        batch = circuits.gram(1) if horizon > 1 else circuits.targets(1)
-        with pytest.raises(Overflow, match=r"format \(28,24\) cannot be widened"):
-            qmontecarlo_batch(batch, 0.05, 0.1, 8.0, range(len(batch.names)))
-
     def test_mismatched_inputs_rejected(self):
         batch = shared_batch([np.zeros(4), np.ones(4)], np.full(4, 0.25))
         with pytest.raises(ValueError, match="one generator per entry"):
