@@ -416,12 +416,13 @@ def _normal_cdf(z: float) -> float:
 
 
 def _gaussian_bin(grid: np.ndarray, means: np.ndarray, sd: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point binning of N(mean, sd^2) onto a uniform grid.
+    """Nearest-point binning of N(mean, sd^2) onto a uniform grid of at
+    least two points.
 
     Mass beyond the outer half-bin edges is dropped and each row renormalized;
     returns (row-stochastic matrix, per-row dropped mass).
     """
-    h = grid[1] - grid[0] if grid.size > 1 else 2.0 * (abs(grid[0]) + 1.0)
+    h = grid[1] - grid[0]
     edges = np.concatenate([[grid[0] - h / 2], (grid[:-1] + grid[1:]) / 2, [grid[-1] + h / 2]])
     z = (edges[None, :] - means[:, None]) / sd
     cdf = np.array([_normal_cdf(v) for v in z.ravel().tolist()]).reshape(z.shape)

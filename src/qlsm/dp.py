@@ -1,6 +1,6 @@
 """Exact dynamic-programming oracle: value tables by backward induction, the
 per-state law of the optimal stop time, and exact least-squares projections
-of continuation values. Ground truth for every estimate elsewhere in the
+of a given target. Ground truth for every estimate elsewhere in the
 package, and home of the stop rule that the classical sampler and the
 stopping circuits share: stop_decision and CoefficientRule's fixed-point
 scores. _induction is the one backward recursion: the exact values, the
@@ -48,9 +48,6 @@ def stop_decision(payoff_values: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Per-state stop mask: stop where the payoff is at least the score, so
     ties stop."""
     return np.asarray(payoff_values) >= np.asarray(scores)
-
-
-OPTIMAL_RULE = "optimal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,27 +153,24 @@ def stop_masses(table: SnellTable) -> tuple[np.ndarray, ...]:
 
 
 def continuation_values(chain: MarkovChainSpec, payoff: PayoffSpec,
-                        rule, t: int) -> np.ndarray:
-    """Exact E[payoff at the rule's stop time after t | state at t], per state.
-
-    rule is either the string "optimal" (the exact table's decisions) or a
-    CoefficientRule. t ranges over 0..horizon-1; t=0 gives one value.
-    """
+                        rule: CoefficientRule, t: int) -> np.ndarray:
+    """Exact E[payoff at the rule's stop time after t | state at t], per state,
+    t in 0..horizon-1 (one value at t=0). The optimal rule's are the Snell
+    table's continuation[t]."""
     if not 0 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 0..horizon-1")
-    mask = None if rule == OPTIMAL_RULE else (lambda u: rule.stop_mask(chain, payoff, u))
-    values = _last_values(_induction(chain, lambda u: payoff.values(chain, u), mask, t + 1))
+    values = _last_values(_induction(chain, lambda u: payoff.values(chain, u),
+                                     lambda u: rule.stop_mask(chain, payoff, u), t + 1))
     return chain.expect(t, values)
 
 
-def exact_approximation_error(chain: MarkovChainSpec, payoff: PayoffSpec,
-                              basis: BasisSpec, t: int, rule=OPTIMAL_RULE) -> float:
-    """Residual L2(marginal) norm of the best linear fit to the continuation
-    values at step t: the exact Gram and basis.solve_gram, whose singular
-    check the LSM runs share."""
+def exact_approximation_error(chain: MarkovChainSpec, basis: BasisSpec, t: int,
+                              target: np.ndarray) -> float:
+    """Residual L2(marginal) norm of the exact least-squares fit of the basis
+    to target, one value per step-t state: the exact Gram and
+    basis.solve_gram, whose singular check the LSM runs share."""
     if not 1 <= t <= chain.horizon - 1:
         raise ValueError("t must lie in 1..horizon-1")
-    target = continuation_values(chain, payoff, rule, t)
     mat = basis.evaluate(t, chain.grid(t))
     masses = chain.marginals[t - 1]
     rhs = (mat * masses[:, None]).T @ target

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from ..basis import KIND_GBM, KIND_HERMITE, hermite, hermite_tail_bound, l2_norm_bound
-from ..dp import CoefficientRule, exact_approximation_error, snell_envelope, stop_masses
+from ..dp import continuation_values, exact_approximation_error, snell_envelope, stop_masses
 from ..errors import ConfigError, QlsmError, ScheduleViolation
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
 from ..lsm_quantum import gbm_sigma_mins, oracle_sigma_min, run_quantum_lsm
-from ..qsim.fixed_point import FixedPointFormat
 from .config import ExperimentConfig
 
 
@@ -240,13 +239,14 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
             rows.append(_check(f"sigma-min-sharp(q={q},d={d},t={t})", 1.0 / smin, sharp))
             rows.append(_check(f"sigma-min-simple(q={q},d={d},t={t})", 1.0 / smin, simple))
 
-    exact = snell_envelope(chain, payoff).value0
+    table = snell_envelope(chain, payoff)
+    exact = table.value0
     horizon, m = chain.horizon, basis.size
     bound_r = payoff.bound_for(chain)
     ell = l2_norm_bound(basis, chain) if horizon > 1 else 1.0
     sigma_min = oracle_sigma_min(basis, chain)
     eps = min(config.epsilon, sigma_min / 2.0)
-    approx_err = max((exact_approximation_error(chain, payoff, basis, t)
+    approx_err = max((exact_approximation_error(chain, basis, t, table.continuation[t])
                       for t in range(1, horizon)), default=0.0)
     n_paths = choose_sample_count(m, eps, config.delta)
     run = run_classical_lsm(chain, payoff, basis, n_paths,
@@ -258,9 +258,8 @@ def validate_bounds(config: ExperimentConfig) -> ExperimentReport:
     qrun = run_quantum_lsm(chain, payoff, basis, eps, config.delta,
                            sigma_min_lower=sigma_min, seed=config.seed,
                            weights=config.cost_weights())
-    rule = CoefficientRule(basis=basis, coefficients=qrun.coefficients,
-                           quantize=FixedPointFormat().quantize)
-    tail = sum(exact_approximation_error(chain, payoff, basis, t, rule=rule)
+    tail = sum(exact_approximation_error(chain, basis, t,
+                                         continuation_values(chain, payoff, qrun.rule, t))
                for t in range(1, horizon))
     rhs_q = 8 * horizon * eps * m * bound_r * ell**2 / sigma_min**2 + 2 * tail
     rows.append(_check("quantum-error-bound(single-run)", abs(qrun.estimate - exact), rhs_q,

@@ -19,6 +19,7 @@ import numpy as np
 from .basis import (KIND_GBM, KIND_HERMITE, BasisSpec, checked_sigma_min, closed_form_gram,
                     gram_matrix, solve_gram, sup_norm_bound, vandermonde_sigma_min_bound)
 from .chain import MarkovChainSpec
+from .dp import CoefficientRule
 from .errors import QlsmError, ScheduleViolation
 from .payoff import PayoffSpec, truncate, truncation_error_coefficient
 from .qsim.ledger import CostWeights, QueryLedger
@@ -54,9 +55,10 @@ class EstimationSchedule:
 
 @dataclass(eq=False)
 class QuantumLsmRun:
-    """Full record of one simulated quantum run. entry_reports, left out of
-    to_json, give each estimated entry's budget, delta share, piece plan with
-    M per piece, and realized error against the exact mean."""
+    """Full record of one simulated quantum run. Left out of to_json: rule,
+    the circuits' fixed-point CoefficientRule, and entry_reports, which give
+    each estimated entry's budget, delta share, piece plan with M per piece,
+    and realized error against the exact mean."""
 
     chain: MarkovChainSpec
     payoff: PayoffSpec
@@ -70,6 +72,7 @@ class QuantumLsmRun:
     gram_matrices: dict
     targets: dict
     coefficients: dict
+    rule: CoefficientRule
     final_payoff_estimate: float
     estimate: float
     ledger: QueryLedger
@@ -216,7 +219,7 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
         chain=chain, payoff=payoff, basis=basis, epsilon=epsilon, delta=delta,
         schedule=schedule, sigma_min_lower=sigma_min_lower,
         sigma_min_oracle=sigma_min_oracle, gram_mode=gram_mode,
-        gram_matrices=grams, targets=targets, coefficients=coefficients,
+        gram_matrices=grams, targets=targets, coefficients=coefficients, rule=circuits.rule,
         final_payoff_estimate=final.estimate,
         estimate=max(payoff.value_at_start(chain), final.estimate),
         ledger=ledger, l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
@@ -227,39 +230,36 @@ def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec
 
 _LOG_LAMBDA_CAP = 700.0  # ln of the cube radius at which a requirement saturates
 CASE_STUDY_POWER = 4.0  # p: the case study clamps the payoff at beta = lambda^(2/p)
+_TAIL_EXPONENT = CASE_STUDY_POWER / (CASE_STUDY_POWER - 2.0)  # p / (p - 2)
 
 
 def brownian_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
-                                accuracy: float, tail_coefficient: float | None,
-                                power: float | None) -> float:
+                                accuracy: float, tail_coefficient: float) -> float:
     """Smallest cube radius the closed-form-Gram run is justified for with a
-    truncated Hermite basis; a tail term past float range saturates at
-    e^700, as in gbm_lambda_requirement."""
+    truncated Hermite basis, its tail term at p = CASE_STUDY_POWER; a tail
+    term past float range saturates at e^700, as in gbm_lambda_requirement."""
     req = max(16.0 * math.sqrt((degree + 1) * horizon),
               4.0 * horizon * math.log(5.0 * basis_size * dim / accuracy))
-    if tail_coefficient is not None and power is not None:
-        try:
-            tail = (6.0 * tail_coefficient / accuracy) ** (power / (power - 2.0))
-        except OverflowError:
-            tail = math.exp(_LOG_LAMBDA_CAP)
-        req = max(req, tail)
-    return req
+    try:
+        tail = (6.0 * tail_coefficient / accuracy) ** _TAIL_EXPONENT
+    except OverflowError:
+        tail = math.exp(_LOG_LAMBDA_CAP)
+    return max(req, tail)
 
 
 def gbm_lambda_requirement(horizon: int, basis_size: int, dim: int, degree: int,
-                           accuracy: float, tail_coefficient: float | None,
-                           power: float | None) -> float:
+                           accuracy: float, tail_coefficient: float) -> float:
     """Smallest cube radius the closed-form-Gram run is justified for with the
-    scaled-monomial basis, computed in log space and saturated at e^700."""
+    scaled-monomial basis, its tail term at p = CASE_STUDY_POWER, computed in
+    log space and saturated at e^700."""
     log_accuracy = math.log(accuracy)
     log_req = 0.0
     for t in range(1, max(horizon, 2)):
         log_req = max(log_req, t * (2 * degree - 0.5) + math.sqrt(
             2.0 * degree**2 * t**2 * dim
             + math.log(basis_size * dim / 2.0) - log_accuracy))
-    if tail_coefficient is not None and power is not None:
-        log_req = max(log_req, (power / (power - 2.0)) * max(
-            math.log(6.0 * tail_coefficient) - log_accuracy, 0.0))
+    log_req = max(log_req, _TAIL_EXPONENT * max(
+        math.log(6.0 * tail_coefficient) - log_accuracy, 0.0))
     return math.exp(min(log_req, _LOG_LAMBDA_CAP))
 
 
@@ -307,7 +307,7 @@ def run_quantum_lsm_closed_form(chain: MarkovChainSpec, payoff: PayoffSpec, basi
     lam = basis.cube_radius
     power = CASE_STUDY_POWER
     required = requirement(chain.horizon, basis.size, chain.dimension, basis.degree, epsilon,
-                           truncation_error_coefficient(payoff, chain, power), power)
+                           truncation_error_coefficient(payoff, chain, power))
     run = run_quantum_lsm(chain, truncate(payoff, lam ** (2.0 / power)), basis, epsilon, delta,
                           sigma_min_lower=sigma_min, seed=seed, gram_mode="closed_form")
     run.lambda_used = lam

@@ -19,9 +19,9 @@ class PayoffSpec:
     """Non-negative payoff z_t(x) evaluated on chain grids.
 
     The same step function serves every step; step 0 is the scalar value at
-    the chain's start point, cached eagerly on first binding to a chain.
-    Grid evaluations are cached per (chain, step), held only while the chain
-    is alive.
+    the chain's start point. Each step's values are computed on its first
+    values call and cached per (chain, step), held only while the chain is
+    alive.
     """
 
     step_function: StepFunction

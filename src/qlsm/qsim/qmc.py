@@ -146,17 +146,28 @@ def median_repetitions(delta: float) -> int:
     return max(1, math.ceil(MEDIAN_REPETITION_CONSTANT * math.log(1.0 / delta)))
 
 
+def _spread(amp_cap: float) -> float:
+    return min(0.5, math.sqrt(max(amp_cap, 0.0)))
+
+
+def _cap_error(amp_cap: float) -> float:
+    """2*pi*s/M + pi^2/M^2 at the cap M: the least accuracy budget that AE
+    reaches on an amplitude of at most amp_cap."""
+    spread = _spread(amp_cap)
+    return 2.0 * math.pi * spread / _MAX_AE_QUERIES + math.pi**2 / _MAX_AE_QUERIES**2
+
+
 @lru_cache(maxsize=1024)  # a run asks for a few dozen distinct pairs, many times each
 def _queries_for(budget: float, amp_cap: float) -> int:
     """Smallest power-of-two M with 2*pi*s/M + pi^2/M^2 <= budget: the
     quadratic's root in M rounded up to a power of two, then corrected by the
     inequality itself, so M is the one doubling from 2 would reach."""
-    spread = min(0.5, math.sqrt(max(amp_cap, 0.0)))
+    spread = _spread(amp_cap)
 
     def too_few(m: int) -> bool:
         return 2.0 * math.pi * spread / m + math.pi**2 / m**2 > budget
 
-    if too_few(_MAX_AE_QUERIES):
+    if _cap_error(amp_cap) > budget:
         raise ScheduleViolation(f"accuracy budget {budget:.3g} needs more than the cap of "
                                 f"{_MAX_AE_QUERIES} amplitude-estimation queries")
     root = math.pi * (spread + math.sqrt(spread * spread + budget)) / budget
@@ -379,12 +390,22 @@ def _plan_pieces(names: list, reports: list, rngs: list, centers: list, tops,
             if part_tops[part] > 0.0:
                 low = 0.0
                 for high in _part_boundaries(wide, sigma, part_tops[part]):
-                    intervals.append((part, part_name, sign, low, high))
+                    amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
+                    intervals.append((part, part_name, sign, low, high, amp_cap))
                     low = high + wide.resolution
-        for part, part_name, sign, low, high in intervals:
+        for part, part_name, sign, low, high, amp_cap in intervals:
             per_amp_budget = budget / (len(intervals) * high)
-            amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
-            queries = _queries_for(per_amp_budget, amp_cap)
+            try:
+                queries = _queries_for(per_amp_budget, amp_cap)
+            except ScheduleViolation:
+                # The pieces do not depend on epsilon, and a piece fits the
+                # cap once 0.99 epsilon / (pieces * top) reaches its cap error.
+                least = len(intervals) * max(_cap_error(cap) * top
+                                             for *_, top, cap in intervals) / 0.99
+                raise ScheduleViolation(
+                    f"entry '{name}' needs more than the cap of {_MAX_AE_QUERIES} "
+                    f"amplitude-estimation queries at its epsilon {epsilon:.3g}; its pieces "
+                    f"fit the cap at an epsilon of at least {least:.3g}") from None
             values = parts[entry, part]
             in_piece = (values >= low) & (values <= high)
             amplitude = float((weighted[entry, part][in_piece] / high).sum())

@@ -40,6 +40,19 @@ def queries_for(budget: float, amp_cap: float) -> int:
     return m
 
 
+def least_epsilon(piece_plans: list, plan_second_moment: float) -> float:
+    """Smallest epsilon at which every planned piece fits the query cap:
+    pieces * max over pieces of high * (2*pi*s/M + pi^2/M^2) at M = the cap,
+    over 0.99."""
+    worst = 0.0
+    for *_, low, high in piece_plans:
+        amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
+        spread = min(0.5, math.sqrt(amp_cap))
+        error = 2.0 * math.pi * spread / _MAX_AE_QUERIES + math.pi**2 / _MAX_AE_QUERIES**2
+        worst = max(worst, error * high)
+    return len(piece_plans) * worst / 0.99
+
+
 def median(draws: np.ndarray) -> float:
     """np.median bit for bit: the middle sorted draw, or (a + b) / 2 of two."""
     ordered, mid = np.sort(draws), draws.size // 2
@@ -121,7 +134,14 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
     for part_name, part_sign, part_oracle, low, high in piece_plans:
         per_amp_budget = budget / (n_pieces * high)
         amp_cap = 1.0 if low <= 0.0 else min(1.0, plan_second_moment / (low * low))
-        queries = queries_for(per_amp_budget, amp_cap)
+        try:
+            queries = queries_for(per_amp_budget, amp_cap)
+        except ScheduleViolation:
+            raise ScheduleViolation(
+                f"entry '{oracle.name}' needs more than the cap of {_MAX_AE_QUERIES} "
+                f"amplitude-estimation queries at its epsilon {epsilon:.3g}; its pieces fit "
+                f"the cap at an epsilon of at least "
+                f"{least_epsilon(piece_plans, plan_second_moment):.3g}") from None
         rotation = ControlledRotation(oracle=part_oracle, low=low, high=high)
         operator = EstimationOperator(sampling=sampling, rotation=rotation, masses=masses)
         draws = draw_ae_estimates(operator, queries, repetitions, rng, ledger)

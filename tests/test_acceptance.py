@@ -230,7 +230,7 @@ def test_criterion_6_end_to_end_error_bound():
     epsilon, delta, trials = 1.0, 0.2, 100
     eps0 = epsilon * sigma_min**2 / (4.0 * m * bound_r * ell**2)
     n_paths = choose_sample_count(m, eps0, delta)
-    approx = max(exact_approximation_error(chain, payoff, basis, t)
+    approx = max(exact_approximation_error(chain, basis, t, table.continuation[t])
                  for t in (1, 2))
     threshold = 5.0**3 * (epsilon + approx)
 
@@ -381,8 +381,9 @@ def test_criterion_10_error_propagation_inequalities():
             approx = basis.evaluate(k, chain.grid(k)) @ coeffs[k]
             target = continuation_values(chain, payoff, rule, k)
             fitted_gap[k] = weighted_l2_norm(chain, k, approx - target)
+        table = snell_envelope(chain, payoff)
         for t in range(1, horizon):
-            exact_target = continuation_values(chain, payoff, "optimal", t)
+            exact_target = table.continuation[t]
             approx = basis.evaluate(t, chain.grid(t)) @ coeffs[t]
             lhs1 = weighted_l2_norm(chain, t, approx - exact_target)
             rhs1 = 2.0 * sum(fitted_gap[k] for k in range(t, horizon))

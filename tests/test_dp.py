@@ -247,22 +247,14 @@ class TestContinuationUnderRule:
             expected = float(np.sum(mass * collected[on_state]) / mass.sum())
             assert got[state] == pytest.approx(expected, abs=1e-12)
 
-    def test_optimal_rule_is_snell_continuation(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        chain = random_chain(rng, 3, 3)
-        payoff = random_payoff(rng, chain)
-        table = snell_envelope(chain, payoff)
-        for t in (0, 1, 2):
-            got = continuation_values(chain, payoff, "optimal", t)
-            np.testing.assert_array_equal(got, table.continuation[t])
-
 
 class TestApproximationError:
     def test_full_span_zero_error(self):
         rng = np.random.Generator(np.random.Philox(6))
         chain = random_chain(rng, 3, 3)
         payoff = random_payoff(rng, chain)
-        err = exact_approximation_error(chain, payoff, indicator_basis(chain), 1)
+        err = exact_approximation_error(chain, indicator_basis(chain), 1,
+                                        snell_envelope(chain, payoff).continuation[1])
         assert err == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_basis_constant_target(self):
@@ -272,7 +264,8 @@ class TestApproximationError:
             initial_distribution=[0.5, 0.5],
             transitions=(np.full((2, 2), 0.5),))
         payoff = constant_payoff(0.3)
-        err = exact_approximation_error(chain, payoff, constant_basis(2), 1)
+        err = exact_approximation_error(chain, constant_basis(2), 1,
+                                        snell_envelope(chain, payoff).continuation[1])
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_orthogonal_to_span(self):
@@ -280,9 +273,9 @@ class TestApproximationError:
         chain = random_chain(rng, 3, 4)
         payoff = random_payoff(rng, chain)
         basis = monomial_basis(1, 1, 3)
-        err = exact_approximation_error(chain, payoff, basis, 2)
+        target = snell_envelope(chain, payoff).continuation[2]
+        err = exact_approximation_error(chain, basis, 2, target)
         # Residual norm cannot exceed the norm of the target itself.
-        target = continuation_values(chain, payoff, "optimal", 2)
         assert 0.0 <= err <= weighted_l2_norm(chain, 2, target) + 1e-12
 
     def test_singular_gram_reported(self):
@@ -291,7 +284,8 @@ class TestApproximationError:
         payoff = random_payoff(rng, chain)
         basis = monomial_basis(1, 3, 2)  # four functions on two points
         with pytest.raises(SingularGram):
-            exact_approximation_error(chain, payoff, basis, 1)
+            exact_approximation_error(chain, basis, 1,
+                                      snell_envelope(chain, payoff).continuation[1])
 
     def test_singular_verdict_is_solve_gram_verdict(self):
         # Two step-1 states 1.5e-6 apart put the degree-1 Gram's sigma_min
@@ -309,7 +303,8 @@ class TestApproximationError:
         with pytest.raises(SingularGram):
             solve_gram(gram, np.ones(2), 1)
         with pytest.raises(SingularGram):
-            exact_approximation_error(chain, constant_payoff(0.3), basis, 1)
+            exact_approximation_error(chain, basis, 1,
+                                      snell_envelope(chain, constant_payoff(0.3)).continuation[1])
 
 
 class TestErrorPropagation:
@@ -325,8 +320,9 @@ class TestErrorPropagation:
             approx = basis.evaluate(k, chain.grid(k)) @ coeffs[k]
             target = continuation_values(chain, payoff, rule, k)
             fitted_gap[k] = weighted_l2_norm(chain, k, approx - target)
+        table = snell_envelope(chain, payoff)
         for t in (1, 2, 3):
-            exact_target = continuation_values(chain, payoff, "optimal", t)
+            exact_target = table.continuation[t]
             approx = basis.evaluate(t, chain.grid(t)) @ coeffs[t]
             lhs1 = weighted_l2_norm(chain, t, approx - exact_target)
             assert lhs1 <= 2 * sum(fitted_gap[k] for k in range(t, 4)) + 1e-12

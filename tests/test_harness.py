@@ -494,8 +494,10 @@ class TestCli:
         code = main(["price", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.startswith("run error: accuracy budget")
-        assert "amplitude-estimation queries" in err and "Traceback" not in err
+        assert err.startswith("run error: entry 'basis_product[t=1,0,1]' needs more than the "
+                              "cap of 1073741824 amplitude-estimation queries at its epsilon "
+                              "3.33e-11; its pieces fit the cap at an epsilon of at least 1.49e-08")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, algorithm", [
         ("price", "quantum"), ("price", "classical"), ("validate-bounds", "quantum")])

@@ -69,7 +69,7 @@ class TestClassicalRuns:
         table = snell_envelope(chain, payoff)
         basis = monomial_basis(1, 2, 3)
         run = run_classical_lsm(chain, payoff, basis, 10_000, seed=3)
-        approx = max(exact_approximation_error(chain, payoff, basis, t)
+        approx = max(exact_approximation_error(chain, basis, t, table.continuation[t])
                      for t in (1, 2))
         assert abs(run.estimate - table.value0) <= 0.1 + approx
 
@@ -177,7 +177,7 @@ class TestStatisticalBehaviour:
         eps = 0.05
         n_paths = 600  # makes the failure budget non-trivial
         budget = min(1.0, 6 * m * m * math.exp(-2 * n_paths * eps * eps / (m * m)))
-        approx = max(exact_approximation_error(chain, payoff, basis, t)
+        approx = max(exact_approximation_error(chain, basis, t, table.continuation[t])
                      for t in (1, 2))
         sigma_min = 1.0  # constant basis Gram is exactly [[1]]
         ell = 1.0

@@ -122,8 +122,6 @@ class TestGenericRuns:
     def test_run_past_the_enumeration_cap_enumerates_no_path(self, monkeypatch):
         # 8^7 = 2,097,152 paths, twice the enumeration cap. Every law comes
         # from the chain, so the run completes with enumeration refused.
-        from qlsm.qsim import FixedPointFormat
-
         def refuse(*args, **kwargs):
             raise AssertionError("the quantum run enumerated paths")
 
@@ -133,8 +131,7 @@ class TestGenericRuns:
         assert chain.path_space_size() == 2_097_152
         payoff, basis = put_payoff(1.0), constant_basis(7)
         run = run_quantum_lsm(chain, payoff, basis, 0.05, 0.1, sigma_min_lower=1.0, seed=4)
-        rule = CoefficientRule(basis, run.coefficients, quantize=FixedPointFormat().quantize)
-        exact = float(continuation_values(chain, payoff, rule, 0)[0])
+        exact = float(continuation_values(chain, payoff, run.rule, 0)[0])
         assert abs(run.final_payoff_estimate - exact) <= 0.05
 
     def test_unvisited_state_stays_out_of_the_fixed_point_tables(self):
@@ -300,6 +297,26 @@ class TestGenericRuns:
         assert len(run.entry_reports) == 127
         check_entry_reports(run)
 
+    @pytest.mark.parametrize("chain, basis, epsilon", [
+        (discretize_brownian(1, 3, 8, 2.2), hermite_basis(1, 2, 3, 4.0), None),
+        (discretize_brownian(2, 4, 5, 2.2), hermite_basis(2, 2, 4, 4.0), 0.02),
+    ], ids=["criterion-6", "basket-2d"])
+    def test_run_rule_is_the_fixed_point_rule_on_its_coefficients(self, chain, basis, epsilon):
+        # None: criterion 6's eps0 = sigma_min^2 / (4 m R).
+        payoff = put_payoff(1.0)
+        sigma_min = oracle_sigma_min(basis, chain)
+        epsilon = epsilon or sigma_min**2 / (4.0 * basis.size * payoff.bound_for(chain))
+        run = run_quantum_lsm(chain, payoff, basis, epsilon, 0.2, sigma_min_lower=sigma_min,
+                              seed=7)
+        rule = CoefficientRule(basis, run.coefficients, quantize=FixedPointFormat().quantize)
+        for t in range(1, chain.horizon):
+            np.testing.assert_array_equal(run.rule.stop_mask(chain, payoff, t),
+                                          rule.stop_mask(chain, payoff, t))
+        values = [continuation_values(chain, payoff, r, 0).view(np.int64).tolist()
+                  for r in (run.rule, rule)]
+        assert values[0] == values[1]
+        assert "rule" not in json.loads(run.to_json())
+
 
 def check_entry_reports(run):
     """Every estimated entry has its report, and the reports explain the run."""
@@ -402,7 +419,7 @@ class TestModelVariants:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run = run_quantum_lsm_closed_form(chain, payoff, basis, 0.02, 0.2, seed=3)
-        approx = max(exact_approximation_error(chain, payoff, basis, t)
+        approx = max(exact_approximation_error(chain, basis, t, table.continuation[t])
                      for t in (1,))
         assert abs(run.estimate - table.value0) <= 0.05 + approx
         assert run.gram_matrices[1].shape == (4, 4)
@@ -438,11 +455,12 @@ class TestModelVariants:
 
 class TestLambdaRequirements:
     def test_brownian_tail_term_saturates_as_gbm_does(self):
-        args = (3, 3, 1, 1, 1e-12, 5.0, 2.05)
+        # At p = 4 the tail term is (6 c / accuracy)^2, past float range here.
+        args = (3, 3, 1, 1, 1e-12, 1e150)
         assert brownian_lambda_requirement(*args) == math.exp(700.0)
         assert gbm_lambda_requirement(*args) == math.exp(700.0)
         # In float range the tail term is the plain power, bit for bit.
-        assert brownian_lambda_requirement(3, 3, 1, 1, 0.05, 5.0, 4.0) == (6.0 * 5.0 / 0.05) ** 2
+        assert brownian_lambda_requirement(3, 3, 1, 1, 0.05, 5.0) == (6.0 * 5.0 / 0.05) ** 2
 
 
 class TestSerialization:

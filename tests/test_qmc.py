@@ -165,8 +165,15 @@ class TestStructure:
 class TestQueryCap:
     def test_query_cap_raises_schedule_violation(self):
         var = variable_from_values([0.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ScheduleViolation, match=r"budget .* cap of 1073741824"):
+        with pytest.raises(ScheduleViolation, match=(
+                r"^entry 'h' needs more than the cap of 1073741824 amplitude-estimation "
+                r"queries at its epsilon 1e-12; its pieces fit the cap at an epsilon of at "
+                r"least 2\.96e-09$")):
             qmontecarlo(var, 1e-12, 0.1, 1.0, 0)
+        # The least epsilon it names is where the pieces start to fit.
+        with pytest.raises(ScheduleViolation, match="at its epsilon 2.95e-09"):
+            qmontecarlo(var, 2.95e-9, 0.1, 1.0, 0)
+        assert qmontecarlo(var, 2.97e-9, 0.1, 1.0, 0).pieces
 
 
 class TestSortMedian:
