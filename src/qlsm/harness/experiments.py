@@ -16,7 +16,8 @@ from ..basis import KIND_GBM, KIND_HERMITE, hermite, hermite_tail_bound, l2_norm
 from ..dp import continuation_values, exact_approximation_error, snell_envelope, stop_masses
 from ..errors import ConfigError, QlsmError, ScheduleViolation
 from ..lsm_classical import choose_sample_count, classical_cost_units, run_classical_lsm
-from ..lsm_quantum import gbm_sigma_mins, oracle_sigma_min, run_quantum_lsm
+from ..lsm_quantum import (gbm_sigma_mins, oracle_sigma_min, run_quantum_lsm,
+                           run_quantum_lsm_trials)
 from .config import ExperimentConfig
 
 
@@ -77,7 +78,9 @@ def resolve_sigma_min(config: ExperimentConfig, basis, chain) -> float:
 
 
 def run_price(config: ExperimentConfig) -> ExperimentReport:
-    """Price with the selected algorithm(s); compare to the exact oracle."""
+    """Price with the selected algorithm(s); compare to the exact oracle.
+    The quantum trials run through run_quantum_lsm_trials, in its lockstep
+    groups, each group when its first row is due; rows come trial by trial."""
     chain, payoff, basis = config.build()
     report = ExperimentReport(kind="price", config=config)
     algorithms = [a for a in ("classical", "quantum") if config.algorithm in (a, "both")]
@@ -93,14 +96,15 @@ def run_price(config: ExperimentConfig) -> ExperimentReport:
     # One sigma_min for every trial: the oracle's SVDs are the same each time.
     if "quantum" in algorithms:
         sigma_min = resolve_sigma_min(config, basis, chain)
+        quantum_runs = run_quantum_lsm_trials(chain, payoff, basis, config.epsilon,
+                                              config.delta, sigma_min, seeds, weights=weights)
     for trial, seed in enumerate(seeds):
         for algo in algorithms:
             if algo == "classical":
                 run = run_classical_lsm(chain, payoff, basis, n_paths, seed)
                 row = {"cost_units": classical_cost_units(run, weights), "paths": n_paths}
             else:
-                run = run_quantum_lsm(chain, payoff, basis, config.epsilon, config.delta,
-                                      sigma_min_lower=sigma_min, seed=seed, weights=weights)
+                run = next(quantum_runs)
                 row = {"cost_units": run.ledger.total_units(chain.horizon, weights),
                        "grover": run.ledger.grover_applications}
             row.update(trial=trial, algorithm=algo, estimate=run.estimate,

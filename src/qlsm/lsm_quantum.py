@@ -6,13 +6,16 @@ Coefficient solves use a pivoted factorization (no explicit inverse). Every
 estimated entry bills the circuit chain rebuilt from the horizon down, so
 ledger totals carry the quadratic backward-pass structure; the simulation
 itself evaluates each entry on its value law, computed from the chain without
-enumerating paths, and memoizes the per-step tables."""
+enumerating paths, and memoizes the per-step tables. Runs at several seeds go
+in lockstep: a law that no run's coefficients change is one batch for all."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -117,6 +120,19 @@ def oracle_sigma_min(basis: BasisSpec, chain: MarkovChainSpec) -> float:
                 for t in range(chain.horizon - 1, 0, -1)), default=1.0)
 
 
+# run_quantum_lsm_trials runs its seeds in lockstep groups of at most this
+# many estimated entries, and of one seed when a run alone has more: a group
+# holds its runs' entry reports, so what it holds grows neither with the seed
+# count nor, past one run, with the instance.
+_GROUP_ENTRIES = 250
+
+
+def _entry_count(horizon: int, basis_size: int) -> int:
+    """The entries one run estimates, each on its own stream: (T-1) m^2 Gram
+    entries, (T-1) m targets and the final estimate."""
+    return (horizon - 1) * (basis_size * basis_size + basis_size) + 1
+
+
 def _entry_streams(seed, count: int):
     """The count children seed.spawn(count) would give, spawned from a copy:
     seed's child counter is left as it is, so a SeedSequence passed to two
@@ -137,95 +153,172 @@ def _check_epsilon_delta(epsilon: float, delta: float) -> None:
 GRAM_MODES = ("estimated", "closed_form")
 
 
+class _Trial:
+    """One seed's share of a trials run: its entry streams and what its
+    QuantumLsmRun records."""
+
+    __slots__ = ("streams", "ledger", "entry_reports", "grams", "targets", "exact_targets")
+
+    def __init__(self, streams: Iterator):
+        self.streams, self.ledger = streams, QueryLedger()
+        self.entry_reports, self.grams, self.targets, self.exact_targets = {}, {}, {}, {}
+
+
+class _Lockstep:
+    """The checked inputs of runs at any seeds, and the runs in lockstep."""
+
+    def __init__(self, chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
+                 epsilon: float, delta: float, sigma_min_lower: float | None, gram_mode: str,
+                 weights: CostWeights):
+        if gram_mode not in GRAM_MODES:
+            raise ValueError(f"unknown gram_mode {gram_mode!r}")
+        self.sigma_min_oracle = sigma_min_lower is None
+        if self.sigma_min_oracle:
+            sigma_min_lower = oracle_sigma_min(basis, chain)
+        if sigma_min_lower <= 0:
+            raise ScheduleViolation("sigma_min_lower must be positive")
+        if epsilon > sigma_min_lower / 2.0:
+            raise ScheduleViolation(
+                f"epsilon={epsilon} exceeds sigma_min_lower/2={sigma_min_lower / 2.0}")
+        _check_epsilon_delta(epsilon, delta)
+        self.chain, self.payoff, self.basis = chain, payoff, basis
+        self.epsilon, self.delta, self.sigma_min_lower = epsilon, delta, sigma_min_lower
+        self.gram_mode, self.weights = gram_mode, weights
+        self.R = payoff.bound_for(chain)
+        self.sup_b = sup_norm_bound(basis, chain) if chain.horizon > 1 else 1.0
+        self.l2_b = basis.l2_bound if basis.l2_bound is not None else self.sup_b
+        self.schedule = EstimationSchedule(epsilon=epsilon, delta=delta, horizon=chain.horizon,
+                                           basis_size=basis.size)
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the sensitivity bound's normalization sqrt(m) R L / sigma_min
+        >= 1 applies."""
+        return math.sqrt(self.basis.size) * self.R * self.l2_b / self.sigma_min_lower >= 1.0
+
+    def runs(self, seeds: list) -> list[QuantumLsmRun]:
+        """One run per seed, the runs in lockstep: see run_quantum_lsm_trials."""
+        chain, payoff, basis, epsilon, delta = (self.chain, self.payoff, self.basis,
+                                                self.epsilon, self.delta)
+        weights, schedule, R, sup_b = self.weights, self.schedule, self.R, self.sup_b
+        T, m = chain.horizon, basis.size
+        trials = [_Trial(_entry_streams(seed, _entry_count(T, m))) for seed in seeds]
+
+        def estimate(batch: EntryBatch, group: list, accuracy: float, failure: float,
+                     sigma: float) -> list:
+            """The batch once for each trial of group, as one batch of their
+            entries trial by trial, each on its trial's next stream; each
+            trial's ledger merges its entries' in order and keeps their
+            reports. Returns the reports per trial."""
+            n = len(batch.names)
+            reports = qmontecarlo_batch(
+                dataclasses.replace(batch, names=batch.names * len(group),
+                                    columns=batch.columns * len(group)),
+                accuracy, failure, sigma,
+                [next(trial.streams) for trial in group for _ in range(n)], weights=weights)
+            per_trial = [reports[k * n:(k + 1) * n] for k in range(len(group))]
+            for trial, own in zip(group, per_trial):
+                for report in own:
+                    trial.ledger.merge(report.ledger)
+                trial.entry_reports.update(zip(batch.names, own))
+            return per_trial
+
+        # These circuits build the batches all trials share; each trial's own
+        # circuits share their payoff and basis tables and score its
+        # coefficients.
+        shared = StoppingCircuits(chain=chain, payoff=payoff, basis=basis, coefficients={})
+        for t in range(1, T):
+            if self.gram_mode == "estimated":
+                for trial, reports in zip(trials, estimate(
+                        shared.gram(t), trials, schedule.gram_accuracy, schedule.gram_failure,
+                        sup_b * sup_b)):
+                    trial.grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
+            else:
+                for trial in trials:
+                    trial.grams[t] = closed_form_gram(basis, t)
+        horizon_targets = (estimate(shared.targets(T), trials, schedule.target_accuracy,
+                                    schedule.target_failure, R * sup_b)
+                           if T > 1 else [None] * len(trials))
+
+        runs = []
+        for trial, reports in zip(trials, horizon_targets):
+            # The backward pass fills coefficients in step by step; the
+            # circuits read the dict as it stands, so every phase shares their
+            # tables.
+            circuits = shared.on({})
+            for t in range(T, 1, -1):
+                if t < T:
+                    [reports] = estimate(circuits.targets(t), [trial],
+                                         schedule.target_accuracy, schedule.target_failure,
+                                         R * sup_b)
+                b_est = trial.targets[t - 1] = np.array([rep.estimate for rep in reports])
+                trial.exact_targets[t - 1] = np.array([rep.exact_mean for rep in reports])
+                circuits.coefficients[t - 1] = np.asarray(circuits.fmt.quantize(
+                    solve_gram(trial.grams[t - 1], b_est, t - 1)))
+
+            final_var = circuits.variable(1, 0)
+            final = trial.entry_reports[final_var.oracle.name] = qmontecarlo(
+                final_var, epsilon, delta / 2.0, R, next(trial.streams),
+                ledger=trial.ledger, weights=weights)
+            runs.append(QuantumLsmRun(
+                chain=chain, payoff=payoff, basis=basis, epsilon=epsilon, delta=delta,
+                schedule=schedule, sigma_min_lower=self.sigma_min_lower,
+                sigma_min_oracle=self.sigma_min_oracle, gram_mode=self.gram_mode,
+                gram_matrices=trial.grams, targets=trial.targets,
+                coefficients=circuits.coefficients, rule=circuits.rule,
+                final_payoff_estimate=final.estimate,
+                estimate=max(payoff.value_at_start(chain), final.estimate),
+                ledger=trial.ledger, l2_bound=self.l2_b, sup_bound=sup_b, payoff_bound=R,
+                exact_targets=trial.exact_targets,
+                notes=(["sigma_min_lower computed by exact-Gram SVD (oracle mode)"]
+                       if self.sigma_min_oracle else []),
+                entry_reports=trial.entry_reports))
+        return runs
+
+
+_NORMALIZATION_WARNING = ("sqrt(m)*R*L/sigma_min < 1; the sensitivity bound normalization "
+                          "does not apply")
+
+
+def run_quantum_lsm_trials(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
+                           epsilon: float, delta: float, sigma_min_lower: float | None,
+                           seeds: list, *, gram_mode: str = "estimated",
+                           weights: CostWeights = CostWeights()) -> Iterator[QuantumLsmRun]:
+    """The whole-pipeline run at each seed, in order: estimated (or
+    closed-form) Gram matrices, backward per-entry estimation of the
+    regression targets through stopping circuits that read the coefficients
+    fitted so far, classical solves, final estimate. A step's Gram entries
+    are one estimation batch, its targets another; each entry draws on its
+    run's next stream. Runs go in lockstep groups of at most _GROUP_ENTRIES
+    estimated entries (one run when a run alone has more), each group when
+    its first run is asked for; the inputs are checked then too. No step's
+    Gram law and not the horizon's target law depend on a run's
+    coefficients, so in a group each is estimated once for all its runs, as
+    one batch of their entries run by run; the later targets and the final
+    estimate are each run's own. Each run is run_quantum_lsm's at its seed.
+    Circuits and coefficients round to the one format FixedPointFormat(). A
+    None sigma_min_lower is read off the exact Gram (oracle_sigma_min), which
+    a deployment must supply; sigma_min_oracle and a note record that."""
+    lockstep = _Lockstep(chain, payoff, basis, epsilon, delta, sigma_min_lower, gram_mode,
+                         weights)
+    if not lockstep.normalized:
+        warnings.warn(_NORMALIZATION_WARNING, stacklevel=2)
+    size = max(1, _GROUP_ENTRIES // _entry_count(chain.horizon, basis.size))
+    for lo in range(0, len(seeds), size):
+        yield from lockstep.runs(seeds[lo:lo + size])
+
+
 def run_quantum_lsm(chain: MarkovChainSpec, payoff: PayoffSpec, basis: BasisSpec,
                     epsilon: float, delta: float, sigma_min_lower: float | None = None,
                     seed=None, *, gram_mode: str = "estimated",
                     weights: CostWeights = CostWeights()) -> QuantumLsmRun:
-    """Whole-pipeline run: estimated (or closed-form) Gram matrices, backward
-    per-entry estimation of the regression targets through one set of
-    stopping circuits that reads the coefficients fitted so far, classical
-    solves, final estimate. A step's Gram entries are one estimation batch,
-    its targets another; each entry draws on its own stream. Circuits and
-    coefficients round to the one format FixedPointFormat(). A None
-    sigma_min_lower is read off the exact Gram (oracle_sigma_min), which a
-    deployment must supply; sigma_min_oracle and a note record that."""
-    if gram_mode not in GRAM_MODES:
-        raise ValueError(f"unknown gram_mode {gram_mode!r}")
-    T = chain.horizon
-    m = basis.size
-    ledger = QueryLedger()
-    notes: list[str] = []
-
-    sigma_min_oracle = sigma_min_lower is None
-    if sigma_min_oracle:
-        notes.append("sigma_min_lower computed by exact-Gram SVD (oracle mode)")
-        sigma_min_lower = oracle_sigma_min(basis, chain)
-    if sigma_min_lower <= 0:
-        raise ScheduleViolation("sigma_min_lower must be positive")
-    if epsilon > sigma_min_lower / 2.0:
-        raise ScheduleViolation(
-            f"epsilon={epsilon} exceeds sigma_min_lower/2={sigma_min_lower / 2.0}")
-    _check_epsilon_delta(epsilon, delta)
-
-    R = payoff.bound_for(chain)
-    sup_b = sup_norm_bound(basis, chain) if T > 1 else 1.0
-    l2_b = basis.l2_bound if basis.l2_bound is not None else sup_b
-    if math.sqrt(m) * R * l2_b / sigma_min_lower < 1.0:
-        warnings.warn("sqrt(m)*R*L/sigma_min < 1; the sensitivity bound "
-                      "normalization does not apply", stacklevel=2)
-
-    schedule = EstimationSchedule(epsilon=epsilon, delta=delta, horizon=T, basis_size=m)
-    streams = _entry_streams(seed, (T - 1) * m * m + (T - 1) * m + 1)
-    # The backward pass fills coefficients in step by step; the circuits read
-    # the dict as it stands, so every phase shares their memoized tables.
-    coefficients: dict[int, np.ndarray] = {}
-    circuits = StoppingCircuits(chain=chain, payoff=payoff, basis=basis,
-                                coefficients=coefficients)
-
-    entry_reports: dict = {}
-
-    def estimate(batch: EntryBatch, accuracy: float, failure: float, sigma: float) -> list:
-        """One batch on the next entry streams; each entry keeps its report."""
-        reports = qmontecarlo_batch(batch, accuracy, failure, sigma,
-                                    [next(streams) for _ in batch.names], ledger=ledger,
-                                    weights=weights)
-        entry_reports.update(zip(batch.names, reports))
-        return reports
-
-    grams: dict[int, np.ndarray] = {}
-    for t in range(1, T):
-        if gram_mode == "estimated":
-            reports = estimate(circuits.gram(t), schedule.gram_accuracy, schedule.gram_failure,
-                               sup_b * sup_b)
-            grams[t] = np.array([rep.estimate for rep in reports]).reshape(m, m)
-        else:
-            grams[t] = closed_form_gram(basis, t)
-
-    targets: dict[int, np.ndarray] = {}
-    exact_targets: dict[int, np.ndarray] = {}
-    for t in range(T, 1, -1):
-        reports = estimate(circuits.targets(t), schedule.target_accuracy,
-                           schedule.target_failure, R * sup_b)
-        b_est = targets[t - 1] = np.array([rep.estimate for rep in reports])
-        exact_targets[t - 1] = np.array([rep.exact_mean for rep in reports])
-        coefficients[t - 1] = np.asarray(circuits.fmt.quantize(
-            solve_gram(grams[t - 1], b_est, t - 1)))
-
-    final_var = circuits.variable(1, 0)
-    final = entry_reports[final_var.oracle.name] = qmontecarlo(
-        final_var, epsilon, delta / 2.0, R, next(streams), ledger=ledger, weights=weights)
-
-    return QuantumLsmRun(
-        chain=chain, payoff=payoff, basis=basis, epsilon=epsilon, delta=delta,
-        schedule=schedule, sigma_min_lower=sigma_min_lower,
-        sigma_min_oracle=sigma_min_oracle, gram_mode=gram_mode,
-        gram_matrices=grams, targets=targets, coefficients=coefficients, rule=circuits.rule,
-        final_payoff_estimate=final.estimate,
-        estimate=max(payoff.value_at_start(chain), final.estimate),
-        ledger=ledger, l2_bound=l2_b, sup_bound=sup_b, payoff_bound=R,
-        exact_targets=exact_targets, notes=notes,
-        entry_reports=entry_reports,
-    )
+    """run_quantum_lsm_trials at the one seed."""
+    lockstep = _Lockstep(chain, payoff, basis, epsilon, delta, sigma_min_lower, gram_mode,
+                         weights)
+    if not lockstep.normalized:
+        warnings.warn(_NORMALIZATION_WARNING, stacklevel=2)
+    [run] = lockstep.runs([seed])
+    return run
 
 
 _LOG_LAMBDA_CAP = 700.0  # ln of the cube radius at which a requirement saturates

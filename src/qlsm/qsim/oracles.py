@@ -26,15 +26,21 @@ class SamplingOracle:
 
     chain: MarkovChainSpec
 
-    def measure(self, masses: np.ndarray, count: int, rng: np.random.Generator,
+    def measure(self, cdf: np.ndarray, count: int, rng: np.random.Generator,
                 ledger: QueryLedger | None = None) -> np.ndarray:
-        """Rows of a law drawn from its masses: computational-basis samples of
-        prepared states, read through the law's oracle; one prep per shot."""
+        """Rows of a law drawn from its law_cdf: computational-basis samples
+        of prepared states, read through the law's oracle; one prep per shot."""
         if ledger is not None:
             ledger.add_state_preparations(count)
-        cum = np.cumsum(masses)
-        draws = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
-        return np.minimum(draws, cum.size - 1)
+        draws = np.searchsorted(cdf, rng.random(count), side="right")
+        return np.minimum(draws, cdf.size - 1)
+
+
+def law_cdf(masses: np.ndarray) -> np.ndarray:
+    """The cumulative masses of a law's rows, normalized to end at 1: what
+    SamplingOracle.measure draws rows from, built once per law."""
+    cum = np.cumsum(masses)
+    return cum / cum[-1]
 
 
 def bill_queries(ledger: QueryLedger, name: str, query_cost: dict, applications: int) -> None:

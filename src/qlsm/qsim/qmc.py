@@ -24,7 +24,7 @@ from ..errors import Overflow, ScheduleViolation, VarianceExceeded
 from .ae import _WINDOW, _bill_draws, _draw_pieces, draw_ae_estimates  # noqa: F401
 from .fixed_point import FixedPointFormat
 from .ledger import CostWeights, QueryLedger
-from .oracles import FunctionOracle, SamplingOracle, bill_queries, overflow_error
+from .oracles import FunctionOracle, SamplingOracle, bill_queries, law_cdf, overflow_error
 
 MEDIAN_REPETITION_CONSTANT = 18.0
 # Bounds the ledger cost of one AE call; sampling memory does not grow with M.
@@ -235,9 +235,12 @@ def qmontecarlo_batch(batch: EntryBatch, epsilon: float, delta: float, sigma: fl
     """`qmontecarlo` of each entry of the batch, each on its own generator
     (a Generator, a SeedSequence or a seed): reports, ledgers (merged into
     ledger in order) and generator states are those of one call per entry in
-    order, and the first entry that fails raises. Blocks of entries form,
-    round and check their value table only when they are estimated; AE
-    window laws come from a table held per (amplitude, M) in `qsim.ae`."""
+    order, and the first entry that fails raises; a query-cap refusal names
+    the least epsilon at which every entry of the batch up to the first that
+    fails another check fits the cap. Blocks
+    of entries form, round and check their value table only when they are
+    estimated; AE window laws come from a table held per (amplitude, M) in
+    `qsim.ae`."""
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if sigma < 0.0:
@@ -251,23 +254,41 @@ def qmontecarlo_batch(batch: EntryBatch, epsilon: float, delta: float, sigma: fl
         raise Overflow(f"format ({fmt.int_bits},{fmt.frac_bits}) cannot be widened by the "
                        f"integer bit the centered parts need: {exc}") from None
     rngs = [rng if isinstance(rng, np.random.Generator) else _seeded_rng(rng) for rng in rngs]
+    repetitions = median_repetitions(delta)
+    # A block holds up to ten (entries x rows) float tables at once.
+    step = max(1, _BATCH_BYTES // (80 * batch.masses.size))
+    reports, refused, error = [], [], None
+    for lo in range(0, len(batch.names), step):
+        hi = min(lo + step, len(batch.names))
+        pieces = []
+        error = _plan_block(batch, lo, hi, rngs[lo:hi], wide, epsilon, delta, sigma,
+                            reports, pieces, refused)
+        if error is not None:
+            break
+        if not refused:  # after a refusal, later blocks are only planned
+            _draw(pieces, repetitions, batch.query_cost)
+    if refused:  # the refused entries all come before the first other failure
+        fit = ("every entry of its batch fits" if error is None else
+               "the entries of its batch before its first other failure fit")
+        raise ScheduleViolation(
+            f"entry '{refused[0][0]}' needs more than the cap of {_MAX_AE_QUERIES} "
+            f"amplitude-estimation queries at its epsilon {epsilon:.3g}; {fit} the cap at an "
+            f"epsilon of at least {max(least for _, least in refused):.3g}, though "
+            f"{'a later batch' if error is None else 'a later entry or batch'} can still "
+            f"need more")
+    if error is not None:
+        raise error
+
     horizon = batch.sampling.chain.horizon
     per_app = horizon * weights.sample_step + sum(
         count * weights.of_kind(kind) for kind, count in batch.query_cost.items())
-    cost_reference = _cost_reference(sigma, epsilon, median_repetitions(delta), per_app)
-    # A block holds up to ten (entries x rows) float tables at once.
-    step = max(1, _BATCH_BYTES // (80 * batch.masses.size))
-    reports = []
-    for lo in range(0, len(batch.names), step):
-        block = _estimate_block(batch, lo, min(lo + step, len(batch.names)),
-                                rngs[lo:lo + step], wide, epsilon, delta, sigma)
-        for report in block:
-            report.cost_reference = cost_reference
-            report.cost_factor = (report.ledger.total_units(horizon, weights) / cost_reference
-                                  if cost_reference else None)
-            if ledger is not None:
-                ledger.merge(report.ledger)
-        reports += block
+    cost_reference = _cost_reference(sigma, epsilon, repetitions, per_app)
+    for report in reports:
+        report.cost_reference = cost_reference
+        report.cost_factor = (report.ledger.total_units(horizon, weights) / cost_reference
+                              if cost_reference else None)
+        if ledger is not None:
+            ledger.merge(report.ledger)
     return reports
 
 
@@ -301,18 +322,22 @@ class _Piece(NamedTuple):
     budget: float
 
 
-def _estimate_block(batch: EntryBatch, lo: int, hi: int, rngs: list,
-                    wide: FixedPointFormat, epsilon: float, delta: float,
-                    sigma: float) -> list[EstimationReport]:
-    """The reports of entries lo..hi-1 but their cost reference and factor:
-    checks, centers and piece plans on the block's table, then the AE draws."""
+def _plan_block(batch: EntryBatch, lo: int, hi: int, rngs: list, wide: FixedPointFormat,
+                epsilon: float, delta: float, sigma: float, reports: list, pieces: list,
+                refused: list) -> Exception | None:
+    """Checks, rough centers and piece plans on the table of entries lo..hi-1,
+    up to the first that fails a check: appends their reports but the cost
+    reference and factor, their pieces, and (name, least epsilon) of each
+    entry the query cap refuses. Returns the failed check's error, if any."""
     masses, names = batch.masses, batch.names[lo:hi]
     values, raw_means, overflow = batch.rounded(lo, hi)
     means, variances, lows, highs = _moments(values, masses)
     repetitions = median_repetitions(delta)
 
-    # Checks and rough-center rows entry by entry, up to the first failure.
-    reports, varying, center_rows, error = [], [], [], None
+    # Checks and rough-center rows entry by entry, up to the first failure,
+    # all drawn from one CDF of the law, dropped before the parts are formed.
+    cdf = law_cdf(masses)
+    block, varying, center_rows, error = [], [], [], None
     for name, rng, mean, variance, raw_mean in zip(
             names, rngs, means.tolist(), variances.tolist(), raw_means.tolist()):
         error = _entry_error(mean, variance, raw_mean, epsilon, sigma)
@@ -323,17 +348,16 @@ def _estimate_block(batch: EntryBatch, lo: int, hi: int, rngs: list,
                                   exact_mean=mean, exact_variance=variance)
         # A constant variable needs a single sample, which is exact.
         count = 1 if variance == 0.0 else repetitions
-        rows = batch.sampling.measure(masses, count, rng, report.ledger)
+        rows = batch.sampling.measure(cdf, count, rng, report.ledger)
         bill_queries(report.ledger, name, batch.query_cost, count)
         if count == 1:
-            report.estimate = report.center = float(values[len(reports), rows[0]])
+            report.estimate = report.center = float(values[len(block), rows[0]])
         else:
-            varying.append(len(reports))
+            varying.append(len(block))
             center_rows.append(rows)
-        reports.append(report)
-    if error is None:
-        error = overflow
-    pieces = []
+        block.append(report)
+    del cdf
+    reports += block
     if varying:
         # Rough centers: medians of sampled values, themselves representable.
         which = np.array(varying)
@@ -348,40 +372,41 @@ def _estimate_block(batch: EntryBatch, lo: int, hi: int, rngs: list,
         np.maximum(parts, 0.0, out=parts)
         parts += 0.0
         tops = zip((highs[which] - centers).tolist(), (centers - lows[which]).tolist())
-        pieces = _plan_pieces([names[i] for i in varying], [reports[i] for i in varying],
-                              [rngs[i] for i in varying], centers.tolist(), tops,
-                              parts, masses * parts, wide, epsilon, sigma)
-    if error is not None:
-        raise error
+        _plan_pieces([names[i] for i in varying], [block[i] for i in varying],
+                     [rngs[i] for i in varying], centers.tolist(), tops,
+                     parts, masses * parts, wide, epsilon, sigma, pieces, refused)
+    return overflow if error is None else error
 
-    # AE draws in chunks of pieces, in entry order, each on its entry's
-    # generator; while drawn, a piece holds about four two-branch window
-    # arrays of 2 W + 2 floats and four arrays of its repetitions.
+
+def _draw(pieces: list, repetitions: int, query_cost: dict) -> None:
+    """The AE draws of the pieces, in chunks of pieces in entry order, each on
+    its entry's generator: adds each piece to its report's estimate, record
+    and ledger. While drawn, a piece holds about four two-branch window
+    arrays of 2 W + 2 floats and four arrays of its repetitions."""
     chunk = max(1, _BATCH_BYTES // (8 * (16 * (_WINDOW + 1) + 4 * repetitions)))
-    estimates = []
     for start in range(0, len(pieces), chunk):
-        estimates += _medians(_draw_pieces(*zip(*[(p.amplitude, p.queries, p.rng)
-                                                 for p in pieces[start:start + chunk]]),
-                                           repetitions)).tolist()
-    for piece, amp_estimate in zip(pieces, estimates):
-        report = piece.report
-        report.estimate += piece.sign * piece.high * amp_estimate
-        bill_queries(report.ledger, f"{piece.name}|{piece.part}", batch.query_cost,
-                     _bill_draws(report.ledger, piece.queries, repetitions))
-        report.pieces.append(PieceRecord(piece.part, piece.low, piece.high, piece.queries,
-                                         piece.amplitude, amp_estimate, piece.budget))
-    return reports
+        part = pieces[start:start + chunk]
+        estimates = _medians(_draw_pieces(*zip(*[(p.amplitude, p.queries, p.rng) for p in part]),
+                                          repetitions)).tolist()
+        for piece, amp_estimate in zip(part, estimates):
+            report = piece.report
+            report.estimate += piece.sign * piece.high * amp_estimate
+            bill_queries(report.ledger, f"{piece.name}|{piece.part}", query_cost,
+                         _bill_draws(report.ledger, piece.queries, repetitions))
+            report.pieces.append(PieceRecord(piece.part, piece.low, piece.high, piece.queries,
+                                             piece.amplitude, amp_estimate, piece.budget))
 
 
 def _plan_pieces(names: list, reports: list, rngs: list, centers: list, tops,
                  parts: np.ndarray, weighted: np.ndarray, wide: FixedPointFormat,
-                 epsilon: float, sigma: float) -> list[_Piece]:
-    """The pieces of each entry's positive and then negative part, in order,
-    each with its M and exact amplitude on the widened format. Sets each
-    report's center, and its estimate to the center that the pieces add to."""
+                 epsilon: float, sigma: float, pieces: list, refused: list) -> None:
+    """Appends the pieces of each entry's positive and then negative part, in
+    order, each with its M and exact amplitude on the widened format, and
+    (name, least epsilon) of each entry with a piece past the query cap.
+    Sets each report's center, and its estimate to the center that the
+    pieces add to."""
     budget = 0.99 * epsilon
     plan_second_moment = 5.0 * sigma * sigma  # variance + rough-centering slack
-    pieces = []
     for entry, (name, report, rng, center, part_tops) in enumerate(
             zip(names, reports, rngs, centers, tops)):
         report.estimate = report.center = center
@@ -400,16 +425,11 @@ def _plan_pieces(names: list, reports: list, rngs: list, centers: list, tops,
             except ScheduleViolation:
                 # The pieces do not depend on epsilon, and a piece fits the
                 # cap once 0.99 epsilon / (pieces * top) reaches its cap error.
-                least = len(intervals) * max(_cap_error(cap) * top
-                                             for *_, top, cap in intervals) / 0.99
-                raise ScheduleViolation(
-                    f"entry '{name}' needs more than the cap of {_MAX_AE_QUERIES} "
-                    f"amplitude-estimation queries at its epsilon {epsilon:.3g}; its pieces "
-                    f"fit the cap at an epsilon of at least {least:.3g}") from None
+                refused.append((name, len(intervals) * max(
+                    _cap_error(cap) * top for *_, top, cap in intervals) / 0.99))
+                break
             values = parts[entry, part]
             in_piece = (values >= low) & (values <= high)
             amplitude = float((weighted[entry, part][in_piece] / high).sum())
             pieces.append(_Piece(report, rng, name, sign, part_name, low, high, queries,
                                  amplitude, per_amp_budget))
-    return pieces
-

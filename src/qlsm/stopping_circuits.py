@@ -57,7 +57,17 @@ class StoppingCircuits:
     def __post_init__(self):
         self.sampling = SamplingOracle(self.chain)
         self.rule = CoefficientRule(self.basis, self.coefficients, quantize=self.fmt.quantize)
-        self._tables: dict[tuple[str, int], np.ndarray] = {}
+        self._tables: dict[tuple[str, int], np.ndarray] = {}  # read no coefficient
+        self._scores: dict[int, np.ndarray] = {}
+
+    def on(self, coefficients: Mapping[int, np.ndarray]) -> "StoppingCircuits":
+        """These circuits on other coefficients: the two share their payoff
+        and basis tables, which read no coefficient, and each keeps its own
+        score tables."""
+        twin = StoppingCircuits(chain=self.chain, payoff=self.payoff, basis=self.basis,
+                                coefficients=coefficients, fmt=self.fmt)
+        twin._tables = self._tables
+        return twin
 
     # -- shared fixed-point arithmetic ---------------------------------------
     # Tables have one row per step-t grid state and hold 0 at states of zero
@@ -65,10 +75,11 @@ class StoppingCircuits:
     # path visits; a step's coefficients never change once loaded, so each
     # table is computed once.
 
-    def _memo(self, kind: str, t: int, build) -> np.ndarray:
-        table = self._tables.get((kind, t))
+    @staticmethod
+    def _memo(tables: dict, key, build) -> np.ndarray:
+        table = tables.get(key)
         if table is None:
-            table = self._tables[(kind, t)] = build()
+            table = tables[key] = build()
         return table
 
     def _visited(self, t: int) -> np.ndarray:
@@ -76,19 +87,20 @@ class StoppingCircuits:
         return self.chain.marginals[t - 1] > 0.0
 
     def payoff_table(self, t: int) -> np.ndarray:
-        return self._memo("payoff", t, lambda: np.asarray(self.fmt.quantize(
+        return self._memo(self._tables, ("payoff", t), lambda: np.asarray(self.fmt.quantize(
             np.where(self._visited(t), self.payoff.values(self.chain, t), 0.0))))
 
     def basis_table(self, t: int) -> np.ndarray:
-        return self._memo("basis", t, lambda: np.asarray(self.fmt.quantize(np.where(
-            self._visited(t)[:, None], self.basis.evaluate(t, self.chain.grid(t)), 0.0))))
+        return self._memo(self._tables, ("basis", t), lambda: np.asarray(self.fmt.quantize(
+            np.where(self._visited(t)[:, None], self.basis.evaluate(t, self.chain.grid(t)),
+                     0.0))))
 
     def score_table(self, t: int) -> np.ndarray:
         """Quantized score standing in for the continuation value: the rule's
         scores on the step's basis table."""
         if t not in self.coefficients:
             raise QlsmError(f"no coefficient vector loaded for step {t}")
-        return self._memo("score", t, lambda: self.rule.row_scores(t, self.basis_table(t)))
+        return self._memo(self._scores, t, lambda: self.rule.row_scores(t, self.basis_table(t)))
 
     def _stop_mask(self, t: int) -> np.ndarray:
         """Stop decision of each step-t state, t < horizon."""

@@ -1,18 +1,19 @@
 """Mean estimation one entry at a time, as `qlsm.qsim.qmc` ran it before
 entries were estimated in batches, kept as the slow reference the batch must
 match bit for bit: same estimates, centers, piece records, ledgers,
-cost factors and generator states afterwards, and the same first error. AE
-outcomes come from the per-branch reference sampler."""
+cost factors and generator states afterwards, and the same first error
+(`qmontecarlo_entries`). AE outcomes come from the per-branch reference
+sampler."""
 import math
 
 import numpy as np
 
 from ae_reference import draw_ae_estimates
-from qlsm.errors import Overflow, ScheduleViolation, VarianceExceeded
+from qlsm.errors import Overflow, QlsmError, ScheduleViolation, VarianceExceeded
 from qlsm.qsim.ae import EstimationOperator
 from qlsm.qsim.fixed_point import FixedPointFormat
 from qlsm.qsim.ledger import CostWeights, QueryLedger
-from qlsm.qsim.oracles import ControlledRotation, FunctionOracle
+from qlsm.qsim.oracles import ControlledRotation, FunctionOracle, law_cdf
 from qlsm.qsim.qmc import (_MAX_AE_QUERIES, EstimationReport, PieceRecord, QmcVariable,
                            _cost_reference, _part_boundaries, median_repetitions)
 
@@ -51,6 +52,24 @@ def least_epsilon(piece_plans: list, plan_second_moment: float) -> float:
         error = 2.0 * math.pi * spread / _MAX_AE_QUERIES + math.pi**2 / _MAX_AE_QUERIES**2
         worst = max(worst, error * high)
     return len(piece_plans) * worst / 0.99
+
+
+def cap_refusal(refused: list, epsilon: float, complete: bool = True) -> ScheduleViolation:
+    """The error of entries the query cap refuses, given as (name, least
+    epsilon) in order: the first one's name and the least epsilon at which
+    all of them fit the cap, for a whole batch or (not complete) for its
+    entries before the first that fails another check. It keeps them as its
+    `refused`."""
+    fit = ("every entry of its batch fits" if complete else
+           "the entries of its batch before its first other failure fit")
+    later = "a later batch" if complete else "a later entry or batch"
+    error = ScheduleViolation(
+        f"entry '{refused[0][0]}' needs more than the cap of {_MAX_AE_QUERIES} "
+        f"amplitude-estimation queries at its epsilon {epsilon:.3g}; {fit} the cap at an "
+        f"epsilon of at least {max(least for _, least in refused):.3g}, though {later} can "
+        f"still need more")
+    error.refused = refused
+    return error
 
 
 def median(draws: np.ndarray) -> float:
@@ -97,13 +116,13 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
                               exact_mean=exact_mean, exact_variance=exact_var)
     if exact_var == 0.0:
         # Constant variable: a single sample is exact.
-        rows = sampling.measure(masses, 1, rng, ledger)
+        rows = sampling.measure(law_cdf(masses), 1, rng, ledger)
         oracle.bill(ledger, applications=1)
         report.estimate = report.center = float(oracle.values[rows[0]])
         return _finish(report, variable, weights, caller_ledger)
 
     # Rough center: median of sampled values, itself exactly representable.
-    rows = sampling.measure(masses, repetitions, rng, ledger)
+    rows = sampling.measure(law_cdf(masses), repetitions, rng, ledger)
     oracle.bill(ledger, applications=repetitions)
     center = report.center = float(np.sort(oracle.values[rows])[(repetitions - 1) // 2])
 
@@ -137,11 +156,8 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
         try:
             queries = queries_for(per_amp_budget, amp_cap)
         except ScheduleViolation:
-            raise ScheduleViolation(
-                f"entry '{oracle.name}' needs more than the cap of {_MAX_AE_QUERIES} "
-                f"amplitude-estimation queries at its epsilon {epsilon:.3g}; its pieces fit "
-                f"the cap at an epsilon of at least "
-                f"{least_epsilon(piece_plans, plan_second_moment):.3g}") from None
+            raise cap_refusal([(oracle.name, least_epsilon(piece_plans, plan_second_moment))],
+                              epsilon) from None
         rotation = ControlledRotation(oracle=part_oracle, low=low, high=high)
         operator = EstimationOperator(sampling=sampling, rotation=rotation, masses=masses)
         draws = draw_ae_estimates(operator, queries, repetitions, rng, ledger)
@@ -154,6 +170,32 @@ def qmontecarlo(variable: QmcVariable, epsilon: float, delta: float, sigma: floa
 
     report.estimate = float(estimate)
     return _finish(report, variable, weights, caller_ledger)
+
+
+def qmontecarlo_entries(batch, epsilon: float, delta: float, sigma: float, rngs: list,
+                        ledger: QueryLedger | None = None,
+                        weights: CostWeights = CostWeights()) -> list[EstimationReport]:
+    """qmontecarlo of each entry of an EntryBatch in order, on its own
+    generator, each entry's oracle formed just before it is estimated. The
+    first entry that fails raises; after an entry the query cap refuses, the
+    later ones up to the first other failure are tried too, and the error
+    names the least epsilon at which every refused entry fits the cap."""
+    reports, refused, complete = [], [], True
+    for entry, rng in enumerate(rngs):
+        try:
+            reports.append(qmontecarlo(batch.variable(entry), epsilon, delta, sigma, rng,
+                                       ledger=ledger, weights=weights))
+        except QlsmError as exc:
+            if hasattr(exc, "refused"):
+                refused += exc.refused
+            elif refused:
+                complete = False
+                break
+            else:
+                raise
+    if refused:
+        raise cap_refusal(refused, epsilon, complete)
+    return reports
 
 
 def _finish(report: EstimationReport, variable: QmcVariable, weights: CostWeights,

@@ -496,7 +496,9 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert err.startswith("run error: entry 'basis_product[t=1,0,1]' needs more than the "
                               "cap of 1073741824 amplitude-estimation queries at its epsilon "
-                              "3.33e-11; its pieces fit the cap at an epsilon of at least 1.49e-08")
+                              "3.33e-11; the entries of its batch before its first other "
+                              "failure fit the cap at an epsilon of at least 1.65e-08, though a "
+                              "later entry or batch can still need more")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, algorithm", [

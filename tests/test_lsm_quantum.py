@@ -11,7 +11,8 @@ from qlsm.dp import (CoefficientRule, continuation_values, exact_approximation_e
 from qlsm.errors import Overflow, QlsmError, ScheduleViolation, SingularGram
 from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams, brownian_lambda_requirement,
                               gbm_lambda_requirement, gbm_sigma_mins, oracle_sigma_min,
-                              run_quantum_lsm, run_quantum_lsm_closed_form)
+                              run_quantum_lsm, run_quantum_lsm_closed_form,
+                              run_quantum_lsm_trials)
 from qlsm.payoff import put_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo, qmontecarlo_batch
@@ -61,9 +62,13 @@ class TestSchedule:
     def test_normalization_warning_fires(self):
         chain = two_path_chain()
         payoff = table_payoff({1: np.array([0.1]), 2: np.array([0.3, 0.2])}, 0.0)
-        with pytest.warns(UserWarning, match="sigma_min"):
+        with pytest.warns(UserWarning, match="sigma_min") as caught:
             run_quantum_lsm(chain, payoff, constant_basis(2), 0.05, 0.2,
                             sigma_min_lower=1.0, seed=0)
+            list(run_quantum_lsm_trials(chain, payoff, constant_basis(2), 0.05, 0.2, 1.0,
+                                        [0, 1]))
+        # Both point at the caller's line.
+        assert [w.filename for w in caught] == [__file__, __file__]
 
 
 class TestGramModeValidation:
@@ -177,7 +182,7 @@ class TestGenericRuns:
         def no_estimation(*args, **kwargs):
             raise AssertionError("an entry was estimated")
 
-        monkeypatch.setattr("qlsm.qsim.qmc._estimate_block", no_estimation)
+        monkeypatch.setattr("qlsm.qsim.qmc._plan_block", no_estimation)
         circuits = StoppingCircuits(chain=discretize_brownian(1, horizon, 8, 2.2),
                                     payoff=put_payoff(1.0),
                                     basis=hermite_basis(1, 2, horizon, 4.0), coefficients={},

@@ -6,6 +6,7 @@ from qlsm.errors import Overflow
 from qlsm.payoff import put_payoff
 from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
                        QueryLedger, SamplingOracle)
+from qlsm.qsim.oracles import law_cdf
 from qlsm.reference import apply_oracle, apply_rotation, prepare
 
 
@@ -45,7 +46,7 @@ class TestSamplingOracle:
         masses = np.array([0.1, 0.0, 0.6, 0.3])
         rng = np.random.Generator(np.random.Philox(0))
         ledger = QueryLedger()
-        draws = oracle.measure(masses, 10_000, rng, ledger)
+        draws = oracle.measure(law_cdf(masses), 10_000, rng, ledger)
         freq = np.bincount(draws, minlength=4) / 10_000
         assert freq[1] == 0.0
         assert 0.5 * np.abs(freq - masses).sum() <= 0.02

@@ -167,13 +167,36 @@ class TestQueryCap:
         var = variable_from_values([0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ScheduleViolation, match=(
                 r"^entry 'h' needs more than the cap of 1073741824 amplitude-estimation "
-                r"queries at its epsilon 1e-12; its pieces fit the cap at an epsilon of at "
-                r"least 2\.96e-09$")):
+                r"queries at its epsilon 1e-12; every entry of its batch fits the cap at an "
+                r"epsilon of at least 2\.96e-09, though a later batch can still need more$")):
             qmontecarlo(var, 1e-12, 0.1, 1.0, 0)
         # The least epsilon it names is where the pieces start to fit.
         with pytest.raises(ScheduleViolation, match="at its epsilon 2.95e-09"):
             qmontecarlo(var, 2.95e-9, 0.1, 1.0, 0)
         assert qmontecarlo(var, 2.97e-9, 0.1, 1.0, 0).pieces
+
+    def test_refusal_before_another_failure_covers_the_planned_entries(self):
+        # Entries 0 and 2 span 6 and 12, past the cap at 2^-30; entry 1 is a
+        # rounding shift of resolution/1000, more than 2^-30/100, so planning
+        # stops at it and the refusal's epsilon covers entry 0 alone. At that
+        # epsilon the shift passes and entry 2, planned at last, needs more.
+        resolution = FixedPointFormat().resolution
+        shifted = np.array([16.0, 32.0, 48.0, 64.0]) * resolution + resolution / 1000.0
+        cap = np.array([-3.0, 3.0, -3.0, 3.0])
+        batch = shared_batch([cap, shifted, 2.0 * cap], np.full(4, 0.25))
+        head = ("entry '{}' needs more than the cap of 1073741824 amplitude-estimation "
+                "queries at its epsilon {}; ")
+        outcomes = run_both(batch, 2.0**-30, 0.1, 8.0, [1, 2, 3])
+        assert outcomes == [(ScheduleViolation, head.format("entry[0]", "9.31e-10") + (
+            "the entries of its batch before its first other failure fit the cap at an "
+            "epsilon of at least 1.77e-08, though a later entry or batch can still need "
+            "more"))] * 2
+        outcomes = run_both(batch, 1.78e-8, 0.1, 8.0, [1, 2, 3])
+        assert outcomes == [(ScheduleViolation, head.format("entry[2]", "1.78e-08") + (
+            "every entry of its batch fits the cap at an epsilon of at least 7.09e-08, "
+            "though a later batch can still need more"))] * 2
+        assert all(report.pieces for report in
+                   qmontecarlo_batch(batch, 7.1e-8, 0.1, 8.0, [1, 2, 3])[::2])
 
 
 class TestSortMedian:
@@ -262,9 +285,8 @@ def run_both(batch, epsilon, delta, sigma, seeds):
     for estimate in (
             lambda rngs, ledger: qmontecarlo_batch(batch, epsilon, delta, sigma, rngs,
                                                    ledger=ledger),
-            lambda rngs, ledger: [qmc_reference.qmontecarlo(batch.variable(i), epsilon, delta,
-                                                            sigma, rng, ledger=ledger)
-                                  for i, rng in enumerate(rngs)]):
+            lambda rngs, ledger: qmc_reference.qmontecarlo_entries(
+                batch, epsilon, delta, sigma, rngs, ledger=ledger)):
         rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
         ledger = QueryLedger()
         try:

@@ -28,11 +28,15 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from qlsm import lsm_quantum
 from qlsm.basis import hermite_basis
 from qlsm.chain import discretize_brownian
-from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
+from qlsm.harness import experiments
+from qlsm.harness.config import ExperimentConfig
+from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm, run_quantum_lsm_trials
 from qlsm.payoff import put_payoff
 from report_reference import assert_report_close, recorded_report
 
@@ -129,13 +133,87 @@ def _hex(value):
     return value
 
 
+def entry_reports_digest(run) -> str:
+    doc = [[name, _hex([r.estimate, r.center, r.exact_mean, r.exact_variance,
+                        r.cost_reference, r.cost_factor, r.pieces]), r.ledger.snapshot()]
+           for name, r in run.entry_reports.items()]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("build, epsilon, seed, digest", ENTRY_GOLDEN,
                          ids=[f"{b.__name__}-seed{s}" for b, _, s, _ in ENTRY_GOLDEN])
 def test_entry_report_digest(build, epsilon, seed, digest):
     chain, payoff, basis = build()
     run = run_quantum_lsm(chain, payoff, basis, epsilon, 0.1,
                           sigma_min_lower=oracle_sigma_min(basis, chain), seed=seed)
-    doc = [[name, _hex([r.estimate, r.center, r.exact_mean, r.exact_variance,
-                        r.cost_reference, r.cost_factor, r.pieces]), r.ledger.snapshot()]
-           for name, r in run.entry_reports.items()]
-    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+    assert entry_reports_digest(run) == digest
+
+
+def assert_same_run(run, single, horizon):
+    assert run.to_json() == single.to_json()
+    assert run.ledger.snapshot() == single.ledger.snapshot()
+    assert (run.ledger.total_units(horizon).hex() == single.ledger.total_units(horizon).hex())
+    assert entry_reports_digest(run) == entry_reports_digest(single)
+
+
+# Each run of a lockstep trials call holds its own coefficients and score
+# tables; score tables shared among the runs would score every run with the
+# first run's coefficients and move the later runs' targets and estimates.
+# Groups of at most two runs put a group boundary inside five seeds.
+@pytest.mark.parametrize("build", [criterion6_instance, basket2d_instance])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_trials_equal_single_runs(monkeypatch, build, count):
+    chain, payoff, basis = build()
+    T, m = chain.horizon, basis.size
+    entries = (T - 1) * (m * m + m) + 1
+    monkeypatch.setattr(lsm_quantum, "_GROUP_ENTRIES", 2 * entries)
+    sigma_min = oracle_sigma_min(basis, chain)
+    seeds = np.random.SeedSequence(11).spawn(count)
+    runs = list(run_quantum_lsm_trials(chain, payoff, basis, 0.05, 0.1, sigma_min, seeds))
+    assert len(runs) == count
+    for seed, run in zip(seeds, runs):
+        assert len(run.entry_reports) == entries
+        single = run_quantum_lsm(chain, payoff, basis, 0.05, 0.1, sigma_min_lower=sigma_min,
+                                 seed=seed)
+        assert_same_run(run, single, chain.horizon)
+
+
+def group_sizes(monkeypatch) -> list:
+    """The seed count of each lockstep group run from here on, in order."""
+    sizes = []
+    lockstep_runs = lsm_quantum._Lockstep.runs
+
+    def recorded(self, seeds):
+        sizes.append(len(seeds))
+        return lockstep_runs(self, seeds)
+
+    monkeypatch.setattr(lsm_quantum._Lockstep, "runs", recorded)
+    return sizes
+
+
+def test_price_rows_equal_single_runs(monkeypatch):
+    # 25 entries per run: five trials in lockstep groups of at most two, 2, 2
+    # and 1, and then one trial per group.
+    cfg = ExperimentConfig.from_json({
+        "model": "brownian", "dimension": 1, "horizon": 3, "grid_size": 8,
+        "grid_radius": 2.2, "payoff": {"name": "put", "strike": 1.0},
+        "basis": {"kind": "hermite", "degree": 2, "cube_radius": 4.0},
+        "algorithm": "both", "epsilon": 0.05, "delta": 0.1, "trials": 5, "seed": 0})
+    sizes = group_sizes(monkeypatch)
+    monkeypatch.setattr(lsm_quantum, "_GROUP_ENTRIES", 50)
+    report = experiments.run_price(cfg)
+    assert sizes == [2, 2, 1]
+    chain, payoff, basis = cfg.build()
+    sigma_min = oracle_sigma_min(basis, chain)
+    assert [(row["trial"], row["algorithm"]) for row in report.rows] == [
+        (k, algo) for k in range(5) for algo in ("classical", "quantum")]
+    for seed, row in zip(np.random.SeedSequence(cfg.seed).spawn(5), report.rows[1::2]):
+        single = run_quantum_lsm(chain, payoff, basis, cfg.epsilon, cfg.delta,
+                                 sigma_min_lower=sigma_min, seed=seed)
+        assert row["estimate"] == single.estimate
+        assert row["cost_units"] == single.ledger.total_units(chain.horizon)
+        assert row["grover"] == single.ledger.grover_applications
+    monkeypatch.setattr(lsm_quantum, "_GROUP_ENTRIES", 1)
+    del sizes[:]
+    assert experiments.run_price(cfg).to_json() == report.to_json()
+    assert sizes == [1] * 5

@@ -100,6 +100,20 @@ class TestBackwardStep:
             np.testing.assert_array_equal(state.register_values(f"stop_time[{t}]"),
                                           expected[t])
 
+    def test_circuits_on_other_coefficients_score_their_own(self):
+        # The twin shares the tables that read no coefficient and scores its
+        # own coefficients, whichever of the two builds a table first.
+        chain = two_state_chain(seed=2)
+        circ = circuits_for(chain, seed=3)
+        twin = circ.on({t: -c for t, c in circ.coefficients.items()})
+        assert twin.basis_table(1) is circ.basis_table(1)
+        assert circ.payoff_table(2) is twin.payoff_table(2)
+        for t in (1, 2):
+            fresh = StoppingCircuits(chain=chain, payoff=circ.payoff, basis=circ.basis,
+                                     coefficients=twin.coefficients)
+            np.testing.assert_array_equal(twin.score_table(t), fresh.score_table(t))
+            assert not np.array_equal(twin.score_table(t), circ.score_table(t))
+
 
 class TestStoppedPayoff:
     def test_first_step_uses_unit_factor(self):

@@ -176,8 +176,8 @@ class PinnedSampling(SamplingOracle):
 
     row: int = 0
 
-    def measure(self, masses, count, rng, ledger=None):
-        super().measure(masses, count, rng, ledger)
+    def measure(self, cdf, count, rng, ledger=None):
+        super().measure(cdf, count, rng, ledger)
         return np.full(count, self.row)
 
 
