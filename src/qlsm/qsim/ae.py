@@ -6,7 +6,7 @@ two Fejer kernels centred at +-theta M / pi (mod M). It enumerates each
 kernel's masses in a fixed window of offsets around its peak and reaches the
 rest of the kernel by rejection sampling, so one draw costs the same time
 and memory at every query count M. The dense M-outcome distribution and a
-full statevector simulation of it are qlsm.reference's."""
+full statevector simulation of it are in tests/ae_reference.py."""
 from __future__ import annotations
 
 import math
@@ -61,7 +61,7 @@ class EstimationOperator:
 def _window(queries: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only window offsets j and, for e = ceil(phase M) - floor(phase M),
     the shifts (k - floor(phase M)) / M that the dense law
-    (`reference.ae_outcome_distribution`) takes at outcomes (floor + j) mod M
+    (`ae_outcome_distribution`, tests/ae_reference.py) takes at outcomes (floor + j) mod M
     of both branches, and a 0 column for tails."""
     half = queries // 2
     offsets = np.arange(max(-_WINDOW, 1 - half), min(_WINDOW, half) + 1)
@@ -222,7 +222,7 @@ def draw_ae_estimates(operator: EstimationOperator, queries: int, repetitions: i
 
     Each draw picks, with one uniform, a window outcome of either kernel
     branch or one branch's tail; tail picks are rejection-sampled by
-    `_sample_tail`. The law is `reference.ae_outcome_distribution`'s, and
+    `_sample_tail`. The law is `ae_outcome_distribution`'s (tests/ae_reference.py), and
     time and memory do not depend on M. Bills as `_bill_draws`, the
     rotation's oracle twice per rotation. One piece of `_draw_pieces`."""
     _check_queries(queries)

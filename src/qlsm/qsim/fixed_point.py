@@ -35,7 +35,7 @@ class FixedPointFormat:
         return 2.0**self.int_bits - 2.0 ** (-self.frac_bits)
 
     def quantize(self, values):
-        """qlsm.reference's FixedPoint.encode(self, v).decode() vectorized;
+        """FixedPoint.encode(self, v).decode() of tests/circuit_reference.py, vectorized;
         raises naming the format's range and listing any offending values."""
         scale = 2.0**self.frac_bits
         arr = np.asarray(values, dtype=float)

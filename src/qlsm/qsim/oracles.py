@@ -4,8 +4,8 @@ interval-conditioned controlled rotations.
 A function oracle holds a value table, one row per atom of the variable's
 law; estimation works on the table and the masses of its rows, which come
 from the chain (step marginals and dynamic programs on it), never from paths.
-The register writes of these oracles on a prepared path state are
-qlsm.reference's."""
+The register writes of these oracles on a prepared path state are in
+tests/circuit_reference.py."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from .ledger import QueryLedger
 @dataclass(eq=False)
 class SamplingOracle:
     """Prepares the chain's path superposition; one preparation costs horizon
-    sampling steps. Estimation only measures it (qlsm.reference prepares it)."""
+    sampling steps. Estimation only measures it (tests/circuit_reference.py prepares it)."""
 
     chain: MarkovChainSpec
 

@@ -172,6 +172,7 @@ def _queries_for(budget: float, amp_cap: float) -> int:
                                 f"{_MAX_AE_QUERIES} amplitude-estimation queries")
     root = math.pi * (spread + math.sqrt(spread * spread + budget)) / budget
     m = 2 if root <= 2.0 else min(1 << math.ceil(math.log2(root)), _MAX_AE_QUERIES)
+    # Each loop is needed: one ulp below an edge, the rounded root is one doubling off (test_qmc).
     while m > 2 and not too_few(m // 2):
         m //= 2
     while too_few(m):

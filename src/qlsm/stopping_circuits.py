@@ -8,7 +8,7 @@ induction the exact oracle runs (dp._induction), over one-hot indicators of
 the distinct payoff values and the circuits' stop masks, so no path is
 enumerated, and bills composed_cost per application. The register replay of
 the circuits over the enumerated paths, in which every write is an XOR
-involution, is qlsm.reference's."""
+involution, is in tests/circuit_reference.py."""
 from __future__ import annotations
 
 import math
@@ -129,8 +129,8 @@ class StoppingCircuits:
             at=np.arange(table.shape[0]))
 
     def variable(self, t: int, member: int) -> QmcVariable:
-        """Entry `member` of targets(t) alone; reference.stopped_payoff_values
-        replays its values through the registers."""
+        """Entry `member` of targets(t) alone; stopped_payoff_values in
+        tests/circuit_reference.py replays its values through the registers."""
         if not 0 <= member < self.basis.size:
             raise QlsmError(f"basis member {member} out of range 0..{self.basis.size - 1}")
         return self.targets(t).variable(member)

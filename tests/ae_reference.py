@@ -1,13 +1,24 @@
-"""The per-branch amplitude-estimation sampler as it was before both Fejer
-windows were evaluated in one kernel call, kept as the slow reference the
-fast sampler must match bit for bit: same draws, same Generator state
-afterwards, same ledger."""
+"""The amplitude-estimation laws the runtime sampler is checked against.
+
+The dense M-outcome law (Brassard, Hoyer, Mosca & Tapp 2002) as the mixture
+of its two Fejer branches, and the statevector simulation of the phase
+estimation circuit that cross-checks it. Then the per-branch sampler as it
+was before both Fejer windows were evaluated in one kernel call, kept as the
+slow reference the fast sampler must match bit for bit: same draws, same
+Generator state afterwards, same ledger."""
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from qlsm.qsim.ae import _WINDOW, _check_queries
+from qlsm.qsim.ae import _WINDOW
+
+_STATEVECTOR_QUBIT_CAP = 12
+
+
+def check_queries(queries: int) -> None:
+    if queries < 2 or queries & (queries - 1):
+        raise ValueError("queries must be a power of two, at least 2")
 
 
 def phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
@@ -23,10 +34,87 @@ def phase_kernel(delta: np.ndarray, queries: int) -> np.ndarray:
 
 
 def branch_masses(phase: float, outcomes: np.ndarray, queries: int, sign: int) -> np.ndarray:
-    """Kernel masses of one Fejer branch at outcomes in 0..M-1."""
+    """Kernel masses of one Fejer branch at outcomes y in 0..M-1.
+
+    The eigenphase -theta branch (sign=+1) sits at offset phase + y/M from
+    outcome y, the +theta branch (sign=-1) at phase - y/M. Both are evaluated
+    as phase - k/M for the k = -sign * y (mod M) that puts the offset in
+    (-1/2, 1/2 + 1/M], so near a kernel's peak at offset 0 it is formed
+    without cancellation. Taken as phase + y/M, the offsets near 1 at the
+    -theta peak would cost the branch about M * 1.1e-16 of its unit mass."""
     centre = math.floor(phase * queries) - queries // 2
     k = np.mod(-sign * outcomes - centre, queries) + centre
     return phase_kernel(phase - k / queries, queries)
+
+
+def ae_outcome_distribution(amplitude: float, queries: int):
+    """(estimates, probabilities, outcomes) of M-query amplitude estimation.
+
+    Outcomes y = 0..M-1 map to estimates sin^2(pi y / M); probabilities are
+    the exact two-eigenphase phase-estimation weights, the normalized equal
+    mixture of the two Fejer branches."""
+    check_queries(queries)
+    if not 0.0 <= amplitude <= 1.0:
+        raise ValueError("amplitude must lie in [0, 1]")
+    phase = math.asin(math.sqrt(amplitude)) / math.pi
+    y = np.arange(queries)
+    probs = 0.5 * (branch_masses(phase, y, queries, -1) + branch_masses(phase, y, queries, 1))
+    probs = probs / probs.sum()
+    estimates = np.sin(np.pi * y / queries) ** 2
+    return estimates, probs, y
+
+
+def embed(state) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a hybrid state's (path, flag-qubit) into one system register
+    plus a good mask."""
+    n = state.n_basis_states
+    rot = state.rotation if state.rotation is not None else np.column_stack(
+        [np.ones(n), np.zeros(n)])
+    system = np.empty(2 * n, dtype=complex)
+    system[0::2] = state.amplitudes * rot[:, 0]
+    system[1::2] = state.amplitudes * rot[:, 1]
+    mask = np.zeros(2 * n, dtype=bool)
+    mask[1::2] = True
+    return system, mask
+
+
+def statevector_ae_distribution(system: np.ndarray, good_mask: np.ndarray,
+                                queries: int) -> np.ndarray:
+    """Outcome distribution of phase-estimation AE by explicit simulation.
+
+    Builds the Grover operator as a dense matrix from the prepared system
+    vector and a good-state mask, runs the controlled powers against a phase
+    register, applies the inverse Fourier transform and returns the phase
+    register's measurement distribution.
+    """
+    check_queries(queries)
+    system = np.asarray(system, dtype=complex)
+    dim = system.size
+    n_qubits = math.ceil(math.log2(dim)) + int(math.log2(queries))
+    if n_qubits > _STATEVECTOR_QUBIT_CAP:
+        raise ValueError(f"statevector simulation capped at {_STATEVECTOR_QUBIT_CAP} qubits")
+    norm = np.linalg.norm(system)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError("system state must be normalized")
+    flip_good = np.where(good_mask, -1.0, 1.0)
+    reflect_prep = 2.0 * np.outer(system, system.conj()) - np.eye(dim)
+    grover = reflect_prep * flip_good[None, :]
+
+    # Phase register of size `queries`; joint state indexed [phase, system].
+    joint = np.zeros((queries, dim), dtype=complex)
+    joint[:] = system[None, :] / math.sqrt(queries)
+    n_phase_bits = int(math.log2(queries))
+    power = grover
+    for bit in range(n_phase_bits):
+        controlled = (np.arange(queries) >> bit) & 1
+        rows = np.nonzero(controlled)[0]
+        joint[rows] = joint[rows] @ power.T
+        power = power @ power
+    # Inverse Fourier transform on the phase register.
+    y = np.arange(queries)
+    fourier = np.exp(-2j * np.pi * np.outer(y, y) / queries) / math.sqrt(queries)
+    joint = fourier @ joint
+    return np.sum(np.abs(joint) ** 2, axis=1)
 
 
 class Branch(NamedTuple):
@@ -82,7 +170,7 @@ def sample_tail(floor: int, frac: float, queries: int, count: int,
 def draw_ae_estimates(operator, queries: int, repetitions: int,
                       rng: np.random.Generator, ledger=None) -> np.ndarray:
     """`qlsm.qsim.ae.draw_ae_estimates`, one branch window at a time."""
-    _check_queries(queries)
+    check_queries(queries)
     if ledger is not None:
         applications = (2 * queries + 1) * repetitions
         ledger.add_grover(queries * repetitions)

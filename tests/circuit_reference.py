@@ -1,11 +1,7 @@
-"""Slow references that the runtime is tested against, imported by no runtime
-path: the fixed-point register encode and decode, table payoffs, the L2 norm
-under a step marginal and the log-normal tail bound (which only tests use),
-per-path stop times (the classical pass's backward carry, holding stop steps
-instead of payoffs) and the payoffs collected at them, the register replay of
-the stopping circuits over the enumerated paths, and the dense and
-statevector laws of amplitude estimation (Brassard, Hoyer, Mosca & Tapp
-2002).
+"""The register replay of the stopping circuits over the enumerated paths,
+kept as the slow reference that the runtime's value laws must match, and the
+fixed-point register encode and decode that the shared rounding is checked
+against.
 
 Estimation reads each variable's law (a value table and the masses of its
 rows) and bills an exact count of oracle calls; it never prepares a state.
@@ -22,19 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import MarkovChainSpec, PathEnsemble, enumerate_paths
-from .dp import SnellTable
-from .errors import Overflow, QlsmError
-from .qsim.ae import EstimationOperator, _check_queries, _phase_kernel
-from .qsim.fixed_point import FixedPointFormat
-from .qsim.ledger import QueryLedger
-from .payoff import PayoffSpec
-from .qsim.oracles import ControlledRotation, FunctionOracle, SamplingOracle
-from .stopping_circuits import (BASIS_QUERY, PAYOFF_QUERY, StoppingCircuits,
-                                _dispatch_payoff_queries)
+from qlsm.chain import PathEnsemble, enumerate_paths
+from qlsm.errors import Overflow, QlsmError
+from qlsm.qsim.ae import EstimationOperator
+from qlsm.qsim.fixed_point import FixedPointFormat
+from qlsm.qsim.ledger import QueryLedger
+from qlsm.qsim.oracles import ControlledRotation, FunctionOracle, SamplingOracle
+from qlsm.stopping_circuits import (BASIS_QUERY, PAYOFF_QUERY, StoppingCircuits,
+                                    _dispatch_payoff_queries)
 
 _NORM_TOL = 1e-10
-_STATEVECTOR_QUBIT_CAP = 12
 
 
 # -- fixed-point registers --------------------------------------------------------
@@ -90,81 +83,6 @@ def from_bits(fmt: FixedPointFormat, bits: np.ndarray):
     magnitude = bits & ((1 << (fmt.int_bits + fmt.frac_bits)) - 1)
     out = np.where(sign_bit == 1, -magnitude, magnitude) / 2.0**fmt.frac_bits
     return out if out.shape else float(out)
-
-
-# -- payoff tables, norms and tail bounds that only tests use -----------------------
-
-def table_payoff(tables: dict[int, np.ndarray], start_value: float, label: str = "table") -> PayoffSpec:
-    """Payoff given by explicit per-step value tables indexed like the grids."""
-
-    def f(t: int, pts: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.array([start_value], dtype=float)
-        vals = np.asarray(tables[t], dtype=float)
-        if vals.shape[0] != pts.shape[0]:
-            raise ValueError(f"table at step {t} does not match the grid")
-        return vals
-
-    return PayoffSpec(step_function=f, label=label)
-
-
-def weighted_l2_norm(chain: MarkovChainSpec, t: int, values: np.ndarray) -> float:
-    """L2 norm of a per-state function under the step-t marginal (t=0 allowed)."""
-    if t == 0:
-        return float(abs(values[0]))
-    chain.grid(t)  # range-checks t
-    return float(np.sqrt(np.sum(chain.marginals[t - 1] * values * values)))
-
-
-def gbm_tail_bound(k: int, cube_radius: float, t: float) -> float:
-    """Upper bound on E[x^k; x > cube_radius] for x log-normal with
-    ln x ~ N(-t/2, t), the step-t law of a geometric Brownian coordinate.
-
-    The tail moment is e^{t k(k-1)/2} times the normal tail at
-    z = (ln(cube_radius) - t(k - 1/2)) / sqrt(t), which is at most
-    e^{-z^2/2} / 2 for z >= 0. So the bound holds only in the regime
-    ln(cube_radius) >= t*(k - 1/2).
-    """
-    if cube_radius <= 0 or t <= 0 or k < 0:
-        raise ValueError("need cube_radius > 0, t > 0, k >= 0")
-    lam = float(cube_radius)
-    expo = (t / 2.0) * k * (k - 1) - (1.0 / (2.0 * t)) * (math.log(lam) - t * (k - 0.5)) ** 2
-    return 0.5 * math.exp(expo)
-
-
-# -- per-path stop times ----------------------------------------------------------
-
-def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask) -> np.ndarray:
-    """Per-path first stops along paths given by their (N, T) grid indices:
-    tau_T = T, and tau_t = t where stop_mask(t, later), step t's per-state
-    mask given `later` = tau_{t+1}, stops the path's state, else tau_{t+1}.
-    Returns the (N, T) stop times, column t-1 holding tau_t."""
-    T = chain.horizon
-    taus = np.empty(idx.shape, dtype=np.int64)
-    taus[:, T - 1] = T
-    for t in range(T - 1, 0, -1):
-        taus[:, t - 1] = np.where(stop_mask(t, taus[:, t])[idx[:, t - 1]], t, taus[:, t])
-    return taus
-
-
-def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
-    """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
-    along path i under the table's decisions."""
-    taus = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
-    tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
-    return np.column_stack([tau0, taus])
-
-
-def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
-                    ensemble: PathEnsemble, times: np.ndarray) -> np.ndarray:
-    """Per-path payoff collected at the given per-path times (0..horizon)."""
-    times = np.asarray(times)
-    out = np.full(len(ensemble), payoff.value_at_start(chain))
-    for t in range(1, chain.horizon + 1):
-        at_t = times == t
-        if at_t.any():
-            out[at_t] = payoff.values(chain, t)[ensemble.state_indices_at(t)[at_t]]
-    return out
 
 
 # -- hybrid state ---------------------------------------------------------------
@@ -374,82 +292,3 @@ def stopped_payoff_values(circ: StoppingCircuits, t: int, member: int) -> np.nda
     if leftovers:
         raise QlsmError(f"uncompute left dirty registers: {leftovers}")
     return np.asarray(state.register_values(product_register(t, member)), dtype=float)
-
-
-# -- amplitude-estimation laws ----------------------------------------------------
-
-def ae_outcome_distribution(amplitude: float, queries: int):
-    """(estimates, probabilities, outcomes) of M-query amplitude estimation.
-
-    Outcomes y = 0..M-1 map to estimates sin^2(pi y / M); probabilities are
-    the exact two-eigenphase phase-estimation weights, an equal mixture of
-    two kernels: the eigenphase +theta branch sits at offset phase - y/M from
-    outcome y, the -theta branch at phase + y/M. Both are evaluated as
-    phase - k/M for the k = +-y (mod M) that puts the offset in
-    (-1/2, 1/2 + 1/M], so near a kernel's peak at offset 0 it is formed
-    without cancellation. Taken as phase + y/M, the offsets near 1 at the
-    -theta peak would cost the branch about M * 1.1e-16 of its unit mass.
-    """
-    _check_queries(queries)
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
-    phase = math.asin(math.sqrt(amplitude)) / math.pi
-    centre = math.floor(phase * queries) - queries // 2
-    y = np.arange(queries)
-    k = np.mod([y - centre, -y - centre], queries) + centre
-    probs = 0.5 * _phase_kernel(phase - k / queries, queries).sum(axis=0)
-    probs = probs / probs.sum()
-    estimates = np.sin(np.pi * y / queries) ** 2
-    return estimates, probs, y
-
-
-def embed(state: HybridState) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten (path, flag-qubit) into one system register plus a good mask."""
-    n = state.n_basis_states
-    rot = state.rotation if state.rotation is not None else np.column_stack(
-        [np.ones(n), np.zeros(n)])
-    system = np.empty(2 * n, dtype=complex)
-    system[0::2] = state.amplitudes * rot[:, 0]
-    system[1::2] = state.amplitudes * rot[:, 1]
-    mask = np.zeros(2 * n, dtype=bool)
-    mask[1::2] = True
-    return system, mask
-
-
-def statevector_ae_distribution(system: np.ndarray, good_mask: np.ndarray,
-                                queries: int) -> np.ndarray:
-    """Outcome distribution of phase-estimation AE by explicit simulation.
-
-    Builds the Grover operator as a dense matrix from the prepared system
-    vector and a good-state mask, runs the controlled powers against a phase
-    register, applies the inverse Fourier transform and returns the phase
-    register's measurement distribution.
-    """
-    _check_queries(queries)
-    system = np.asarray(system, dtype=complex)
-    dim = system.size
-    n_qubits = math.ceil(math.log2(dim)) + int(math.log2(queries))
-    if n_qubits > _STATEVECTOR_QUBIT_CAP:
-        raise ValueError(f"statevector simulation capped at {_STATEVECTOR_QUBIT_CAP} qubits")
-    norm = np.linalg.norm(system)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("system state must be normalized")
-    flip_good = np.where(good_mask, -1.0, 1.0)
-    reflect_prep = 2.0 * np.outer(system, system.conj()) - np.eye(dim)
-    grover = reflect_prep * flip_good[None, :]
-
-    # Phase register of size `queries`; joint state indexed [phase, system].
-    joint = np.zeros((queries, dim), dtype=complex)
-    joint[:] = system[None, :] / math.sqrt(queries)
-    n_phase_bits = int(math.log2(queries))
-    power = grover
-    for bit in range(n_phase_bits):
-        controlled = (np.arange(queries) >> bit) & 1
-        rows = np.nonzero(controlled)[0]
-        joint[rows] = joint[rows] @ power.T
-        power = power @ power
-    # Inverse Fourier transform on the phase register.
-    y = np.arange(queries)
-    fourier = np.exp(-2j * np.pi * np.outer(y, y) / queries) / math.sqrt(queries)
-    joint = fourier @ joint
-    return np.sum(np.abs(joint) ** 2, axis=1)

@@ -1,18 +1,55 @@
-"""The classical regression as it was before it worked from per-state visit
-counts, kept as the slow reference the fast one must match: every step
-gathers the N x m matrix of basis rows along the sampled paths and takes the
-Gram matrix and targets as two N-row products; the stop mask is scored on a
-second evaluation of the basis table. It keeps the per-path arrays that
-LsmRun does not."""
+"""Per-path references for the classical pass and the exact oracle.
+
+Per-path stop times (the classical pass's backward carry, holding stop steps
+instead of payoffs) and the payoffs collected at them. Then the classical
+regression as it was before it worked from per-state visit counts, kept as
+the slow reference the fast one must match: every step gathers the N x m
+matrix of basis rows along the sampled paths and takes the Gram matrix and
+targets as two N-row products; the stop mask is scored on a second
+evaluation of the basis table. It keeps the per-path arrays that LsmRun does
+not."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from qlsm.basis import closed_form_gram, solve_gram
-from qlsm.chain import sample_paths
-from qlsm.dp import CoefficientRule
+from qlsm.chain import MarkovChainSpec, PathEnsemble, sample_paths
+from qlsm.dp import CoefficientRule, SnellTable
 from qlsm.lsm_classical import LsmRun
-from qlsm.reference import path_stop_times
+from qlsm.payoff import PayoffSpec
+
+
+def path_stop_times(chain: MarkovChainSpec, idx: np.ndarray, stop_mask) -> np.ndarray:
+    """Per-path first stops along paths given by their (N, T) grid indices:
+    tau_T = T, and tau_t = t where stop_mask(t, later), step t's per-state
+    mask given `later` = tau_{t+1}, stops the path's state, else tau_{t+1}.
+    Returns the (N, T) stop times, column t-1 holding tau_t."""
+    T = chain.horizon
+    taus = np.empty(idx.shape, dtype=np.int64)
+    taus[:, T - 1] = T
+    for t in range(T - 1, 0, -1):
+        taus[:, t - 1] = np.where(stop_mask(t, taus[:, t])[idx[:, t - 1]], t, taus[:, t])
+    return taus
+
+
+def optimal_stopping_times(table: SnellTable, ensemble: PathEnsemble) -> np.ndarray:
+    """(n_paths, horizon+1) matrix with entry [i, t] = first stop time >= t
+    along path i under the table's decisions."""
+    taus = path_stop_times(table.chain, ensemble.indices, lambda t, later: table.stop[t])
+    tau0 = np.zeros(len(ensemble), dtype=np.int64) if table.stop[0][0] else taus[:, 0]
+    return np.column_stack([tau0, taus])
+
+
+def payoff_at_times(chain: MarkovChainSpec, payoff: PayoffSpec,
+                    ensemble: PathEnsemble, times: np.ndarray) -> np.ndarray:
+    """Per-path payoff collected at the given per-path times (0..horizon)."""
+    times = np.asarray(times)
+    out = np.full(len(ensemble), payoff.value_at_start(chain))
+    for t in range(1, chain.horizon + 1):
+        at_t = times == t
+        if at_t.any():
+            out[at_t] = payoff.values(chain, t)[ensemble.state_indices_at(t)[at_t]]
+    return out
 
 
 @dataclass(eq=False)

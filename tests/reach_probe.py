@@ -6,11 +6,12 @@ Run as a script in a fresh interpreter; it imports qlsm from src/:
 
 It runs price, scaling, validate-bounds --strict and dump-oracle on each
 probe config below under sys.settrace call events, then prints one JSON
-object: "functions" lists every function defined in src/qlsm outside
-qlsm.reference as "module:qualname", "unrun" those that never ran,
-"exits" the exit code of each run and "stderr" what each run wrote to
-standard error. A fresh interpreter matters: a warm lru_cache or law table
-left by earlier work in the same process would skip calls. The chain file
+object: "functions" lists every function defined in src/qlsm as
+"module:qualname", "unrun" those that never ran, "modules" the qlsm
+modules loaded by the end, "exits" the exit code of each run and "stderr"
+what each run wrote to standard error. A fresh interpreter matters: a warm
+lru_cache or law table left by earlier work in the same process would skip
+calls, and earlier imports would count as loaded modules. The chain file
 that the "custom-json" config reads is written before tracing starts.
 """
 from __future__ import annotations
@@ -74,15 +75,20 @@ def _defs(node, prefix=""):
             yield from _defs(child, prefix)
 
 
+def runtime_modules() -> dict[Path, str]:
+    """Every module file under src/qlsm, mapped to its dotted name."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        found[path] = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    return found
+
+
 def runtime_functions() -> dict[tuple[str, int, str], str]:
     """(file, first line, name) of every def in the runtime modules, mapped
     to "module:qualname"."""
     found = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path == PACKAGE / "reference.py":
-            continue
-        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for path, module in runtime_modules().items():
         for first, name, qualname in _defs(ast.parse(path.read_text())):
             found[(str(path), first, name)] = f"{module}:{qualname}"
     return found
@@ -123,8 +129,9 @@ def probe(out_dir: Path) -> dict:
         sys.settrace(None)
     called = {(str(Path(file).resolve()), line, name) for file, line, name in called}
     unrun = sorted(label for key, label in functions.items() if key not in called)
-    return {"functions": sorted(set(functions.values())), "unrun": unrun, "exits": exits,
-            "stderr": stderr}
+    modules = sorted(m for m in sys.modules if m.split(".")[0] == "qlsm")
+    return {"functions": sorted(set(functions.values())), "unrun": unrun, "modules": modules,
+            "exits": exits, "stderr": stderr}
 
 
 if __name__ == "__main__":

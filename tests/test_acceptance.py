@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ae_reference import ae_outcome_distribution, statevector_ae_distribution
+from basis_reference import gbm_tail_bound, table_payoff, weighted_l2_norm
+from circuit_reference import HybridState, composed, product_register, stopped_payoff_values
 from qmc_reference import exact_moments
 from qlsm.basis import (hermite, hermite_basis, hermite_tail_bound,
                         monomial_basis, vandermonde_gram,
@@ -27,10 +30,6 @@ from qlsm.lsm_quantum import oracle_sigma_min, run_quantum_lsm
 from qlsm.payoff import put_payoff
 from qlsm.qsim import (FixedPointFormat, FunctionOracle, QmcVariable, qmontecarlo,
                        SamplingOracle)
-from qlsm.reference import (HybridState, ae_outcome_distribution, composed,
-                            gbm_tail_bound, product_register,
-                            statevector_ae_distribution, stopped_payoff_values,
-                            table_payoff, weighted_l2_norm)
 from qlsm.stopping_circuits import StoppingCircuits
 
 

@@ -10,14 +10,13 @@ from qlsm.chain import MarkovChainSpec, enumerate_paths
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FunctionOracle,
                        QueryLedger, SamplingOracle, draw_ae_estimates)
 from qlsm.qsim import ae
-from qlsm.qsim.ae import (_WINDOW, _branch_windows, _draw_pieces, _phase_kernel, _sample_tail,
-                          _window, _window_laws)
+from qlsm.qsim.ae import (_WINDOW, _branch_windows, _draw_pieces, _sample_tail, _window,
+                          _window_laws)
 from qlsm.qsim.fixed_point import FixedPointFormat
-from qlsm.reference import (ae_outcome_distribution, embed, prepare_operator,
-                            statevector_ae_distribution)
 
 import ae_reference
-from ae_reference import Branch
+from ae_reference import Branch, ae_outcome_distribution, embed, statevector_ae_distribution
+from circuit_reference import prepare_operator
 
 
 def operator_with_amplitude(a: float) -> EstimationOperator:
@@ -72,9 +71,9 @@ class TestAnalyticDistribution:
         for a in amplitudes:
             phase = math.asin(math.sqrt(a)) / math.pi
             for sign in (-1, 1):
-                masses = kernel_branch(phase, y, queries, sign)
+                masses = ae_reference.branch_masses(phase, y, queries, sign)
                 assert abs(masses.sum() - 1.0) <= 1e-14, (a, sign)
-                naive = _phase_kernel(phase + sign * y / queries, queries)
+                naive = ae_reference.phase_kernel(phase + sign * y / queries, queries)
                 np.testing.assert_allclose(masses, naive, rtol=1e-9, atol=1e-15)
 
     def test_law_mirror_symmetric(self):
@@ -146,20 +145,12 @@ class TestSamplingAndLedger:
         assert draw_ae_estimates(op, 8, 1, rng)[0] == 1.0
 
 
-def kernel_branch(phase: float, outcomes: np.ndarray, queries: int, sign: int) -> np.ndarray:
-    """One Fejer branch at outcomes, evaluated as ae_outcome_distribution does:
-    at phase - k/M for the k = -sign * y (mod M) nearest the peak."""
-    centre = math.floor(phase * queries) - queries // 2
-    k = np.mod(-sign * outcomes - centre, queries) + centre
-    return _phase_kernel(phase - k / queries, queries)
-
-
 def dense_branches(amplitude: float, queries: int):
     """The two unnormalized Fejer kernels ae_outcome_distribution mixes:
     the sign=-1 branch peaks at theta M / pi, the sign=+1 branch at -theta M / pi."""
     phase = math.asin(math.sqrt(amplitude)) / math.pi
     y = np.arange(queries)
-    return {sign: kernel_branch(phase, y, queries, sign) for sign in (-1, 1)}
+    return {sign: ae_reference.branch_masses(phase, y, queries, sign) for sign in (-1, 1)}
 
 
 def branch_laws(amplitude: float, queries: int):
@@ -329,7 +320,7 @@ class TestAgainstPerBranchReference:
         # Offsets at and within rounding of the grid take the on_grid rule.
         delta = np.array(deltas + [0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15, 1e-300, -5e-324])
         queries = 1 << log_queries
-        new = _phase_kernel(delta, queries)
+        new = ae._phase_kernel(delta, queries)
         ref = ae_reference.phase_kernel(delta, queries)
         assert new.view(np.int64).tolist() == ref.view(np.int64).tolist()
 

@@ -13,8 +13,7 @@ from qlsm.basis import (closed_form_gram, constant_basis, gbm_basis,
 from qlsm.chain import MarkovChainSpec, discretize_brownian, discretize_gbm
 from qlsm.errors import SingularGram
 from qlsm.lsm_quantum import oracle_sigma_min
-from qlsm.reference import gbm_tail_bound
-from basis_reference import indicator_basis
+from basis_reference import gbm_tail_bound, indicator_basis
 
 
 class TestHermitePolynomials:

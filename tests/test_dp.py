@@ -11,9 +11,8 @@ from qlsm.dp import (CoefficientRule, continuation_values,
                      stop_masses)
 from qlsm.errors import CapExceeded, SingularGram
 from qlsm.payoff import constant_payoff
-from qlsm.reference import (optimal_stopping_times, path_stop_times, payoff_at_times,
-                            table_payoff, weighted_l2_norm)
-from basis_reference import indicator_basis
+from basis_reference import indicator_basis, table_payoff, weighted_l2_norm
+from lsm_reference import optimal_stopping_times, path_stop_times, payoff_at_times
 
 
 def random_chain(rng, horizon, n_states):

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qlsm.errors import Overflow
 from qlsm.qsim.fixed_point import FixedPointFormat
-from qlsm.reference import FixedPoint, from_bits
+from circuit_reference import FixedPoint, from_bits
 
 
 class TestFormat:

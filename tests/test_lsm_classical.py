@@ -14,8 +14,7 @@ from qlsm.errors import SingularGram
 from qlsm.lsm_classical import (choose_sample_count, classical_cost_units,
                                 run_classical_lsm)
 from qlsm.payoff import put_payoff
-from qlsm.reference import table_payoff
-from basis_reference import indicator_basis
+from basis_reference import indicator_basis, table_payoff
 from lsm_reference import run_classical_lsm_per_path, run_stop_times
 
 UNIT_ROUNDOFF = 2.0**-53

@@ -16,8 +16,9 @@ from qlsm.lsm_quantum import (EstimationSchedule, _entry_streams, brownian_lambd
 from qlsm.payoff import put_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger, ae
 from qlsm.qsim.qmc import qmontecarlo, qmontecarlo_batch
-from qlsm.reference import path_stop_times, table_payoff
 from qlsm.stopping_circuits import StoppingCircuits
+from basis_reference import table_payoff
+from lsm_reference import path_stop_times
 
 
 # Toy chains with payoff bounds below 1 trip the sensitivity-normalization

@@ -7,7 +7,7 @@ from qlsm.payoff import put_payoff
 from qlsm.qsim import (ControlledRotation, FixedPointFormat, FunctionOracle,
                        QueryLedger, SamplingOracle)
 from qlsm.qsim.oracles import law_cdf
-from qlsm.reference import apply_oracle, apply_rotation, prepare
+from circuit_reference import apply_oracle, apply_rotation, prepare
 
 
 def uniform_chain():

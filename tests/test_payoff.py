@@ -9,7 +9,7 @@ from qlsm.chain import discretize_brownian, discretize_gbm
 from qlsm.payoff import (PayoffSpec, call_payoff, constant_payoff,
                          mean_abs_coordinate_sum, max_power_norm, put_payoff,
                          truncate, truncation_error_coefficient)
-from qlsm.reference import table_payoff
+from basis_reference import table_payoff
 
 
 def small_chain():

@@ -21,7 +21,7 @@ from qlsm.dp import CoefficientRule, continuation_values, snell_envelope
 from qlsm.lsm_classical import run_classical_lsm
 from qlsm.payoff import put_payoff
 from qlsm.qsim.fixed_point import FixedPointFormat
-from qlsm.reference import table_payoff
+from basis_reference import table_payoff
 from qlsm.stopping_circuits import StoppingCircuits
 
 TOL = 1e-14

@@ -1,6 +1,6 @@
-"""Every runtime function runs under some CLI command, or
-unrun_functions.txt says why it does not; and every report those commands
-write is JSON as RFC 8259 defines it."""
+"""Every runtime module loads and every runtime function runs under some CLI
+command, or unrun_functions.txt says why it does not; and every report those
+commands write is JSON as RFC 8259 defines it."""
 import json
 import re
 import subprocess
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qlsm.harness.cli import EXIT_CONFIG, main
-from reach_probe import COMMANDS, PROBE_CONFIGS, expected_exits
+from reach_probe import COMMANDS, PROBE_CONFIGS, expected_exits, runtime_modules
 
 HERE = Path(__file__).resolve().parent
 
@@ -45,12 +45,20 @@ def test_unrun_runtime_functions_are_listed(probe_run):
     listed, unrun = listed_unrun(), set(doc["unrun"])
     assert [name for name, reason in listed.items() if not reason] == [], "entries need a reason"
     unlisted = sorted(unrun - listed.keys())
-    assert unlisted == [], ("no command runs these: delete them, move them into qlsm.reference "
-                            "or the tests, or list them with a reason")
+    assert unlisted == [], ("no command runs these: delete them, move them into the tests, "
+                            "or list them with a reason")
     gone = sorted(listed.keys() - set(doc["functions"]))
     assert gone == [], "listed functions that no longer exist"
     running = sorted(listed.keys() - unrun - set(gone))
     assert running == [], "listed functions that a command now runs"
+
+
+def test_probe_loads_every_runtime_module(probe_run):
+    # src/ holds only the runtime: a module that no command imports belongs
+    # in the tests.
+    doc, _ = probe_run
+    assert set(doc["modules"]) ^ set(runtime_modules().values()) == set(), \
+        "the commands must load exactly the modules under src/qlsm"
 
 
 def _refuse(constant: str):

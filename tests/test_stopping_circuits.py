@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from basis_reference import table_payoff
+from circuit_reference import (composed, product_register, prepare, step, stopped_payoff,
+                               stopped_payoff_values)
 from qmc_reference import exact_moments
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
@@ -8,8 +11,6 @@ from qlsm.errors import Overflow, QlsmError
 from qlsm.payoff import put_payoff
 from qlsm.qsim import FixedPointFormat, QueryLedger
 from qlsm.qsim.qmc import qmontecarlo
-from qlsm.reference import (composed, product_register, prepare, step,
-                            stopped_payoff, stopped_payoff_values, table_payoff)
 from qlsm.stopping_circuits import StoppingCircuits
 
 

@@ -3,7 +3,8 @@
 Estimation reads each entry's law: a value table and the masses of its rows,
 computed from the chain by dynamic programs, never from enumerated paths.
 The register replay of the composed circuit over the enumerated paths
-(qlsm.reference) is the reference; every law must reproduce it exactly.
+(the tests' circuit_reference) is the reference; every law must reproduce it
+exactly.
 """
 import tracemalloc
 from dataclasses import dataclass
@@ -12,6 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from basis_reference import table_payoff
+from circuit_reference import apply_oracle, prepare, prepare_operator, stopped_payoff_values
+from lsm_reference import path_stop_times
 from qmc_reference import exact_moments
 from qlsm.basis import monomial_basis
 from qlsm.chain import MarkovChainSpec, discretize_brownian, enumerate_paths
@@ -19,8 +23,6 @@ from qlsm.dp import CoefficientRule, stop_decision
 from qlsm.payoff import PayoffSpec
 from qlsm.qsim import (ControlledRotation, EstimationOperator, FixedPointFormat,
                        FunctionOracle, QmcVariable, SamplingOracle, qmontecarlo)
-from qlsm.reference import (apply_oracle, path_stop_times, prepare, prepare_operator,
-                            stopped_payoff_values, table_payoff)
 from qlsm.stopping_circuits import StoppingCircuits
 
 FMT = FixedPointFormat()
